@@ -9,15 +9,10 @@ argmax of the product reads off the consensus position.
 
 from .core import (
     GrayImage,
-    InvariantError,
     LandmarkSet,
-    NORMALIZED,
-    NormalizedFrame,
     PixelFrame,
     Rng,
     ValidationError,
-    landmark_frame_convert,
-    validate_image,
 )
 from .evaluate import ComparisonReport, EvalReport, LandmarkStats, landmark_error_mm, pck
 from .fusion import (
@@ -30,7 +25,6 @@ from .fusion import (
 )
 from .geometry import (
     AffineTransform2D,
-    AugmentationParams,
     AugmentationRanges,
     build_transform,
     sample_augmentation,
@@ -39,12 +33,10 @@ from .geometry import (
     warp_landmarks,
 )
 from .heatmap import (
-    GaussianForm,
     GaussianSpec,
     Heatmap,
     decode_argmax,
     decode_centroid,
-    normalize_peak,
     render_gaussian,
     render_label_stack,
 )
@@ -53,7 +45,6 @@ from .simulate import (
     CoordPredictorModel,
     HeatmapPredictorModel,
     PhantomConfig,
-    SpinePhantom,
     TrialConfig,
     calibrated_config,
     confusion_prob_for_accuracy,

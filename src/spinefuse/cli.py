@@ -28,6 +28,7 @@ from .simulate import (
     generate_phantom,
     noiseless_config,
     phantom_image,
+    read_sim_config,
     run_trial,
 )
 
@@ -58,10 +59,8 @@ def _summarize_failures(results, paths) -> int:
         if exc is None:
             continue
         print(f"error: {path}: {exc}", file=sys.stderr)
-        if isinstance(exc, OSError):
-            code = EXIT_IO
-        elif code == EXIT_OK:
-            code = EXIT_VALIDATION
+        if code == EXIT_OK:
+            code = EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
     return code
 
 
@@ -83,10 +82,10 @@ def cmd_phantom(args) -> int:
     master = Rng(args.seed)
     records = []
     for i in range(args.count):
-        phantom, lms = generate_phantom(master.spawn(i), config)
+        lms = generate_phantom(master.spawn(i), config)
         img_path = out / f"phantom_{i:03d}.pgm"
         lmk_path = out / f"phantom_{i:03d}.txt"
-        io.write_pgm(img_path, phantom_image(phantom))
+        io.write_pgm(img_path, phantom_image(lms, config))
         io.write_landmarks(lmk_path, lms)
         records.append(io.ManifestRecord(img_path, lmk_path, config.spacing_mm_per_px))
     io.write_manifest(out / "manifest.txt", io.Manifest(
@@ -114,7 +113,7 @@ def cmd_equalize(args) -> int:
     ok = tuple(rec for rec, exc in results if exc is None)
     io.write_manifest(out / "manifest.txt", io.Manifest(
         records=ok, landmark_count=manifest.landmark_count,
-        working_size=manifest.working_size, coord_size=manifest.coord_size,
+        working_size=manifest.working_size,
     ))
     code = _summarize_failures(results, [r.image_path for r in manifest.records])
     print(f"equalized {len(ok)}/{len(manifest.records)} images into {out}")
@@ -144,7 +143,7 @@ def cmd_augment(args) -> int:
             )
         lms.validate_bounds()
         center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
-        _, transform = sample_valid_augmentation(stream, ranges, lms, center)
+        transform = sample_valid_augmentation(stream, ranges, lms, center)
         warped_img = warp_image(img, transform)
         warped_lms, _ = warp_landmarks(lms, transform)
         out_img = resize_bilinear(warped_img, work_w, work_h)
@@ -161,7 +160,7 @@ def cmd_augment(args) -> int:
     ok = tuple(rec for rec, exc in results if exc is None)
     io.write_manifest(out / "manifest.txt", io.Manifest(
         records=ok, landmark_count=manifest.landmark_count,
-        working_size=(work_w, work_h), coord_size=manifest.coord_size,
+        working_size=(work_w, work_h),
     ))
     code = _summarize_failures(results, [t[2].image_path for t in tasks])
     print(f"wrote {len(ok)} augmented pairs to {out}")
@@ -274,13 +273,14 @@ def cmd_decode(args) -> int:
 def cmd_eval(args) -> int:
     manifest = io.read_manifest(args.manifest)
     pred_dir = Path(args.pred_dir)
+    frame = PixelFrame(*manifest.working_size)
     gts, preds, spacings = [], [], []
     for rec in manifest.records:
-        gt = io.read_landmarks(rec.landmarks_path)
+        gt = io.read_landmarks(rec.landmarks_path, frame)
         pred_path = pred_dir / rec.landmarks_path.name
         if not pred_path.is_file():
             raise FileNotFoundError(f"missing prediction file: {pred_path}")
-        pred = io.read_landmarks(pred_path)
+        pred = io.read_landmarks(pred_path, frame)
         gts.append(gt)
         preds.append(pred)
         spacings.append(rec.spacing_mm_per_px)
@@ -294,7 +294,7 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        config = io.read_sim_config(args.config)
+        config = read_sim_config(args.config)
     elif args.preset == "noiseless":
         config = noiseless_config()
     else:
@@ -312,18 +312,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for file batches")
-    common.add_argument("--config", default=None, help="configuration file (simulate)")
-
     parser = argparse.ArgumentParser(
         prog="spinefuse",
         description="Landmark localization by fusing heatmaps with coordinate priors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phantom", parents=[common], help="generate a synthetic corpus")
+    p = sub.add_parser("phantom", help="generate a synthetic corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--landmarks", type=int, default=11)
@@ -333,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wobble", type=float, default=6.0)
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("equalize", parents=[common], help="histogram-equalize a corpus")
+    p = sub.add_parser("equalize", help="histogram-equalize a corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_equalize)
 
-    p = sub.add_parser("augment", parents=[common],
+    p = sub.add_parser("augment",
                        help="emit augmented image/landmark pairs at the working size")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
@@ -350,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--working-size", type=int, nargs=2, default=None, metavar=("W", "H"))
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("gen-heatmaps", parents=[common], help="render label heatmap stacks")
+    p = sub.add_parser("gen-heatmaps", help="render label heatmap stacks")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--sigma", type=float, default=1.2)
     p.set_defaults(func=cmd_gen_heatmaps)
 
-    p = sub.add_parser("fuse", parents=[common],
+    p = sub.add_parser("fuse",
                        help="fuse heatmap stacks with coordinate predictions")
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--coords-dir", required=True)
@@ -369,27 +364,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write fused stacks as .fused.hmap")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("decode", parents=[common], help="decode heatmap stacks to landmarks")
+    p = sub.add_parser("decode", help="decode heatmap stacks to landmarks")
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=["argmax", "centroid"], default="argmax")
     p.add_argument("--window", type=int, default=3)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("eval", parents=[common], help="score predictions against a manifest")
+    p = sub.add_parser("eval", help="score predictions against a manifest")
     p.add_argument("--manifest", required=True, help="ground-truth manifest")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--threshold-mm", type=float, default=8.0)
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate",
                        help="compare coords-only, heatmap-argmax, and fused decoding")
+    p.add_argument("--config", default=None, help="sim config file")
     p.add_argument("--preset", choices=["calibrated", "noiseless"], default="calibrated",
                    help="built-in config when --config is not given")
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_simulate)
 
+    # each subcommand takes only the shared flags it reads
+    for name in ("phantom", "augment", "simulate"):
+        sub.choices[name].add_argument("--seed", type=int, default=0, help="master random seed")
+    for name in ("equalize", "augment", "gen-heatmaps", "fuse", "decode"):
+        sub.choices[name].add_argument("--jobs", type=int, default=1,
+                                       help="parallel workers for file batches")
     return parser
 
 

@@ -15,10 +15,6 @@ class ValidationError(ValueError):
     """Malformed domain data or file content."""
 
 
-class InvariantError(RuntimeError):
-    """Internal state that should be impossible; indicates a bug."""
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -77,18 +73,8 @@ class GrayImage:
         return cls(flat.reshape(height, width), spacing)
 
 
-def validate_image(img: GrayImage) -> None:
-    """Re-check every GrayImage invariant; raises ValidationError on failure."""
-    if not isinstance(img, GrayImage):
-        raise ValidationError(f"not a GrayImage: {type(img).__name__}")
-    if img.pixels.ndim != 2 or img.pixels.size != img.width * img.height:
-        raise ValidationError("dimension mismatch")
-    if not (math.isfinite(img.spacing) and img.spacing > 0):
-        raise ValidationError(f"non-positive spacing: {img.spacing}")
-
-
 # ---------------------------------------------------------------------------
-# landmark sets and coordinate frames
+# landmark sets and their pixel frames
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -103,26 +89,16 @@ class PixelFrame:
 
 
 @dataclass(frozen=True)
-class NormalizedFrame:
-    """Unit-square frame: both coordinates in [0, 1]."""
-
-
-NORMALIZED = NormalizedFrame()
-
-Frame = PixelFrame | NormalizedFrame
-
-
-@dataclass(frozen=True)
 class LandmarkSet:
     """Ordered continuous (x, y) landmark coordinates in a declared frame.
 
     Construction requires finite coordinates only; predictions are allowed to
     fall outside the frame. Use :meth:`validate_bounds` where in-frame data is
-    required (labels, frame conversion, dataset loading).
+    required (labels, resizing, dataset loading).
     """
 
     points: np.ndarray
-    frame: Frame
+    frame: PixelFrame
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -130,7 +106,7 @@ class LandmarkSet:
             raise ValidationError(f"landmarks must have shape (N, 2), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("landmark coordinates must be finite")
-        if not isinstance(self.frame, (PixelFrame, NormalizedFrame)):
+        if not isinstance(self.frame, PixelFrame):
             raise ValidationError(f"unknown frame: {self.frame!r}")
         object.__setattr__(self, "points", _frozen(pts))
 
@@ -140,9 +116,7 @@ class LandmarkSet:
     def in_bounds_mask(self) -> np.ndarray:
         """Boolean mask of points inside the declared frame."""
         x, y = self.points[:, 0], self.points[:, 1]
-        if isinstance(self.frame, PixelFrame):
-            return (x >= 0) & (x < self.frame.width) & (y >= 0) & (y < self.frame.height)
-        return (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)
+        return (x >= 0) & (x < self.frame.width) & (y >= 0) & (y < self.frame.height)
 
     def validate_bounds(self) -> None:
         mask = self.in_bounds_mask()
@@ -152,24 +126,6 @@ class LandmarkSet:
                 f"landmark {bad} at ({self.points[bad, 0]}, {self.points[bad, 1]}) "
                 f"is outside frame {self.frame}"
             )
-
-
-def landmark_frame_convert(lms: LandmarkSet, target: Frame) -> LandmarkSet:
-    """Convert landmarks between pixel and normalized frames.
-
-    Pixel -> normalized divides x by the frame width and y by the height;
-    normalized -> pixel multiplies back. Source points must be in bounds.
-    """
-    lms.validate_bounds()
-    if isinstance(target, NormalizedFrame):
-        if not isinstance(lms.frame, PixelFrame):
-            raise ValidationError("source must be in a pixel frame")
-        scale = np.array([lms.frame.width, lms.frame.height], dtype=np.float64)
-        return LandmarkSet(lms.points / scale, NORMALIZED)
-    if not isinstance(lms.frame, NormalizedFrame):
-        raise ValidationError("source must be in the normalized frame")
-    scale = np.array([target.width, target.height], dtype=np.float64)
-    return LandmarkSet(lms.points * scale, target)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +178,6 @@ class Rng:
         u2 = (self.next_u64() >> 11) * (2.0 ** -53)
         r = math.sqrt(-2.0 * math.log(u1))
         return mu + sigma * r * math.cos(2.0 * math.pi * u2)
-
-    def normals(self, count: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        return np.array([self.normal(mu, sigma) for _ in range(count)])
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) via the multiply-shift reduction."""

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .core import LandmarkSet, PixelFrame, ValidationError
-from .heatmap import GaussianSpec, Heatmap, decode_centroid, render_gaussian
+from .heatmap import GaussianSpec, Heatmap, _centroid_at, render_gaussian
 
 
 class DecodeMethod(Enum):
@@ -113,25 +113,27 @@ def _log_prior(coord: tuple[float, float], sigma: float, width: int, height: int
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
                     cfg: FusionConfig, channel: int | None = None) -> tuple[float, float]:
-    """Fuse one channel with its coordinate prediction and decode the peak."""
+    """Fuse one channel with its coordinate prediction and decode the peak.
+
+    Both methods read one log-domain sum. Argmax takes its row-major first
+    maximum; centroid weights the 3x3 patch around that same index by
+    exp(logsum - peak), the peak-normalized product :func:`fuse_product`
+    would give there.
+    """
     if predicted.values.max() <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    sigma = cfg.sigma_for(channel)
+    # exp is monotone and peak normalization is a positive scale, so the
+    # argmax can be read off the log-domain sum without materializing
+    # the fused map
+    logsum = _log_prior(coord, cfg.sigma_for(channel), predicted.width, predicted.height,
+                        cfg.floor_epsilon)
+    logsum += _log_clamped(predicted.values, cfg.floor_epsilon)
+    idx = int(np.argmax(logsum))
+    ax, ay = idx % predicted.width, idx // predicted.width
     if cfg.decode is DecodeMethod.ARGMAX:
-        # exp is monotone and peak normalization is a positive scale, so the
-        # argmax can be read off the log-domain sum without materializing
-        # the fused map
-        logsum = _log_prior(coord, sigma, predicted.width, predicted.height,
-                            cfg.floor_epsilon)
-        logsum += _log_clamped(predicted.values, cfg.floor_epsilon)
-        idx = int(np.argmax(logsum))
-        return float(idx % predicted.width), float(idx // predicted.width)
-    fused = fuse_product(
-        predicted,
-        coord_to_prior(coord, sigma, predicted.width, predicted.height),
-        cfg.floor_epsilon,
-    )
-    return decode_centroid(fused)
+        return float(ax), float(ay)
+    peak = logsum[ay, ax]
+    return _centroid_at(logsum, ax, ay, 3, lambda patch: np.exp(patch - peak))
 
 
 def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,

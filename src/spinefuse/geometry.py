@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError, _frozen
+from .core import GrayImage, LandmarkSet, Rng, ValidationError, _frozen
 from .preprocess import _round_u8
 
 
@@ -67,24 +66,18 @@ class AugmentationRanges:
             raise ValidationError(f"scale must stay positive, got {self.scale}")
 
 
-class AugmentationParams(NamedTuple):
-    tx: float
-    ty: float
-    angle_deg: float
-    scale: float
-
-
-def sample_augmentation(rng: Rng, ranges: AugmentationRanges) -> AugmentationParams:
-    """Draw one parameter tuple, each component uniform over its range.
+def sample_augmentation(rng: Rng, ranges: AugmentationRanges) -> tuple[float, float, float, float]:
+    """Draw one (tx, ty, angle_deg, scale) tuple, each component uniform
+    over its range.
 
     Draw order is fixed (tx, ty, angle, scale) so a given stream position
     always yields the same tuple.
     """
-    return AugmentationParams(
-        tx=rng.uniform(*ranges.tx),
-        ty=rng.uniform(*ranges.ty),
-        angle_deg=rng.uniform(*ranges.angle_deg),
-        scale=rng.uniform(*ranges.scale),
+    return (
+        rng.uniform(*ranges.tx),
+        rng.uniform(*ranges.ty),
+        rng.uniform(*ranges.angle_deg),
+        rng.uniform(*ranges.scale),
     )
 
 
@@ -149,8 +142,6 @@ def warp_landmarks(lms: LandmarkSet, t: AffineTransform2D) -> tuple[LandmarkSet,
     point leaves the frame (such an augmentation should be rejected and
     resampled).
     """
-    if not isinstance(lms.frame, PixelFrame):
-        raise ValidationError("warp expects landmarks in a pixel frame")
     warped = LandmarkSet(t.apply(lms.points), lms.frame)
     mask = warped.in_bounds_mask()
     if len(warped) and not mask.any():
@@ -164,18 +155,17 @@ def sample_valid_augmentation(
     lms: LandmarkSet,
     center: tuple[float, float],
     max_tries: int = 100,
-) -> tuple[AugmentationParams, AffineTransform2D]:
+) -> AffineTransform2D:
     """Sample until the augmentation keeps every landmark in frame.
 
     Silently clipping labels would corrupt training targets, so draws that
     push any landmark out are discarded. Raises after ``max_tries``.
     """
     for _ in range(max_tries):
-        params = sample_augmentation(rng, ranges)
-        t = build_transform(*params, center)
+        t = build_transform(*sample_augmentation(rng, ranges), center)
         warped = LandmarkSet(t.apply(lms.points), lms.frame)
         if warped.in_bounds_mask().all():
-            return params, t
+            return t
     raise ValidationError(
         f"no augmentation kept all landmarks in frame after {max_tries} tries"
     )

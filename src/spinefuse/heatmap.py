@@ -3,32 +3,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError, _frozen
-
-
-class GaussianForm(Enum):
-    """Shape of the rendered spot.
-
-    UNIT peaks at ``amplitude`` (1 by default) at the center. SCALED
-    multiplies the same exponential by ``amplitude / (2*pi*sigma)``.
-    """
-
-    UNIT = "unit"
-    SCALED = "scaled"
+from .core import LandmarkSet, ValidationError, _frozen
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Center, width, amplitude, and form of one Gaussian spot."""
+    """Center, width, and peak amplitude of one Gaussian spot."""
 
     center: tuple[float, float]
     sigma: float
     amplitude: float = 1.0
-    form: GaussianForm = GaussianForm.UNIT
 
     def __post_init__(self):
         x0, y0 = self.center
@@ -79,17 +66,13 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     ex = np.exp(-((np.arange(width, dtype=np.float64) - x0) ** 2) / two_s2)
     ey = np.exp(-((np.arange(height, dtype=np.float64) - y0) ** 2) / two_s2)
     vals = np.outer(ey, ex)
-    if spec.form is GaussianForm.SCALED:
-        vals *= spec.amplitude / (2.0 * math.pi * spec.sigma)
-    elif spec.amplitude != 1.0:
+    if spec.amplitude != 1.0:
         vals *= spec.amplitude
     return Heatmap(vals)
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:
-    """One UNIT-form heatmap per landmark, channel order matching point order."""
-    if not isinstance(lms.frame, PixelFrame):
-        raise ValidationError("label rendering expects landmarks in a pixel frame")
+    """One unit-peak heatmap per landmark, channel order matching point order."""
     return [
         render_gaussian(GaussianSpec((float(x), float(y)), sigma), width, height)
         for x, y in lms.points
@@ -114,10 +97,17 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be odd and positive, got {window}")
     ax, ay = decode_argmax(hm)
+    return _centroid_at(hm.values, ax, ay, window)
+
+
+def _centroid_at(values: np.ndarray, ax: int, ay: int, window: int,
+                 weigh=lambda patch: patch) -> tuple[float, float]:
+    """Centroid of the window x window patch of ``values`` at (ax, ay),
+    clamped at the grid border, weighted by ``weigh(patch)``."""
     half = window // 2
-    x0, x1 = max(0, ax - half), min(hm.width - 1, ax + half)
-    y0, y1 = max(0, ay - half), min(hm.height - 1, ay + half)
-    patch = hm.values[y0:y1 + 1, x0:x1 + 1]
+    x0, x1 = max(0, ax - half), min(values.shape[1] - 1, ax + half)
+    y0, y1 = max(0, ay - half), min(values.shape[0] - 1, ay + half)
+    patch = weigh(values[y0:y1 + 1, x0:x1 + 1])
     total = patch.sum()
     # offsets relative to the argmax so mirror terms of a symmetric patch
     # cancel exactly and the centroid of a symmetric peak is the argmax
@@ -127,11 +117,3 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
         ax + float((patch.sum(axis=0) * dx).sum() / total),
         ay + float((patch.sum(axis=1) * dy).sum() / total),
     )
-
-
-def normalize_peak(hm: Heatmap) -> Heatmap:
-    """Scale so the maximum value is exactly 1."""
-    peak = hm.values.max()
-    if peak <= 0:
-        raise ValidationError("cannot peak-normalize an all-zero heatmap")
-    return Heatmap(hm.values / peak)

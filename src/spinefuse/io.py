@@ -7,8 +7,8 @@ Every format is fixed bit-exactly so outputs are reproducible byte for byte:
 * heatmap stacks, "HMAP v1": magic ``HMAP``, three little-endian uint32
   (channels, height, width), then channels*height*width little-endian
   float32, row-major within a channel, channel-major overall
-* manifests, reports, simulation configs: line-oriented key/value and table
-  sections (grammar below)
+* manifests, reports, and the simulation configs of :mod:`spinefuse.simulate`:
+  line-oriented key/value and table sections (grammar below)
 
 All writers go through :func:`atomic_write` (temp file + rename) so partial
 runs never leave corrupt artifacts.
@@ -25,14 +25,7 @@ import numpy as np
 
 from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError
 from .evaluate import ComparisonReport, EvalReport, LandmarkStats
-from .fusion import DecodeMethod, FusionConfig
 from .heatmap import Heatmap
-from .simulate import (
-    CoordPredictorModel,
-    HeatmapPredictorModel,
-    PhantomConfig,
-    TrialConfig,
-)
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
@@ -109,9 +102,8 @@ def write_landmarks(path: str | Path, lms: LandmarkSet) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def read_landmarks(path: str | Path, frame: PixelFrame | None = None) -> LandmarkSet:
-    """Parse a landmark file; ``frame`` attaches pixel-grid bounds when the
-    caller knows the image dimensions (a 1x1 placeholder frame otherwise)."""
+def read_landmarks(path: str | Path, frame: PixelFrame) -> LandmarkSet:
+    """Parse a landmark file; ``frame`` is the pixel grid the points refer to."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#count="):
@@ -135,16 +127,7 @@ def read_landmarks(path: str | Path, frame: PixelFrame | None = None) -> Landmar
         if idx != i:
             raise ValidationError(f"{path}: line {i + 2}: index {idx}, expected {i}")
         pts[i] = (x, y)
-    return LandmarkSet(pts, frame if frame is not None else _unbounded_frame(pts))
-
-
-def _unbounded_frame(pts: np.ndarray) -> PixelFrame:
-    # a frame just large enough to contain the points keeps them in bounds
-    if pts.size == 0:
-        return PixelFrame(1, 1)
-    w = max(1, int(math.floor(pts[:, 0].max())) + 1)
-    h = max(1, int(math.floor(pts[:, 1].max())) + 1)
-    return PixelFrame(w, h)
+    return LandmarkSet(pts, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +154,8 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     if len(data) < 16 or data[:4] != _HMAP_MAGIC:
         raise ValidationError(f"{path}: not an HMAP v1 file")
     channels, h, w = struct.unpack("<III", data[4:16])
+    if channels == 0:
+        raise ValidationError(f"{path}: HMAP declares {channels} channels, need at least 1")
     expected = 16 + channels * h * w * 4
     if len(data) != expected:
         raise ValidationError(
@@ -237,7 +222,6 @@ class Manifest:
     records: tuple[ManifestRecord, ...]
     landmark_count: int = 11
     working_size: tuple[int, int] = (512, 512)
-    coord_size: tuple[int, int] = (299, 299)
 
 
 def write_manifest(path: str | Path, manifest: Manifest) -> None:
@@ -246,7 +230,6 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
         "# spinefuse manifest v1",
         f"landmark_count = {manifest.landmark_count}",
         f"working_size = {manifest.working_size[0]} {manifest.working_size[1]}",
-        f"coord_size = {manifest.coord_size[0]} {manifest.coord_size[1]}",
         "[images]",
         "# image_path, landmarks_path, spacing_mm_per_px",
     ]
@@ -262,7 +245,10 @@ def read_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     sections = _parse_sections(path.read_text(), str(path))
     kv = sections[""][0]
-    landmark_count = int(kv.get("landmark_count", "11"))
+    try:
+        landmark_count = int(kv.get("landmark_count", "11"))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: landmark_count is not an integer") from exc
     if landmark_count < 0:
         raise ValidationError(f"{path}: negative landmark_count")
 
@@ -272,7 +258,10 @@ def read_manifest(path: str | Path) -> Manifest:
         parts = kv[key].split()
         if len(parts) != 2:
             raise ValidationError(f"{path}: {key} needs two integers")
-        w, h = int(parts[0]), int(parts[1])
+        try:
+            w, h = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {key} needs two integers") from exc
         if w <= 0 or h <= 0:
             raise ValidationError(f"{path}: non-positive {key}")
         return w, h
@@ -286,7 +275,10 @@ def read_manifest(path: str | Path) -> Manifest:
             raise ValidationError(
                 f"{path}: image row needs image_path, landmarks_path, spacing, got {row}"
             )
-        spacing = float(row[2])
+        try:
+            spacing = float(row[2])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: spacing {row[2]!r} is not a number") from exc
         if not (math.isfinite(spacing) and spacing > 0):
             raise ValidationError(f"{path}: non-positive spacing {row[2]}")
         img = (base / row[0]).resolve()
@@ -299,7 +291,6 @@ def read_manifest(path: str | Path) -> Manifest:
         records=tuple(records),
         landmark_count=landmark_count,
         working_size=_size("working_size", (512, 512)),
-        coord_size=_size("coord_size", (299, 299)),
     )
 
 
@@ -325,12 +316,6 @@ def _report_body(report: EvalReport) -> tuple[list[str], list[str]]:
             f"{row.mean_error_mm:.6f}, {row.max_error_mm:.6f}"
         )
     return lines, rows
-
-
-def write_report(path: str | Path, report: EvalReport) -> None:
-    kv, rows = _report_body(report)
-    lines = ["# spinefuse report v1", "[summary]"] + kv + ["[per_landmark]"] + rows
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def format_report(report: EvalReport) -> str:
@@ -384,10 +369,6 @@ def format_comparison(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_comparison(path: str | Path, report: ComparisonReport) -> None:
-    atomic_write(path, format_comparison(report).encode())
-
-
 def read_comparison(path: str | Path) -> ComparisonReport:
     path = Path(path)
     sections = _parse_sections(path.read_text(), str(path))
@@ -410,96 +391,4 @@ def read_comparison(path: str | Path) -> ComparisonReport:
         threshold_mm=float(_need(kv, "threshold_mm", str(path))),
         spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px", str(path))),
         methods=methods,
-    )
-
-
-# ---------------------------------------------------------------------------
-# simulation configs
-# ---------------------------------------------------------------------------
-
-def write_sim_config(path: str | Path, config: TrialConfig) -> None:
-    f = config.fusion
-    sigma = (" ".join(_fmt_float(s) for s in f.prior_sigma)
-             if isinstance(f.prior_sigma, tuple) else _fmt_float(f.prior_sigma))
-    lines = [
-        "# spinefuse sim config v1",
-        "[phantom]",
-        f"landmarks = {config.phantom.landmarks}",
-        f"grid = {config.phantom.width} {config.phantom.height}",
-        f"spacing_mm_per_px = {_fmt_float(config.phantom.spacing_mm_per_px)}",
-        f"chain_spacing_px = {_fmt_float(config.phantom.chain_spacing_px)}",
-        f"wobble_px = {_fmt_float(config.phantom.wobble_px)}",
-        "[coords_model]",
-        f"noise_sigma_px = {_fmt_float(config.coords.noise_sigma)}",
-        f"outlier_rate = {_fmt_float(config.coords.outlier_rate)}",
-        f"outlier_sigma_px = {_fmt_float(config.coords.outlier_sigma)}",
-        "[heatmap_model]",
-        f"peak_jitter_sigma_px = {_fmt_float(config.heatmaps.peak_jitter_sigma)}",
-        f"heatmap_sigma_px = {_fmt_float(config.heatmaps.heatmap_sigma)}",
-        f"adjacent_confusion_prob = {_fmt_float(config.heatmaps.adjacent_confusion_prob)}",
-        f"spurious_amplitude = {_fmt_float(config.heatmaps.spurious_amplitude[0])} "
-        f"{_fmt_float(config.heatmaps.spurious_amplitude[1])}",
-        "[fusion]",
-        f"prior_sigma_px = {sigma}",
-        f"floor_epsilon = {_fmt_float(f.floor_epsilon)}",
-        f"decode = {f.decode.value}",
-        "[run]",
-        f"images = {config.images}",
-        f"threshold_mm = {_fmt_float(config.threshold_mm)}",
-    ]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
-def read_sim_config(path: str | Path) -> TrialConfig:
-    path = Path(path)
-    sections = _parse_sections(path.read_text(), str(path))
-    for name in ("phantom", "coords_model", "heatmap_model", "fusion", "run"):
-        if name not in sections:
-            raise ValidationError(f"{path}: missing [{name}] section")
-    ph = sections["phantom"][0]
-    grid = _need(ph, "grid", str(path)).split()
-    if len(grid) != 2:
-        raise ValidationError(f"{path}: grid needs two integers")
-    cm = sections["coords_model"][0]
-    hm = sections["heatmap_model"][0]
-    amp = _need(hm, "spurious_amplitude", str(path)).split()
-    if len(amp) != 2:
-        raise ValidationError(f"{path}: spurious_amplitude needs two values")
-    fu = sections["fusion"][0]
-    sigma_parts = _need(fu, "prior_sigma_px", str(path)).split()
-    prior_sigma = (float(sigma_parts[0]) if len(sigma_parts) == 1
-                   else tuple(float(s) for s in sigma_parts))
-    decode_raw = fu.get("decode", "argmax")
-    try:
-        decode = DecodeMethod(decode_raw)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: unknown decode method {decode_raw!r}") from exc
-    run = sections["run"][0]
-    return TrialConfig(
-        phantom=PhantomConfig(
-            landmarks=int(_need(ph, "landmarks", str(path))),
-            width=int(grid[0]),
-            height=int(grid[1]),
-            spacing_mm_per_px=float(_need(ph, "spacing_mm_per_px", str(path))),
-            chain_spacing_px=float(_need(ph, "chain_spacing_px", str(path))),
-            wobble_px=float(_need(ph, "wobble_px", str(path))),
-        ),
-        coords=CoordPredictorModel(
-            noise_sigma=float(_need(cm, "noise_sigma_px", str(path))),
-            outlier_rate=float(cm.get("outlier_rate", "0")),
-            outlier_sigma=float(cm.get("outlier_sigma_px", "0")),
-        ),
-        heatmaps=HeatmapPredictorModel(
-            peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px", str(path))),
-            heatmap_sigma=float(_need(hm, "heatmap_sigma_px", str(path))),
-            adjacent_confusion_prob=float(_need(hm, "adjacent_confusion_prob", str(path))),
-            spurious_amplitude=(float(amp[0]), float(amp[1])),
-        ),
-        fusion=FusionConfig(
-            prior_sigma=prior_sigma,
-            floor_epsilon=float(fu.get("floor_epsilon", "1e-12")),
-            decode=decode,
-        ),
-        threshold_mm=float(_need(run, "threshold_mm", str(path))),
-        images=int(_need(run, "images", str(path))),
     )

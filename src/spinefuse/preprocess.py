@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError, validate_image
+from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError
 
 
 def _round_u8(vals: np.ndarray) -> np.ndarray:
@@ -20,7 +20,6 @@ def equalize_histogram(img: GrayImage) -> GrayImage:
     itself (the denominator would be zero and any constant output is equally
     uninformative). Dimensions and spacing are unchanged.
     """
-    validate_image(img)
     hist = np.bincount(img.pixels.ravel(), minlength=256)
     cdf = hist.cumsum()
     total = int(cdf[-1])
@@ -38,7 +37,6 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     ((x + 0.5) * width / out_w - 0.5, (y + 0.5) * height / out_h - 0.5).
     Spacing is rescaled by width / out_w.
     """
-    validate_image(img)
     if out_w <= 0 or out_h <= 0:
         raise ValidationError(f"non-positive output size: {out_w}x{out_h}")
     src = img.pixels.astype(np.float64)
@@ -65,11 +63,9 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
 def resize_landmarks(lms: LandmarkSet, to_w: int, to_h: int) -> LandmarkSet:
     """Scale landmark coordinates from their pixel frame to a new grid size.
 
-    x is scaled by to_w / from_w and y by to_h / from_h; equivalent to
-    converting through the normalized frame.
+    x is scaled by to_w / from_w and y by to_h / from_h, so each point keeps
+    its position as a fraction of the frame.
     """
-    if not isinstance(lms.frame, PixelFrame):
-        raise ValidationError("resize expects landmarks in a pixel frame")
     lms.validate_bounds()
     if to_w <= 0 or to_h <= 0:
         raise ValidationError(f"non-positive target size: {to_w}x{to_h}")

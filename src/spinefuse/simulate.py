@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from .evaluate import ComparisonReport, pck
-from .fusion import FusionConfig, fuse_batch
+from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .heatmap import GaussianSpec, Heatmap, decode_argmax, render_gaussian
+from .io import _fmt_float, _need, _parse_sections, atomic_write
 from .preprocess import _round_u8
 
 
@@ -82,15 +84,7 @@ class PhantomConfig:
             raise ValidationError("chain spacing must be positive and wobble non-negative")
 
 
-@dataclass(frozen=True)
-class SpinePhantom:
-    """A generated ground-truth chain together with its grid geometry."""
-
-    config: PhantomConfig
-    landmarks: LandmarkSet
-
-
-def generate_phantom(rng: Rng, config: PhantomConfig) -> tuple[SpinePhantom, LandmarkSet]:
+def generate_phantom(rng: Rng, config: PhantomConfig) -> LandmarkSet:
     """Draw one ground-truth chain: evenly spaced rows, laterally wobbled x.
 
     Landmark positions are rounded to integer pixels so rendered label peaks
@@ -115,17 +109,17 @@ def generate_phantom(rng: Rng, config: PhantomConfig) -> tuple[SpinePhantom, Lan
         raise ValidationError("chain spacing too small: rows collide after rounding")
     lms = LandmarkSet(pts, PixelFrame(config.width, config.height))
     lms.validate_bounds()
-    return SpinePhantom(config, lms), lms
+    return lms
 
 
-def phantom_image(phantom: SpinePhantom) -> GrayImage:
-    """Render the phantom as a displayable raster: bright blobs on a dark bed."""
-    cfg = phantom.config
-    vals = np.zeros((cfg.height, cfg.width))
-    for x, y in phantom.landmarks.points:
-        spot = render_gaussian(GaussianSpec((float(x), float(y)), 5.0), cfg.width, cfg.height)
+def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
+    """Render a chain as a displayable raster: bright blobs on a dark bed."""
+    vals = np.zeros((config.height, config.width))
+    for x, y in lms.points:
+        spot = render_gaussian(GaussianSpec((float(x), float(y)), 5.0),
+                               config.width, config.height)
         np.maximum(vals, spot.values, out=vals)
-    return GrayImage(_round_u8(15.0 + 220.0 * vals), cfg.spacing_mm_per_px)
+    return GrayImage(_round_u8(15.0 + 220.0 * vals), config.spacing_mm_per_px)
 
 
 def simulate_coords(rng: Rng, gt: LandmarkSet, model: CoordPredictorModel) -> LandmarkSet:
@@ -211,7 +205,7 @@ def run_trial(rng: Rng, config: TrialConfig) -> ComparisonReport:
     gts, coord_preds, heat_preds, fused_preds = [], [], [], []
     for i in range(config.images):
         stream = rng.spawn(i)
-        phantom, gt = generate_phantom(stream, cfg)
+        gt = generate_phantom(stream, cfg)
         coords = simulate_coords(stream, gt, config.coords)
         stack = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
         heat = np.array([decode_argmax(ch) for ch in stack], dtype=np.float64)
@@ -313,4 +307,96 @@ def noiseless_config(images: int = 10,
         fusion=FusionConfig(prior_sigma=6.0),
         threshold_mm=8.0,
         images=images,
+    )
+
+
+# ---------------------------------------------------------------------------
+# simulation configs
+# ---------------------------------------------------------------------------
+
+def write_sim_config(path: str | Path, config: TrialConfig) -> None:
+    f = config.fusion
+    sigma = (" ".join(_fmt_float(s) for s in f.prior_sigma)
+             if isinstance(f.prior_sigma, tuple) else _fmt_float(f.prior_sigma))
+    lines = [
+        "# spinefuse sim config v1",
+        "[phantom]",
+        f"landmarks = {config.phantom.landmarks}",
+        f"grid = {config.phantom.width} {config.phantom.height}",
+        f"spacing_mm_per_px = {_fmt_float(config.phantom.spacing_mm_per_px)}",
+        f"chain_spacing_px = {_fmt_float(config.phantom.chain_spacing_px)}",
+        f"wobble_px = {_fmt_float(config.phantom.wobble_px)}",
+        "[coords_model]",
+        f"noise_sigma_px = {_fmt_float(config.coords.noise_sigma)}",
+        f"outlier_rate = {_fmt_float(config.coords.outlier_rate)}",
+        f"outlier_sigma_px = {_fmt_float(config.coords.outlier_sigma)}",
+        "[heatmap_model]",
+        f"peak_jitter_sigma_px = {_fmt_float(config.heatmaps.peak_jitter_sigma)}",
+        f"heatmap_sigma_px = {_fmt_float(config.heatmaps.heatmap_sigma)}",
+        f"adjacent_confusion_prob = {_fmt_float(config.heatmaps.adjacent_confusion_prob)}",
+        f"spurious_amplitude = {_fmt_float(config.heatmaps.spurious_amplitude[0])} "
+        f"{_fmt_float(config.heatmaps.spurious_amplitude[1])}",
+        "[fusion]",
+        f"prior_sigma_px = {sigma}",
+        f"floor_epsilon = {_fmt_float(f.floor_epsilon)}",
+        f"decode = {f.decode.value}",
+        "[run]",
+        f"images = {config.images}",
+        f"threshold_mm = {_fmt_float(config.threshold_mm)}",
+    ]
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
+
+
+def read_sim_config(path: str | Path) -> TrialConfig:
+    path = Path(path)
+    sections = _parse_sections(path.read_text(), str(path))
+    for name in ("phantom", "coords_model", "heatmap_model", "fusion", "run"):
+        if name not in sections:
+            raise ValidationError(f"{path}: missing [{name}] section")
+    ph = sections["phantom"][0]
+    grid = _need(ph, "grid", str(path)).split()
+    if len(grid) != 2:
+        raise ValidationError(f"{path}: grid needs two integers")
+    cm = sections["coords_model"][0]
+    hm = sections["heatmap_model"][0]
+    amp = _need(hm, "spurious_amplitude", str(path)).split()
+    if len(amp) != 2:
+        raise ValidationError(f"{path}: spurious_amplitude needs two values")
+    fu = sections["fusion"][0]
+    sigma_parts = _need(fu, "prior_sigma_px", str(path)).split()
+    prior_sigma = (float(sigma_parts[0]) if len(sigma_parts) == 1
+                   else tuple(float(s) for s in sigma_parts))
+    decode_raw = fu.get("decode", "argmax")
+    try:
+        decode = DecodeMethod(decode_raw)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: unknown decode method {decode_raw!r}") from exc
+    run = sections["run"][0]
+    return TrialConfig(
+        phantom=PhantomConfig(
+            landmarks=int(_need(ph, "landmarks", str(path))),
+            width=int(grid[0]),
+            height=int(grid[1]),
+            spacing_mm_per_px=float(_need(ph, "spacing_mm_per_px", str(path))),
+            chain_spacing_px=float(_need(ph, "chain_spacing_px", str(path))),
+            wobble_px=float(_need(ph, "wobble_px", str(path))),
+        ),
+        coords=CoordPredictorModel(
+            noise_sigma=float(_need(cm, "noise_sigma_px", str(path))),
+            outlier_rate=float(cm.get("outlier_rate", "0")),
+            outlier_sigma=float(cm.get("outlier_sigma_px", "0")),
+        ),
+        heatmaps=HeatmapPredictorModel(
+            peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px", str(path))),
+            heatmap_sigma=float(_need(hm, "heatmap_sigma_px", str(path))),
+            adjacent_confusion_prob=float(_need(hm, "adjacent_confusion_prob", str(path))),
+            spurious_amplitude=(float(amp[0]), float(amp[1])),
+        ),
+        fusion=FusionConfig(
+            prior_sigma=prior_sigma,
+            floor_epsilon=float(fu.get("floor_epsilon", "1e-12")),
+            decode=decode,
+        ),
+        threshold_mm=float(_need(run, "threshold_mm", str(path))),
+        images=int(_need(run, "images", str(path))),
     )

@@ -240,7 +240,7 @@ def test_criterion_6_geometry_consistency():
         px = int(stream.uniform(50, size - 50))
         py = int(stream.uniform(50, size - 50))
         lms = LandmarkSet(np.array([[float(px), float(py)]]), PixelFrame(size, size))
-        _, t = sample_valid_augmentation(stream, ranges, lms, ((size - 1) / 2, (size - 1) / 2))
+        t = sample_valid_augmentation(stream, ranges, lms, ((size - 1) / 2, (size - 1) / 2))
         pix = np.zeros((size, size), dtype=np.uint8)
         pix[py, px] = 255
         warped = warp_image(GrayImage(pix, 1.0), t)

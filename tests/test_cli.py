@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 
 from spinefuse import io
-from spinefuse.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from spinefuse.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from spinefuse.core import LandmarkSet, PixelFrame
-from spinefuse.simulate import noiseless_config
+from spinefuse.simulate import noiseless_config, write_sim_config
+
+GRID = PixelFrame(128, 128)
 
 
 def run(*argv):
@@ -23,7 +26,7 @@ class TestPhantom:
         assert len(manifest.records) == 2
         img = io.read_pgm(manifest.records[0].image_path)
         assert (img.width, img.height) == (128, 128)
-        lms = io.read_landmarks(manifest.records[0].landmarks_path)
+        lms = io.read_landmarks(manifest.records[0].landmarks_path, GRID)
         assert len(lms) == 11
 
     def test_seed_reproducibility(self, tmp_path):
@@ -101,7 +104,7 @@ class TestGenHeatmaps:
         from spinefuse.heatmap import decode_argmax
         for rec in io.read_manifest(manifest_path).records:
             stack = io.read_heatmap_stack(out / f"{rec.image_path.stem}.hmap")
-            lms = io.read_landmarks(rec.landmarks_path)
+            lms = io.read_landmarks(rec.landmarks_path, GRID)
             assert len(stack) == len(lms)
             for hm, (x, y) in zip(stack, lms.points):
                 assert decode_argmax(hm) == (round(x), round(y))
@@ -116,8 +119,8 @@ class TestFuse:
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
                    "--out-dir", out, "--prior-sigma", "6.0") == EXIT_OK
         for rec in io.read_manifest(manifest_path).records:
-            fused = io.read_landmarks(out / f"{rec.image_path.stem}.txt")
-            gt = io.read_landmarks(rec.landmarks_path)
+            fused = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID)
+            gt = io.read_landmarks(rec.landmarks_path, GRID)
             np.testing.assert_allclose(fused.points, np.round(gt.points), atol=0)
 
     def test_channel_count_mismatch_names_both(self, tmp_path, capsys):
@@ -133,6 +136,22 @@ class TestFuse:
                    "--out-dir", tmp_path / "f") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "11" in err and "1" in err
+
+    def test_batch_exits_with_first_failure_class(self, tmp_path, capsys):
+        # stack a fails validation, stack b then fails on I/O; a comes first
+        manifest_path = make_corpus(tmp_path)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        stacks = sorted(hm_dir.glob("*.hmap"))
+        stacks[0].rename(hm_dir / "a.hmap")
+        stacks[1].rename(hm_dir / "b.hmap")
+        coords_dir = tmp_path / "coords"
+        coords_dir.mkdir()
+        io.write_landmarks(coords_dir / "a.txt", LandmarkSet(np.array([[5.0, 5.0]]), GRID))
+        assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
+                   "--out-dir", tmp_path / "f") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "a.hmap" in err and "b.txt" in err
 
     def test_dump_heatmaps(self, tmp_path):
         manifest_path = make_corpus(tmp_path, count=1)
@@ -153,8 +172,8 @@ class TestDecode:
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
         assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", out) == EXIT_OK
         rec = io.read_manifest(manifest_path).records[0]
-        decoded = io.read_landmarks(out / f"{rec.image_path.stem}.txt")
-        gt = io.read_landmarks(rec.landmarks_path)
+        decoded = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID)
+        gt = io.read_landmarks(rec.landmarks_path, GRID)
         np.testing.assert_allclose(decoded.points, np.round(gt.points))
 
 
@@ -191,14 +210,14 @@ class TestEval:
 class TestSimulate:
     def test_noiseless_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"
-        io.write_sim_config(cfg, noiseless_config(images=3))
+        write_sim_config(cfg, noiseless_config(images=3))
         assert run("simulate", "--config", cfg, "--seed", 9) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("accuracy = 1.000000") == 3
 
     def test_same_seed_same_report(self, tmp_path):
         cfg = tmp_path / "sim.txt"
-        io.write_sim_config(cfg, noiseless_config(images=3))
+        write_sim_config(cfg, noiseless_config(images=3))
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
         assert run("simulate", "--config", cfg, "--seed", 9, "--out", out1) == EXIT_OK
         assert run("simulate", "--config", cfg, "--seed", 9, "--out", out2) == EXIT_OK
@@ -219,3 +238,33 @@ class TestJobsFlag:
             if f.name == "manifest.txt":
                 continue
             assert f.read_bytes() == (tmp_path / "p" / f.name).read_bytes()
+
+
+class TestFlags:
+    REQUIRED = {
+        "phantom": ["--out-dir", "o"],
+        "equalize": ["--manifest", "m", "--out-dir", "o"],
+        "augment": ["--manifest", "m", "--out-dir", "o"],
+        "gen-heatmaps": ["--manifest", "m", "--out-dir", "o"],
+        "fuse": ["--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o"],
+        "decode": ["--heatmaps-dir", "h", "--out-dir", "o"],
+        "eval": ["--manifest", "m", "--pred-dir", "p"],
+        "simulate": [],
+    }
+    TAKEN_BY = {
+        "--seed": {"phantom", "augment", "simulate"},
+        "--jobs": {"equalize", "augment", "gen-heatmaps", "fuse", "decode"},
+        "--config": {"simulate"},
+    }
+
+    @pytest.mark.parametrize("flag", sorted(TAKEN_BY))
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_subcommand_rejects_flags_it_ignores(self, command, flag, capsys):
+        argv = [command, *self.REQUIRED[command], flag, "1"]
+        if command in self.TAKEN_BY[flag]:
+            assert build_parser().parse_args(argv).command == command
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

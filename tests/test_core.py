@@ -2,21 +2,17 @@ import numpy as np
 import pytest
 
 from spinefuse.core import (
-    NORMALIZED,
     GrayImage,
     LandmarkSet,
     PixelFrame,
     Rng,
     ValidationError,
-    landmark_frame_convert,
-    validate_image,
 )
 
 
 class TestGrayImage:
     def test_minimal_well_formed(self):
         img = GrayImage.from_flat(2, 2, [0, 1, 2, 3], 0.5)
-        validate_image(img)
         assert img.width == 2 and img.height == 2
         assert img.spacing == 0.5
 
@@ -40,37 +36,6 @@ class TestGrayImage:
         img = GrayImage.from_flat(2, 2, [0, 1, 2, 3], 1.0)
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 9
-
-
-class TestFrameConversion:
-    def test_pixel_to_normalized(self):
-        lms = LandmarkSet(np.array([[256.0, 128.0]]), PixelFrame(512, 512))
-        out = landmark_frame_convert(lms, NORMALIZED)
-        np.testing.assert_allclose(out.points, [[0.5, 0.25]])
-
-    def test_origin_is_fixed(self):
-        lms = LandmarkSet(np.array([[0.0, 0.0]]), PixelFrame(512, 512))
-        out = landmark_frame_convert(lms, NORMALIZED)
-        np.testing.assert_array_equal(out.points, [[0.0, 0.0]])
-
-    def test_normalized_to_pixel(self):
-        lms = LandmarkSet(np.array([[0.5, 0.25]]), NORMALIZED)
-        out = landmark_frame_convert(lms, PixelFrame(299, 299))
-        np.testing.assert_allclose(out.points, [[149.5, 74.75]])
-
-    def test_out_of_bounds_rejected(self):
-        lms = LandmarkSet(np.array([[600.0, 10.0]]), PixelFrame(512, 512))
-        with pytest.raises(ValidationError, match="outside frame"):
-            landmark_frame_convert(lms, NORMALIZED)
-
-    def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(42)
-        pts = rng.uniform(0, 511.999, size=(200, 2))
-        lms = LandmarkSet(pts, PixelFrame(512, 512))
-        back = landmark_frame_convert(
-            landmark_frame_convert(lms, NORMALIZED), PixelFrame(512, 512)
-        )
-        np.testing.assert_allclose(back.points, pts, atol=1e-9)
 
 
 class TestLandmarkSet:
@@ -111,7 +76,7 @@ class TestRng:
 
     def test_normal_moments(self):
         r = Rng(7)
-        draws = r.normals(20000, mu=1.0, sigma=2.0)
+        draws = np.array([r.normal(1.0, 2.0) for _ in range(20000)])
         assert abs(draws.mean() - 1.0) < 0.05
         assert abs(draws.std() - 2.0) < 0.05
 

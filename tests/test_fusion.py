@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
 from spinefuse.fusion import (
@@ -12,7 +15,7 @@ from spinefuse.fusion import (
     fuse_batch,
     fuse_product,
 )
-from spinefuse.heatmap import GaussianSpec, Heatmap, decode_argmax, render_gaussian
+from spinefuse.heatmap import GaussianSpec, Heatmap, decode_argmax, decode_centroid, render_gaussian
 
 
 def brute_force_fused_argmax(predicted: Heatmap, prior: Heatmap, eps: float = 1e-12):
@@ -237,3 +240,59 @@ class TestPeakSelectionRule:
             gt = (x - t[0]) ** 2 + (y - t[1]) ** 2
             ga = (x - a[0]) ** 2 + (y - a[1]) ** 2
             assert (dt < da) == (gt < ga)
+
+
+@st.composite
+def fusion_inputs(draw):
+    """A constant, bimodal or random non-negative map on a random grid, a
+    prior width, and a coordinate that may lie outside the frame."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["constant", "bimodal", "random"]))
+    if kind == "constant":
+        values = np.full((h, w), draw(st.floats(1e-6, 1e3)))
+    elif kind == "bimodal":
+        def spot():
+            center = (draw(st.floats(0, w - 1)), draw(st.floats(0, h - 1)))
+            spec = GaussianSpec(center, draw(st.floats(0.5, 4.0)),
+                                amplitude=draw(st.floats(0.5, 1.5)))
+            return render_gaussian(spec, w, h).values
+        values = np.maximum(spot(), spot())
+    else:
+        values = draw(arrays(np.float64, (h, w), elements=st.floats(0, 1)))
+        assume(values.max() > 0)
+    coord = (draw(st.floats(-w, 2 * w)), draw(st.floats(-h, 2 * h)))
+    return Heatmap(values), coord, draw(st.floats(0.3, 20.0))
+
+
+def dense_logsum(hm: Heatmap, coord, sigma: float, eps: float) -> np.ndarray:
+    """The clamped log prior plus the clamped log map over the whole grid,
+    summed in the decoder's operation order so ties break identically."""
+    two_s2 = 2.0 * sigma * sigma
+    lx = -((np.arange(hm.width, dtype=np.float64) - coord[0]) ** 2) / two_s2
+    ly = -((np.arange(hm.height, dtype=np.float64) - coord[1]) ** 2) / two_s2
+    log_prior = np.maximum(lx[None, :] + ly[:, None], math.log(eps))
+    return log_prior + np.log(np.maximum(hm.values, eps))
+
+
+class TestSingleDecodePath:
+    @settings(max_examples=300, deadline=None)
+    @given(fusion_inputs())
+    def test_both_decoders_read_the_dense_log_sum(self, inputs):
+        hm, coord, sigma = inputs
+        argmax_cfg = FusionConfig(prior_sigma=sigma)
+        centroid_cfg = FusionConfig(prior_sigma=sigma, decode=DecodeMethod.CENTROID)
+        logsum = dense_logsum(hm, coord, sigma, argmax_cfg.floor_epsilon)
+        idx = int(np.argmax(logsum))
+        ax, ay = fuse_and_decode(hm, coord, argmax_cfg)
+        assert (ax, ay) == (idx % hm.width, idx // hm.width)
+
+        cx, cy = fuse_and_decode(hm, coord, centroid_cfg)
+        assert abs(cx - ax) <= 1 and abs(cy - ay) <= 1
+        fused = np.exp(logsum - logsum.max())
+        if int(np.argmax(fused)) == idx:
+            ref = decode_centroid(Heatmap(fused))
+            assert abs(cx - ref[0]) <= 1e-12 and abs(cy - ref[1]) <= 1e-12
+        else:
+            # exp rounded a log-domain near-tie to the same peak value, so the
+            # product map's first maximum sits before the log-domain one
+            assert fused.flat[int(np.argmax(fused))] == fused.flat[idx] == 1.0

@@ -176,7 +176,7 @@ class TestImageLabelConsistency:
             px = int(stream.uniform(50, size - 50))
             py = int(stream.uniform(50, size - 50))
             lms = LandmarkSet(np.array([[float(px), float(py)]]), PixelFrame(size, size))
-            params, t = sample_valid_augmentation(
+            t = sample_valid_augmentation(
                 stream, ranges, lms, ((size - 1) / 2, (size - 1) / 2)
             )
             pix = np.zeros((size, size), dtype=np.uint8)

@@ -5,12 +5,10 @@ import pytest
 
 from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
 from spinefuse.heatmap import (
-    GaussianForm,
     GaussianSpec,
     Heatmap,
     decode_argmax,
     decode_centroid,
-    normalize_peak,
     render_gaussian,
     render_label_stack,
 )
@@ -30,12 +28,6 @@ class TestRenderGaussian:
         # nearest representable check: grid point at distance exactly sigma=2
         hm2 = render_gaussian(GaussianSpec((5, 5), 2.0), 16, 16)
         assert hm2.values[5, 7] == pytest.approx(math.exp(-0.5), rel=1e-14)
-
-    def test_scaled_form_prefactor(self):
-        hm = render_gaussian(
-            GaussianSpec((5, 5), 1.2, amplitude=1.0, form=GaussianForm.SCALED), 16, 16
-        )
-        assert hm.values[5, 5] == pytest.approx(0.1326291192432461, rel=1e-14)
 
     def test_matches_scalar_evaluation(self):
         rng = np.random.default_rng(12)
@@ -150,26 +142,3 @@ class TestDecodeCentroid:
         x, y = decode_centroid(hm, window=3)
         assert 0 <= x < 1 and 0 <= y < 1
 
-
-class TestNormalizePeak:
-    def test_unit_map_unchanged(self):
-        hm = render_gaussian(GaussianSpec((6, 6), 1.2), 13, 13)
-        np.testing.assert_array_equal(normalize_peak(hm).values, hm.values)
-
-    def test_restores_scaled_map(self):
-        hm = render_gaussian(GaussianSpec((6, 6), 1.2), 13, 13)
-        scaled = Heatmap(hm.values * 0.3)
-        np.testing.assert_allclose(normalize_peak(scaled).values, hm.values, rtol=1e-12)
-
-    def test_scaled_form_normalizes_to_unit_form(self):
-        # the prefactor is constant, so the shapes must match pointwise;
-        # 48x48 keeps every value in the normal float range for sigma 1.2
-        unit = render_gaussian(GaussianSpec((24, 24), 1.2), 48, 48)
-        scaled = render_gaussian(
-            GaussianSpec((24, 24), 1.2, form=GaussianForm.SCALED), 48, 48
-        )
-        np.testing.assert_allclose(normalize_peak(scaled).values, unit.values, rtol=1e-12)
-
-    def test_zero_map_rejected(self):
-        with pytest.raises(ValidationError):
-            normalize_peak(Heatmap(np.zeros((3, 3))))

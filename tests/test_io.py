@@ -1,4 +1,6 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,28 @@ from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationEr
 from spinefuse.evaluate import pck
 from spinefuse.fusion import FusionConfig
 from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
-from spinefuse.simulate import calibrated_config, noiseless_config
+from spinefuse.simulate import (
+    calibrated_config,
+    noiseless_config,
+    read_sim_config,
+    write_sim_config,
+)
+
+
+def test_io_does_not_import_the_simulator():
+    tree = ast.parse(Path(io.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # relative imports resolve inside the package
+            module = ("spinefuse." if node.level else "") + (node.module or "")
+            imported += [module.rstrip(".")]
+            imported += [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+    assert imported
+    assert not [m for m in imported
+                if m == "spinefuse.simulate" or m.startswith("spinefuse.simulate.")]
 
 
 class TestPgm:
@@ -71,13 +94,13 @@ class TestLandmarkFiles:
         path = tmp_path / "lms.txt"
         path.write_text("#count=2\n0,1.0,2.0\n")
         with pytest.raises(ValidationError, match="header says 2"):
-            io.read_landmarks(path)
+            io.read_landmarks(path, PixelFrame(8, 8))
 
     def test_index_order_enforced(self, tmp_path):
         path = tmp_path / "lms.txt"
         path.write_text("#count=2\n0,1.0,2.0\n5,3.0,4.0\n")
         with pytest.raises(ValidationError, match="index 5"):
-            io.read_landmarks(path)
+            io.read_landmarks(path, PixelFrame(8, 8))
 
 
 class TestHeatmapStacks:
@@ -101,9 +124,14 @@ class TestHeatmapStacks:
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "s.hmap"
-        path.write_bytes(b"HMAP" + struct.pack("<III", 2, 8, 8) + b"\x00" * 10)
-        with pytest.raises(ValidationError, match="expected"):
-            io.read_heatmap_stack(path)
+        for data, message in (
+            (b"HMAP" + struct.pack("<III", 2, 8, 8) + b"\x00" * 10, "expected"),
+            (b"HMAP" + struct.pack("<III", 0, 8, 8), "0 channels"),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(ValidationError, match=message) as exc:
+                io.read_heatmap_stack(path)
+            assert str(path) in str(exc.value)
 
     def test_empty_stack_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -123,14 +151,12 @@ class TestManifests:
 
     def test_round_trip(self, tmp_path):
         records = self._corpus(tmp_path)
-        manifest = io.Manifest(records, landmark_count=1, working_size=(64, 64),
-                               coord_size=(32, 32))
+        manifest = io.Manifest(records, landmark_count=1, working_size=(64, 64))
         path = tmp_path / "manifest.txt"
         io.write_manifest(path, manifest)
         back = io.read_manifest(path)
         assert back.landmark_count == 1
         assert back.working_size == (64, 64)
-        assert back.coord_size == (32, 32)
         assert [r.image_path for r in back.records] == [r.image_path for r in records]
 
     def test_relative_paths_follow_manifest(self, tmp_path):
@@ -156,6 +182,28 @@ class TestManifests:
         with pytest.raises(ValidationError, match="spacing"):
             io.read_manifest(path)
 
+    @pytest.mark.parametrize("header, cell", [
+        ("landmark_count = abc", "0.5"),
+        ("working_size = 64 wide", "0.5"),
+        ("", "half"),
+    ])
+    def test_malformed_value_names_manifest(self, tmp_path, header, cell):
+        records = self._corpus(tmp_path, n=1)
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"{header}\n[images]\n{records[0].image_path.name}, "
+                        f"{records[0].landmarks_path.name}, {cell}\n")
+        with pytest.raises(ValidationError, match="manifest.txt"):
+            io.read_manifest(path)
+
+    def test_legacy_coord_size_line_is_ignored(self, tmp_path):
+        records = self._corpus(tmp_path, n=1)
+        path = tmp_path / "manifest.txt"
+        path.write_text("landmark_count = 1\nworking_size = 4 4\ncoord_size = 299 299\n"
+                        f"[images]\n{records[0].image_path.name}, "
+                        f"{records[0].landmarks_path.name}, 0.5\n")
+        back = io.read_manifest(path)
+        assert back.working_size == (4, 4) and len(back.records) == 1
+
 
 class TestReports:
     def _report(self):
@@ -168,7 +216,7 @@ class TestReports:
     def test_eval_report_round_trip(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.txt"
-        io.write_report(path, report)
+        io.atomic_write(path, io.format_report(report).encode())
         back = io.read_report(path)
         assert back.total == report.total and back.hits == report.hits
         assert back.threshold_mm == report.threshold_mm
@@ -180,7 +228,7 @@ class TestReports:
         from spinefuse.simulate import run_trial
         report = run_trial(Rng(3), noiseless_config(images=2))
         path = tmp_path / "cmp.txt"
-        io.write_comparison(path, report)
+        io.atomic_write(path, io.format_comparison(report).encode())
         back = io.read_comparison(path)
         assert set(back.methods) == set(report.methods)
         for name in report.methods:
@@ -193,8 +241,8 @@ class TestSimConfig:
     def test_round_trip(self, tmp_path):
         config = calibrated_config(images=123)
         path = tmp_path / "sim.txt"
-        io.write_sim_config(path, config)
-        back = io.read_sim_config(path)
+        write_sim_config(path, config)
+        back = read_sim_config(path)
         assert back == config
 
     def test_per_landmark_sigmas_round_trip(self, tmp_path):
@@ -205,14 +253,14 @@ class TestSimConfig:
             threshold_mm=config.threshold_mm, images=config.images,
         )
         path = tmp_path / "sim.txt"
-        io.write_sim_config(path, config)
-        assert io.read_sim_config(path).fusion.prior_sigma == config.fusion.prior_sigma
+        write_sim_config(path, config)
+        assert read_sim_config(path).fusion.prior_sigma == config.fusion.prior_sigma
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "sim.txt"
         path.write_text("[phantom]\nlandmarks = 11\n")
         with pytest.raises(ValidationError, match="missing"):
-            io.read_sim_config(path)
+            read_sim_config(path)
 
 
 class TestAtomicWrite:

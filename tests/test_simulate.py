@@ -29,22 +29,22 @@ SMALL = PhantomConfig(landmarks=11, width=256, height=256,
 
 class TestGeneratePhantom:
     def test_chain_construction(self):
-        phantom, lms = generate_phantom(Rng(1), PhantomConfig())
+        lms = generate_phantom(Rng(1), PhantomConfig())
         assert len(lms) == 11
         assert lms.in_bounds_mask().all()
         assert np.all(np.diff(lms.points[:, 1]) > 0)
 
     def test_integer_positions(self):
-        _, lms = generate_phantom(Rng(2), PhantomConfig())
+        lms = generate_phantom(Rng(2), PhantomConfig())
         assert np.array_equal(lms.points, np.round(lms.points))
 
     def test_zero_wobble_aligns_x(self):
-        _, lms = generate_phantom(Rng(3), PhantomConfig(wobble_px=0.0))
+        lms = generate_phantom(Rng(3), PhantomConfig(wobble_px=0.0))
         assert np.unique(lms.points[:, 0]).size == 1
 
     def test_deterministic(self):
-        _, a = generate_phantom(Rng(4), PhantomConfig())
-        _, b = generate_phantom(Rng(4), PhantomConfig())
+        a = generate_phantom(Rng(4), PhantomConfig())
+        b = generate_phantom(Rng(4), PhantomConfig())
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_infeasible_chain(self):
@@ -53,8 +53,8 @@ class TestGeneratePhantom:
                                                    chain_spacing_px=40.0))
 
     def test_phantom_image_renders_landmarks(self):
-        phantom, lms = generate_phantom(Rng(6), SMALL)
-        img = phantom_image(phantom)
+        lms = generate_phantom(Rng(6), SMALL)
+        img = phantom_image(lms, SMALL)
         assert (img.width, img.height) == (SMALL.width, SMALL.height)
         x, y = lms.points[0].astype(int)
         assert img.pixels[y, x] > 200
@@ -62,12 +62,12 @@ class TestGeneratePhantom:
 
 class TestSimulateCoords:
     def test_noiseless_is_exact(self):
-        _, gt = generate_phantom(Rng(7), SMALL)
+        gt = generate_phantom(Rng(7), SMALL)
         out = simulate_coords(Rng(8), gt, CoordPredictorModel(noise_sigma=0.0))
         np.testing.assert_array_equal(out.points, gt.points)
 
     def test_noise_standard_deviation(self):
-        _, gt = generate_phantom(Rng(9), PhantomConfig())
+        gt = generate_phantom(Rng(9), PhantomConfig())
         model = CoordPredictorModel(noise_sigma=3.0)
         rng = Rng(10)
         draws = np.concatenate(
@@ -78,7 +78,7 @@ class TestSimulateCoords:
             assert abs(draws[:, axis].std() / 3.0 - 1.0) < 0.02
 
     def test_outlier_branch_standard_deviation(self):
-        _, gt = generate_phantom(Rng(11), PhantomConfig())
+        gt = generate_phantom(Rng(11), PhantomConfig())
         model = CoordPredictorModel(noise_sigma=1.0, outlier_rate=1.0, outlier_sigma=50.0)
         rng = Rng(12)
         draws = np.concatenate(
@@ -96,14 +96,14 @@ class TestSimulateCoords:
 
 class TestSimulateHeatmaps:
     def test_clean_channels_decode_to_gt(self):
-        _, gt = generate_phantom(Rng(13), SMALL)
+        gt = generate_phantom(Rng(13), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=0.0)
         stack = simulate_heatmaps(Rng(14), gt, model, SMALL.width, SMALL.height)
         for hm, (x, y) in zip(stack, gt.points):
             assert decode_argmax(hm) == (int(x), int(y))
 
     def test_certain_confusion_with_dominant_amplitude(self):
-        _, gt = generate_phantom(Rng(15), SMALL)
+        gt = generate_phantom(Rng(15), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=1.0,
                                       spurious_amplitude=(1.1, 1.1))
         stack = simulate_heatmaps(Rng(16), gt, model, SMALL.width, SMALL.height)
@@ -124,7 +124,7 @@ class TestSimulateHeatmaps:
         wrong = total = 0
         for i in range(10_000 // 11 + 1):
             stream = master.spawn(i)
-            _, gt = generate_phantom(stream, SMALL)
+            gt = generate_phantom(stream, SMALL)
             stack = simulate_heatmaps(stream, gt, model, SMALL.width, SMALL.height)
             for hm, (x, y) in zip(stack, gt.points):
                 wrong += decode_argmax(hm) != (int(x), int(y))
@@ -151,7 +151,7 @@ class TestRunTrial:
         preds, gts = [], []
         for i in range(config.images):
             stream = master.spawn(i)
-            _, gt = generate_phantom(stream, SMALL)
+            gt = generate_phantom(stream, SMALL)
             preds.append(simulate_coords(stream, gt, config.coords))
             gts.append(gt)
         acc = pck(preds, gts, 8.0, SMALL.spacing_mm_per_px).accuracy
@@ -166,7 +166,7 @@ class TestRunTrial:
             model = CoordPredictorModel(noise_sigma=sigma)
             for i in range(910):
                 stream = master.spawn(i)
-                _, gt = generate_phantom(stream, SMALL)
+                gt = generate_phantom(stream, SMALL)
                 preds.append(simulate_coords(stream, gt, model))
                 gts.append(gt)
             accs.append(pck(preds, gts, 8.0, SMALL.spacing_mm_per_px).accuracy)
@@ -184,7 +184,7 @@ class TestRunTrial:
         master = Rng(23)
         def one_image(i):
             stream = master.spawn(i)
-            _, gt = generate_phantom(stream, config.phantom)
+            gt = generate_phantom(stream, config.phantom)
             coords = simulate_coords(stream, gt, config.coords)
             return gt.points.copy(), coords.points.copy()
         forward = [one_image(i) for i in range(config.images)]
