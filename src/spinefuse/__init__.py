@@ -14,7 +14,7 @@ from .core import (
     Rng,
     ValidationError,
 )
-from .evaluate import ComparisonReport, EvalReport, LandmarkStats, landmark_error_mm, pck
+from .evaluate import ComparisonReport, EvalReport, LandmarkStats, pck
 from .fusion import (
     DecodeMethod,
     FusionConfig,

@@ -53,15 +53,42 @@ def _run_jobs(fn, items, jobs: int):
         return list(pool.map(guarded, items))
 
 
-def _summarize_failures(results, paths) -> int:
-    code = EXIT_OK
-    for (_, exc), path in zip(results, paths):
+def _exit_class(exc: Exception) -> int:
+    if isinstance(exc, OSError):
+        return EXIT_IO
+    if isinstance(exc, ValidationError):
+        return EXIT_VALIDATION
+    return EXIT_INTERNAL
+
+
+def _batch(process, items, paths, jobs: int):
+    """Run process over items through _run_jobs and print each failure with
+    its path. Returns the successful results, in input order, and the exit
+    class of the first failure (EXIT_OK if none failed)."""
+    ok, code = [], EXIT_OK
+    for (result, exc), path in zip(_run_jobs(process, items, jobs), paths):
         if exc is None:
+            ok.append(result)
             continue
+        cls = _exit_class(exc)
+        if cls == EXIT_INTERNAL:
+            traceback.print_exception(exc)
+            exc = f"{type(exc).__name__}: {exc}"
         print(f"error: {path}: {exc}", file=sys.stderr)
         if code == EXIT_OK:
-            code = EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
-    return code
+            code = cls
+    return ok, code
+
+
+def _read_pair(rec: io.ManifestRecord, landmark_count: int):
+    """A record's image and its landmarks, which must number landmark_count."""
+    img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
+    lms = io.read_landmarks(rec.landmarks_path, PixelFrame(img.width, img.height))
+    if len(lms) != landmark_count:
+        raise ValidationError(
+            f"{rec.landmarks_path}: {len(lms)} landmarks, manifest says {landmark_count}"
+        )
+    return img, lms
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +136,12 @@ def cmd_equalize(args) -> int:
         io.atomic_write(lmk_path, rec.landmarks_path.read_bytes())
         return io.ManifestRecord(img_path, lmk_path, rec.spacing_mm_per_px)
 
-    results = _run_jobs(process, manifest.records, args.jobs)
-    ok = tuple(rec for rec, exc in results if exc is None)
+    ok, code = _batch(process, manifest.records,
+                      [r.image_path for r in manifest.records], args.jobs)
     io.write_manifest(out / "manifest.txt", io.Manifest(
-        records=ok, landmark_count=manifest.landmark_count,
+        records=tuple(ok), landmark_count=manifest.landmark_count,
         working_size=manifest.working_size,
     ))
-    code = _summarize_failures(results, [r.image_path for r in manifest.records])
     print(f"equalized {len(ok)}/{len(manifest.records)} images into {out}")
     return code
 
@@ -134,13 +160,7 @@ def cmd_augment(args) -> int:
     def process(task):
         i, j, rec = task
         stream = master.spawn(i * args.count + j)
-        img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
-        lms = io.read_landmarks(rec.landmarks_path, PixelFrame(img.width, img.height))
-        if len(lms) != manifest.landmark_count:
-            raise ValidationError(
-                f"{rec.landmarks_path}: {len(lms)} landmarks, manifest says "
-                f"{manifest.landmark_count}"
-            )
+        img, lms = _read_pair(rec, manifest.landmark_count)
         lms.validate_bounds()
         center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
         transform = sample_valid_augmentation(stream, ranges, lms, center)
@@ -156,13 +176,11 @@ def cmd_augment(args) -> int:
         return io.ManifestRecord(img_path, lmk_path, out_img.spacing)
 
     tasks = [(i, j, rec) for i, rec in enumerate(manifest.records) for j in range(args.count)]
-    results = _run_jobs(process, tasks, args.jobs)
-    ok = tuple(rec for rec, exc in results if exc is None)
+    ok, code = _batch(process, tasks, [t[2].image_path for t in tasks], args.jobs)
     io.write_manifest(out / "manifest.txt", io.Manifest(
-        records=ok, landmark_count=manifest.landmark_count,
+        records=tuple(ok), landmark_count=manifest.landmark_count,
         working_size=(work_w, work_h),
     ))
-    code = _summarize_failures(results, [t[2].image_path for t in tasks])
     print(f"wrote {len(ok)} augmented pairs to {out}")
     return code
 
@@ -173,30 +191,32 @@ def cmd_gen_heatmaps(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def process(rec: io.ManifestRecord):
-        img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
-        lms = io.read_landmarks(rec.landmarks_path, PixelFrame(img.width, img.height))
-        if len(lms) != manifest.landmark_count:
-            raise ValidationError(
-                f"{rec.landmarks_path}: {len(lms)} landmarks, manifest says "
-                f"{manifest.landmark_count}"
-            )
+        img, lms = _read_pair(rec, manifest.landmark_count)
         stack = render_label_stack(lms, args.sigma, img.width, img.height)
         path = out / f"{rec.image_path.stem}.hmap"
         io.write_heatmap_stack(path, stack)
         return path
 
-    results = _run_jobs(process, manifest.records, args.jobs)
-    code = _summarize_failures(results, [r.image_path for r in manifest.records])
-    done = sum(1 for _, exc in results if exc is None)
-    print(f"wrote {done} heatmap stacks to {out}")
+    ok, code = _batch(process, manifest.records,
+                      [r.image_path for r in manifest.records], args.jobs)
+    print(f"wrote {len(ok)} heatmap stacks to {out}")
     return code
 
 
 def _parse_prior_sigma(raw: str):
     parts = [p for p in raw.split(",") if p.strip()]
-    if len(parts) == 1:
-        return float(parts[0])
-    return tuple(float(p) for p in parts)
+    try:
+        sigmas = tuple(float(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number or comma-separated numbers: {raw!r}")
+    return sigmas[0] if len(sigmas) == 1 else sigmas
+
+
+def _odd_window(raw: str) -> int:
+    window = int(raw)
+    if window < 1 or window % 2 == 0:
+        raise argparse.ArgumentTypeError(f"need a positive odd integer, got {window}")
+    return window
 
 
 def cmd_fuse(args) -> int:
@@ -205,7 +225,7 @@ def cmd_fuse(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = FusionConfig(
-        prior_sigma=_parse_prior_sigma(args.prior_sigma),
+        prior_sigma=args.prior_sigma,
         floor_epsilon=args.floor_epsilon,
         decode=DecodeMethod(args.decode),
     )
@@ -237,10 +257,8 @@ def cmd_fuse(args) -> int:
             io.write_heatmap_stack(out / f"{stack_path.stem}.fused.hmap", dumps)
         return stack_path
 
-    results = _run_jobs(process, stacks, args.jobs)
-    code = _summarize_failures(results, stacks)
-    done = sum(1 for _, exc in results if exc is None)
-    print(f"fused {done} stacks into {out}")
+    ok, code = _batch(process, stacks, stacks, args.jobs)
+    print(f"fused {len(ok)} stacks into {out}")
     return code
 
 
@@ -263,10 +281,8 @@ def cmd_decode(args) -> int:
                            LandmarkSet(np.array(pts, dtype=np.float64), frame))
         return stack_path
 
-    results = _run_jobs(process, stacks, args.jobs)
-    code = _summarize_failures(results, stacks)
-    done = sum(1 for _, exc in results if exc is None)
-    print(f"decoded {done} stacks into {out}")
+    ok, code = _batch(process, stacks, stacks, args.jobs)
+    print(f"decoded {len(ok)} stacks into {out}")
     return code
 
 
@@ -356,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--coords-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--prior-sigma", default="6.0",
+    p.add_argument("--prior-sigma", type=_parse_prior_sigma, default="6.0",
                    help="one value, or comma-separated per-landmark values")
     p.add_argument("--floor-epsilon", type=float, default=1e-12)
     p.add_argument("--decode", choices=["argmax", "centroid"], default="argmax")
@@ -368,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=["argmax", "centroid"], default="argmax")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_odd_window, default=3)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score predictions against a manifest")
@@ -399,15 +415,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception:
-        traceback.print_exc()
-        return EXIT_INTERNAL
+    except Exception as exc:  # the exit code names the class of failure
+        code = _exit_class(exc)
+        if code == EXIT_INTERNAL:
+            traceback.print_exc()
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -179,12 +179,6 @@ class Rng:
         r = math.sqrt(-2.0 * math.log(u1))
         return mu + sigma * r * math.cos(2.0 * math.pi * u2)
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) via the multiply-shift reduction."""
-        if n <= 0:
-            raise ValidationError(f"randint needs n > 0, got {n}")
-        return (self.next_u64() * n) >> 64
-
     def spawn(self, index: int) -> "Rng":
         """Derive an independent child stream from the seed and an index.
 

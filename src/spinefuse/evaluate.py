@@ -71,14 +71,6 @@ class ComparisonReport:
         return out
 
 
-def landmark_error_mm(pred: tuple[float, float], gt: tuple[float, float],
-                      spacing: float) -> float:
-    """Euclidean distance in pixels scaled to millimetres."""
-    if spacing <= 0:
-        raise ValidationError(f"non-positive spacing: {spacing}")
-    return math.hypot(pred[0] - gt[0], pred[1] - gt[1]) * spacing
-
-
 def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
         spacing: float | list[float]) -> EvalReport:
     """Percentage of predictions strictly within ``threshold_mm`` of truth.

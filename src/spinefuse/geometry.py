@@ -27,10 +27,6 @@ class AffineTransform2D:
             raise ValidationError("singular transform")
         object.__setattr__(self, "matrix", _frozen(m))
 
-    @classmethod
-    def identity(cls) -> "AffineTransform2D":
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map an (N, 2) array of (x, y) points forward."""
         pts = np.asarray(points, dtype=np.float64)
@@ -40,12 +36,6 @@ class AffineTransform2D:
         lin = self.matrix[:, :2]
         inv = np.linalg.inv(lin)
         return AffineTransform2D(np.hstack([inv, (-inv @ self.matrix[:, 2])[:, None]]))
-
-    def compose(self, inner: "AffineTransform2D") -> "AffineTransform2D":
-        """The map applying ``inner`` first, then this transform."""
-        lin = self.matrix[:, :2] @ inner.matrix[:, :2]
-        off = self.matrix[:, :2] @ inner.matrix[:, 2] + self.matrix[:, 2]
-        return AffineTransform2D(np.hstack([lin, off[:, None]]))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ runs never leave corrupt artifacts.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,11 +32,31 @@ from .heatmap import Heatmap
 
 def atomic_write(path: str | Path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+    half-written file. The temp file has a random name, is created exclusively
+    with mode 0o666 less the umask, and is removed if the write fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _reader(read):
+    """Re-raise any ValueError of ``read(path, ...)`` (a bad number, undecodable
+    text, a NUL byte in a path, a domain ValidationError) as a ValidationError
+    whose message starts with the path. I/O errors pass through."""
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return checked
 
 
 def _fmt_float(x: float) -> str:
@@ -51,6 +73,7 @@ def write_pgm(path: str | Path, img: GrayImage) -> None:
     atomic_write(path, header + img.pixels.tobytes())
 
 
+@_reader
 def read_pgm(path: str | Path, spacing: float = 1.0) -> GrayImage:
     """Parse a binary PGM. Only 8-bit (maxval <= 255) images are accepted;
     ``spacing`` is attached from the caller since PGM carries no physical
@@ -72,23 +95,18 @@ def read_pgm(path: str | Path, spacing: float = 1.0) -> GrayImage:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ValidationError(f"{path}: truncated PGM header")
+            raise ValidationError("truncated PGM header")
         return data[start:pos]
 
     if token() != b"P5":
-        raise ValidationError(f"{path}: not a binary PGM (P5)")
-    try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed PGM header") from exc
+        raise ValidationError("not a binary PGM (P5)")
+    width, height, maxval = int(token()), int(token()), int(token())
     if maxval != 255:
-        raise ValidationError(f"{path}: unsupported maxval {maxval}, need 255")
+        raise ValidationError(f"unsupported maxval {maxval}, need 255")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:
-        raise ValidationError(
-            f"{path}: raster holds {len(raster)} bytes, expected {width * height}"
-        )
+        raise ValidationError(f"raster holds {len(raster)} bytes, expected {width * height}")
     return GrayImage.from_flat(width, height, np.frombuffer(raster, dtype=np.uint8), spacing)
 
 
@@ -102,30 +120,28 @@ def write_landmarks(path: str | Path, lms: LandmarkSet) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
+@_reader
 def read_landmarks(path: str | Path, frame: PixelFrame) -> LandmarkSet:
     """Parse a landmark file; ``frame`` is the pixel grid the points refer to."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#count="):
-        raise ValidationError(f"{path}: missing #count= header")
-    try:
-        count = int(lines[0][len("#count="):])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad count header {lines[0]!r}") from exc
+        raise ValidationError("missing #count= header")
+    count = int(lines[0][len("#count="):])
     rows = lines[1:]
     if len(rows) != count:
-        raise ValidationError(f"{path}: header says {count} landmarks, file has {len(rows)}")
+        raise ValidationError(f"header says {count} landmarks, file has {len(rows)}")
     pts = np.empty((count, 2))
     for i, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 3:
-            raise ValidationError(f"{path}: line {i + 2}: expected index,x,y")
+            raise ValidationError(f"line {i + 2}: expected index,x,y")
         try:
             idx, x, y = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise ValidationError(f"{path}: line {i + 2}: {row!r}") from exc
+            raise ValidationError(f"line {i + 2}: {row!r}") from exc
         if idx != i:
-            raise ValidationError(f"{path}: line {i + 2}: index {idx}, expected {i}")
+            raise ValidationError(f"line {i + 2}: index {idx}, expected {i}")
         pts[i] = (x, y)
     return LandmarkSet(pts, frame)
 
@@ -149,18 +165,17 @@ def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
     atomic_write(path, header + body)
 
 
+@_reader
 def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != _HMAP_MAGIC:
-        raise ValidationError(f"{path}: not an HMAP v1 file")
+        raise ValidationError("not an HMAP v1 file")
     channels, h, w = struct.unpack("<III", data[4:16])
     if channels == 0:
-        raise ValidationError(f"{path}: HMAP declares {channels} channels, need at least 1")
+        raise ValidationError(f"HMAP declares {channels} channels, need at least 1")
     expected = 16 + channels * h * w * 4
     if len(data) != expected:
-        raise ValidationError(
-            f"{path}: {len(data)} bytes, expected {expected} for {channels}x{h}x{w}"
-        )
+        raise ValidationError(f"{len(data)} bytes, expected {expected} for {channels}x{h}x{w}")
     flat = np.frombuffer(data[16:], dtype="<f4").astype(np.float64)
     return [Heatmap(flat[k * h * w:(k + 1) * h * w].reshape(h, w)) for k in range(channels)]
 
@@ -174,7 +189,7 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
 # current section ('' before any header); any other non-empty line in a
 # section is a table row of comma-separated cells.
 
-def _parse_sections(text: str, origin: str) -> dict[str, tuple[dict[str, str], list[list[str]]]]:
+def _parse_sections(text: str) -> dict[str, tuple[dict[str, str], list[list[str]]]]:
     sections: dict[str, tuple[dict[str, str], list[list[str]]]] = {"": ({}, [])}
     current = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -184,7 +199,7 @@ def _parse_sections(text: str, origin: str) -> dict[str, tuple[dict[str, str], l
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current in sections:
-                raise ValidationError(f"{origin}: line {lineno}: duplicate section [{current}]")
+                raise ValidationError(f"line {lineno}: duplicate section [{current}]")
             sections[current] = ({}, [])
         elif "=" in line:
             key, _, value = line.partition("=")
@@ -194,9 +209,9 @@ def _parse_sections(text: str, origin: str) -> dict[str, tuple[dict[str, str], l
     return sections
 
 
-def _need(kv: dict[str, str], key: str, origin: str) -> str:
+def _need(kv: dict[str, str], key: str) -> str:
     if key not in kv:
-        raise ValidationError(f"{origin}: missing key {key!r}")
+        raise ValidationError(f"missing key {key!r}")
     return kv[key]
 
 
@@ -241,46 +256,36 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+@_reader
 def read_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    sections = _parse_sections(path.read_text(), str(path))
+    sections = _parse_sections(path.read_text())
     kv = sections[""][0]
-    try:
-        landmark_count = int(kv.get("landmark_count", "11"))
-    except ValueError as exc:
-        raise ValidationError(f"{path}: landmark_count is not an integer") from exc
+    landmark_count = int(kv.get("landmark_count", "11"))
     if landmark_count < 0:
-        raise ValidationError(f"{path}: negative landmark_count")
+        raise ValidationError("negative landmark_count")
 
     def _size(key: str, default: tuple[int, int]) -> tuple[int, int]:
         if key not in kv:
             return default
         parts = kv[key].split()
         if len(parts) != 2:
-            raise ValidationError(f"{path}: {key} needs two integers")
-        try:
-            w, h = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: {key} needs two integers") from exc
+            raise ValidationError(f"{key} needs two integers")
+        w, h = int(parts[0]), int(parts[1])
         if w <= 0 or h <= 0:
-            raise ValidationError(f"{path}: non-positive {key}")
+            raise ValidationError(f"non-positive {key}")
         return w, h
 
     if "images" not in sections:
-        raise ValidationError(f"{path}: missing [images] section")
+        raise ValidationError("missing [images] section")
     base = path.parent
     records = []
     for row in sections["images"][1]:
         if len(row) != 3:
-            raise ValidationError(
-                f"{path}: image row needs image_path, landmarks_path, spacing, got {row}"
-            )
-        try:
-            spacing = float(row[2])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: spacing {row[2]!r} is not a number") from exc
+            raise ValidationError(f"image row needs image_path, landmarks_path, spacing, got {row}")
+        spacing = float(row[2])
         if not (math.isfinite(spacing) and spacing > 0):
-            raise ValidationError(f"{path}: non-positive spacing {row[2]}")
+            raise ValidationError(f"non-positive spacing {row[2]}")
         img = (base / row[0]).resolve()
         lmk = (base / row[1]).resolve()
         for p in (img, lmk):
@@ -323,29 +328,28 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(["# spinefuse report v1", "[summary]"] + kv + ["[per_landmark]"] + rows) + "\n"
 
 
-def _parse_report_sections(kv: dict[str, str], rows: list[list[str]], origin: str) -> EvalReport:
+def _parse_report_sections(kv: dict[str, str], rows: list[list[str]]) -> EvalReport:
     per = []
     for row in rows:
         if len(row) != 5:
-            raise ValidationError(f"{origin}: per-landmark row needs 5 cells, got {row}")
+            raise ValidationError(f"per-landmark row needs 5 cells, got {row}")
         per.append(LandmarkStats(int(row[0]), int(row[1]), int(row[2]),
                                  float(row[3]), float(row[4])))
     return EvalReport(
-        total=int(_need(kv, "total", origin)),
-        hits=int(_need(kv, "hits", origin)),
-        threshold_mm=float(_need(kv, "threshold_mm", origin)),
-        spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px", origin)),
+        total=int(_need(kv, "total")),
+        hits=int(_need(kv, "hits")),
+        threshold_mm=float(_need(kv, "threshold_mm")),
+        spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px")),
         per_landmark=tuple(per),
     )
 
 
+@_reader
 def read_report(path: str | Path) -> EvalReport:
-    path = Path(path)
-    sections = _parse_sections(path.read_text(), str(path))
+    sections = _parse_sections(Path(path).read_text())
     if "summary" not in sections or "per_landmark" not in sections:
-        raise ValidationError(f"{path}: report needs [summary] and [per_landmark]")
-    return _parse_report_sections(sections["summary"][0],
-                                  sections["per_landmark"][1], str(path))
+        raise ValidationError("report needs [summary] and [per_landmark]")
+    return _parse_report_sections(sections["summary"][0], sections["per_landmark"][1])
 
 
 def format_comparison(report: ComparisonReport) -> str:
@@ -369,9 +373,9 @@ def format_comparison(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_reader
 def read_comparison(path: str | Path) -> ComparisonReport:
-    path = Path(path)
-    sections = _parse_sections(path.read_text(), str(path))
+    sections = _parse_sections(Path(path).read_text())
     kv = sections[""][0]
     methods: dict[str, EvalReport] = {}
     for name in sections:
@@ -379,16 +383,15 @@ def read_comparison(path: str | Path) -> ComparisonReport:
             method = name[len("method "):]
             rows_section = f"method {method} per_landmark"
             if rows_section not in sections:
-                raise ValidationError(f"{path}: missing [{rows_section}]")
-            methods[method] = _parse_report_sections(
-                sections[name][0], sections[rows_section][1], str(path)
-            )
+                raise ValidationError(f"missing [{rows_section}]")
+            methods[method] = _parse_report_sections(sections[name][0],
+                                                     sections[rows_section][1])
     if not methods:
-        raise ValidationError(f"{path}: no [method ...] sections")
+        raise ValidationError("no [method ...] sections")
     return ComparisonReport(
-        images=int(_need(kv, "images", str(path))),
-        landmarks_per_image=int(_need(kv, "landmarks_per_image", str(path))),
-        threshold_mm=float(_need(kv, "threshold_mm", str(path))),
-        spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px", str(path))),
+        images=int(_need(kv, "images")),
+        landmarks_per_image=int(_need(kv, "landmarks_per_image")),
+        threshold_mm=float(_need(kv, "threshold_mm")),
+        spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px")),
         methods=methods,
     )

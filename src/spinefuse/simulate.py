@@ -18,7 +18,7 @@ from .core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .heatmap import GaussianSpec, Heatmap, decode_argmax, render_gaussian
-from .io import _fmt_float, _need, _parse_sections, atomic_write
+from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
 from .preprocess import _round_u8
 
 
@@ -347,56 +347,51 @@ def write_sim_config(path: str | Path, config: TrialConfig) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+@_reader
 def read_sim_config(path: str | Path) -> TrialConfig:
-    path = Path(path)
-    sections = _parse_sections(path.read_text(), str(path))
+    sections = _parse_sections(Path(path).read_text())
     for name in ("phantom", "coords_model", "heatmap_model", "fusion", "run"):
         if name not in sections:
-            raise ValidationError(f"{path}: missing [{name}] section")
+            raise ValidationError(f"missing [{name}] section")
     ph = sections["phantom"][0]
-    grid = _need(ph, "grid", str(path)).split()
+    grid = _need(ph, "grid").split()
     if len(grid) != 2:
-        raise ValidationError(f"{path}: grid needs two integers")
+        raise ValidationError("grid needs two integers")
     cm = sections["coords_model"][0]
     hm = sections["heatmap_model"][0]
-    amp = _need(hm, "spurious_amplitude", str(path)).split()
+    amp = _need(hm, "spurious_amplitude").split()
     if len(amp) != 2:
-        raise ValidationError(f"{path}: spurious_amplitude needs two values")
+        raise ValidationError("spurious_amplitude needs two values")
     fu = sections["fusion"][0]
-    sigma_parts = _need(fu, "prior_sigma_px", str(path)).split()
+    sigma_parts = _need(fu, "prior_sigma_px").split()
     prior_sigma = (float(sigma_parts[0]) if len(sigma_parts) == 1
                    else tuple(float(s) for s in sigma_parts))
-    decode_raw = fu.get("decode", "argmax")
-    try:
-        decode = DecodeMethod(decode_raw)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: unknown decode method {decode_raw!r}") from exc
     run = sections["run"][0]
     return TrialConfig(
         phantom=PhantomConfig(
-            landmarks=int(_need(ph, "landmarks", str(path))),
+            landmarks=int(_need(ph, "landmarks")),
             width=int(grid[0]),
             height=int(grid[1]),
-            spacing_mm_per_px=float(_need(ph, "spacing_mm_per_px", str(path))),
-            chain_spacing_px=float(_need(ph, "chain_spacing_px", str(path))),
-            wobble_px=float(_need(ph, "wobble_px", str(path))),
+            spacing_mm_per_px=float(_need(ph, "spacing_mm_per_px")),
+            chain_spacing_px=float(_need(ph, "chain_spacing_px")),
+            wobble_px=float(_need(ph, "wobble_px")),
         ),
         coords=CoordPredictorModel(
-            noise_sigma=float(_need(cm, "noise_sigma_px", str(path))),
+            noise_sigma=float(_need(cm, "noise_sigma_px")),
             outlier_rate=float(cm.get("outlier_rate", "0")),
             outlier_sigma=float(cm.get("outlier_sigma_px", "0")),
         ),
         heatmaps=HeatmapPredictorModel(
-            peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px", str(path))),
-            heatmap_sigma=float(_need(hm, "heatmap_sigma_px", str(path))),
-            adjacent_confusion_prob=float(_need(hm, "adjacent_confusion_prob", str(path))),
+            peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px")),
+            heatmap_sigma=float(_need(hm, "heatmap_sigma_px")),
+            adjacent_confusion_prob=float(_need(hm, "adjacent_confusion_prob")),
             spurious_amplitude=(float(amp[0]), float(amp[1])),
         ),
         fusion=FusionConfig(
             prior_sigma=prior_sigma,
             floor_epsilon=float(fu.get("floor_epsilon", "1e-12")),
-            decode=decode,
+            decode=DecodeMethod(fu.get("decode", "argmax")),
         ),
-        threshold_mm=float(_need(run, "threshold_mm", str(path))),
-        images=int(_need(run, "images", str(path))),
+        threshold_mm=float(_need(run, "threshold_mm")),
+        images=int(_need(run, "images")),
     )

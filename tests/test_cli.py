@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinefuse import io
-from spinefuse.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from spinefuse import cli, io
+from spinefuse.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from spinefuse.core import LandmarkSet, PixelFrame
 from spinefuse.simulate import noiseless_config, write_sim_config
 
@@ -228,6 +228,74 @@ class TestSimulate:
         assert "fused" in capsys.readouterr().out
 
 
+def _sim_config(tmp_path, old, new):
+    path = tmp_path / "sim.txt"
+    write_sim_config(path, noiseless_config(images=1))
+    path.write_bytes(path.read_bytes().replace(old, new))
+    return ["simulate", "--config", path], path
+
+
+def _bad_prediction(tmp_path):
+    manifest_path = make_corpus(tmp_path)
+    pred_dir = tmp_path / "preds"
+    pred_dir.mkdir()
+    for rec in io.read_manifest(manifest_path).records:
+        pred_dir.joinpath(rec.landmarks_path.name).write_bytes(rec.landmarks_path.read_bytes())
+    bad = pred_dir / "phantom_001.txt"
+    bad.write_bytes(bad.read_bytes() + b"# \xc3\xa9\n")
+    return ["eval", "--manifest", manifest_path, "--pred-dir", pred_dir], bad
+
+
+def _bad_manifest(tmp_path, old, new):
+    manifest_path = make_corpus(tmp_path)
+    manifest_path.write_bytes(manifest_path.read_bytes().replace(old, new, 1))
+    return ["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq"], manifest_path
+
+
+def _bad_coords(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    hm_dir = tmp_path / "hm"
+    assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+    coords = tmp_path / "corpus" / "phantom_000.txt"
+    coords.write_bytes(coords.read_bytes() + b"# \xff\n")
+    return ["fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus",
+            "--out-dir", tmp_path / "f"], coords
+
+
+class TestMalformedInput:
+    """A malformed file exits 4 and names itself, without a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        lambda t: _sim_config(t, b"landmarks = 11", b"landmarks = abc"),
+        lambda t: _sim_config(t, b"images = 1", b"images = x"),
+        lambda t: _sim_config(t, b"[run]", b"# \xff\n[run]"),
+        _bad_prediction,
+        lambda t: _bad_manifest(t, b"[images]", b"# \xff\n[images]"),
+        lambda t: _bad_manifest(t, b"phantom_000.pgm", b"phantom_\x00000.pgm"),
+        _bad_coords,
+    ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
+            "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii"])
+    def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
+        argv, bad = case(tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
+
+    def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch):
+        manifest_path = make_corpus(tmp_path, count=1)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+
+        def broken(hm):
+            raise IndexError("broken decoder")
+        monkeypatch.setattr(cli, "decode_argmax", broken)
+        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d") == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "IndexError" in next(ln for ln in err.splitlines() if ln.startswith("error:"))
+
+
 class TestJobsFlag:
     def test_parallel_equalize_matches_serial(self, tmp_path):
         manifest = make_corpus(tmp_path, count=4)
@@ -256,6 +324,20 @@ class TestFlags:
         "--jobs": {"equalize", "augment", "gen-heatmaps", "fuse", "decode"},
         "--config": {"simulate"},
     }
+
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", "abc"],
+        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "centroid",
+         "--window", "2"],
+        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "centroid",
+         "--window", "0"],
+    ])
+    def test_bad_flag_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", sorted(TAKEN_BY))
     @pytest.mark.parametrize("command", sorted(REQUIRED))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
-from spinefuse.evaluate import ComparisonReport, EvalReport, LandmarkStats, landmark_error_mm, pck
+from spinefuse.evaluate import ComparisonReport, EvalReport, LandmarkStats, pck
 
 
 def make_sets(n_images, n_landmarks, offsets_px, spacing_note=None):
@@ -17,6 +17,14 @@ def make_sets(n_images, n_landmarks, offsets_px, spacing_note=None):
         gts.append(LandmarkSet(gt, frame))
         preds.append(LandmarkSet(gt + offsets_px[i], frame))
     return preds, gts
+
+
+def landmark_error_mm(pred, gt, spacing):
+    """The error pck reports for one predicted landmark."""
+    frame = PixelFrame(64, 64)
+    report = pck([LandmarkSet(np.array([pred], dtype=float), frame)],
+                 [LandmarkSet(np.array([gt], dtype=float), frame)], 8.0, spacing)
+    return report.per_landmark[0].mean_error_mm
 
 
 class TestLandmarkError:

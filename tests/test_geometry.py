@@ -44,7 +44,7 @@ class TestSampleAugmentation:
 class TestBuildTransform:
     def test_identity(self):
         t = build_transform(0, 0, 0, 1.0, (10, 10))
-        np.testing.assert_allclose(t.matrix, AffineTransform2D.identity().matrix, atol=1e-15)
+        np.testing.assert_allclose(t.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-15)
 
     def test_pure_translation(self):
         t = build_transform(5, -3, 0, 1.0, (50, 50))
@@ -76,24 +76,12 @@ class TestAffineTransform:
             back = t.invert().apply(t.apply(pts))
             np.testing.assert_allclose(back, pts, atol=1e-6)
 
-    def test_composition_matches_sequential_apply(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            t1 = build_transform(rng.uniform(-10, 10), rng.uniform(-5, 5),
-                                 rng.uniform(-20, 20), rng.uniform(0.8, 1.2), (32, 32))
-            t2 = build_transform(rng.uniform(-10, 10), rng.uniform(-5, 5),
-                                 rng.uniform(-20, 20), rng.uniform(0.8, 1.2), (32, 32))
-            pts = rng.uniform(0, 64, (8, 2))
-            np.testing.assert_allclose(
-                t2.compose(t1).apply(pts), t2.apply(t1.apply(pts)), atol=1e-6
-            )
-
 
 class TestWarpImage:
     def test_identity_is_bit_identical(self):
         rng = np.random.default_rng(8)
         img = GrayImage(rng.integers(0, 256, (16, 16), dtype=np.uint8), 1.0)
-        out = warp_image(img, AffineTransform2D.identity())
+        out = warp_image(img, build_transform(0, 0, 0, 1, (0, 0)))
         np.testing.assert_array_equal(out.pixels, img.pixels)
 
     def test_translation_shifts_and_zero_fills(self):
@@ -118,7 +106,7 @@ class TestWarpImage:
 class TestWarpLandmarks:
     def test_identity(self):
         lms = LandmarkSet(np.array([[3.0, 4.0]]), PixelFrame(10, 10))
-        out, mask = warp_landmarks(lms, AffineTransform2D.identity())
+        out, mask = warp_landmarks(lms, build_transform(0, 0, 0, 1, (0, 0)))
         np.testing.assert_array_equal(out.points, lms.points)
         assert mask.all()
 
@@ -159,8 +147,7 @@ class TestWarpLandmarks:
         t2 = build_transform(-6, 1, -15, 0.9, (64, 64))
         mid, _ = warp_landmarks(lms, t1)
         seq, _ = warp_landmarks(mid, t2)
-        combo, _ = warp_landmarks(lms, t2.compose(t1))
-        np.testing.assert_allclose(seq.points, combo.points, atol=1e-6)
+        np.testing.assert_allclose(seq.points, t2.apply(t1.apply(lms.points)), atol=1e-6)
 
 
 class TestImageLabelConsistency:

@@ -1,5 +1,9 @@
 import ast
+import os
+import stat
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -268,4 +272,41 @@ class TestAtomicWrite:
         path = tmp_path / "out.bin"
         io.atomic_write(path, b"payload")
         assert path.read_bytes() == b"payload"
+        assert list(tmp_path.iterdir()) == [path]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(OSError):
+            io.atomic_write(target, b"payload")
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_concurrent_writers_do_not_collide(self, tmp_path):
+        path = tmp_path / "out.bin"
+        payloads = [bytes([k]) * 65536 for k in range(1, 5)]  # more writers than cores
+        errors = []
+
+        def write(data):
+            try:
+                for _ in range(200):
+                    io.atomic_write(path, data)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(data,)) for data in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
         assert list(tmp_path.iterdir()) == [path]
