@@ -8,6 +8,7 @@ same inputs and seed reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -212,6 +213,13 @@ def _parse_prior_sigma(raw: str):
     return sigmas[0] if len(sigmas) == 1 else sigmas
 
 
+def _positive_finite(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a positive finite number, got {raw}")
+    return value
+
+
 def _odd_window(raw: str) -> int:
     window = int(raw)
     if window < 1 or window % 2 == 0:
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-heatmaps", help="render label heatmap stacks")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--sigma", type=float, default=1.2)
+    p.add_argument("--sigma", type=_positive_finite, default=1.2)
     p.set_defaults(func=cmd_gen_heatmaps)
 
     p = sub.add_parser("fuse",
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against a manifest")
     p.add_argument("--manifest", required=True, help="ground-truth manifest")
     p.add_argument("--pred-dir", required=True)
-    p.add_argument("--threshold-mm", type=float, default=8.0)
+    p.add_argument("--threshold-mm", type=_positive_finite, default=8.0)
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_eval)
 

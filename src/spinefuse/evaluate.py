@@ -86,8 +86,8 @@ def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
         raise ValidationError(f"{len(preds)} prediction sets vs {len(gts)} ground truths")
     if not preds:
         raise ValidationError("empty evaluation")
-    if threshold_mm <= 0:
-        raise ValidationError(f"non-positive threshold: {threshold_mm}")
+    if not (math.isfinite(threshold_mm) and threshold_mm > 0):
+        raise ValidationError(f"threshold must be positive and finite, got {threshold_mm}")
 
     if isinstance(spacing, (int, float)):
         spacings = [float(spacing)] * len(preds)

@@ -99,41 +99,106 @@ def fuse_product(predicted: Heatmap, prior: Heatmap,
     return Heatmap(np.exp(logsum - logsum.max()))
 
 
-def _log_prior(coord: tuple[float, float], sigma: float, width: int, height: int,
-               floor_epsilon: float) -> np.ndarray:
+def _log_axes(coord: tuple[float, float], sigma: float, width: int,
+              height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]."""
     cx, cy = float(coord[0]), float(coord[1])
     two_s2 = 2.0 * sigma * sigma
-    # scale the 1-D vectors so the grid needs only one broadcast pass
     lx = -((np.arange(width, dtype=np.float64) - cx) ** 2) / two_s2
     ly = -((np.arange(height, dtype=np.float64) - cy) ** 2) / two_s2
+    return lx, ly
+
+
+def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
+            floor_epsilon: float) -> np.ndarray:
+    """max(lx + ly, log eps) + log(max(values, eps)) over one block of the grid."""
     out = lx[None, :] + ly[:, None]
     np.maximum(out, math.log(floor_epsilon), out=out)
+    out += _log_clamped(values, floor_epsilon)
     return out
+
+
+def _outside_best(blocks, tops, width: int, floor_epsilon: float) -> tuple[float, int]:
+    """Best score and flat index of the row-major first pixel that has it,
+    over blocks of the grid where the clamped prior is exactly log eps.
+
+    ``blocks`` holds (values, row offset, column offset) and ``tops`` each
+    block's maximum. The score log eps + log(max(p, eps)) rises with p, but
+    distinct p can round to one score: every p <= eps scores the same floor,
+    and values within a few ulps of the maximum can tie with it. Only p
+    within 1e-9 (relative) of the maximum can reach its score, so just those
+    are scored, or all of them once that bound reaches the floor.
+    """
+    top = max(tops)
+    bound = top * (1.0 - 1e-9)
+    scores, flats = [], []
+    for (part, y, x), part_top in zip(blocks, tops):
+        if top <= floor_epsilon:
+            # every pixel scores the floor, so each block's first one is enough
+            ys = xs = np.zeros(1, dtype=np.intp)
+        elif part_top < bound:
+            continue
+        else:
+            ys, xs = np.nonzero(part >= (bound if bound > floor_epsilon else 0.0))
+        scores.append(math.log(floor_epsilon) + _log_clamped(part[ys, xs], floor_epsilon))
+        flats.append((ys + y) * width + xs + x)
+    scores, flats = np.concatenate(scores), np.concatenate(flats)
+    best = scores.max()
+    return float(best), int(flats[scores == best].min())
 
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
                     cfg: FusionConfig, channel: int | None = None) -> tuple[float, float]:
     """Fuse one channel with its coordinate prediction and decode the peak.
 
-    Both methods read one log-domain sum. Argmax takes its row-major first
-    maximum; centroid weights the 3x3 patch around that same index by
+    Both methods read one log-domain sum, max(log prior, log eps) +
+    log(max(predicted, eps)). Argmax takes its row-major first maximum;
+    centroid weights the 3x3 patch around that same index by
     exp(logsum - peak), the peak-normalized product :func:`fuse_product`
     would give there.
+
+    The sum is built only inside the window of rows and columns whose
+    prior can rise above log eps. Outside it the clamped prior is exactly
+    log eps, so the best pixel there is the raw map's maximum. The result
+    equals the argmax of the sum over the whole grid, ties included.
     """
-    if predicted.values.max() <= 0:
+    values, eps, width = predicted.values, cfg.floor_epsilon, predicted.width
+    lx, ly = _log_axes(coord, cfg.sigma_for(channel), width, predicted.height)
+    log_eps = math.log(eps)
+    # float addition is monotone, so a column whose prior cannot beat
+    # log eps on the best row cannot beat it on any row
+    cols = np.flatnonzero(lx + ly.max() > log_eps)
+    rows = np.flatnonzero(ly + lx.max() > log_eps)
+    if cols.size and rows.size:
+        r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    else:
+        r0 = r1 = c0 = c1 = 0
+    inner = values[r0:r1, c0:c1]
+    outer = [(part, y, x) for part, y, x in (
+        (values[:r0], 0, 0), (values[r0:r1, :c0], r0, 0),
+        (values[r0:r1, c1:], r0, c1), (values[r1:], r1, 0),
+    ) if part.size]
+    outer_tops = [float(part.max()) for part, _, _ in outer]
+    inner_top = float(inner.max()) if inner.size else 0.0
+    if max(outer_tops + [inner_top]) <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    # exp is monotone and peak normalization is a positive scale, so the
-    # argmax can be read off the log-domain sum without materializing
-    # the fused map
-    logsum = _log_prior(coord, cfg.sigma_for(channel), predicted.width, predicted.height,
-                        cfg.floor_epsilon)
-    logsum += _log_clamped(predicted.values, cfg.floor_epsilon)
-    idx = int(np.argmax(logsum))
-    ax, ay = idx % predicted.width, idx // predicted.width
+
+    candidates = []
+    if inner.size:
+        window = _logsum(lx[c0:c1], ly[r0:r1], inner, eps)
+        i = int(np.argmax(window))
+        iy, ix = divmod(i, c1 - c0)
+        candidates.append((float(window.flat[i]), (r0 + iy) * width + c0 + ix))
+    if outer:
+        candidates.append(_outside_best(outer, outer_tops, width, eps))
+    # an equal score goes to the row-major first pixel
+    peak, idx = max(candidates, key=lambda c: (c[0], -c[1]))
+    ay, ax = divmod(idx, width)
     if cfg.decode is DecodeMethod.ARGMAX:
         return float(ax), float(ay)
-    peak = logsum[ay, ax]
-    return _centroid_at(logsum, ax, ay, 3, lambda patch: np.exp(patch - peak))
+    return _centroid_at(
+        values.shape, ax, ay, 3,
+        lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], values[ys, xs], eps) - peak))
 
 
 def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,

@@ -37,9 +37,11 @@ class Heatmap:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # NaN and +-inf all reach min or max, so two reductions check both
+        lo, hi = arr.min(), arr.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("heatmap values must be finite")
-        if arr.min() < 0:
+        if lo < 0:
             raise ValidationError("heatmap values must be non-negative")
         object.__setattr__(self, "values", _frozen(arr))
 
@@ -59,6 +61,11 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     (fusion in log space relies on them). The 2-D exponential separates into
     an outer product of two 1-D exponentials.
     """
+    return Heatmap(_gaussian_grid(spec, width, height))
+
+
+def _gaussian_grid(spec: GaussianSpec, width: int, height: int) -> np.ndarray:
+    """The raw, writable array :func:`render_gaussian` wraps."""
     if width <= 0 or height <= 0:
         raise ValidationError(f"non-positive grid: {width}x{height}")
     x0, y0 = spec.center
@@ -68,7 +75,7 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     vals = np.outer(ey, ex)
     if spec.amplitude != 1.0:
         vals *= spec.amplitude
-    return Heatmap(vals)
+    return vals
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:
@@ -97,17 +104,18 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be odd and positive, got {window}")
     ax, ay = decode_argmax(hm)
-    return _centroid_at(hm.values, ax, ay, window)
+    return _centroid_at(hm.values.shape, ax, ay, window, lambda ys, xs: hm.values[ys, xs])
 
 
-def _centroid_at(values: np.ndarray, ax: int, ay: int, window: int,
-                 weigh=lambda patch: patch) -> tuple[float, float]:
-    """Centroid of the window x window patch of ``values`` at (ax, ay),
-    clamped at the grid border, weighted by ``weigh(patch)``."""
+def _centroid_at(shape: tuple[int, int], ax: int, ay: int, window: int,
+                 weights) -> tuple[float, float]:
+    """Centroid of the window x window patch at (ax, ay) of a grid of
+    ``shape``, clamped at the grid border; ``weights(rows, cols)`` gives the
+    patch for two slices."""
     half = window // 2
-    x0, x1 = max(0, ax - half), min(values.shape[1] - 1, ax + half)
-    y0, y1 = max(0, ay - half), min(values.shape[0] - 1, ay + half)
-    patch = weigh(values[y0:y1 + 1, x0:x1 + 1])
+    x0, x1 = max(0, ax - half), min(shape[1] - 1, ax + half)
+    y0, y1 = max(0, ay - half), min(shape[0] - 1, ay + half)
+    patch = weights(slice(y0, y1 + 1), slice(x0, x1 + 1))
     total = patch.sum()
     # offsets relative to the argmax so mirror terms of a symmetric patch
     # cancel exactly and the centroid of a symmetric peak is the argmax

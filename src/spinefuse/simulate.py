@@ -17,7 +17,7 @@ import numpy as np
 from .core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
-from .heatmap import GaussianSpec, Heatmap, decode_argmax, render_gaussian
+from .heatmap import GaussianSpec, Heatmap, _gaussian_grid, decode_argmax, render_gaussian
 from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
 from .preprocess import _round_u8
 
@@ -151,8 +151,8 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
     for k, (x, y) in enumerate(gt.points):
         cx = x + rng.normal(0.0, model.peak_jitter_sigma)
         cy = y + rng.normal(0.0, model.peak_jitter_sigma)
-        spec = GaussianSpec((float(cx), float(cy)), model.heatmap_sigma)
-        peak = render_gaussian(spec, width, height)
+        peak = _gaussian_grid(GaussianSpec((float(cx), float(cy)), model.heatmap_sigma),
+                              width, height)
         if rng.random() < model.adjacent_confusion_prob and n > 1:
             pick_next = rng.random() < 0.5
             if k == 0:
@@ -163,12 +163,12 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
                 nb = k + 1 if pick_next else k - 1
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
-            spur = render_gaussian(
+            spur = _gaussian_grid(
                 GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp),
                 width, height,
             )
-            peak = Heatmap(np.maximum(peak.values, spur.values))
-        channels.append(peak)
+            np.maximum(peak, spur, out=peak)
+        channels.append(Heatmap(peak))
     return channels
 
 
@@ -184,8 +184,9 @@ class TrialConfig:
     images: int = 50
 
     def __post_init__(self):
-        if self.threshold_mm <= 0:
-            raise ValidationError(f"non-positive threshold: {self.threshold_mm}")
+        if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0):
+            raise ValidationError(
+                f"threshold must be positive and finite, got {self.threshold_mm}")
         if self.images < 1:
             raise ValidationError(f"need at least one image, got {self.images}")
 

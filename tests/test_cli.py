@@ -332,6 +332,12 @@ class TestFlags:
          "--window", "2"],
         ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "centroid",
          "--window", "0"],
+        ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "nan"],
+        ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "inf"],
+        ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "-1"],
+        ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "0"],
+        ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--sigma", "0"],
+        ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--sigma", "nan"],
     ])
     def test_bad_flag_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

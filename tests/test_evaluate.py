@@ -77,6 +77,13 @@ class TestPck:
         assert report.per_landmark[0].hits == 0
         assert report.per_landmark[1].hits == 1
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf"),
+                                           float("-inf")])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        preds, gts = make_sets(1, 3, np.zeros((1, 3, 2)))
+        with pytest.raises(ValidationError, match="threshold"):
+            pck(preds, gts, threshold, 0.5)
+
     def test_empty_inputs_are_error(self):
         with pytest.raises(ValidationError, match="empty"):
             pck([], [], 8.0, 0.5)

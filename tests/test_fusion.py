@@ -242,12 +242,41 @@ class TestPeakSelectionRule:
             assert (dt < da) == (gt < ga)
 
 
+EPS = FusionConfig().floor_epsilon
+
+
+def clamped_log_prior(coord, sigma: float, width: int, height: int, eps: float) -> np.ndarray:
+    two_s2 = 2.0 * sigma * sigma
+    lx = -((np.arange(width, dtype=np.float64) - coord[0]) ** 2) / two_s2
+    ly = -((np.arange(height, dtype=np.float64) - coord[1]) ** 2) / two_s2
+    return np.maximum(lx[None, :] + ly[:, None], math.log(eps))
+
+
+def dense_logsum(hm: Heatmap, coord, sigma: float, eps: float) -> np.ndarray:
+    """The clamped log prior plus the clamped log map over the whole grid,
+    summed in the decoder's operation order so ties break identically."""
+    return (clamped_log_prior(coord, sigma, hm.width, hm.height, eps)
+            + np.log(np.maximum(hm.values, eps)))
+
+
 @st.composite
 def fusion_inputs(draw):
-    """A constant, bimodal or random non-negative map on a random grid, a
-    prior width, and a coordinate that may lie outside the frame."""
-    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(["constant", "bimodal", "random"]))
+    """A map on a grid of up to 96 x 96, a prior width, and a coordinate
+    that may lie outside the frame, or beyond the floor horizon
+    sigma * sqrt(2 ln(1/eps)) of every pixel.
+
+    Besides constant, bimodal and random maps there are two tie-heavy kinds:
+    ``near_tie`` mixes values one ulp apart, values just above and at or
+    below eps, and zeros; ``floor_ring`` puts one value above 1 on every
+    pixel whose clamped prior is exactly log eps and zero elsewhere, so the
+    best scores inside and outside the prior's window are equal.
+    """
+    w, h = draw(st.integers(1, 96)), draw(st.integers(1, 96))
+    sigma = draw(st.floats(0.3, 20.0))
+    margin = draw(st.sampled_from([0.0, 2.0 * sigma * math.sqrt(-2.0 * math.log(EPS))]))
+    coord = (draw(st.floats(-w - margin, 2 * w + margin)),
+             draw(st.floats(-h - margin, 2 * h + margin)))
+    kind = draw(st.sampled_from(["constant", "bimodal", "random", "near_tie", "floor_ring"]))
     if kind == "constant":
         values = np.full((h, w), draw(st.floats(1e-6, 1e3)))
     elif kind == "bimodal":
@@ -257,25 +286,25 @@ def fusion_inputs(draw):
                                 amplitude=draw(st.floats(0.5, 1.5)))
             return render_gaussian(spec, w, h).values
         values = np.maximum(spot(), spot())
-    else:
+    elif kind == "random":
         values = draw(arrays(np.float64, (h, w), elements=st.floats(0, 1)))
         assume(values.max() > 0)
-    coord = (draw(st.floats(-w, 2 * w)), draw(st.floats(-h, 2 * h)))
-    return Heatmap(values), coord, draw(st.floats(0.3, 20.0))
-
-
-def dense_logsum(hm: Heatmap, coord, sigma: float, eps: float) -> np.ndarray:
-    """The clamped log prior plus the clamped log map over the whole grid,
-    summed in the decoder's operation order so ties break identically."""
-    two_s2 = 2.0 * sigma * sigma
-    lx = -((np.arange(hm.width, dtype=np.float64) - coord[0]) ** 2) / two_s2
-    ly = -((np.arange(hm.height, dtype=np.float64) - coord[1]) ** 2) / two_s2
-    log_prior = np.maximum(lx[None, :] + ly[:, None], math.log(eps))
-    return log_prior + np.log(np.maximum(hm.values, eps))
+    elif kind == "near_tie":
+        base = draw(st.sampled_from([1.0, 3e-7, np.nextafter(EPS, 1.0)]))
+        pool = np.array([base, np.nextafter(base, 2.0), np.nextafter(base, 0.0),
+                         base * (1.0 - 1e-9), np.nextafter(EPS, 1.0), EPS, EPS / 2, 0.0])
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = pool[rng.integers(0, draw(st.integers(1, len(pool))), (h, w))]
+        assume(values.max() > 0)
+    else:
+        ring = clamped_log_prior(coord, sigma, w, h, EPS) == math.log(EPS)
+        assume(ring.any())
+        values = np.where(ring, draw(st.floats(1.5, 1e3)), 0.0)
+    return Heatmap(values), coord, sigma
 
 
 class TestSingleDecodePath:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(fusion_inputs())
     def test_both_decoders_read_the_dense_log_sum(self, inputs):
         hm, coord, sigma = inputs
@@ -296,3 +325,35 @@ class TestSingleDecodePath:
             # exp rounded a log-domain near-tie to the same peak value, so the
             # product map's first maximum sits before the log-domain one
             assert fused.flat[int(np.argmax(fused))] == fused.flat[idx] == 1.0
+
+    @staticmethod
+    def _ring(coord, sigma, size):
+        """10 on every pixel whose clamped prior is exactly log eps, else 0."""
+        ring = clamped_log_prior(coord, sigma, size, size, EPS) == math.log(EPS)
+        return Heatmap(np.where(ring, 10.0, 0.0))
+
+    @pytest.mark.parametrize("case", ["ulp_apart", "below_eps", "ring_inside_first",
+                                      "ring_outside_first"])
+    def test_near_ties_match_the_dense_argmax(self, case):
+        sigma = 1.0
+        if case == "ulp_apart":
+            # far from the prior, 1 - ulp and 1 round to one score: the
+            # earlier pixel wins although its raw value is smaller
+            values = np.zeros((64, 64))
+            values[0, 5], values[0, 10] = np.nextafter(1.0, 0.0), 1.0
+            hm, coord, expected = Heatmap(values), (32.0, 32.0), (5, 0)
+        elif case == "below_eps":
+            # beyond the horizon every pixel is outside the window, and every
+            # value at or below eps scores the same floor
+            values = np.zeros((16, 16))
+            values[3, 7], values[9, 2] = EPS / 2, EPS
+            hm, coord, expected = Heatmap(values), (-500.0, 8.0), (0, 0)
+        elif case == "ring_inside_first":
+            # the window's clamped corner (0, 0) ties with later outside pixels
+            hm, coord, expected = self._ring((6.0, 6.0), sigma, 32), (6.0, 6.0), (0, 0)
+        else:
+            # the outside pixel (0, 0) ties with the window's clamped corners
+            hm, coord, expected = self._ring((20.0, 20.0), sigma, 48), (20.0, 20.0), (0, 0)
+        idx = int(np.argmax(dense_logsum(hm, coord, sigma, EPS)))
+        assert (idx % hm.width, idx // hm.width) == expected
+        assert fuse_and_decode(hm, coord, FusionConfig(prior_sigma=sigma)) == expected

@@ -14,6 +14,32 @@ from spinefuse.heatmap import (
 )
 
 
+class TestHeatmapValidation:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "heatmap values must be finite"),
+        (np.inf, "heatmap values must be finite"),
+        (-np.inf, "heatmap values must be finite"),
+        (-1e-300, "heatmap values must be non-negative"),
+    ])
+    def test_messages(self, bad, message):
+        vals = np.ones((3, 4))
+        vals[1, 2] = bad
+        with pytest.raises(ValidationError) as exc:
+            Heatmap(vals)
+        assert str(exc.value) == message
+
+    def test_non_finite_is_reported_before_negative(self):
+        vals = np.full((2, 2), -1.0)
+        vals[1, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            Heatmap(vals)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4,), (2, 2, 2)])
+    def test_shape(self, shape):
+        with pytest.raises(ValidationError, match="non-empty 2-D"):
+            Heatmap(np.ones(shape))
+
+
 class TestRenderGaussian:
     def test_center_value_is_one(self):
         hm = render_gaussian(GaussianSpec((5, 5), 1.2), 16, 16)

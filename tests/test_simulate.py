@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from spinefuse.core import Rng, ValidationError
 from spinefuse.evaluate import pck
-from spinefuse.heatmap import decode_argmax
+from spinefuse.heatmap import GaussianSpec, decode_argmax, render_gaussian
 from spinefuse.simulate import (
     CoordPredictorModel,
     HeatmapPredictorModel,
@@ -116,6 +117,38 @@ class TestSimulateHeatmaps:
                 for nb in neighbors
             )
 
+    def test_matches_rendered_and_max_combined_reference(self):
+        def reference(rng, gt, model, width, height):
+            # one validated map per Gaussian, combined with np.maximum
+            n, out = len(gt), []
+            for k, (x, y) in enumerate(gt.points):
+                cx = x + rng.normal(0.0, model.peak_jitter_sigma)
+                cy = y + rng.normal(0.0, model.peak_jitter_sigma)
+                peak = render_gaussian(
+                    GaussianSpec((float(cx), float(cy)), model.heatmap_sigma), width, height
+                ).values
+                if rng.random() < model.adjacent_confusion_prob and n > 1:
+                    pick_next = rng.random() < 0.5
+                    nb = 1 if k == 0 else n - 2 if k == n - 1 else k + 1 if pick_next else k - 1
+                    amp = rng.uniform(*model.spurious_amplitude)
+                    nx, ny = gt.points[nb]
+                    spur = render_gaussian(
+                        GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp),
+                        width, height,
+                    ).values
+                    peak = np.maximum(peak, spur)
+                out.append(peak)
+            return out
+
+        gt = generate_phantom(Rng(18), SMALL)
+        model = HeatmapPredictorModel(peak_jitter_sigma=0.7, adjacent_confusion_prob=0.6,
+                                      spurious_amplitude=(0.8, 1.3))
+        got = simulate_heatmaps(Rng(19), gt, model, SMALL.width, SMALL.height)
+        want = reference(Rng(19), gt, model, SMALL.width, SMALL.height)
+        assert len(got) == len(want) == len(gt)
+        for hm, ref in zip(got, want):
+            assert hm.values.tobytes() == ref.tobytes()
+
     def test_confusion_rate_matches_analytic_law(self):
         # miss rate = confusion_prob * P(amplitude > 1) = 0.3 * 0.5 = 15%
         model = HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=0.3,
@@ -195,6 +228,11 @@ class TestRunTrial:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("threshold", [0.0, float("nan"), float("inf")])
+    def test_trial_threshold_must_be_positive_and_finite(self, threshold):
+        with pytest.raises(ValidationError, match="threshold"):
+            dataclasses.replace(calibrated_config(images=1), threshold_mm=threshold)
+
     def test_rayleigh_inversion(self):
         sigma = noise_sigma_for_accuracy(0.713, 16.0)
         assert sigma == pytest.approx(10.12628591241215, rel=1e-12)
