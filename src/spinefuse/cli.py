@@ -21,7 +21,7 @@ from .core import LandmarkSet, PixelFrame, Rng, ValidationError
 from .evaluate import pck
 from .fusion import DecodeMethod, FusionConfig, coord_to_prior, fuse_batch, fuse_product
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
-from .heatmap import decode_argmax, decode_centroid, render_label_stack
+from .heatmap import _usable_sigma, decode_argmax, decode_centroid, render_label_stack
 from .preprocess import equalize_histogram, resize_bilinear, resize_landmarks
 from .simulate import (
     PhantomConfig,
@@ -207,7 +207,7 @@ def cmd_gen_heatmaps(args) -> int:
 def _parse_prior_sigma(raw: str):
     parts = [p for p in raw.split(",") if p.strip()]
     try:
-        sigmas = tuple(float(p) for p in parts)
+        sigmas = tuple(_sigma(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number or comma-separated numbers: {raw!r}")
     return sigmas[0] if len(sigmas) == 1 else sigmas
@@ -217,6 +217,15 @@ def _positive_finite(raw: str) -> float:
     value = float(raw)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"need a positive finite number, got {raw}")
+    return value
+
+
+def _sigma(raw: str) -> float:
+    value = float(raw)
+    if not _usable_sigma(value):
+        raise argparse.ArgumentTypeError(
+            f"need a positive finite sigma whose 2*sigma*sigma does not underflow to 0, "
+            f"got {raw}")
     return value
 
 
@@ -372,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-heatmaps", help="render label heatmap stacks")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--sigma", type=_positive_finite, default=1.2)
+    p.add_argument("--sigma", type=_sigma, default=1.2)
     p.set_defaults(func=cmd_gen_heatmaps)
 
     p = sub.add_parser("fuse",

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .core import LandmarkSet, PixelFrame, ValidationError
-from .heatmap import GaussianSpec, Heatmap, _centroid_at, render_gaussian
+from .heatmap import GaussianSpec, Heatmap, _centroid_at, _usable_sigma, render_gaussian
 
 
 class DecodeMethod(Enum):
@@ -36,15 +36,17 @@ class FusionConfig:
     decode: DecodeMethod = DecodeMethod.ARGMAX
 
     def __post_init__(self):
-        sig = self.prior_sigma
-        if isinstance(sig, (int, float)):
-            if not (math.isfinite(sig) and sig > 0):
-                raise ValidationError(f"prior_sigma must be positive, got {sig}")
-        else:
-            sig = tuple(float(s) for s in sig)
-            if not sig or any(not (math.isfinite(s) and s > 0) for s in sig):
-                raise ValidationError(f"bad per-landmark prior sigmas: {sig}")
-            object.__setattr__(self, "prior_sigma", sig)
+        scalar = isinstance(self.prior_sigma, (int, float))
+        sigmas = (self.prior_sigma,) if scalar else tuple(float(s) for s in self.prior_sigma)
+        if not sigmas:
+            raise ValidationError("bad per-landmark prior sigmas: ()")
+        for sig in sigmas:
+            if not _usable_sigma(sig):
+                raise ValidationError(
+                    f"prior_sigma must be positive and finite, and 2*sigma*sigma must "
+                    f"not underflow to 0, got {sig}")
+        if not scalar:
+            object.__setattr__(self, "prior_sigma", sigmas)
         if not (math.isfinite(self.floor_epsilon) and self.floor_epsilon > 0):
             raise ValidationError(f"floor_epsilon must be positive, got {self.floor_epsilon}")
         if not isinstance(self.decode, DecodeMethod):

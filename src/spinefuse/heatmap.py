@@ -9,6 +9,14 @@ import numpy as np
 from .core import LandmarkSet, ValidationError, _frozen
 
 
+def _usable_sigma(sigma: float) -> bool:
+    """Whether a Gaussian of this width can be evaluated: sigma is positive
+    and finite, and the denominator 2*sigma*sigma does not underflow to 0
+    (below about 1.5e-162 it does, and every exponent turns into -inf or
+    NaN)."""
+    return math.isfinite(sigma) and sigma > 0 and 2.0 * sigma * sigma > 0
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Center, width, and peak amplitude of one Gaussian spot."""
@@ -21,8 +29,10 @@ class GaussianSpec:
         x0, y0 = self.center
         if not (math.isfinite(x0) and math.isfinite(y0)):
             raise ValidationError(f"non-finite center: {self.center}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        if not _usable_sigma(self.sigma):
+            raise ValidationError(
+                f"sigma must be positive and finite, and 2*sigma*sigma must not "
+                f"underflow to 0, got {self.sigma}")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ValidationError(f"amplitude must be positive and finite, got {self.amplitude}")
 
@@ -57,25 +67,41 @@ class Heatmap:
 def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     """Evaluate the Gaussian at every integer pixel of a width x height grid.
 
-    No truncation radius is applied: tails are evaluated over the whole grid
-    (fusion in log space relies on them). The 2-D exponential separates into
-    an outer product of two 1-D exponentials.
+    No truncation radius is applied: every pixel holds the exact product of
+    the two 1-D exponentials the 2-D one separates into (fusion in log space
+    relies on the tails). Only the region where that product is exactly 0,
+    beyond where an exponential underflows, is filled without computing it.
     """
     return Heatmap(_gaussian_grid(spec, width, height))
 
 
 def _gaussian_grid(spec: GaussianSpec, width: int, height: int) -> np.ndarray:
     """The raw, writable array :func:`render_gaussian` wraps."""
+    r0, c0, block = _gaussian_block(spec, width, height)
+    vals = np.zeros((height, width))
+    vals[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+    return vals
+
+
+def _gaussian_block(spec: GaussianSpec, width: int,
+                    height: int) -> tuple[int, int, np.ndarray]:
+    """Top row, left column and values of the block of the rendered grid
+    that spans every nonzero pixel; each pixel outside it is exactly 0."""
     if width <= 0 or height <= 0:
         raise ValidationError(f"non-positive grid: {width}x{height}")
     x0, y0 = spec.center
     two_s2 = 2.0 * spec.sigma * spec.sigma
     ex = np.exp(-((np.arange(width, dtype=np.float64) - x0) ** 2) / two_s2)
     ey = np.exp(-((np.arange(height, dtype=np.float64) - y0) ** 2) / two_s2)
-    vals = np.outer(ey, ex)
+    # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
+    cols, rows = np.flatnonzero(ex), np.flatnonzero(ey)
+    if not (cols.size and rows.size):
+        return 0, 0, np.zeros((0, 0))
+    c0, c1, r0, r1 = int(cols[0]), int(cols[-1]) + 1, int(rows[0]), int(rows[-1]) + 1
+    block = np.outer(ey[r0:r1], ex[c0:c1])
     if spec.amplitude != 1.0:
-        vals *= spec.amplitude
-    return vals
+        block *= spec.amplitude
+    return r0, c0, block
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:
@@ -89,10 +115,13 @@ def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) 
 def decode_argmax(hm: Heatmap) -> tuple[int, int]:
     """Grid coordinates of the maximum value; row-major first index on ties."""
     vals = hm.values
-    idx = int(np.argmax(vals))
+    top = vals.max()
     # values are non-negative by type, so a zero maximum means an all-zero map
-    if vals.flat[idx] <= 0:
+    if top <= 0:
         raise ValidationError("cannot decode an all-zero heatmap")
+    # np.argmax copies an array that is not writeable, as a Heatmap's values
+    # are; the first pixel equal to the maximum is the same index
+    idx = int(np.argmax(vals == top))
     return idx % hm.width, idx // hm.width
 
 

@@ -9,7 +9,8 @@ jump to the wrong vertebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ import numpy as np
 from .core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
-from .heatmap import GaussianSpec, Heatmap, _gaussian_grid, decode_argmax, render_gaussian
+from .heatmap import (GaussianSpec, Heatmap, _gaussian_block, _gaussian_grid, _usable_sigma,
+                      decode_argmax, render_gaussian)
 from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
 from .preprocess import _round_u8
 
@@ -51,8 +53,10 @@ class HeatmapPredictorModel:
     def __post_init__(self):
         if not (math.isfinite(self.peak_jitter_sigma) and self.peak_jitter_sigma >= 0):
             raise ValidationError(f"peak_jitter_sigma must be >= 0, got {self.peak_jitter_sigma}")
-        if not (math.isfinite(self.heatmap_sigma) and self.heatmap_sigma > 0):
-            raise ValidationError(f"heatmap_sigma must be > 0, got {self.heatmap_sigma}")
+        if not _usable_sigma(self.heatmap_sigma):
+            raise ValidationError(
+                f"heatmap_sigma must be positive and finite, and 2*sigma*sigma must not "
+                f"underflow to 0, got {self.heatmap_sigma}")
         if not 0.0 <= self.adjacent_confusion_prob <= 1.0:
             raise ValidationError(
                 f"adjacent_confusion_prob must be in [0, 1], got {self.adjacent_confusion_prob}"
@@ -138,16 +142,16 @@ def simulate_coords(rng: Rng, gt: LandmarkSet, model: CoordPredictorModel) -> La
 
 
 def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
-                      width: int, height: int) -> list[Heatmap]:
+                      width: int, height: int) -> Iterator[Heatmap]:
     """One channel per landmark: jittered true peak, max-combined with an
     occasional spurious peak at a uniformly chosen chain neighbor.
 
-    Per channel the stream consumes two jitter normals and one confusion
-    uniform; a triggered confusion consumes one neighbor-choice uniform and
+    Channels are yielded one at a time, and each one takes its draws from
+    the stream only when it is pulled: two jitter normals and one confusion
+    uniform; a triggered confusion takes one neighbor-choice uniform and
     one amplitude uniform.
     """
     n = len(gt)
-    channels = []
     for k, (x, y) in enumerate(gt.points):
         cx = x + rng.normal(0.0, model.peak_jitter_sigma)
         cy = y + rng.normal(0.0, model.peak_jitter_sigma)
@@ -163,13 +167,15 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
                 nb = k + 1 if pick_next else k - 1
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
-            spur = _gaussian_grid(
+            r0, c0, spur = _gaussian_block(
                 GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp),
                 width, height,
             )
-            np.maximum(peak, spur, out=peak)
-        channels.append(Heatmap(peak))
-    return channels
+            # outside its block the spurious peak is 0, which max leaves as is;
+            # no view of peak is kept, so the map is freed once the caller drops it
+            rows, cols = slice(r0, r0 + spur.shape[0]), slice(c0, c0 + spur.shape[1])
+            np.maximum(peak[rows, cols], spur, out=peak[rows, cols])
+        yield Heatmap(peak)
 
 
 @dataclass(frozen=True)
@@ -203,18 +209,26 @@ def run_trial(rng: Rng, config: TrialConfig) -> ComparisonReport:
     results do not depend on execution order.
     """
     cfg = config.phantom
+    n = cfg.landmarks
+    # channel k is fused alone, so it gets a config holding only its sigma
+    channel_fusion = [replace(config.fusion, prior_sigma=config.fusion.sigma_for(k))
+                      for k in range(n)]
     gts, coord_preds, heat_preds, fused_preds = [], [], [], []
     for i in range(config.images):
         stream = rng.spawn(i)
         gt = generate_phantom(stream, cfg)
         coords = simulate_coords(stream, gt, config.coords)
-        stack = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
-        heat = np.array([decode_argmax(ch) for ch in stack], dtype=np.float64)
-        fused = fuse_batch(stack, coords, config.fusion)
+        heat, fused = np.empty((n, 2)), np.empty((n, 2))
+        # one channel at a time, so no more than two maps are alive at once
+        channels = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
+        for k, channel in enumerate(channels):
+            heat[k] = decode_argmax(channel)
+            coord = LandmarkSet(coords.points[k:k + 1], coords.frame)
+            fused[k] = fuse_batch([channel], coord, channel_fusion[k]).points[0]
         gts.append(gt)
         coord_preds.append(coords)
         heat_preds.append(LandmarkSet(heat, gt.frame))
-        fused_preds.append(fused)
+        fused_preds.append(LandmarkSet(fused, gt.frame))
 
     spacing = cfg.spacing_mm_per_px
     methods = {

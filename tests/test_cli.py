@@ -338,6 +338,12 @@ class TestFlags:
         ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "0"],
         ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--sigma", "0"],
         ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--sigma", "nan"],
+        # 2*sigma*sigma underflows to 0 below about 1.5e-162
+        ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--sigma", "1e-170"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", "1e-170"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", "6,1e-170"],
     ])
     def test_bad_flag_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -221,6 +221,16 @@ class TestFuseBatch:
             FusionConfig(prior_sigma=(3.0,)).sigma_for(2)
 
 
+class TestFusionConfig:
+    # 2*sigma*sigma underflows to 0 below about 1.5e-162
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-170, 5e-324])
+    @pytest.mark.parametrize("per_landmark", [False, True])
+    def test_unusable_prior_sigma_is_named(self, sigma, per_landmark):
+        prior = (6.0, sigma) if per_landmark else sigma
+        with pytest.raises(ValidationError, match=f"got {sigma}$"):
+            FusionConfig(prior_sigma=prior)
+
+
 class TestPeakSelectionRule:
     """With equal-amplitude peaks, the prior picks whichever peak it is
     strictly closer to; sampled here, enumerated exhaustively in acceptance."""

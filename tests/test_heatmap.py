@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
 from spinefuse.heatmap import (
@@ -12,6 +14,15 @@ from spinefuse.heatmap import (
     render_gaussian,
     render_label_stack,
 )
+
+
+def dense_gaussian(spec: GaussianSpec, width: int, height: int) -> np.ndarray:
+    """Reference render: the outer product over the whole grid, then the amplitude."""
+    x0, y0 = spec.center
+    two_s2 = 2.0 * spec.sigma * spec.sigma
+    ex = np.exp(-((np.arange(width, dtype=np.float64) - x0) ** 2) / two_s2)
+    ey = np.exp(-((np.arange(height, dtype=np.float64) - y0) ** 2) / two_s2)
+    return np.outer(ey, ex) * spec.amplitude
 
 
 class TestHeatmapValidation:
@@ -80,6 +91,22 @@ class TestRenderGaussian:
             GaussianSpec((1, 1), sigma=0.0)
         with pytest.raises(ValidationError):
             GaussianSpec((1, 1), sigma=1.0, amplitude=-2.0)
+
+    @pytest.mark.parametrize("sigma", [1e-170, 5e-324])
+    def test_underflowing_sigma_is_named(self, sigma):
+        # 2*sigma*sigma is 0 here, so every exponent would be -inf or NaN
+        with pytest.raises(ValidationError, match=f"got {sigma}$"):
+            GaussianSpec((1, 1), sigma=sigma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 300), height=st.integers(1, 300),
+           sigma=st.floats(0.05, 1e3), fx=st.floats(-3.0, 4.0), fy=st.floats(-3.0, 4.0),
+           amplitude=st.floats(1e-3, 1e3))
+    def test_equals_the_dense_outer_product(self, width, height, sigma, fx, fy, amplitude):
+        # centres up to three grid widths outside the frame, so some maps are all zero
+        spec = GaussianSpec((fx * width, fy * height), sigma, amplitude)
+        got = render_gaussian(spec, width, height).values
+        assert got.tobytes() == dense_gaussian(spec, width, height).tobytes()
 
 
 class TestRenderLabelStack:

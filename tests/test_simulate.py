@@ -1,13 +1,18 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinefuse.core import Rng, ValidationError
-from spinefuse.evaluate import pck
-from spinefuse.heatmap import GaussianSpec, decode_argmax, render_gaussian
+from spinefuse.core import LandmarkSet, Rng, ValidationError
+from spinefuse.evaluate import ComparisonReport, pck
+from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_batch
+from spinefuse.heatmap import decode_argmax
 from spinefuse.simulate import (
+    METHOD_COORDS,
+    METHOD_FUSED,
+    METHOD_HEATMAP,
     CoordPredictorModel,
     HeatmapPredictorModel,
     PhantomConfig,
@@ -26,6 +31,43 @@ from spinefuse.simulate import (
 # 16 px (8 mm at 0.5 mm/px) and the chain spacing stays beyond it
 SMALL = PhantomConfig(landmarks=11, width=256, height=256,
                       spacing_mm_per_px=0.5, chain_spacing_px=20.0, wobble_px=4.0)
+
+
+def dense_gaussian(center, sigma, amplitude, width, height):
+    """Reference render: the outer product over the whole grid, then the amplitude."""
+    two_s2 = 2.0 * sigma * sigma
+    ex = np.exp(-((np.arange(width, dtype=np.float64) - center[0]) ** 2) / two_s2)
+    ey = np.exp(-((np.arange(height, dtype=np.float64) - center[1]) ** 2) / two_s2)
+    return np.outer(ey, ex) * amplitude
+
+
+def whole_stack_trial(rng, config):
+    """Reference for run_trial: each image's whole stack is built, every
+    channel decoded, and the stack fused by one fuse_batch call."""
+    cfg = config.phantom
+    gts, coord_preds, heat_preds, fused_preds = [], [], [], []
+    for i in range(config.images):
+        stream = rng.spawn(i)
+        gt = generate_phantom(stream, cfg)
+        coords = simulate_coords(stream, gt, config.coords)
+        stack = list(simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height))
+        heat = np.array([decode_argmax(ch) for ch in stack], dtype=np.float64)
+        gts.append(gt)
+        coord_preds.append(coords)
+        heat_preds.append(LandmarkSet(heat, gt.frame))
+        fused_preds.append(fuse_batch(stack, coords, config.fusion))
+    spacing = cfg.spacing_mm_per_px
+    return ComparisonReport(
+        images=config.images,
+        landmarks_per_image=cfg.landmarks,
+        threshold_mm=config.threshold_mm,
+        spacing_mm_per_px=spacing,
+        methods={
+            METHOD_COORDS: pck(coord_preds, gts, config.threshold_mm, spacing),
+            METHOD_HEATMAP: pck(heat_preds, gts, config.threshold_mm, spacing),
+            METHOD_FUSED: pck(fused_preds, gts, config.threshold_mm, spacing),
+        },
+    )
 
 
 class TestGeneratePhantom:
@@ -96,6 +138,12 @@ class TestSimulateCoords:
 
 
 class TestSimulateHeatmaps:
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, 1e-170])
+    def test_unusable_heatmap_sigma_is_named(self, sigma):
+        # 2*sigma*sigma underflows to 0 below about 1.5e-162
+        with pytest.raises(ValidationError, match=f"got {sigma}$"):
+            HeatmapPredictorModel(heatmap_sigma=sigma)
+
     def test_clean_channels_decode_to_gt(self):
         gt = generate_phantom(Rng(13), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=0.0)
@@ -119,23 +167,20 @@ class TestSimulateHeatmaps:
 
     def test_matches_rendered_and_max_combined_reference(self):
         def reference(rng, gt, model, width, height):
-            # one validated map per Gaussian, combined with np.maximum
+            # one whole-grid map per Gaussian, combined with np.maximum
             n, out = len(gt), []
             for k, (x, y) in enumerate(gt.points):
                 cx = x + rng.normal(0.0, model.peak_jitter_sigma)
                 cy = y + rng.normal(0.0, model.peak_jitter_sigma)
-                peak = render_gaussian(
-                    GaussianSpec((float(cx), float(cy)), model.heatmap_sigma), width, height
-                ).values
+                peak = dense_gaussian((float(cx), float(cy)), model.heatmap_sigma, 1.0,
+                                      width, height)
                 if rng.random() < model.adjacent_confusion_prob and n > 1:
                     pick_next = rng.random() < 0.5
                     nb = 1 if k == 0 else n - 2 if k == n - 1 else k + 1 if pick_next else k - 1
                     amp = rng.uniform(*model.spurious_amplitude)
                     nx, ny = gt.points[nb]
-                    spur = render_gaussian(
-                        GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp),
-                        width, height,
-                    ).values
+                    spur = dense_gaussian((float(nx), float(ny)), model.heatmap_sigma, amp,
+                                          width, height)
                     peak = np.maximum(peak, spur)
                 out.append(peak)
             return out
@@ -143,7 +188,7 @@ class TestSimulateHeatmaps:
         gt = generate_phantom(Rng(18), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=0.7, adjacent_confusion_prob=0.6,
                                       spurious_amplitude=(0.8, 1.3))
-        got = simulate_heatmaps(Rng(19), gt, model, SMALL.width, SMALL.height)
+        got = list(simulate_heatmaps(Rng(19), gt, model, SMALL.width, SMALL.height))
         want = reference(Rng(19), gt, model, SMALL.width, SMALL.height)
         assert len(got) == len(want) == len(gt)
         for hm, ref in zip(got, want):
@@ -211,6 +256,29 @@ class TestRunTrial:
         coords = report.methods["coords_only"].accuracy
         heat = report.methods["heatmap_argmax"].accuracy
         assert fused > max(coords, heat)
+
+    @pytest.mark.parametrize("method", list(DecodeMethod))
+    def test_channel_at_a_time_matches_the_whole_stack(self, method):
+        # per-landmark prior sigmas, peak jitter and confusion all on
+        config = dataclasses.replace(
+            calibrated_config(images=12, phantom=SMALL),
+            heatmaps=HeatmapPredictorModel(peak_jitter_sigma=0.7, adjacent_confusion_prob=0.6,
+                                           spurious_amplitude=(0.8, 1.3)),
+            fusion=FusionConfig(prior_sigma=tuple(3.0 + k for k in range(SMALL.landmarks)),
+                                decode=method),
+        )
+        assert run_trial(Rng(24), config) == whole_stack_trial(Rng(24), config)
+
+    def test_memory_stays_flat(self):
+        # whole 11-channel stacks of 512x512 maps peaked at about 24 MiB
+        config = calibrated_config(images=1)
+        tracemalloc.start()
+        try:
+            run_trial(Rng(1), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 512 * 512 * 8
 
     def test_execution_order_does_not_change_results(self):
         config = calibrated_config(images=30, phantom=SMALL)
