@@ -8,7 +8,6 @@ same inputs and seed reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import LandmarkSet, PixelFrame, Rng, ValidationError
+from .core import LandmarkSet, PixelFrame, Rng, ValidationError, _positive_finite
 from .evaluate import pck
 from .fusion import DecodeMethod, FusionConfig, coord_to_prior, fuse_batch, fuse_product
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
@@ -204,29 +203,21 @@ def cmd_gen_heatmaps(args) -> int:
     return code
 
 
-def _parse_prior_sigma(raw: str):
-    parts = [p for p in raw.split(",") if p.strip()]
-    try:
-        sigmas = tuple(_sigma(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number or comma-separated numbers: {raw!r}")
+def _flag(parse):
+    """An argparse type: parse(raw), with a ValueError (a bad number, or the
+    ValidationError of the rule the value must meet) reported in its own
+    words as a usage error, exit 2."""
+    def checked(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
+
+
+def _prior_sigmas(raw: str) -> float | tuple[float, ...]:
+    sigmas = tuple(_usable_sigma("prior_sigma", float(p)) for p in raw.split(",") if p.strip())
     return sigmas[0] if len(sigmas) == 1 else sigmas
-
-
-def _positive_finite(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"need a positive finite number, got {raw}")
-    return value
-
-
-def _sigma(raw: str) -> float:
-    value = float(raw)
-    if not _usable_sigma(value):
-        raise argparse.ArgumentTypeError(
-            f"need a positive finite sigma whose 2*sigma*sigma does not underflow to 0, "
-            f"got {raw}")
-    return value
 
 
 def _odd_window(raw: str) -> int:
@@ -381,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-heatmaps", help="render label heatmap stacks")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--sigma", type=_sigma, default=1.2)
+    p.add_argument("--sigma", type=_flag(lambda raw: _usable_sigma("sigma", float(raw))),
+                   default=1.2)
     p.set_defaults(func=cmd_gen_heatmaps)
 
     p = sub.add_parser("fuse",
@@ -389,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--coords-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--prior-sigma", type=_parse_prior_sigma, default="6.0",
+    p.add_argument("--prior-sigma", type=_flag(_prior_sigmas), default="6.0",
                    help="one value, or comma-separated per-landmark values")
-    p.add_argument("--floor-epsilon", type=float, default=1e-12)
+    p.add_argument("--floor-epsilon", default=1e-12,
+                   type=_flag(lambda raw: _positive_finite("floor_epsilon", float(raw))))
     p.add_argument("--decode", choices=["argmax", "centroid"], default="argmax")
     p.add_argument("--dump-heatmaps", action="store_true",
                    help="also write fused stacks as .fused.hmap")
@@ -407,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against a manifest")
     p.add_argument("--manifest", required=True, help="ground-truth manifest")
     p.add_argument("--pred-dir", required=True)
-    p.add_argument("--threshold-mm", type=_positive_finite, default=8.0)
+    p.add_argument("--threshold-mm", default=8.0,
+                   type=_flag(lambda raw: _positive_finite("threshold", float(raw))))
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_eval)
 

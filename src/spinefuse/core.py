@@ -20,6 +20,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _positive_finite(name: str, value: float) -> float:
+    """The rule for a setting that must be a positive, finite number: returns
+    the value, or raises a ValidationError that names the setting."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _non_negative_finite(name: str, value: float) -> float:
+    """The rule for a setting that may be 0 but must be finite and not negative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # images
 # ---------------------------------------------------------------------------
@@ -47,8 +62,7 @@ class GrayImage:
                     and arr.min() >= 0 and arr.max() <= 255):
                 raise ValidationError("image pixels must be 8-bit intensities in [0, 255]")
             arr = arr.astype(np.uint8)
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValidationError(f"non-positive spacing: {self.spacing}")
+        _positive_finite("spacing", self.spacing)
         object.__setattr__(self, "pixels", _frozen(arr))
 
     @property

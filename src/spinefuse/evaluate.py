@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LandmarkSet, ValidationError
+from .core import LandmarkSet, ValidationError, _positive_finite
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,16 @@ def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
         raise ValidationError(f"{len(preds)} prediction sets vs {len(gts)} ground truths")
     if not preds:
         raise ValidationError("empty evaluation")
-    if not (math.isfinite(threshold_mm) and threshold_mm > 0):
-        raise ValidationError(f"threshold must be positive and finite, got {threshold_mm}")
+    _positive_finite("threshold", threshold_mm)
 
     if isinstance(spacing, (int, float)):
-        spacings = [float(spacing)] * len(preds)
+        spacings = [_positive_finite("spacing", float(spacing))] * len(preds)
     else:
-        spacings = [float(s) for s in spacing]
+        spacings = [_positive_finite("spacing", float(s)) for s in spacing]
         if len(spacings) != len(preds):
             raise ValidationError(
                 f"{len(spacings)} spacings for {len(preds)} images"
             )
-    if any(s <= 0 for s in spacings):
-        raise ValidationError("non-positive spacing")
 
     n = len(gts[0])
     if n == 0:

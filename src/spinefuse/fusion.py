@@ -12,8 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError
-from .heatmap import GaussianSpec, Heatmap, _centroid_at, _usable_sigma, render_gaussian
+from .core import LandmarkSet, PixelFrame, ValidationError, _positive_finite
+from .heatmap import (GaussianSpec, Heatmap, _centroid_at, _gaussian_exponents, _usable_sigma,
+                      render_gaussian)
 
 
 class DecodeMethod(Enum):
@@ -41,14 +42,10 @@ class FusionConfig:
         if not sigmas:
             raise ValidationError("bad per-landmark prior sigmas: ()")
         for sig in sigmas:
-            if not _usable_sigma(sig):
-                raise ValidationError(
-                    f"prior_sigma must be positive and finite, and 2*sigma*sigma must "
-                    f"not underflow to 0, got {sig}")
+            _usable_sigma("prior_sigma", sig)
         if not scalar:
             object.__setattr__(self, "prior_sigma", sigmas)
-        if not (math.isfinite(self.floor_epsilon) and self.floor_epsilon > 0):
-            raise ValidationError(f"floor_epsilon must be positive, got {self.floor_epsilon}")
+        _positive_finite("floor_epsilon", self.floor_epsilon)
         if not isinstance(self.decode, DecodeMethod):
             raise ValidationError(f"unknown decode method: {self.decode!r}")
 
@@ -89,8 +86,7 @@ def fuse_product(predicted: Heatmap, prior: Heatmap,
     with M the grid maximum of the log sum, so the output peak is exactly 1
     and the argmax matches the clamped product's.
     """
-    if floor_epsilon <= 0:
-        raise ValidationError(f"floor_epsilon must be positive, got {floor_epsilon}")
+    _positive_finite("floor_epsilon", floor_epsilon)
     if predicted.values.shape != prior.values.shape:
         raise ValidationError(
             f"dimension mismatch: predicted {predicted.width}x{predicted.height} "
@@ -99,16 +95,6 @@ def fuse_product(predicted: Heatmap, prior: Heatmap,
     logsum = (_log_clamped(predicted.values, floor_epsilon)
               + _log_clamped(prior.values, floor_epsilon))
     return Heatmap(np.exp(logsum - logsum.max()))
-
-
-def _log_axes(coord: tuple[float, float], sigma: float, width: int,
-              height: int) -> tuple[np.ndarray, np.ndarray]:
-    """The log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]."""
-    cx, cy = float(coord[0]), float(coord[1])
-    two_s2 = 2.0 * sigma * sigma
-    lx = -((np.arange(width, dtype=np.float64) - cx) ** 2) / two_s2
-    ly = -((np.arange(height, dtype=np.float64) - cy) ** 2) / two_s2
-    return lx, ly
 
 
 def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
@@ -165,7 +151,8 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     equals the argmax of the sum over the whole grid, ties included.
     """
     values, eps, width = predicted.values, cfg.floor_epsilon, predicted.width
-    lx, ly = _log_axes(coord, cfg.sigma_for(channel), width, predicted.height)
+    # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
+    lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), width, predicted.height)
     log_eps = math.log(eps)
     # float addition is monotone, so a column whose prior cannot beat
     # log eps on the best row cannot beat it on any row

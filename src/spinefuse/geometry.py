@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, Rng, ValidationError, _frozen
+from .core import GrayImage, LandmarkSet, Rng, ValidationError, _frozen, _positive_finite
 from .preprocess import _round_u8
 
 
@@ -79,8 +79,7 @@ def build_transform(tx: float, ty: float, angle_deg: float, scale: float,
     y-down pixel frame: a positive angle turns image content clockwise on
     screen.
     """
-    if scale <= 0:
-        raise ValidationError(f"scale must be positive, got {scale}")
+    _positive_finite("scale", scale)
     th = math.radians(angle_deg)
     a = scale * math.cos(th)
     b = -scale * math.sin(th)

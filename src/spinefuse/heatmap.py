@@ -6,15 +6,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkSet, ValidationError, _frozen
+from .core import LandmarkSet, ValidationError, _frozen, _positive_finite
 
 
-def _usable_sigma(sigma: float) -> bool:
-    """Whether a Gaussian of this width can be evaluated: sigma is positive
-    and finite, and the denominator 2*sigma*sigma does not underflow to 0
-    (below about 1.5e-162 it does, and every exponent turns into -inf or
-    NaN)."""
-    return math.isfinite(sigma) and sigma > 0 and 2.0 * sigma * sigma > 0
+def _usable_sigma(name: str, sigma: float) -> float:
+    """The rule for a Gaussian width: positive and finite, and 2*sigma*sigma
+    must not underflow to 0 (below about 1.5e-162 every exponent would be
+    -inf or NaN). Returns sigma, or raises a ValidationError naming it."""
+    _positive_finite(name, sigma)
+    if not 2.0 * sigma * sigma > 0:
+        raise ValidationError(f"{name} is so small that 2*sigma*sigma underflows to 0, "
+                              f"got {sigma}")
+    return sigma
+
+
+def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
+                        height: int) -> tuple[np.ndarray, np.ndarray]:
+    """-(d*d)/(2*sigma*sigma) for the distance d of each column from the
+    center's x and of each row from its y; the Gaussian at pixel (y, x) is
+    exp(lx[x]) * exp(ly[y]).
+
+    Overflow is ignored: an overflowing square or quotient means the true
+    exponent is below -1.8e308, so -inf is exact (exp gives 0, a log clamped
+    at log eps gives log eps) while sigma stays below about 1e152.
+    """
+    x0, y0 = center
+    two_s2 = 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):
+        lx = -((np.arange(width, dtype=np.float64) - x0) ** 2) / two_s2
+        ly = -((np.arange(height, dtype=np.float64) - y0) ** 2) / two_s2
+    return lx, ly
 
 
 @dataclass(frozen=True)
@@ -29,12 +50,8 @@ class GaussianSpec:
         x0, y0 = self.center
         if not (math.isfinite(x0) and math.isfinite(y0)):
             raise ValidationError(f"non-finite center: {self.center}")
-        if not _usable_sigma(self.sigma):
-            raise ValidationError(
-                f"sigma must be positive and finite, and 2*sigma*sigma must not "
-                f"underflow to 0, got {self.sigma}")
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValidationError(f"amplitude must be positive and finite, got {self.amplitude}")
+        _usable_sigma("sigma", self.sigma)
+        _positive_finite("amplitude", self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -83,16 +100,22 @@ def _gaussian_grid(spec: GaussianSpec, width: int, height: int) -> np.ndarray:
     return vals
 
 
+def _max_gaussian(vals: np.ndarray, spec: GaussianSpec) -> None:
+    """Max-combine a Gaussian into vals in place, over its nonzero block only:
+    outside it the rendered Gaussian is 0, which max leaves as is."""
+    r0, c0, block = _gaussian_block(spec, vals.shape[1], vals.shape[0])
+    rows, cols = slice(r0, r0 + block.shape[0]), slice(c0, c0 + block.shape[1])
+    np.maximum(vals[rows, cols], block, out=vals[rows, cols])
+
+
 def _gaussian_block(spec: GaussianSpec, width: int,
                     height: int) -> tuple[int, int, np.ndarray]:
     """Top row, left column and values of the block of the rendered grid
     that spans every nonzero pixel; each pixel outside it is exactly 0."""
     if width <= 0 or height <= 0:
         raise ValidationError(f"non-positive grid: {width}x{height}")
-    x0, y0 = spec.center
-    two_s2 = 2.0 * spec.sigma * spec.sigma
-    ex = np.exp(-((np.arange(width, dtype=np.float64) - x0) ** 2) / two_s2)
-    ey = np.exp(-((np.arange(height, dtype=np.float64) - y0) ** 2) / two_s2)
+    lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)
+    ex, ey = np.exp(lx), np.exp(ly)
     # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
     cols, rows = np.flatnonzero(ex), np.flatnonzero(ey)
     if not (cols.size and rows.size):

@@ -16,7 +16,6 @@ runs never leave corrupt artifacts.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import secrets
 import struct
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError
+from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError, _positive_finite
 from .evaluate import ComparisonReport, EvalReport, LandmarkStats
 from .heatmap import Heatmap
 
@@ -176,7 +175,9 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     expected = 16 + channels * h * w * 4
     if len(data) != expected:
         raise ValidationError(f"{len(data)} bytes, expected {expected} for {channels}x{h}x{w}")
-    flat = np.frombuffer(data[16:], dtype="<f4").astype(np.float64)
+    # casting a signalling NaN sets numpy's invalid flag; Heatmap rejects NaN anyway
+    with np.errstate(invalid="ignore"):
+        flat = np.frombuffer(data[16:], dtype="<f4").astype(np.float64)
     return [Heatmap(flat[k * h * w:(k + 1) * h * w].reshape(h, w)) for k in range(channels)]
 
 
@@ -264,18 +265,6 @@ def read_manifest(path: str | Path) -> Manifest:
     landmark_count = int(kv.get("landmark_count", "11"))
     if landmark_count < 0:
         raise ValidationError("negative landmark_count")
-
-    def _size(key: str, default: tuple[int, int]) -> tuple[int, int]:
-        if key not in kv:
-            return default
-        parts = kv[key].split()
-        if len(parts) != 2:
-            raise ValidationError(f"{key} needs two integers")
-        w, h = int(parts[0]), int(parts[1])
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"non-positive {key}")
-        return w, h
-
     if "images" not in sections:
         raise ValidationError("missing [images] section")
     base = path.parent
@@ -283,19 +272,23 @@ def read_manifest(path: str | Path) -> Manifest:
     for row in sections["images"][1]:
         if len(row) != 3:
             raise ValidationError(f"image row needs image_path, landmarks_path, spacing, got {row}")
-        spacing = float(row[2])
-        if not (math.isfinite(spacing) and spacing > 0):
-            raise ValidationError(f"non-positive spacing {row[2]}")
+        spacing = _positive_finite("spacing", float(row[2]))
         img = (base / row[0]).resolve()
         lmk = (base / row[1]).resolve()
         for p in (img, lmk):
             if not p.is_file():
                 raise FileNotFoundError(f"{path}: referenced file missing: {p}")
         records.append(ManifestRecord(img, lmk, spacing))
+    size = kv.get("working_size", "512 512").split()
+    if len(size) != 2:
+        raise ValidationError("working_size needs two integers")
+    working_size = int(size[0]), int(size[1])
+    if min(working_size) <= 0:
+        raise ValidationError("non-positive working_size")
     return Manifest(
         records=tuple(records),
         landmark_count=landmark_count,
-        working_size=_size("working_size", (512, 512)),
+        working_size=working_size,
     )
 
 

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
+from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError,
+                   _non_negative_finite, _positive_finite)
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
-from .heatmap import (GaussianSpec, Heatmap, _gaussian_block, _gaussian_grid, _usable_sigma,
-                      decode_argmax, render_gaussian)
+from .heatmap import (GaussianSpec, Heatmap, _gaussian_grid, _max_gaussian, _usable_sigma,
+                      decode_argmax)
 from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
 from .preprocess import _round_u8
 
@@ -33,12 +34,10 @@ class CoordPredictorModel:
     outlier_sigma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _non_negative_finite("noise_sigma", self.noise_sigma)
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValidationError(f"outlier_rate must be in [0, 1], got {self.outlier_rate}")
-        if not (math.isfinite(self.outlier_sigma) and self.outlier_sigma >= 0):
-            raise ValidationError(f"outlier_sigma must be >= 0, got {self.outlier_sigma}")
+        _non_negative_finite("outlier_sigma", self.outlier_sigma)
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,8 @@ class HeatmapPredictorModel:
     spurious_amplitude: tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        if not (math.isfinite(self.peak_jitter_sigma) and self.peak_jitter_sigma >= 0):
-            raise ValidationError(f"peak_jitter_sigma must be >= 0, got {self.peak_jitter_sigma}")
-        if not _usable_sigma(self.heatmap_sigma):
-            raise ValidationError(
-                f"heatmap_sigma must be positive and finite, and 2*sigma*sigma must not "
-                f"underflow to 0, got {self.heatmap_sigma}")
+        _non_negative_finite("peak_jitter_sigma", self.peak_jitter_sigma)
+        _usable_sigma("heatmap_sigma", self.heatmap_sigma)
         if not 0.0 <= self.adjacent_confusion_prob <= 1.0:
             raise ValidationError(
                 f"adjacent_confusion_prob must be in [0, 1], got {self.adjacent_confusion_prob}"
@@ -82,47 +77,47 @@ class PhantomConfig:
             raise ValidationError(f"need at least 2 landmarks, got {self.landmarks}")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"non-positive grid: {self.width}x{self.height}")
-        if self.spacing_mm_per_px <= 0:
-            raise ValidationError(f"non-positive spacing: {self.spacing_mm_per_px}")
-        if self.chain_spacing_px <= 0 or self.wobble_px < 0:
-            raise ValidationError("chain spacing must be positive and wobble non-negative")
+        _positive_finite("spacing_mm_per_px", self.spacing_mm_per_px)
+        _positive_finite("chain_spacing_px", self.chain_spacing_px)
+        _non_negative_finite("wobble_px", self.wobble_px)
+        if (self.landmarks - 1) * self.chain_spacing_px > self.height - 1:
+            raise ValidationError(
+                f"chain of {self.landmarks} landmarks spaced {self.chain_spacing_px}px "
+                f"does not fit a height of {self.height}px"
+            )
+        cx = (self.width - 1) / 2.0
+        if cx - self.wobble_px < 0 or cx + self.wobble_px > self.width - 1:
+            raise ValidationError(f"wobble {self.wobble_px}px exceeds the frame")
+        # stops at the first collision, which comes within height + 1 rows
+        if any(self._row(i) >= self._row(i + 1) for i in range(self.landmarks - 1)):
+            raise ValidationError("chain spacing too small: rows collide after rounding")
+
+    def _row(self, i: int) -> int:
+        """Row of landmark i, with the chain centred in the height."""
+        y0 = (self.height - 1 - (self.landmarks - 1) * self.chain_spacing_px) / 2.0
+        return round(y0 + i * self.chain_spacing_px)
 
 
 def generate_phantom(rng: Rng, config: PhantomConfig) -> LandmarkSet:
     """Draw one ground-truth chain: evenly spaced rows, laterally wobbled x.
 
     Landmark positions are rounded to integer pixels so rendered label peaks
-    hit grid points exactly. y is strictly increasing down the chain.
+    hit grid points exactly. y is strictly increasing down the chain, and
+    every landmark is in the frame: the config checked both.
     """
-    n = config.landmarks
-    span = (n - 1) * config.chain_spacing_px
-    y0 = (config.height - 1 - span) / 2.0
-    if y0 < 0:
-        raise ValidationError(
-            f"chain of {n} landmarks spaced {config.chain_spacing_px}px "
-            f"does not fit a height of {config.height}px"
-        )
     cx = (config.width - 1) / 2.0
-    if cx - config.wobble_px < 0 or cx + config.wobble_px > config.width - 1:
-        raise ValidationError(f"wobble {config.wobble_px}px exceeds the frame")
-    pts = np.empty((n, 2))
-    for i in range(n):
+    pts = np.empty((config.landmarks, 2))
+    for i in range(config.landmarks):
         pts[i, 0] = round(cx + rng.uniform(-config.wobble_px, config.wobble_px))
-        pts[i, 1] = round(y0 + i * config.chain_spacing_px)
-    if not np.all(np.diff(pts[:, 1]) > 0):
-        raise ValidationError("chain spacing too small: rows collide after rounding")
-    lms = LandmarkSet(pts, PixelFrame(config.width, config.height))
-    lms.validate_bounds()
-    return lms
+        pts[i, 1] = config._row(i)
+    return LandmarkSet(pts, PixelFrame(config.width, config.height))
 
 
 def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
     """Render a chain as a displayable raster: bright blobs on a dark bed."""
     vals = np.zeros((config.height, config.width))
     for x, y in lms.points:
-        spot = render_gaussian(GaussianSpec((float(x), float(y)), 5.0),
-                               config.width, config.height)
-        np.maximum(vals, spot.values, out=vals)
+        _max_gaussian(vals, GaussianSpec((float(x), float(y)), 5.0))
     return GrayImage(_round_u8(15.0 + 220.0 * vals), config.spacing_mm_per_px)
 
 
@@ -167,14 +162,8 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
                 nb = k + 1 if pick_next else k - 1
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
-            r0, c0, spur = _gaussian_block(
-                GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp),
-                width, height,
-            )
-            # outside its block the spurious peak is 0, which max leaves as is;
-            # no view of peak is kept, so the map is freed once the caller drops it
-            rows, cols = slice(r0, r0 + spur.shape[0]), slice(c0, c0 + spur.shape[1])
-            np.maximum(peak[rows, cols], spur, out=peak[rows, cols])
+            _max_gaussian(peak, GaussianSpec((float(nx), float(ny)), model.heatmap_sigma,
+                                             amplitude=amp))
         yield Heatmap(peak)
 
 
@@ -190,9 +179,7 @@ class TrialConfig:
     images: int = 50
 
     def __post_init__(self):
-        if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0):
-            raise ValidationError(
-                f"threshold must be positive and finite, got {self.threshold_mm}")
+        _positive_finite("threshold", self.threshold_mm)
         if self.images < 1:
             raise ValidationError(f"need at least one image, got {self.images}")
 
@@ -258,8 +245,7 @@ def noise_sigma_for_accuracy(accuracy: float, threshold_px: float) -> float:
     """
     if not 0 < accuracy < 1:
         raise ValidationError(f"accuracy must be in (0, 1), got {accuracy}")
-    if threshold_px <= 0:
-        raise ValidationError(f"non-positive threshold: {threshold_px}")
+    _positive_finite("threshold_px", threshold_px)
     return threshold_px / math.sqrt(-2.0 * math.log(1.0 - accuracy))
 
 

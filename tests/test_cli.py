@@ -29,6 +29,15 @@ class TestPhantom:
         lms = io.read_landmarks(manifest.records[0].landmarks_path, GRID)
         assert len(lms) == 11
 
+    @pytest.mark.parametrize("flag, rule", [("--chain-spacing", "positive and finite"),
+                                            ("--wobble", "non-negative and finite")],
+                             ids=["chain-spacing", "wobble"])
+    def test_non_finite_geometry_is_validation_error(self, tmp_path, capsys, flag, rule):
+        assert run("phantom", "--out-dir", tmp_path, flag, "nan") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"must be {rule}, got nan" in err
+        assert "Traceback" not in err
+
     def test_seed_reproducibility(self, tmp_path):
         m1 = make_corpus(tmp_path / "a")
         m2 = make_corpus(tmp_path / "b")
@@ -273,8 +282,16 @@ class TestMalformedInput:
         lambda t: _bad_manifest(t, b"[images]", b"# \xff\n[images]"),
         lambda t: _bad_manifest(t, b"phantom_000.pgm", b"phantom_\x00000.pgm"),
         _bad_coords,
+        lambda t: _sim_config(t, b"chain_spacing_px = 40.0", b"chain_spacing_px = nan"),
+        lambda t: _sim_config(t, b"wobble_px = 6.0", b"wobble_px = nan"),
+        lambda t: _sim_config(t, b"spacing_mm_per_px = 0.5", b"spacing_mm_per_px = nan"),
+        lambda t: _sim_config(t, b"spacing_mm_per_px = 0.5", b"spacing_mm_per_px = inf"),
+        # 1000 landmarks 40 px apart do not fit the 512 px grid
+        lambda t: _sim_config(t, b"landmarks = 11", b"landmarks = 1000"),
     ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
-            "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii"])
+            "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii",
+            "sim-chain-spacing-nan", "sim-wobble-nan", "sim-spacing-nan", "sim-spacing-inf",
+            "sim-chain-does-not-fit"])
     def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()
@@ -344,6 +361,12 @@ class TestFlags:
          "--prior-sigma", "1e-170"],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", "6,1e-170"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--floor-epsilon", "0"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--floor-epsilon", "-1"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--floor-epsilon", "nan"],
     ])
     def test_bad_flag_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -84,6 +84,13 @@ class TestPck:
         with pytest.raises(ValidationError, match="threshold"):
             pck(preds, gts, threshold, 0.5)
 
+    @pytest.mark.parametrize("spacing", [float("nan"), float("inf"), [0.5, float("nan")]],
+                             ids=["nan", "inf", "per-image-nan"])
+    def test_spacing_must_be_positive_and_finite(self, spacing):
+        preds, gts = make_sets(2, 3, np.zeros((2, 3, 2)))
+        with pytest.raises(ValidationError, match="spacing must be positive and finite"):
+            pck(preds, gts, 8.0, spacing)
+
     def test_empty_inputs_are_error(self):
         with pytest.raises(ValidationError, match="empty"):
             pck([], [], 8.0, 0.5)

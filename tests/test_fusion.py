@@ -177,6 +177,18 @@ class TestFuseAndDecode:
         x, y = fuse_and_decode(hm, (30, 30), cfg)
         assert (x, y) == (30.0, 30.0)
 
+    # -(d*d)/(2*sigma*sigma) overflows in the divide (2*sigma*sigma is
+    # subnormal) or in the square; -inf is the exact exponent either way, and
+    # the suite turns numpy's overflow warning into an error
+    @pytest.mark.parametrize("sigma, coord", [(1e-160, (3, 4)), (6.0, (1e160, 0))],
+                             ids=["divide-overflows", "square-overflows"])
+    @pytest.mark.parametrize("decode", list(DecodeMethod))
+    def test_overflowing_exponent_is_exact(self, sigma, coord, decode):
+        values = np.zeros((8, 8))
+        values[2, 6] = 1.0
+        cfg = FusionConfig(prior_sigma=sigma, decode=decode)
+        assert fuse_and_decode(Heatmap(values), coord, cfg) == (6, 2)
+
     def test_all_zero_predicted_rejected(self):
         cfg = FusionConfig()
         with pytest.raises(ValidationError, match="all-zero"):

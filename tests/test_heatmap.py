@@ -98,6 +98,19 @@ class TestRenderGaussian:
         with pytest.raises(ValidationError, match=f"got {sigma}$"):
             GaussianSpec((1, 1), sigma=sigma)
 
+    # -(d*d)/(2*sigma*sigma) overflows in the divide (2*sigma*sigma is
+    # subnormal) or in the square; exp(-inf) = 0 is the exact value either
+    # way, and the suite turns numpy's overflow warning into an error
+    @pytest.mark.parametrize("sigma, center, hot", [(1e-160, (3, 4), (4, 3)),
+                                                    (6.0, (1e160, 0), None)],
+                             ids=["divide-overflows", "square-overflows"])
+    def test_overflowing_exponent_is_exact(self, sigma, center, hot):
+        expected = np.zeros((8, 8))
+        if hot:
+            expected[hot] = 1.0
+        got = render_gaussian(GaussianSpec(center, sigma), 8, 8).values
+        assert got.tobytes() == expected.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 300), height=st.integers(1, 300),
            sigma=st.floats(0.05, 1e3), fx=st.floats(-3.0, 4.0), fy=st.floats(-3.0, 4.0),

@@ -131,6 +131,8 @@ class TestHeatmapStacks:
         for data, message in (
             (b"HMAP" + struct.pack("<III", 2, 8, 8) + b"\x00" * 10, "expected"),
             (b"HMAP" + struct.pack("<III", 0, 8, 8), "0 channels"),
+            # a signalling NaN, which must not raise numpy's cast warning first
+            (b"HMAP" + struct.pack("<IIII", 1, 1, 1, 0x7F800001), "finite"),
         ):
             path.write_bytes(data)
             with pytest.raises(ValidationError, match=message) as exc:
