@@ -106,21 +106,29 @@ def warp_image(img: GrayImage, t: AffineTransform2D) -> GrayImage:
     sx = inv[0, 0] * xs[None, :] + inv[0, 1] * ys[:, None] + inv[0, 2]
     sy = inv[1, 0] * xs[None, :] + inv[1, 1] * ys[:, None] + inv[1, 2]
 
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
+    # A sample beyond [-1, w] x [-1, h] has all four corners outside the grid.
+    # Clipped onto that range, each of its corners reads the zero border or
+    # has weight 0, and the border (one pixel before the grid, two after it)
+    # takes every other outside corner. Weights are >= 0, so an outside corner
+    # adds (wx * wy) * 0 = +0, which leaves the sum bitwise unchanged.
+    np.clip(sx, -1.0, w, out=sx)
+    np.clip(sy, -1.0, h, out=sy)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
 
-    src = img.pixels.astype(np.float64)
-    out = np.zeros((h, w))
-    for dy in (0, 1):
-        wy = fy if dy else 1.0 - fy
-        yy = y0 + dy
-        for dx in (0, 1):
-            wx = fx if dx else 1.0 - fx
-            xx = x0 + dx
-            valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
-            out[valid] += (wx * wy)[valid] * src[yy[valid], xx[valid]]
+    pw = w + 3
+    padded = np.zeros((h + 3, pw), dtype=np.uint8)
+    padded[1:h + 1, 1:w + 1] = img.pixels
+    flat = padded.ravel()
+    top_left = ((y0 + 1.0) * pw + (x0 + 1.0)).astype(np.intp)
+    out = (gx * gy) * flat.take(top_left)
+    out += (fx * gy) * flat.take(top_left + 1)
+    out += (gx * fy) * flat.take(top_left + pw)
+    out += (fx * fy) * flat.take(top_left + (pw + 1))
     return GrayImage(_round_u8(out), img.spacing)
 
 

@@ -29,10 +29,12 @@ from .evaluate import ComparisonReport, EvalReport, LandmarkStats
 from .heatmap import Heatmap
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    half-written file. The temp file has a random name, is created exclusively
-    with mode 0o666 less the umask, and is removed if the write fails."""
+def atomic_write(path: str | Path, data: bytes | bytearray | np.ndarray) -> None:
+    """Write ``data``, any bytes-like buffer (bytes, bytearray, a contiguous
+    numpy array), as is via a sibling temp file and rename, so readers never
+    see a half-written file. The temp file has a random name, is created
+    exclusively with mode 0o666 less the umask, and is removed if the write
+    fails."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -153,15 +155,25 @@ _HMAP_MAGIC = b"HMAP"
 
 
 def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
+    """Cast each channel to float32 in place in one buffer, after the header,
+    and write that buffer. A value beyond the float32 range is refused: it
+    would be written as inf, which :func:`read_heatmap_stack` rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
     h, w = stack[0].values.shape
-    for k, hm in enumerate(stack):
-        if hm.values.shape != (h, w):
-            raise ValidationError(f"channel {k} shape differs from channel 0")
-    header = _HMAP_MAGIC + struct.pack("<III", len(stack), h, w)
-    body = b"".join(hm.values.astype("<f4").tobytes() for hm in stack)
-    atomic_write(path, header + body)
+    buf = np.empty(16 + len(stack) * h * w * 4, dtype=np.uint8)
+    buf[:16] = np.frombuffer(_HMAP_MAGIC + struct.pack("<III", len(stack), h, w), np.uint8)
+    body = buf[16:].view("<f4").reshape(len(stack), h, w)
+    with np.errstate(over="raise"):
+        for k, hm in enumerate(stack):
+            if hm.values.shape != (h, w):
+                raise ValidationError(f"channel {k} shape differs from channel 0")
+            try:
+                body[k] = hm.values
+            except FloatingPointError:
+                raise ValidationError(
+                    f"channel {k} holds a value beyond the float32 range") from None
+    atomic_write(path, buf)
 
 
 @_reader
@@ -177,8 +189,8 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
         raise ValidationError(f"{len(data)} bytes, expected {expected} for {channels}x{h}x{w}")
     # casting a signalling NaN sets numpy's invalid flag; Heatmap rejects NaN anyway
     with np.errstate(invalid="ignore"):
-        flat = np.frombuffer(data[16:], dtype="<f4").astype(np.float64)
-    return [Heatmap(flat[k * h * w:(k + 1) * h * w].reshape(h, w)) for k in range(channels)]
+        values = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
+    return [Heatmap(channel) for channel in values.reshape(channels, h, w)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     """
     if out_w <= 0 or out_h <= 0:
         raise ValidationError(f"non-positive output size: {out_w}x{out_h}")
-    src = img.pixels.astype(np.float64)
+    src = img.pixels
     h, w = src.shape
 
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
@@ -54,9 +54,9 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     fx = sx - x0
     fy = sy - y0
 
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    # interpolate along x once per source row, then blend rows y0 and y1 of that
+    across = src[:, x0] * (1 - fx) + src[:, x1] * fx
+    out = across[y0] * (1 - fy)[:, None] + across[y1] * fy[:, None]
     return GrayImage(_round_u8(out), img.spacing * (w / out_w))
 
 

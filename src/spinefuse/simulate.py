@@ -77,6 +77,13 @@ class PhantomConfig:
             raise ValidationError(f"need at least 2 landmarks, got {self.landmarks}")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"non-positive grid: {self.width}x{self.height}")
+        # the chain geometry below is float arithmetic on these integers
+        if max(self.width, self.height) > 2 ** 53:
+            raise ValidationError(f"grid {self.width}x{self.height} has a side above 2**53, "
+                                  f"which a float does not hold exactly")
+        if self.landmarks > self.height:
+            raise ValidationError(f"{self.landmarks} landmarks need as many distinct rows, "
+                                  f"but the grid has {self.height}")
         _positive_finite("spacing_mm_per_px", self.spacing_mm_per_px)
         _positive_finite("chain_spacing_px", self.chain_spacing_px)
         _non_negative_finite("wobble_px", self.wobble_px)

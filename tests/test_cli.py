@@ -38,6 +38,13 @@ class TestPhantom:
         assert f"must be {rule}, got nan" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [("--landmarks", "1" + "0" * 400),
+                                       ("--grid", "512", "1" + "0" * 400)],
+                             ids=["landmarks", "grid"])
+    def test_huge_integer_is_validation_error(self, tmp_path, capsys, flags):
+        assert run("phantom", "--out-dir", tmp_path, *flags) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_seed_reproducibility(self, tmp_path):
         m1 = make_corpus(tmp_path / "a")
         m2 = make_corpus(tmp_path / "b")
@@ -288,10 +295,15 @@ class TestMalformedInput:
         lambda t: _sim_config(t, b"spacing_mm_per_px = 0.5", b"spacing_mm_per_px = inf"),
         # 1000 landmarks 40 px apart do not fit the 512 px grid
         lambda t: _sim_config(t, b"landmarks = 11", b"landmarks = 1000"),
+        # integers too large for a float
+        lambda t: _sim_config(t, b"landmarks = 11", b"landmarks = 1" + b"0" * 400),
+        lambda t: _sim_config(t, b"grid = 512 512", b"grid = 512 1" + b"0" * 400),
+        lambda t: _sim_config(t, b"grid = 512 512", b"grid = 1" + b"0" * 400 + b" 512"),
     ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
             "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii",
             "sim-chain-spacing-nan", "sim-wobble-nan", "sim-spacing-nan", "sim-spacing-inf",
-            "sim-chain-does-not-fit"])
+            "sim-chain-does-not-fit", "sim-landmarks-huge", "sim-height-huge",
+            "sim-width-huge"])
     def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from spinefuse.geometry import (
@@ -13,6 +15,35 @@ from spinefuse.geometry import (
     warp_image,
     warp_landmarks,
 )
+from spinefuse.preprocess import _round_u8
+
+
+def masked_warp(img, t):
+    """Reference: bilinear inverse-map resampling that masks out each corner
+    falling outside the grid."""
+    h, w = img.pixels.shape
+    inv = t.invert().matrix
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)
+    sx = inv[0, 0] * xs[None, :] + inv[0, 1] * ys[:, None] + inv[0, 2]
+    sy = inv[1, 0] * xs[None, :] + inv[1, 1] * ys[:, None] + inv[1, 2]
+
+    x0 = np.floor(sx).astype(int)
+    y0 = np.floor(sy).astype(int)
+    fx = sx - x0
+    fy = sy - y0
+
+    src = img.pixels.astype(np.float64)
+    out = np.zeros((h, w))
+    for dy in (0, 1):
+        wy = fy if dy else 1.0 - fy
+        yy = y0 + dy
+        for dx in (0, 1):
+            wx = fx if dx else 1.0 - fx
+            xx = x0 + dx
+            valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
+            out[valid] += (wx * wy)[valid] * src[yy[valid], xx[valid]]
+    return GrayImage(_round_u8(out), img.spacing)
 
 
 class TestSampleAugmentation:
@@ -101,6 +132,20 @@ class TestWarpImage:
         t = build_transform(0, 0, 90, 1.0, (1.0, 1.0))
         out = warp_image(img, t)
         np.testing.assert_array_equal(out.pixels, np.rot90(pix, k=-1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 40), height=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           tx=st.floats(-3.0, 3.0), ty=st.floats(-3.0, 3.0), angle=st.floats(-180.0, 180.0),
+           scale=st.floats(0.1, 5.0), cx=st.floats(-1.0, 2.0), cy=st.floats(-1.0, 2.0))
+    def test_equals_the_masked_reference(self, width, height, seed, tx, ty, angle, scale,
+                                         cx, cy):
+        # translations up to three grid sizes, so some outputs are all zero
+        pix = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+        img = GrayImage(pix, 0.5)
+        t = build_transform(tx * width, ty * height, angle, scale, (cx * width, cy * height))
+        got = warp_image(img, t)
+        assert got.pixels.tobytes() == masked_warp(img, t).pixels.tobytes()
+        assert got.spacing == img.spacing
 
 
 class TestWarpLandmarks:

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinefuse import io
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
@@ -142,6 +145,39 @@ class TestHeatmapStacks:
     def test_empty_stack_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             io.write_heatmap_stack(tmp_path / "s.hmap", [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+                  # float32 subnormals, and values that round when cast
+                  elements=st.one_of(st.floats(0.0, 1.2e-38),
+                                     st.floats(0.0, float(np.finfo(np.float32).max)))))
+    def test_bytes_equal_header_and_cast_channels(self, tmp_path_factory, channels):
+        path = tmp_path_factory.mktemp("pin") / "s.hmap"
+        io.write_heatmap_stack(path, [Heatmap(v) for v in channels])
+        expected = (b"HMAP" + struct.pack("<III", *channels.shape)
+                    + b"".join(v.astype("<f4").tobytes() for v in channels))
+        assert path.read_bytes() == expected
+
+    def test_value_beyond_float32_names_its_channel(self, tmp_path):
+        path = tmp_path / "s.hmap"
+        for big in (1e300, 2.0 ** 128):
+            values = np.zeros((3, 3))
+            values[1, 2] = big
+            with pytest.raises(ValidationError, match="channel 1 .*float32"):
+                io.write_heatmap_stack(path, [Heatmap(np.ones((3, 3))), Heatmap(values)])
+            assert not path.exists()
+            assert list(tmp_path.iterdir()) == []
+
+    def test_read_channels_are_frozen_float64_and_disjoint(self, tmp_path):
+        path = tmp_path / "s.hmap"
+        io.write_heatmap_stack(path, [Heatmap(np.full((4, 5), k + 0.5)) for k in range(3)])
+        back = io.read_heatmap_stack(path)
+        for k, hm in enumerate(back):
+            assert hm.values.dtype == np.float64 and hm.values.shape == (4, 5)
+            assert not hm.values.flags.writeable
+            assert np.all(hm.values == k + 0.5)
+            for other in back[k + 1:]:
+                assert not np.shares_memory(hm.values, other.values)
 
 
 class TestManifests:

@@ -1,8 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, ValidationError
-from spinefuse.preprocess import equalize_histogram, resize_bilinear, resize_landmarks
+from spinefuse.preprocess import _round_u8, equalize_histogram, resize_bilinear, resize_landmarks
+
+
+def gathered_resize(img, out_w, out_h):
+    """Reference: bilinear resize that gathers the four corners of every
+    output pixel with np.ix_."""
+    src = img.pixels.astype(np.float64)
+    h, w = src.shape
+
+    sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    sx = np.clip(sx, 0.0, w - 1.0)
+    sy = np.clip(sy, 0.0, h - 1.0)
+
+    x0 = np.floor(sx).astype(int)
+    y0 = np.floor(sy).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = sx - x0
+    fy = sy - y0
+
+    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
+    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    return GrayImage(_round_u8(out), img.spacing * (w / out_w))
 
 
 class TestEqualizeHistogram:
@@ -85,6 +111,18 @@ class TestResizeBilinear:
         img = GrayImage.from_flat(2, 2, [0, 0, 0, 0], 1.0)
         with pytest.raises(ValidationError):
             resize_bilinear(img, 0, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 60), height=st.integers(1, 60), out_w=st.integers(1, 60),
+           out_h=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_gathered_reference(self, width, height, out_w, out_h, seed):
+        # up, down and same sizes on each axis independently
+        pix = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+        img = GrayImage(pix, 0.5)
+        got = resize_bilinear(img, out_w, out_h)
+        want = gathered_resize(img, out_w, out_h)
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+        assert got.spacing == want.spacing
 
 
 class TestResizeLandmarks:
