@@ -135,6 +135,20 @@ def _outside_best(blocks, tops, width: int, floor_epsilon: float) -> tuple[float
     return float(best), int(flats[scores == best].min())
 
 
+def _outside_can_reach(best: float, top: float, eps: float) -> bool:
+    """Whether a pixel outside the prior's window can score ``best`` or more.
+
+    Every outside pixel p <= top scores log eps + log(max(p, eps)), at most
+    the ceiling log eps + log(max(top, eps)). The ceiling's log and the
+    scores' logs are rounded separately, and a log is not promised to be
+    monotone to the last ulp, so only a best that clears the ceiling by a
+    margin far above that rounding rules the outside out.
+    """
+    log_eps, log_top = math.log(eps), math.log(max(top, eps))
+    ceiling = log_eps + log_top
+    return best <= ceiling + 1e-12 * (1.0 + abs(log_eps) + abs(log_top))
+
+
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
                     cfg: FusionConfig, channel: int | None = None) -> tuple[float, float]:
     """Fuse one channel with its coordinate prediction and decode the peak.
@@ -147,12 +161,16 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
 
     The sum is built only inside the window of rows and columns whose
     prior can rise above log eps. Outside it the clamped prior is exactly
-    log eps, so the best pixel there is the raw map's maximum. The result
-    equals the argmax of the sum over the whole grid, ties included.
+    log eps, so the best pixel there is the raw map's maximum; that part
+    of the map is read only when its maximum could reach the window's best
+    score. The result equals the argmax of the sum over the whole grid,
+    ties included.
     """
     values, eps, width = predicted.values, cfg.floor_epsilon, predicted.width
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
     lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), width, predicted.height)
+    if predicted._top <= 0:
+        raise ValidationError("cannot fuse an all-zero predicted heatmap")
     log_eps = math.log(eps)
     # float addition is monotone, so a column whose prior cannot beat
     # log eps on the best row cannot beat it on any row
@@ -162,24 +180,21 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
         r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
     else:
         r0 = r1 = c0 = c1 = 0
-    inner = values[r0:r1, c0:c1]
-    outer = [(part, y, x) for part, y, x in (
-        (values[:r0], 0, 0), (values[r0:r1, :c0], r0, 0),
-        (values[r0:r1, c1:], r0, c1), (values[r1:], r1, 0),
-    ) if part.size]
-    outer_tops = [float(part.max()) for part, _, _ in outer]
-    inner_top = float(inner.max()) if inner.size else 0.0
-    if max(outer_tops + [inner_top]) <= 0:
-        raise ValidationError("cannot fuse an all-zero predicted heatmap")
 
     candidates = []
-    if inner.size:
-        window = _logsum(lx[c0:c1], ly[r0:r1], inner, eps)
+    if r1 > r0:
+        window = _logsum(lx[c0:c1], ly[r0:r1], values[r0:r1, c0:c1], eps)
         i = int(np.argmax(window))
         iy, ix = divmod(i, c1 - c0)
         candidates.append((float(window.flat[i]), (r0 + iy) * width + c0 + ix))
-    if outer:
-        candidates.append(_outside_best(outer, outer_tops, width, eps))
+    if not candidates or _outside_can_reach(candidates[0][0], predicted._top, eps):
+        outer = [(part, y, x) for part, y, x in (
+            (values[:r0], 0, 0), (values[r0:r1, :c0], r0, 0),
+            (values[r0:r1, c1:], r0, c1), (values[r1:], r1, 0),
+        ) if part.size]
+        if outer:
+            candidates.append(_outside_best(outer, [float(part.max()) for part, _, _ in outer],
+                                            width, eps))
     # an equal score goes to the row-major first pixel
     peak, idx = max(candidates, key=lambda c: (c[0], -c[1]))
     ay, ax = divmod(idx, width)

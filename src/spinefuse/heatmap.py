@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,21 +56,40 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class Heatmap:
-    """Dense grid of non-negative finite scores, one value per pixel."""
+    """Dense grid of non-negative finite scores, one value per pixel.
+
+    Each map also records its support, the rows ``r0:r1`` and columns
+    ``c0:c1`` outside which every value is exactly 0, and its maximum.
+    Maps the package renders get the box of their Gaussians' nonzero
+    blocks; any other map (``Heatmap(values)``, an HMAP channel, a fused
+    product) gets the whole grid. Validation and :func:`decode_argmax`
+    scan only the box, and fusion uses the maximum to tell when the map
+    outside its prior's window can matter.
+    """
 
     values: np.ndarray
+    # private: passed only by the package's renderers, which know the box
+    _support: tuple[int, int, int, int] | None = field(
+        default=None, kw_only=True, repr=False, compare=False)
+    _top: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {arr.shape}")
-        # NaN and +-inf all reach min or max, so two reductions check both
-        lo, hi = arr.min(), arr.max()
+        r0, r1, c0, c1 = self._support or (0, arr.shape[0], 0, arr.shape[1])
+        inner = arr[r0:r1, c0:c1]
+        # NaN and +-inf all reach min or max, so two reductions check both;
+        # every value outside the box is 0, which passes both checks and
+        # raises no maximum of non-negative values
+        lo, hi = (inner.min(), inner.max()) if inner.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("heatmap values must be finite")
         if lo < 0:
             raise ValidationError("heatmap values must be non-negative")
         object.__setattr__(self, "values", _frozen(arr))
+        object.__setattr__(self, "_support", (r0, r1, c0, c1))
+        object.__setattr__(self, "_top", float(hi))
 
     @property
     def width(self) -> int:
@@ -89,23 +108,30 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     relies on the tails). Only the region where that product is exactly 0,
     beyond where an exponential underflows, is filled without computing it.
     """
-    return Heatmap(_gaussian_grid(spec, width, height))
+    vals, support = _gaussian_grid(spec, width, height)
+    return Heatmap(vals, _support=support)
 
 
-def _gaussian_grid(spec: GaussianSpec, width: int, height: int) -> np.ndarray:
-    """The raw, writable array :func:`render_gaussian` wraps."""
-    r0, c0, block = _gaussian_block(spec, width, height)
+def _gaussian_grid(spec: GaussianSpec, width: int,
+                   height: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """The raw, writable array :func:`render_gaussian` wraps, and its support."""
     vals = np.zeros((height, width))
-    vals[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-    return vals
+    return vals, _max_gaussian(vals, spec)
 
 
-def _max_gaussian(vals: np.ndarray, spec: GaussianSpec) -> None:
+def _max_gaussian(vals: np.ndarray, spec: GaussianSpec) -> tuple[int, int, int, int]:
     """Max-combine a Gaussian into vals in place, over its nonzero block only:
-    outside it the rendered Gaussian is 0, which max leaves as is."""
+    outside it the rendered Gaussian is 0, which max leaves as is. Returns
+    the block's rows and columns, (r0, r1, c0, c1)."""
     r0, c0, block = _gaussian_block(spec, vals.shape[1], vals.shape[0])
-    rows, cols = slice(r0, r0 + block.shape[0]), slice(c0, c0 + block.shape[1])
-    np.maximum(vals[rows, cols], block, out=vals[rows, cols])
+    r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
+    np.maximum(vals[r0:r1, c0:c1], block, out=vals[r0:r1, c0:c1])
+    return r0, r1, c0, c1
+
+
+def _union(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """A box (r0, r1, c0, c1) that holds both boxes."""
+    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
 
 
 def _gaussian_block(spec: GaussianSpec, width: int,
@@ -137,15 +163,16 @@ def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) 
 
 def decode_argmax(hm: Heatmap) -> tuple[int, int]:
     """Grid coordinates of the maximum value; row-major first index on ties."""
-    vals = hm.values
-    top = vals.max()
     # values are non-negative by type, so a zero maximum means an all-zero map
-    if top <= 0:
+    if hm._top <= 0:
         raise ValidationError("cannot decode an all-zero heatmap")
-    # np.argmax copies an array that is not writeable, as a Heatmap's values
-    # are; the first pixel equal to the maximum is the same index
-    idx = int(np.argmax(vals == top))
-    return idx % hm.width, idx // hm.width
+    # every pixel outside the support is 0, below the maximum, and the box
+    # keeps the grid's row-major order, so its first match is the grid's.
+    # np.argmax copies an array that is not writeable, as a Heatmap's
+    # values are; the first pixel equal to the maximum is the same index
+    r0, r1, c0, c1 = hm._support
+    iy, ix = divmod(int(np.argmax(hm.values[r0:r1, c0:c1] == hm._top)), c1 - c0)
+    return c0 + ix, r0 + iy
 
 
 def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:

@@ -35,12 +35,15 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
 
     Output pixel (x, y) samples the source at
     ((x + 0.5) * width / out_w - 0.5, (y + 0.5) * height / out_h - 0.5).
-    Spacing is rescaled by width / out_w.
+    Spacing is rescaled by width / out_w. At the input's own size every
+    sample lands on its pixel, so the input is returned as it is.
     """
     if out_w <= 0 or out_h <= 0:
         raise ValidationError(f"non-positive output size: {out_w}x{out_h}")
     src = img.pixels
     h, w = src.shape
+    if (out_w, out_h) == (w, h):
+        return img
 
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5

@@ -19,8 +19,8 @@ from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError,
                    _non_negative_finite, _positive_finite)
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
-from .heatmap import (GaussianSpec, Heatmap, _gaussian_grid, _max_gaussian, _usable_sigma,
-                      decode_argmax)
+from .heatmap import (GaussianSpec, Heatmap, _gaussian_grid, _max_gaussian, _union,
+                      _usable_sigma, decode_argmax)
 from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
 from .preprocess import _round_u8
 
@@ -157,8 +157,8 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
     for k, (x, y) in enumerate(gt.points):
         cx = x + rng.normal(0.0, model.peak_jitter_sigma)
         cy = y + rng.normal(0.0, model.peak_jitter_sigma)
-        peak = _gaussian_grid(GaussianSpec((float(cx), float(cy)), model.heatmap_sigma),
-                              width, height)
+        peak, support = _gaussian_grid(
+            GaussianSpec((float(cx), float(cy)), model.heatmap_sigma), width, height)
         if rng.random() < model.adjacent_confusion_prob and n > 1:
             pick_next = rng.random() < 0.5
             if k == 0:
@@ -169,9 +169,9 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
                 nb = k + 1 if pick_next else k - 1
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
-            _max_gaussian(peak, GaussianSpec((float(nx), float(ny)), model.heatmap_sigma,
-                                             amplitude=amp))
-        yield Heatmap(peak)
+            spurious = GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp)
+            support = _union(support, _max_gaussian(peak, spurious))
+        yield Heatmap(peak, _support=support)
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,10 @@ class TrialConfig:
         _positive_finite("threshold", self.threshold_mm)
         if self.images < 1:
             raise ValidationError(f"need at least one image, got {self.images}")
+        sigmas = self.fusion.prior_sigma
+        if isinstance(sigmas, tuple) and len(sigmas) < self.phantom.landmarks:
+            raise ValidationError(f"{len(sigmas)} prior sigmas for "
+                                  f"{self.phantom.landmarks} landmarks")
 
 
 METHOD_COORDS = "coords_only"

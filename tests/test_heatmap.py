@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
+from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
+from spinefuse.fusion import DecodeMethod, FusionConfig, _outside_can_reach, fuse_and_decode
 from spinefuse.heatmap import (
     GaussianSpec,
     Heatmap,
@@ -14,6 +15,7 @@ from spinefuse.heatmap import (
     render_gaussian,
     render_label_stack,
 )
+from spinefuse.simulate import HeatmapPredictorModel, simulate_heatmaps
 
 
 def dense_gaussian(spec: GaussianSpec, width: int, height: int) -> np.ndarray:
@@ -208,3 +210,99 @@ class TestDecodeCentroid:
         x, y = decode_centroid(hm, window=3)
         assert 0 <= x < 1 and 0 <= y < 1
 
+
+@st.composite
+def package_maps(draw):
+    """Maps built by the package's renderers, which record a tight support
+    box: one Gaussian, a label stack, or a simulated stack with confusion on.
+    Centres reach up to three grid sizes outside the frame, so some maps
+    are all zero, and sigma spans 0.05 to 1e3, so some boxes are the grid."""
+    w, h = draw(st.integers(1, 120)), draw(st.integers(1, 120))
+    sigma = draw(st.floats(0.05, 1e3))
+
+    def centre():
+        return draw(st.floats(-3.0, 4.0)) * w, draw(st.floats(-3.0, 4.0)) * h
+
+    kind = draw(st.sampled_from(["gaussian", "label_stack", "simulated"]))
+    if kind == "gaussian":
+        return [render_gaussian(GaussianSpec(centre(), sigma, draw(st.floats(1e-3, 1e3))),
+                                w, h)]
+    points = LandmarkSet(np.array([centre() for _ in range(draw(st.integers(2, 5)))]),
+                         PixelFrame(w, h))
+    if kind == "label_stack":
+        return render_label_stack(points, sigma, w, h)
+    lo = draw(st.floats(1e-3, 10.0))
+    model = HeatmapPredictorModel(peak_jitter_sigma=draw(st.floats(0.0, 20.0)),
+                                  heatmap_sigma=sigma,
+                                  adjacent_confusion_prob=draw(st.sampled_from([0.5, 1.0])),
+                                  spurious_amplitude=(lo, lo * draw(st.floats(1.0, 10.0))))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    return list(simulate_heatmaps(rng, points, model, w, h))
+
+
+class TestSupport:
+    @settings(max_examples=300, deadline=None)
+    @given(package_maps())
+    def test_every_pixel_outside_the_box_is_zero(self, maps):
+        for hm in maps:
+            r0, r1, c0, c1 = hm._support
+            assert 0 <= r0 <= r1 <= hm.height and 0 <= c0 <= c1 <= hm.width
+            outside = hm.values.copy()
+            outside[r0:r1, c0:c1] = 0.0
+            assert not outside.any()
+            assert hm._top == hm.values.max()
+
+    def test_a_public_map_gets_the_whole_grid(self):
+        hm = Heatmap(np.zeros((5, 7)))
+        assert (hm._support, hm._top) == ((0, 5, 0, 7), 0.0)
+
+
+class TestSupportDecodes:
+    """The box-built map and the same values with the whole grid as box
+    decode alike, including fused decodes that read the outside."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(package_maps(), st.floats(0.3, 20.0), st.floats(-1.0, 2.0), st.floats(-1.0, 2.0),
+           st.booleans())
+    def test_box_and_whole_grid_decode_alike(self, maps, sigma, fx, fy, beyond):
+        for hm in maps:
+            if hm._top == 0:
+                continue
+            whole = Heatmap(hm.values.copy())
+            assert whole._support == (0, hm.height, 0, hm.width)
+            assert decode_argmax(hm) == decode_argmax(whole)
+            assert decode_centroid(hm) == decode_centroid(whole)
+            x, y = fx * hm.width, fy * hm.height
+            if beyond:
+                # past the floor horizon of every column: the window is
+                # empty and the outside decides
+                horizon = sigma * math.sqrt(-2.0 * math.log(FusionConfig().floor_epsilon))
+                x = (min(x, 0.0) - horizon - 1.0 if fx < 0.5
+                     else max(x, hm.width - 1.0) + horizon + 1.0)
+            for decode in DecodeMethod:
+                cfg = FusionConfig(prior_sigma=sigma, decode=decode)
+                assert fuse_and_decode(hm, (x, y), cfg) == fuse_and_decode(whole, (x, y), cfg)
+
+    @pytest.mark.parametrize("support", [None, (0, 17, 0, 17)])
+    def test_an_earlier_outside_pixel_ties_at_the_ceiling_and_wins(self, support):
+        # prior sigma 2 at (30, 30) on 40 x 40: the window is rows and columns
+        # 16..39, and its corner (16, 16) has a clamped prior, log eps. With
+        # the maximum 1 there and at (0, 0), both score log eps + log 1, the
+        # ceiling of every outside score, and the earlier pixel must win
+        values = np.zeros((40, 40))
+        values[16, 16] = values[0, 0] = 1.0
+        hm = Heatmap(values) if support is None else Heatmap(values, _support=support)
+        assert fuse_and_decode(hm, (30.0, 30.0), FusionConfig(prior_sigma=2.0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("top", [1.0, 0.37, 3e-12, 1e-15, 7.5e300])
+    def test_the_outside_is_read_within_rounding_of_its_ceiling(self, top):
+        eps = FusionConfig().floor_epsilon
+        ceiling = math.log(eps) + math.log(max(top, eps))
+        # a log one ulp off, in the ceiling or in a score, moves a score a
+        # few ulps past the ceiling; such a best must not skip the outside
+        near = ceiling
+        for _ in range(4):
+            near = math.nextafter(near, math.inf)
+        assert _outside_can_reach(ceiling, top, eps)
+        assert _outside_can_reach(near, top, eps)
+        assert not _outside_can_reach(ceiling + 1e-6 * (1.0 + abs(ceiling)), top, eps)

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import stat
 import struct
 import sys
@@ -297,6 +298,16 @@ class TestSimConfig:
         path = tmp_path / "sim.txt"
         write_sim_config(path, config)
         assert read_sim_config(path).fusion.prior_sigma == config.fusion.prior_sigma
+
+    def test_too_few_per_landmark_sigmas_fail_with_the_path(self, tmp_path):
+        path = tmp_path / "sim.txt"
+        write_sim_config(path, calibrated_config(images=1))
+        text = path.read_text()
+        assert "prior_sigma_px = 6.0\n" in text
+        path.write_text(text.replace("prior_sigma_px = 6.0\n", "prior_sigma_px = 5.0 6.0\n"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 2 prior sigmas "
+                                                  f"for 11 landmarks$"):
+            read_sim_config(path)
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "sim.txt"

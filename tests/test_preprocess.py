@@ -78,10 +78,14 @@ class TestEqualizeHistogram:
 
 class TestResizeBilinear:
     def test_identity_resize(self):
+        # the same size keeps pixels and spacing exactly, as resampling would
         rng = np.random.default_rng(3)
-        img = GrayImage(rng.integers(0, 256, (12, 7), dtype=np.uint8), 1.0)
+        img = GrayImage(rng.integers(0, 256, (12, 7), dtype=np.uint8), 0.3)
         out = resize_bilinear(img, 7, 12)
         np.testing.assert_array_equal(out.pixels, img.pixels)
+        want = gathered_resize(img, 7, 12)
+        assert out.pixels.tobytes() == want.pixels.tobytes()
+        assert out.spacing == want.spacing == 0.3
 
     def test_single_pixel_extends_constant(self):
         img = GrayImage.from_flat(1, 1, [42], 1.0)

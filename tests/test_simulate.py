@@ -301,6 +301,13 @@ class TestCalibration:
         with pytest.raises(ValidationError, match="threshold"):
             dataclasses.replace(calibrated_config(images=1), threshold_mm=threshold)
 
+    def test_per_landmark_prior_sigmas_cover_every_landmark(self):
+        config = calibrated_config(images=1)
+        ok = FusionConfig(prior_sigma=(6.0,) * config.phantom.landmarks)
+        assert dataclasses.replace(config, fusion=ok).fusion == ok
+        with pytest.raises(ValidationError, match="^10 prior sigmas for 11 landmarks$"):
+            dataclasses.replace(config, fusion=FusionConfig(prior_sigma=(6.0,) * 10))
+
     def test_rayleigh_inversion(self):
         sigma = noise_sigma_for_accuracy(0.713, 16.0)
         assert sigma == pytest.approx(10.12628591241215, rel=1e-12)
