@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import LandmarkSet, PixelFrame, Rng, ValidationError, _positive_finite
+from .core import (LandmarkSet, PixelFrame, Rng, ValidationError, _non_negative_finite,
+                   _positive_finite)
 from .evaluate import pck
 from .fusion import DecodeMethod, FusionConfig, coord_to_prior, fuse_batch, fuse_product
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
-from .heatmap import _usable_sigma, decode_argmax, decode_centroid, render_label_stack
+from .heatmap import _odd_window, _usable_sigma, decode_argmax, decode_centroid, render_label_stack
 from .preprocess import equalize_histogram, resize_bilinear, resize_landmarks
 from .simulate import (
     PhantomConfig,
@@ -205,12 +206,13 @@ def cmd_gen_heatmaps(args) -> int:
 
 def _flag(parse):
     """An argparse type: parse(raw), with a ValueError (a bad number, or the
-    ValidationError of the rule the value must meet) reported in its own
-    words as a usage error, exit 2."""
+    ValidationError of the rule the value must meet) or an OverflowError (an
+    integer too large for that rule's float check) reported in its own words
+    as a usage error, exit 2."""
     def checked(raw: str):
         try:
             return parse(raw)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return checked
 
@@ -218,13 +220,6 @@ def _flag(parse):
 def _prior_sigmas(raw: str) -> float | tuple[float, ...]:
     sigmas = tuple(_usable_sigma("prior_sigma", float(p)) for p in raw.split(",") if p.strip())
     return sigmas[0] if len(sigmas) == 1 else sigmas
-
-
-def _odd_window(raw: str) -> int:
-    window = int(raw)
-    if window < 1 or window % 2 == 0:
-        raise argparse.ArgumentTypeError(f"need a positive odd integer, got {window}")
-    return window
 
 
 def cmd_fuse(args) -> int:
@@ -344,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom", help="generate a synthetic corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", default=10,
+                   type=_flag(lambda raw: _non_negative_finite("count", int(raw))))
     p.add_argument("--landmarks", type=int, default=11)
     p.add_argument("--grid", type=int, nargs=2, default=(512, 512), metavar=("W", "H"))
     p.add_argument("--spacing", type=float, default=0.5, help="mm per pixel")
@@ -361,12 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit augmented image/landmark pairs at the working size")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=1, help="augmented copies per input")
+    p.add_argument("--count", default=1, help="augmented copies per input",
+                   type=_flag(lambda raw: _non_negative_finite("count", int(raw))))
     p.add_argument("--tx-range", type=float, nargs=2, default=(-35.0, 35.0))
     p.add_argument("--ty-range", type=float, nargs=2, default=(-8.0, 8.0))
     p.add_argument("--angle-range", type=float, nargs=2, default=(-25.0, 25.0))
     p.add_argument("--scale-range", type=float, nargs=2, default=(0.7, 1.3))
-    p.add_argument("--working-size", type=int, nargs=2, default=None, metavar=("W", "H"))
+    p.add_argument("--working-size", nargs=2, default=None, metavar=("W", "H"),
+                   type=_flag(lambda raw: _positive_finite("working_size", int(raw))))
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("gen-heatmaps", help="render label heatmap stacks")
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=["argmax", "centroid"], default="argmax")
-    p.add_argument("--window", type=_odd_window, default=3)
+    p.add_argument("--window", type=_flag(lambda raw: _odd_window(int(raw))), default=3)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score predictions against a manifest")
@@ -417,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("phantom", "augment", "simulate"):
         sub.choices[name].add_argument("--seed", type=int, default=0, help="master random seed")
     for name in ("equalize", "augment", "gen-heatmaps", "fuse", "decode"):
-        sub.choices[name].add_argument("--jobs", type=int, default=1,
+        sub.choices[name].add_argument("--jobs", default=1,
+                                       type=_flag(lambda raw: _positive_finite("jobs", int(raw))),
                                        help="parallel workers for file batches")
     return parser
 

@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .core import LandmarkSet, PixelFrame, ValidationError, _positive_finite
-from .heatmap import (GaussianSpec, Heatmap, _centroid_at, _gaussian_exponents, _usable_sigma,
-                      render_gaussian)
+from .heatmap import (GaussianSpec, Heatmap, _box, _centroid_at, _gaussian_exponents,
+                      _usable_sigma, render_gaussian)
 
 
 class DecodeMethod(Enum):
@@ -48,6 +48,13 @@ class FusionConfig:
         _positive_finite("floor_epsilon", self.floor_epsilon)
         if not isinstance(self.decode, DecodeMethod):
             raise ValidationError(f"unknown decode method: {self.decode!r}")
+
+    def _check_landmarks(self, landmarks: int) -> None:
+        """The rule that per-landmark prior sigmas cover every landmark:
+        raises a ValidationError if there are fewer sigmas than landmarks."""
+        if isinstance(self.prior_sigma, tuple) and len(self.prior_sigma) < landmarks:
+            raise ValidationError(f"{len(self.prior_sigma)} prior sigmas for "
+                                  f"{landmarks} landmarks")
 
     def sigma_for(self, channel: int | None = None) -> float:
         if isinstance(self.prior_sigma, tuple):
@@ -174,12 +181,7 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     log_eps = math.log(eps)
     # float addition is monotone, so a column whose prior cannot beat
     # log eps on the best row cannot beat it on any row
-    cols = np.flatnonzero(lx + ly.max() > log_eps)
-    rows = np.flatnonzero(ly + lx.max() > log_eps)
-    if cols.size and rows.size:
-        r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    else:
-        r0 = r1 = c0 = c1 = 0
+    r0, r1, c0, c1 = _box(ly + lx.max() > log_eps, lx + ly.max() > log_eps)
 
     candidates = []
     if r1 > r0:
@@ -216,6 +218,7 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
             f"length mismatch: {len(predicted_stack)} heatmap channels "
             f"vs {len(coords)} coordinates"
         )
+    cfg._check_landmarks(len(predicted_stack))
     if not predicted_stack:
         return LandmarkSet(np.empty((0, 2)), coords.frame)
     shape = predicted_stack[0].values.shape

@@ -68,7 +68,7 @@ class Heatmap:
     """
 
     values: np.ndarray
-    # private: passed only by the package's renderers, which know the box
+    # private: passed only by _render, which knows the box
     _support: tuple[int, int, int, int] | None = field(
         default=None, kw_only=True, repr=False, compare=False)
     _top: float = field(init=False, repr=False, compare=False)
@@ -108,49 +108,42 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     relies on the tails). Only the region where that product is exactly 0,
     beyond where an exponential underflows, is filled without computing it.
     """
-    vals, support = _gaussian_grid(spec, width, height)
-    return Heatmap(vals, _support=support)
+    return _render((spec,), width, height)
 
 
-def _gaussian_grid(spec: GaussianSpec, width: int,
-                   height: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """The raw, writable array :func:`render_gaussian` wraps, and its support."""
-    vals = np.zeros((height, width))
-    return vals, _max_gaussian(vals, spec)
+def _render(specs, width: int, height: int) -> Heatmap:
+    """The Gaussians of ``specs``, max-combined into one zeroed grid.
 
-
-def _max_gaussian(vals: np.ndarray, spec: GaussianSpec) -> tuple[int, int, int, int]:
-    """Max-combine a Gaussian into vals in place, over its nonzero block only:
-    outside it the rendered Gaussian is 0, which max leaves as is. Returns
-    the block's rows and columns, (r0, r1, c0, c1)."""
-    r0, c0, block = _gaussian_block(spec, vals.shape[1], vals.shape[0])
-    r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
-    np.maximum(vals[r0:r1, c0:c1], block, out=vals[r0:r1, c0:c1])
-    return r0, r1, c0, c1
-
-
-def _union(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """A box (r0, r1, c0, c1) that holds both boxes."""
-    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
-
-
-def _gaussian_block(spec: GaussianSpec, width: int,
-                    height: int) -> tuple[int, int, np.ndarray]:
-    """Top row, left column and values of the block of the rendered grid
-    that spans every nonzero pixel; each pixel outside it is exactly 0."""
+    Each is computed only over its nonzero block: outside it the rendered
+    Gaussian is 0, which max leaves as is. The map's support is the box
+    spanning those blocks.
+    """
     if width <= 0 or height <= 0:
         raise ValidationError(f"non-positive grid: {width}x{height}")
-    lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)
-    ex, ey = np.exp(lx), np.exp(ly)
-    # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
-    cols, rows = np.flatnonzero(ex), np.flatnonzero(ey)
-    if not (cols.size and rows.size):
-        return 0, 0, np.zeros((0, 0))
-    c0, c1, r0, r1 = int(cols[0]), int(cols[-1]) + 1, int(rows[0]), int(rows[-1]) + 1
-    block = np.outer(ey[r0:r1], ex[c0:c1])
-    if spec.amplitude != 1.0:
-        block *= spec.amplitude
-    return r0, c0, block
+    vals, blocks = np.zeros((height, width)), []
+    for spec in specs:
+        lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)
+        ex, ey = np.exp(lx), np.exp(ly)
+        # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
+        r0, r1, c0, c1 = _box(ey > 0, ex > 0)
+        if r1 > r0:
+            block = np.outer(ey[r0:r1], ex[c0:c1])
+            if spec.amplitude != 1.0:
+                block *= spec.amplitude
+            np.maximum(vals[r0:r1, c0:c1], block, out=vals[r0:r1, c0:c1])
+            blocks.append((r0, r1, c0, c1))
+    # a map with no nonzero pixel gets the empty box
+    r0s, r1s, c0s, c1s = zip(*blocks) if blocks else ((0,),) * 4
+    return Heatmap(vals, _support=(min(r0s), max(r1s), min(c0s), max(c1s)))
+
+
+def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:
+    """(r0, r1, c0, c1): the rows and the columns from the first to the last
+    True entry of each mask, or the empty box if either mask has none."""
+    rows, cols = np.flatnonzero(row_mask), np.flatnonzero(col_mask)
+    if not (rows.size and cols.size):
+        return 0, 0, 0, 0
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:
@@ -180,10 +173,17 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
 
     The patch is clamped at the grid border. ``window`` must be odd.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"window must be odd and positive, got {window}")
+    _odd_window(window)
     ax, ay = decode_argmax(hm)
     return _centroid_at(hm.values.shape, ax, ay, window, lambda ys, xs: hm.values[ys, xs])
+
+
+def _odd_window(window: int) -> int:
+    """The rule for a centroid window: a positive, odd number of pixels.
+    Returns window, or raises a ValidationError."""
+    if window < 1 or window % 2 == 0:
+        raise ValidationError(f"window must be odd and positive, got {window}")
+    return window
 
 
 def _centroid_at(shape: tuple[int, int], ax: int, ay: int, window: int,

@@ -19,8 +19,7 @@ from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError,
                    _non_negative_finite, _positive_finite)
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
-from .heatmap import (GaussianSpec, Heatmap, _gaussian_grid, _max_gaussian, _union,
-                      _usable_sigma, decode_argmax)
+from .heatmap import GaussianSpec, Heatmap, _render, _usable_sigma, decode_argmax
 from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
 from .preprocess import _round_u8
 
@@ -122,10 +121,9 @@ def generate_phantom(rng: Rng, config: PhantomConfig) -> LandmarkSet:
 
 def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
     """Render a chain as a displayable raster: bright blobs on a dark bed."""
-    vals = np.zeros((config.height, config.width))
-    for x, y in lms.points:
-        _max_gaussian(vals, GaussianSpec((float(x), float(y)), 5.0))
-    return GrayImage(_round_u8(15.0 + 220.0 * vals), config.spacing_mm_per_px)
+    blobs = _render([GaussianSpec((float(x), float(y)), 5.0) for x, y in lms.points],
+                    config.width, config.height)
+    return GrayImage(_round_u8(15.0 + 220.0 * blobs.values), config.spacing_mm_per_px)
 
 
 def simulate_coords(rng: Rng, gt: LandmarkSet, model: CoordPredictorModel) -> LandmarkSet:
@@ -157,8 +155,7 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
     for k, (x, y) in enumerate(gt.points):
         cx = x + rng.normal(0.0, model.peak_jitter_sigma)
         cy = y + rng.normal(0.0, model.peak_jitter_sigma)
-        peak, support = _gaussian_grid(
-            GaussianSpec((float(cx), float(cy)), model.heatmap_sigma), width, height)
+        specs = [GaussianSpec((float(cx), float(cy)), model.heatmap_sigma)]
         if rng.random() < model.adjacent_confusion_prob and n > 1:
             pick_next = rng.random() < 0.5
             if k == 0:
@@ -169,9 +166,8 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
                 nb = k + 1 if pick_next else k - 1
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
-            spurious = GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp)
-            support = _union(support, _max_gaussian(peak, spurious))
-        yield Heatmap(peak, _support=support)
+            specs.append(GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp))
+        yield _render(specs, width, height)
 
 
 @dataclass(frozen=True)
@@ -189,10 +185,7 @@ class TrialConfig:
         _positive_finite("threshold", self.threshold_mm)
         if self.images < 1:
             raise ValidationError(f"need at least one image, got {self.images}")
-        sigmas = self.fusion.prior_sigma
-        if isinstance(sigmas, tuple) and len(sigmas) < self.phantom.landmarks:
-            raise ValidationError(f"{len(sigmas)} prior sigmas for "
-                                  f"{self.phantom.landmarks} landmarks")
+        self.fusion._check_landmarks(self.phantom.landmarks)
 
 
 METHOD_COORDS = "coords_only"

@@ -169,6 +169,18 @@ class TestFuse:
         err = capsys.readouterr().err
         assert "a.hmap" in err and "b.txt" in err
 
+    def test_too_few_prior_sigmas_fail_each_stack_once(self, tmp_path, capsys):
+        manifest_path = make_corpus(tmp_path)
+        hm_dir, out = tmp_path / "hm", tmp_path / "fused"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        capsys.readouterr()
+        assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus",
+                   "--out-dir", out, "--prior-sigma", "6,6") == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stack}: 2 prior sigmas for 11 landmarks"
+            for stack in sorted(hm_dir.glob("*.hmap"))]
+        assert not list(out.iterdir())
+
     def test_dump_heatmaps(self, tmp_path):
         manifest_path = make_corpus(tmp_path, count=1)
         hm_dir, out = tmp_path / "hm", tmp_path / "fused"
@@ -379,12 +391,31 @@ class TestFlags:
          "--floor-epsilon", "-1"],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--floor-epsilon", "nan"],
+        ["phantom", "--out-dir", "o", "--count", "-3"],
+        ["augment", "--manifest", "m", "--out-dir", "o", "--count", "-2"],
+        # an integer too large for the float check
+        ["phantom", "--out-dir", "o", "--count", "1" + "0" * 400],
+        ["equalize", "--manifest", "m", "--out-dir", "o", "--jobs", "0"],
+        ["augment", "--manifest", "m", "--out-dir", "o", "--jobs", "-4"],
+        ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--jobs", "0"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--jobs", "-4"],
+        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--jobs", "0"],
+        ["augment", "--manifest", "m", "--out-dir", "o", "--working-size", "0", "0"],
+        ["augment", "--manifest", "m", "--out-dir", "o", "--working-size", "64", "-1"],
     ])
     def test_bad_flag_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_window_message_is_the_library_rule(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "4"])
+        err = capsys.readouterr().err
+        assert "argument --window: window must be odd and positive, got 4" in err
 
     @pytest.mark.parametrize("flag", sorted(TAKEN_BY))
     @pytest.mark.parametrize("command", sorted(REQUIRED))

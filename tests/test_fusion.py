@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spinefuse import fusion
 from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
 from spinefuse.fusion import (
     DecodeMethod,
@@ -231,6 +232,16 @@ class TestFuseBatch:
         np.testing.assert_array_equal(out.points, pts)
         with pytest.raises(ValidationError, match="channel"):
             FusionConfig(prior_sigma=(3.0,)).sigma_for(2)
+
+    def test_too_few_per_landmark_sigmas_fail_before_any_channel(self, monkeypatch):
+        pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
+        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), 48, 48) for p in pts]
+        coords = LandmarkSet(pts, PixelFrame(48, 48))
+        fused = []
+        monkeypatch.setattr(fusion, "fuse_and_decode", lambda *args, **kw: fused.append(args))
+        with pytest.raises(ValidationError, match=r"^2 prior sigmas for 3 landmarks$"):
+            fuse_batch(stack, coords, FusionConfig(prior_sigma=(3.0, 9.0)))
+        assert fused == []
 
 
 class TestFusionConfig:

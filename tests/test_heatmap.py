@@ -252,6 +252,17 @@ class TestSupport:
             assert not outside.any()
             assert hm._top == hm.values.max()
 
+    def test_a_confused_map_spans_both_peaks(self):
+        # the spurious peak's block reaches past the true peak's, so the
+        # support is their join, and it is tight: its edges hold nonzeros
+        gt = LandmarkSet(np.array([[60.0, 60.0], [180.0, 190.0]]), PixelFrame(256, 256))
+        model = HeatmapPredictorModel(adjacent_confusion_prob=1.0)
+        hm = next(simulate_heatmaps(Rng(0), gt, model, 256, 256))
+        rows = np.flatnonzero(hm.values.any(axis=1))
+        cols = np.flatnonzero(hm.values.any(axis=0))
+        assert hm._support == (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1)
+        assert hm._support != (0, 256, 0, 256)
+
     def test_a_public_map_gets_the_whole_grid(self):
         hm = Heatmap(np.zeros((5, 7)))
         assert (hm._support, hm._top) == ((0, 5, 0, 7), 0.0)

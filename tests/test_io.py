@@ -42,6 +42,23 @@ def test_io_does_not_import_the_simulator():
                 if m == "spinefuse.simulate" or m.startswith("spinefuse.simulate.")]
 
 
+def test_support_boxes_stay_inside_heatmap():
+    # a map's support box comes only from the renderer that knows where the
+    # map is nonzero; fusion uses the same box rule for its prior's window
+    # and gives no box to a map
+    offenders = []
+    for path in sorted(Path(io.__file__).parent.glob("*.py")):
+        if path.name == "heatmap.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "_support":
+                offenders.append((path.name, "_support="))
+            elif isinstance(node, ast.ImportFrom) and path.name != "fusion.py":
+                offenders += [(path.name, alias.name) for alias in node.names
+                              if alias.name == "_box"]
+    assert offenders == []
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ from spinefuse.core import LandmarkSet, Rng, ValidationError
 from spinefuse.evaluate import ComparisonReport, pck
 from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_batch
 from spinefuse.heatmap import decode_argmax
+from spinefuse.preprocess import _round_u8
 from spinefuse.simulate import (
     METHOD_COORDS,
     METHOD_FUSED,
@@ -101,6 +102,15 @@ class TestGeneratePhantom:
         assert (img.width, img.height) == (SMALL.width, SMALL.height)
         x, y = lms.points[0].astype(int)
         assert img.pixels[y, x] > 200
+
+    @pytest.mark.parametrize("config", [PhantomConfig(), SMALL], ids=["512", "small"])
+    def test_phantom_image_equals_the_dense_reference(self, config):
+        lms = generate_phantom(Rng(6), config)
+        blobs = np.max([dense_gaussian(p, 5.0, 1.0, config.width, config.height)
+                        for p in lms.points], axis=0)
+        img = phantom_image(lms, config)
+        assert img.spacing == config.spacing_mm_per_px
+        assert np.array_equal(img.pixels, _round_u8(15.0 + 220.0 * blobs))
 
 
 class TestSimulateCoords:
