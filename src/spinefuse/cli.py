@@ -75,7 +75,9 @@ def _batch(process, items, paths, jobs: int):
         if cls == EXIT_INTERNAL:
             traceback.print_exception(exc)
             exc = f"{type(exc).__name__}: {exc}"
-        print(f"error: {path}: {exc}", file=sys.stderr)
+        # a reader's error already starts with its file's path
+        msg = str(exc) if str(exc).startswith(f"{path}: ") else f"{path}: {exc}"
+        print(f"error: {msg}", file=sys.stderr)
         if code == EXIT_OK:
             code = cls
     return ok, code
@@ -97,8 +99,6 @@ def _read_pair(rec: io.ManifestRecord, landmark_count: int):
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config = PhantomConfig(
         landmarks=args.landmarks,
         width=args.grid[0],
@@ -108,6 +108,8 @@ def cmd_phantom(args) -> int:
         wobble_px=args.wobble,
     )
     master = Rng(args.seed)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     records = []
     for i in range(args.count):
         lms = generate_phantom(master.spawn(i), config)
@@ -149,14 +151,14 @@ def cmd_equalize(args) -> int:
 
 def cmd_augment(args) -> int:
     manifest = io.read_manifest(args.manifest)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ranges = AugmentationRanges(
         tx=tuple(args.tx_range), ty=tuple(args.ty_range),
         angle_deg=tuple(args.angle_range), scale=tuple(args.scale_range),
     )
     work_w, work_h = args.working_size or manifest.working_size
     master = Rng(args.seed)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def process(task):
         i, j, rec = task
@@ -166,7 +168,7 @@ def cmd_augment(args) -> int:
         center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
         transform = sample_valid_augmentation(stream, ranges, lms, center)
         warped_img = warp_image(img, transform)
-        warped_lms, _ = warp_landmarks(lms, transform)
+        warped_lms = warp_landmarks(lms, transform)
         out_img = resize_bilinear(warped_img, work_w, work_h)
         out_lms = resize_landmarks(warped_lms, work_w, work_h)
         stem = rec.image_path.stem
@@ -218,20 +220,20 @@ def _flag(parse):
 
 
 def _prior_sigmas(raw: str) -> float | tuple[float, ...]:
-    sigmas = tuple(_usable_sigma("prior_sigma", float(p)) for p in raw.split(",") if p.strip())
-    return sigmas[0] if len(sigmas) == 1 else sigmas
+    sigmas = tuple(float(p) for p in raw.split(",") if p.strip())
+    return FusionConfig(prior_sigma=sigmas[0] if len(sigmas) == 1 else sigmas).prior_sigma
 
 
 def cmd_fuse(args) -> int:
     heat_dir = Path(args.heatmaps_dir)
     coord_dir = Path(args.coords_dir)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = FusionConfig(
         prior_sigma=args.prior_sigma,
         floor_epsilon=args.floor_epsilon,
         decode=DecodeMethod(args.decode),
     )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     stacks = sorted(heat_dir.glob("*.hmap"))
     if not stacks:
         raise ValidationError(f"no .hmap files in {heat_dir}")
@@ -413,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand takes only the shared flags it reads
     for name in ("phantom", "augment", "simulate"):
-        sub.choices[name].add_argument("--seed", type=int, default=0, help="master random seed")
+        sub.choices[name].add_argument("--seed", default=0, help="master random seed",
+                                       type=_flag(lambda raw: Rng(int(raw)).seed))
     for name in ("equalize", "augment", "gen-heatmaps", "fuse", "decode"):
         sub.choices[name].add_argument("--jobs", default=1,
                                        type=_flag(lambda raw: _positive_finite("jobs", int(raw))),

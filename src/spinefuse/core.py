@@ -76,8 +76,7 @@ class GrayImage:
     @classmethod
     def from_flat(cls, width: int, height: int, pixels, spacing: float) -> "GrayImage":
         """Build from a row-major flat intensity sequence, validating shape."""
-        if width <= 0 or height <= 0:
-            raise ValidationError(f"non-positive dimensions: {width}x{height}")
+        PixelFrame(width, height)
         flat = np.asarray(pixels)
         if flat.size != width * height:
             raise ValidationError(
@@ -93,13 +92,14 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class PixelFrame:
-    """Coordinate frame of a width x height pixel grid."""
+    """Coordinate frame of a width x height pixel grid. Building one is the
+    package's only check that a grid's sides are positive."""
     width: int
     height: int
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"non-positive frame: {self.width}x{self.height}")
+            raise ValidationError(f"non-positive grid: {self.width}x{self.height}")
 
 
 @dataclass(frozen=True)

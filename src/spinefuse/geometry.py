@@ -132,18 +132,16 @@ def warp_image(img: GrayImage, t: AffineTransform2D) -> GrayImage:
     return GrayImage(_round_u8(out), img.spacing)
 
 
-def warp_landmarks(lms: LandmarkSet, t: AffineTransform2D) -> tuple[LandmarkSet, np.ndarray]:
-    """Map landmarks forward through the transform.
+def warp_landmarks(lms: LandmarkSet, t: AffineTransform2D) -> LandmarkSet:
+    """Map landmarks forward through the transform, in the same frame.
 
-    Returns the warped set and a boolean in-frame mask. Raises if every
-    point leaves the frame (such an augmentation should be rejected and
-    resampled).
+    Points may leave the frame; ``in_bounds_mask`` of the result tells
+    which stayed.
     """
-    warped = LandmarkSet(t.apply(lms.points), lms.frame)
-    mask = warped.in_bounds_mask()
-    if len(warped) and not mask.any():
-        raise ValidationError("all landmarks left the frame")
-    return warped, mask
+    return LandmarkSet(t.apply(lms.points), lms.frame)
+
+
+_MAX_TRIES = 100
 
 
 def sample_valid_augmentation(
@@ -151,18 +149,16 @@ def sample_valid_augmentation(
     ranges: AugmentationRanges,
     lms: LandmarkSet,
     center: tuple[float, float],
-    max_tries: int = 100,
 ) -> AffineTransform2D:
     """Sample until the augmentation keeps every landmark in frame.
 
     Silently clipping labels would corrupt training targets, so draws that
-    push any landmark out are discarded. Raises after ``max_tries``.
+    push any landmark out are discarded. Raises after ``_MAX_TRIES`` draws.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         t = build_transform(*sample_augmentation(rng, ranges), center)
-        warped = LandmarkSet(t.apply(lms.points), lms.frame)
-        if warped.in_bounds_mask().all():
+        if warp_landmarks(lms, t).in_bounds_mask().all():
             return t
     raise ValidationError(
-        f"no augmentation kept all landmarks in frame after {max_tries} tries"
+        f"no augmentation kept all landmarks in frame after {_MAX_TRIES} tries"
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LandmarkSet, ValidationError, _frozen, _positive_finite
+from .core import LandmarkSet, PixelFrame, ValidationError, _frozen, _positive_finite
 
 
 def _usable_sigma(name: str, sigma: float) -> float:
@@ -118,8 +118,7 @@ def _render(specs, width: int, height: int) -> Heatmap:
     Gaussian is 0, which max leaves as is. The map's support is the box
     spanning those blocks.
     """
-    if width <= 0 or height <= 0:
-        raise ValidationError(f"non-positive grid: {width}x{height}")
+    PixelFrame(width, height)
     vals, blocks = np.zeros((height, width)), []
     for spec in specs:
         lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)

@@ -294,13 +294,11 @@ def read_manifest(path: str | Path) -> Manifest:
     size = kv.get("working_size", "512 512").split()
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
-    working_size = int(size[0]), int(size[1])
-    if min(working_size) <= 0:
-        raise ValidationError("non-positive working_size")
+    frame = PixelFrame(int(size[0]), int(size[1]))
     return Manifest(
         records=tuple(records),
         landmark_count=landmark_count,
-        working_size=working_size,
+        working_size=(frame.width, frame.height),
     )
 
 

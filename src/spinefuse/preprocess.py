@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError
+from .core import GrayImage, LandmarkSet, PixelFrame
 
 
 def _round_u8(vals: np.ndarray) -> np.ndarray:
@@ -38,8 +38,7 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     Spacing is rescaled by width / out_w. At the input's own size every
     sample lands on its pixel, so the input is returned as it is.
     """
-    if out_w <= 0 or out_h <= 0:
-        raise ValidationError(f"non-positive output size: {out_w}x{out_h}")
+    PixelFrame(out_w, out_h)
     src = img.pixels
     h, w = src.shape
     if (out_w, out_h) == (w, h):
@@ -69,8 +68,7 @@ def resize_landmarks(lms: LandmarkSet, to_w: int, to_h: int) -> LandmarkSet:
     x is scaled by to_w / from_w and y by to_h / from_h, so each point keeps
     its position as a fraction of the frame.
     """
+    frame = PixelFrame(to_w, to_h)
     lms.validate_bounds()
-    if to_w <= 0 or to_h <= 0:
-        raise ValidationError(f"non-positive target size: {to_w}x{to_h}")
     scale = np.array([to_w / lms.frame.width, to_h / lms.frame.height])
-    return LandmarkSet(lms.points * scale, PixelFrame(to_w, to_h))
+    return LandmarkSet(lms.points * scale, frame)

@@ -74,8 +74,7 @@ class PhantomConfig:
     def __post_init__(self):
         if self.landmarks < 2:
             raise ValidationError(f"need at least 2 landmarks, got {self.landmarks}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"non-positive grid: {self.width}x{self.height}")
+        PixelFrame(self.width, self.height)
         # the chain geometry below is float arithmetic on these integers
         if max(self.width, self.height) > 2 ** 53:
             raise ValidationError(f"grid {self.width}x{self.height} has a side above 2**53, "

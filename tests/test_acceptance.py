@@ -244,7 +244,7 @@ def test_criterion_6_geometry_consistency():
         pix = np.zeros((size, size), dtype=np.uint8)
         pix[py, px] = 255
         warped = warp_image(GrayImage(pix, 1.0), t)
-        moved, _ = warp_landmarks(lms, t)
+        moved = warp_landmarks(lms, t)
         idx = int(np.argmax(warped.pixels))
         ax, ay = idx % size, idx // size
         wx, wy = moved.points[0]

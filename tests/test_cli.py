@@ -45,6 +45,16 @@ class TestPhantom:
         assert run("phantom", "--out-dir", tmp_path, *flags) == EXIT_VALIDATION
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--landmarks", "1"), "need at least 2 landmarks, got 1"),
+        (("--grid", "0", "512"), "non-positive grid: 0x512"),
+    ], ids=["landmarks", "grid"])
+    def test_bad_geometry_writes_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert run("phantom", "--out-dir", out, "--count", 1, *flags) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_reproducibility(self, tmp_path):
         m1 = make_corpus(tmp_path / "a")
         m2 = make_corpus(tmp_path / "b")
@@ -84,6 +94,13 @@ class TestAugment:
         assert run("augment", "--manifest", manifest, "--out-dir", out,
                    "--count", 0, "--seed", 3) == EXIT_OK
         assert io.read_manifest(out / "manifest.txt").records == ()
+
+    def test_bad_ranges_write_nothing(self, tmp_path):
+        manifest = make_corpus(tmp_path)
+        out = tmp_path / "aug"
+        assert run("augment", "--manifest", manifest, "--out-dir", out,
+                   "--scale-range", 0, 1) == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
         manifest = make_corpus(tmp_path)
@@ -290,6 +307,22 @@ def _bad_coords(tmp_path):
             "--out-dir", tmp_path / "f"], coords
 
 
+def _corrupt_stack(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    hm_dir = tmp_path / "hm"
+    assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+    stack = next(hm_dir.glob("*.hmap"))
+    stack.write_bytes(b"not a stack")
+    return ["decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d"], stack
+
+
+def _truncated_pgm(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    image = io.read_manifest(manifest_path).records[0].image_path
+    image.write_bytes(image.read_bytes()[:100])
+    return ["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq"], image
+
+
 class TestMalformedInput:
     """A malformed file exits 4 and names itself, without a traceback."""
 
@@ -323,6 +356,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", [_corrupt_stack, _truncated_pgm],
+                             ids=["decode", "equalize"])
+    def test_batch_error_names_the_file_once(self, tmp_path, capsys, case):
+        argv, bad = case(tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count(str(bad)) == 1
 
     def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch):
         manifest_path = make_corpus(tmp_path, count=1)
@@ -403,6 +445,18 @@ class TestFlags:
         ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--jobs", "0"],
         ["augment", "--manifest", "m", "--out-dir", "o", "--working-size", "0", "0"],
         ["augment", "--manifest", "m", "--out-dir", "o", "--working-size", "64", "-1"],
+        # seeds outside Rng's 64-bit unsigned range
+        ["phantom", "--out-dir", "o", "--seed", "-1"],
+        ["phantom", "--out-dir", "o", "--seed", "18446744073709551616"],
+        ["augment", "--manifest", "m", "--out-dir", "o", "--seed", "-1"],
+        ["augment", "--manifest", "m", "--out-dir", "o", "--seed", "18446744073709551616"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--seed", "18446744073709551616"],
+        # no prior sigma at all
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", ","],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", ""],
     ])
     def test_bad_flag_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinefuse import io
 from spinefuse.core import (
     GrayImage,
     LandmarkSet,
@@ -8,6 +9,15 @@ from spinefuse.core import (
     Rng,
     ValidationError,
 )
+from spinefuse.heatmap import GaussianSpec, render_gaussian
+from spinefuse.preprocess import resize_bilinear, resize_landmarks
+from spinefuse.simulate import PhantomConfig
+
+
+def _manifest_with_working_size(tmp_path, size):
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"working_size = {size}\n[images]\n")
+    return io.read_manifest(path)
 
 
 class TestGrayImage:
@@ -36,6 +46,22 @@ class TestGrayImage:
         img = GrayImage.from_flat(2, 2, [0, 1, 2, 3], 1.0)
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 9
+
+
+class TestPixelFrame:
+    @pytest.mark.parametrize("build", [
+        lambda tmp: PixelFrame(0, 4),
+        lambda tmp: GrayImage.from_flat(0, 4, [], 1.0),
+        lambda tmp: render_gaussian(GaussianSpec((1.0, 1.0), 1.0), 0, 4),
+        lambda tmp: resize_bilinear(GrayImage.from_flat(1, 1, [0], 1.0), 0, 4),
+        lambda tmp: resize_landmarks(LandmarkSet(np.zeros((1, 2)), PixelFrame(2, 2)), 0, 4),
+        lambda tmp: PhantomConfig(landmarks=2, width=0, height=4, chain_spacing_px=1.0),
+        lambda tmp: _manifest_with_working_size(tmp, "0 4"),
+    ], ids=["frame", "image", "heatmap", "resize", "resize-landmarks", "phantom",
+            "manifest"])
+    def test_every_grid_has_the_one_size_rule(self, tmp_path, build):
+        with pytest.raises(ValidationError, match="non-positive grid: 0x4"):
+            build(tmp_path)
 
 
 class TestLandmarkSet:

@@ -151,29 +151,24 @@ class TestWarpImage:
 class TestWarpLandmarks:
     def test_identity(self):
         lms = LandmarkSet(np.array([[3.0, 4.0]]), PixelFrame(10, 10))
-        out, mask = warp_landmarks(lms, build_transform(0, 0, 0, 1, (0, 0)))
+        out = warp_landmarks(lms, build_transform(0, 0, 0, 1, (0, 0)))
         np.testing.assert_array_equal(out.points, lms.points)
-        assert mask.all()
+        assert out.in_bounds_mask().all()
 
     def test_translation(self):
         lms = LandmarkSet(np.array([[10.0, 10.0]]), PixelFrame(64, 64))
-        out, _ = warp_landmarks(lms, build_transform(5, -3, 0, 1.0, (0, 0)))
+        out = warp_landmarks(lms, build_transform(5, -3, 0, 1.0, (0, 0)))
         np.testing.assert_allclose(out.points, [[15.0, 7.0]])
 
     def test_quarter_turn_matches_build_transform_example(self):
         lms = LandmarkSet(np.array([[75.0, 50.0]]), PixelFrame(100, 100))
-        out, _ = warp_landmarks(lms, build_transform(0, 0, 90, 1.0, (50, 50)))
+        out = warp_landmarks(lms, build_transform(0, 0, 90, 1.0, (50, 50)))
         np.testing.assert_allclose(out.points, [[50.0, 75.0]], atol=1e-12)
 
     def test_out_of_frame_flagged(self):
         lms = LandmarkSet(np.array([[1.0, 1.0], [30.0, 30.0]]), PixelFrame(64, 64))
-        out, mask = warp_landmarks(lms, build_transform(-10, 0, 0, 1.0, (0, 0)))
-        assert list(mask) == [False, True]
-
-    def test_all_out_of_frame_rejected(self):
-        lms = LandmarkSet(np.array([[1.0, 1.0]]), PixelFrame(64, 64))
-        with pytest.raises(ValidationError, match="left the frame"):
-            warp_landmarks(lms, build_transform(-100, 0, 0, 1.0, (0, 0)))
+        out = warp_landmarks(lms, build_transform(-10, 0, 0, 1.0, (0, 0)))
+        assert list(out.in_bounds_mask()) == [False, True]
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(9)
@@ -181,7 +176,7 @@ class TestWarpLandmarks:
         for _ in range(25):
             t = build_transform(rng.uniform(-10, 10), rng.uniform(-5, 5),
                                 rng.uniform(-25, 25), rng.uniform(0.7, 1.3), (64, 64))
-            fwd, _ = warp_landmarks(lms, t)
+            fwd = warp_landmarks(lms, t)
             back = t.invert().apply(fwd.points)
             np.testing.assert_allclose(back, lms.points, atol=1e-6)
 
@@ -190,8 +185,8 @@ class TestWarpLandmarks:
         lms = LandmarkSet(rng.uniform(30, 90, (6, 2)), PixelFrame(128, 128))
         t1 = build_transform(4, 2, 10, 1.1, (64, 64))
         t2 = build_transform(-6, 1, -15, 0.9, (64, 64))
-        mid, _ = warp_landmarks(lms, t1)
-        seq, _ = warp_landmarks(mid, t2)
+        mid = warp_landmarks(lms, t1)
+        seq = warp_landmarks(mid, t2)
         np.testing.assert_allclose(seq.points, t2.apply(t1.apply(lms.points)), atol=1e-6)
 
 
@@ -214,7 +209,7 @@ class TestImageLabelConsistency:
             pix = np.zeros((size, size), dtype=np.uint8)
             pix[py, px] = 255
             warped_img = warp_image(GrayImage(pix, 1.0), t)
-            warped_lms, _ = warp_landmarks(lms, t)
+            warped_lms = warp_landmarks(lms, t)
             idx = int(np.argmax(warped_img.pixels))
             ax, ay = idx % size, idx // size
             wx, wy = warped_lms.points[0]
@@ -227,4 +222,4 @@ class TestImageLabelConsistency:
         lms = LandmarkSet(np.array([[0.0, 0.0]]), PixelFrame(8, 8))
         ranges = AugmentationRanges(tx=(50, 60), ty=(0, 0), angle_deg=(0, 0), scale=(1, 1))
         with pytest.raises(ValidationError, match="tries"):
-            sample_valid_augmentation(Rng(1), ranges, lms, (4, 4), max_tries=10)
+            sample_valid_augmentation(Rng(1), ranges, lms, (4, 4))

@@ -42,6 +42,23 @@ def test_io_does_not_import_the_simulator():
                 if m == "spinefuse.simulate" or m.startswith("spinefuse.simulate.")]
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names only to export them
+    unused = []
+    for path in sorted(Path(io.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [(path.name, name) for name in bound if name not in used]
+    assert unused == []
+
+
 def test_support_boxes_stay_inside_heatmap():
     # a map's support box comes only from the renderer that knows where the
     # map is nonzero; fusion uses the same box rule for its prior's window
