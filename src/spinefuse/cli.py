@@ -19,7 +19,7 @@ from . import io
 from .core import (LandmarkSet, PixelFrame, Rng, ValidationError, _non_negative_finite,
                    _positive_finite)
 from .evaluate import pck
-from .fusion import DecodeMethod, FusionConfig, coord_to_prior, fuse_batch, fuse_product
+from .fusion import DecodeMethod, FusionConfig, fuse_batch, fuse_product
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
 from .heatmap import _odd_window, _usable_sigma, decode_argmax, decode_centroid, render_label_stack
 from .preprocess import equalize_histogram, resize_bilinear, resize_landmarks
@@ -232,11 +232,11 @@ def cmd_fuse(args) -> int:
         floor_epsilon=args.floor_epsilon,
         decode=DecodeMethod(args.decode),
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stacks = sorted(heat_dir.glob("*.hmap"))
     if not stacks:
         raise ValidationError(f"no .hmap files in {heat_dir}")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def process(stack_path: Path):
         coords_path = coord_dir / f"{stack_path.stem}.txt"
@@ -251,14 +251,8 @@ def cmd_fuse(args) -> int:
         fused = fuse_batch(stack, coords, cfg)
         io.write_landmarks(out / f"{stack_path.stem}.txt", fused)
         if args.dump_heatmaps:
-            dumps = [
-                fuse_product(
-                    hm,
-                    coord_to_prior(tuple(c), cfg.sigma_for(k), hm.width, hm.height),
-                    cfg.floor_epsilon,
-                )
-                for k, (hm, c) in enumerate(zip(stack, coords.points))
-            ]
+            dumps = [fuse_product(hm, tuple(c), cfg, k)
+                     for k, (hm, c) in enumerate(zip(stack, coords.points))]
             io.write_heatmap_stack(out / f"{stack_path.stem}.fused.hmap", dumps)
         return stack_path
 
@@ -269,18 +263,18 @@ def cmd_fuse(args) -> int:
 
 def cmd_decode(args) -> int:
     heat_dir = Path(args.heatmaps_dir)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stacks = sorted(heat_dir.glob("*.hmap"))
     if not stacks:
         raise ValidationError(f"no .hmap files in {heat_dir}")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def process(stack_path: Path):
         stack = io.read_heatmap_stack(stack_path)
         if args.method == "argmax":
             pts = [decode_argmax(hm) for hm in stack]
         else:
-            pts = [decode_centroid(hm, args.window) for hm in stack]
+            pts = [decode_centroid(hm, args.window or 3) for hm in stack]
         frame = PixelFrame(stack[0].width, stack[0].height)
         io.write_landmarks(out / f"{stack_path.stem}.txt",
                            LandmarkSet(np.array(pts, dtype=np.float64), frame))
@@ -394,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=["argmax", "centroid"], default="argmax")
-    p.add_argument("--window", type=_flag(lambda raw: _odd_window(int(raw))), default=3)
+    p.add_argument("--window", type=_flag(lambda raw: _odd_window(int(raw))),
+                   help="odd centroid patch size (default 3); only with --method centroid")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score predictions against a manifest")
@@ -407,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate",
                        help="compare coords-only, heatmap-argmax, and fused decoding")
-    p.add_argument("--config", default=None, help="sim config file")
-    p.add_argument("--preset", choices=["calibrated", "noiseless"], default="calibrated",
-                   help="built-in config when --config is not given")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="sim config file")
+    source.add_argument("--preset", choices=["calibrated", "noiseless"],
+                        help="built-in config (default calibrated)")
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_simulate)
 
@@ -425,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "decode" and args.window is not None and args.method != "centroid":
+        parser.error("argument --window: only --method centroid reads it")
     try:
         return args.func(args)
     except Exception as exc:  # the exit code names the class of failure

@@ -79,67 +79,31 @@ def coord_to_prior(coord: tuple[float, float], prior_sigma: float,
                            width, height)
 
 
-def _log_clamped(values: np.ndarray, floor: float) -> np.ndarray:
-    out = np.maximum(values, floor)
-    np.log(out, out=out)
-    return out
-
-
-def fuse_product(predicted: Heatmap, prior: Heatmap,
-                 floor_epsilon: float = 1e-12) -> Heatmap:
-    """Pointwise product of the two maps, clamped and peak-normalized.
-
-    Computed as exp(log(max(predicted, eps)) + log(max(prior, eps)) - M)
-    with M the grid maximum of the log sum, so the output peak is exactly 1
-    and the argmax matches the clamped product's.
-    """
-    _positive_finite("floor_epsilon", floor_epsilon)
-    if predicted.values.shape != prior.values.shape:
-        raise ValidationError(
-            f"dimension mismatch: predicted {predicted.width}x{predicted.height} "
-            f"vs prior {prior.width}x{prior.height}"
-        )
-    logsum = (_log_clamped(predicted.values, floor_epsilon)
-              + _log_clamped(prior.values, floor_epsilon))
-    return Heatmap(np.exp(logsum - logsum.max()))
-
-
 def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
             floor_epsilon: float) -> np.ndarray:
-    """max(lx + ly, log eps) + log(max(values, eps)) over one block of the grid."""
+    """max(lx + ly, log eps) + log(max(values, eps)) over one block of the
+    grid: the log of the clamped product of the prior and the map."""
     out = lx[None, :] + ly[:, None]
     np.maximum(out, math.log(floor_epsilon), out=out)
-    out += _log_clamped(values, floor_epsilon)
+    clamped = np.maximum(values, floor_epsilon)
+    out += np.log(clamped, out=clamped)
     return out
 
 
-def _outside_best(blocks, tops, width: int, floor_epsilon: float) -> tuple[float, int]:
-    """Best score and flat index of the row-major first pixel that has it,
-    over blocks of the grid where the clamped prior is exactly log eps.
+def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
+                 channel: int | None = None) -> Heatmap:
+    """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
+    reads, built over the whole grid.
 
-    ``blocks`` holds (values, row offset, column offset) and ``tops`` each
-    block's maximum. The score log eps + log(max(p, eps)) rises with p, but
-    distinct p can round to one score: every p <= eps scores the same floor,
-    and values within a few ulps of the maximum can tie with it. Only p
-    within 1e-9 (relative) of the maximum can reach its score, so just those
-    are scored, or all of them once that bound reaches the floor.
+    That is the clamped product of the predicted map and the coordinate's
+    Gaussian prior, peak-normalized so its maximum is exactly 1; its
+    row-major first maximum is the argmax :func:`fuse_and_decode` returns.
     """
-    top = max(tops)
-    bound = top * (1.0 - 1e-9)
-    scores, flats = [], []
-    for (part, y, x), part_top in zip(blocks, tops):
-        if top <= floor_epsilon:
-            # every pixel scores the floor, so each block's first one is enough
-            ys = xs = np.zeros(1, dtype=np.intp)
-        elif part_top < bound:
-            continue
-        else:
-            ys, xs = np.nonzero(part >= (bound if bound > floor_epsilon else 0.0))
-        scores.append(math.log(floor_epsilon) + _log_clamped(part[ys, xs], floor_epsilon))
-        flats.append((ys + y) * width + xs + x)
-    scores, flats = np.concatenate(scores), np.concatenate(flats)
-    best = scores.max()
-    return float(best), int(flats[scores == best].min())
+    lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
+                                 predicted.height)
+    logsum = _logsum(lx, ly, predicted.values, cfg.floor_epsilon)
+    logsum -= logsum.max()
+    return Heatmap(np.exp(logsum, out=logsum))
 
 
 def _outside_can_reach(best: float, top: float, eps: float) -> bool:
@@ -160,46 +124,41 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
                     cfg: FusionConfig, channel: int | None = None) -> tuple[float, float]:
     """Fuse one channel with its coordinate prediction and decode the peak.
 
-    Both methods read one log-domain sum, max(log prior, log eps) +
-    log(max(predicted, eps)). Argmax takes its row-major first maximum;
-    centroid weights the 3x3 patch around that same index by
-    exp(logsum - peak), the peak-normalized product :func:`fuse_product`
-    would give there.
+    Both methods read the log-domain sum of :func:`fuse_product`,
+    max(log prior, log eps) + log(max(predicted, eps)). Argmax takes its
+    row-major first maximum; centroid weights the 3x3 patch around that
+    same index by exp(logsum - peak), the values :func:`fuse_product`
+    holds there.
 
-    The sum is built only inside the window of rows and columns whose
-    prior can rise above log eps. Outside it the clamped prior is exactly
-    log eps, so the best pixel there is the raw map's maximum; that part
-    of the map is read only when its maximum could reach the window's best
-    score. The result equals the argmax of the sum over the whole grid,
-    ties included.
+    The sum is first built only inside the window of rows and columns
+    whose prior can rise above log eps. Every pixel outside it scores at
+    most the ceiling log eps + log(max(top, eps)), with top the map's
+    maximum, so a window best that clears the ceiling is the whole grid's
+    first maximum. When the window is empty, or its best does not clear
+    the ceiling, the sum is built over the whole grid. Either way the
+    result is the argmax of the whole grid's sum, ties included.
     """
-    values, eps, width = predicted.values, cfg.floor_epsilon, predicted.width
+    values, eps = predicted.values, cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
-    lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), width, predicted.height)
+    lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
+                                 predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
     log_eps = math.log(eps)
     # float addition is monotone, so a column whose prior cannot beat
     # log eps on the best row cannot beat it on any row
     r0, r1, c0, c1 = _box(ly + lx.max() > log_eps, lx + ly.max() > log_eps)
-
-    candidates = []
     if r1 > r0:
         window = _logsum(lx[c0:c1], ly[r0:r1], values[r0:r1, c0:c1], eps)
         i = int(np.argmax(window))
-        iy, ix = divmod(i, c1 - c0)
-        candidates.append((float(window.flat[i]), (r0 + iy) * width + c0 + ix))
-    if not candidates or _outside_can_reach(candidates[0][0], predicted._top, eps):
-        outer = [(part, y, x) for part, y, x in (
-            (values[:r0], 0, 0), (values[r0:r1, :c0], r0, 0),
-            (values[r0:r1, c1:], r0, c1), (values[r1:], r1, 0),
-        ) if part.size]
-        if outer:
-            candidates.append(_outside_best(outer, [float(part.max()) for part, _, _ in outer],
-                                            width, eps))
-    # an equal score goes to the row-major first pixel
-    peak, idx = max(candidates, key=lambda c: (c[0], -c[1]))
-    ay, ax = divmod(idx, width)
+    if r1 <= r0 or _outside_can_reach(float(window.flat[i]), predicted._top, eps):
+        # the window is empty, or a pixel outside it could match its best
+        r0, c0 = 0, 0
+        window = _logsum(lx, ly, values, eps)
+        i = int(np.argmax(window))
+    peak = float(window.flat[i])
+    iy, ix = divmod(i, window.shape[1])
+    ax, ay = c0 + ix, r0 + iy
     if cfg.decode is DecodeMethod.ARGMAX:
         return float(ax), float(ay)
     return _centroid_at(

@@ -131,8 +131,8 @@ def test_criterion_3_product_closed_form():
         if min(abs(mx - math.floor(mx) - 0.5), abs(my - math.floor(my) - 0.5)) < 1e-6:
             continue
         ha = render_gaussian(GaussianSpec((ax, ay), sa), size, size)
-        hb = render_gaussian(GaussianSpec((bx, by), sb), size, size)
-        got = decode_argmax(fuse_product(ha, hb, eps))
+        cfg = FusionConfig(prior_sigma=sb, floor_epsilon=eps)
+        got = decode_argmax(fuse_product(ha, (bx, by), cfg))
         assert got == (round(mx), round(my)), (
             f"pair ({ax},{ay},s={sa:.3f}) x ({bx},{by},s={sb:.3f}): "
             f"got {got}, closed form ({mx:.3f},{my:.3f})"

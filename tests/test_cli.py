@@ -378,6 +378,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "IndexError" in next(ln for ln in err.splitlines() if ln.startswith("error:"))
 
+    @pytest.mark.parametrize("command", [["fuse", "--coords-dir", "c"], ["decode"]],
+                             ids=["fuse", "decode"])
+    def test_no_stacks_writes_nothing(self, tmp_path, capsys, command):
+        empty, out = tmp_path / "empty", tmp_path / "out"
+        empty.mkdir()
+        assert run(*command, "--heatmaps-dir", empty, "--out-dir", out) == EXIT_VALIDATION
+        assert f"error: no .hmap files in {empty}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestJobsFlag:
     def test_parallel_equalize_matches_serial(self, tmp_path):
@@ -457,6 +466,12 @@ class TestFlags:
          "--prior-sigma", ","],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", ""],
+        # a flag the command would ignore
+        ["simulate", "--config", "f", "--preset", "noiseless"],
+        ["simulate", "--preset", "calibrated", "--config", "f"],
+        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "5"],
+        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "argmax",
+         "--window", "3"],
     ])
     def test_bad_flag_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -57,7 +57,7 @@ class TestFuseProduct:
     def test_uniform_map_is_identity(self):
         prior = coord_to_prior((20, 30), 4.0, 64, 64)
         ones = Heatmap(np.ones((64, 64)))
-        fused = fuse_product(ones, prior)
+        fused = fuse_product(ones, (20, 30), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (20, 30)
         # identity up to the documented floor on the deep tail
         np.testing.assert_allclose(
@@ -66,27 +66,27 @@ class TestFuseProduct:
 
     def test_equal_sigmas_meet_at_midpoint(self):
         a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
-        b = render_gaussian(GaussianSpec((14, 10), 2.0), 64, 64)
-        assert decode_argmax(fuse_product(a, b)) == (12, 10)
+        assert decode_argmax(fuse_product(a, (14, 10), FusionConfig(prior_sigma=2.0))) == (12, 10)
 
     def test_closed_form_mean(self):
         # precision-weighted mean: (sb^2*10 + sa^2*20) / (sa^2 + sb^2) = 12
         a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
         b = render_gaussian(GaussianSpec((20, 10), 4.0), 64, 64)
-        fused = fuse_product(a, b)
+        fused = fuse_product(a, (20, 10), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (12, 10)
         assert brute_force_fused_argmax(a, b) == (12, 10)
 
     def test_output_peak_is_one(self):
         a = render_gaussian(GaussianSpec((10, 10), 2.0), 32, 32)
-        b = render_gaussian(GaussianSpec((20, 20), 3.0), 32, 32)
-        assert fuse_product(a, b).values.max() == 1.0
+        assert fuse_product(a, (20, 20), FusionConfig(prior_sigma=3.0)).values.max() == 1.0
 
     def test_symmetric_in_arguments(self):
+        # which Gaussian is the map and which the prior does not matter
         a = render_gaussian(GaussianSpec((10, 12), 2.0), 32, 32)
         b = render_gaussian(GaussianSpec((17, 20), 3.0), 32, 32)
         np.testing.assert_allclose(
-            fuse_product(a, b).values, fuse_product(b, a).values, atol=1e-12
+            fuse_product(a, (17, 20), FusionConfig(prior_sigma=3.0)).values,
+            fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0)).values, atol=1e-12
         )
 
     def test_far_apart_narrow_peaks_do_not_underflow(self):
@@ -94,14 +94,8 @@ class TestFuseProduct:
         a = render_gaussian(GaussianSpec((10, 10), 1.0), 128, 128)
         b = render_gaussian(GaussianSpec((120, 120), 1.0), 128, 128)
         assert (a.values * b.values).max() == 0.0
-        fused = fuse_product(a, b)
+        fused = fuse_product(a, (120, 120), FusionConfig(prior_sigma=1.0))
         assert fused.values.max() == 1.0
-
-    def test_dimension_mismatch(self):
-        a = render_gaussian(GaussianSpec((5, 5), 2.0), 32, 32)
-        b = render_gaussian(GaussianSpec((5, 5), 2.0), 16, 16)
-        with pytest.raises(ValidationError, match="dimension mismatch"):
-            fuse_product(a, b)
 
 
 class TestFuseAndDecode:
@@ -133,9 +127,7 @@ class TestFuseAndDecode:
             )
             coord = (rng.uniform(4, 60), rng.uniform(4, 60))
             fast = fuse_and_decode(hm, coord, cfg)
-            fused = fuse_product(
-                hm, coord_to_prior(coord, 5.0, hm.width, hm.height), cfg.floor_epsilon
-            )
+            fused = fuse_product(hm, coord, cfg)
             assert fast == tuple(float(c) for c in decode_argmax(fused))
 
     def test_scale_invariance(self):
@@ -351,6 +343,7 @@ class TestSingleDecodePath:
         cx, cy = fuse_and_decode(hm, coord, centroid_cfg)
         assert abs(cx - ax) <= 1 and abs(cy - ay) <= 1
         fused = np.exp(logsum - logsum.max())
+        assert fuse_product(hm, coord, argmax_cfg).values.tobytes() == fused.tobytes()
         if int(np.argmax(fused)) == idx:
             ref = decode_centroid(Heatmap(fused))
             assert abs(cx - ref[0]) <= 1e-12 and abs(cy - ref[1]) <= 1e-12

@@ -286,7 +286,7 @@ class TestSupportDecodes:
             x, y = fx * hm.width, fy * hm.height
             if beyond:
                 # past the floor horizon of every column: the window is
-                # empty and the outside decides
+                # empty and the whole grid's sum decides
                 horizon = sigma * math.sqrt(-2.0 * math.log(FusionConfig().floor_epsilon))
                 x = (min(x, 0.0) - horizon - 1.0 if fx < 0.5
                      else max(x, hm.width - 1.0) + horizon + 1.0)
