@@ -138,7 +138,7 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     the ceiling, the sum is built over the whole grid. Either way the
     result is the argmax of the whole grid's sum, ties included.
     """
-    values, eps = predicted.values, cfg.floor_epsilon
+    eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
     lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
                                  predicted.height)
@@ -149,12 +149,13 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     # log eps on the best row cannot beat it on any row
     r0, r1, c0, c1 = _box(ly + lx.max() > log_eps, lx + ly.max() > log_eps)
     if r1 > r0:
-        window = _logsum(lx[c0:c1], ly[r0:r1], values[r0:r1, c0:c1], eps)
+        inside = predicted._window(slice(r0, r1), slice(c0, c1))
+        window = _logsum(lx[c0:c1], ly[r0:r1], inside, eps)
         i = int(np.argmax(window))
     if r1 <= r0 or _outside_can_reach(float(window.flat[i]), predicted._top, eps):
         # the window is empty, or a pixel outside it could match its best
         r0, c0 = 0, 0
-        window = _logsum(lx, ly, values, eps)
+        window = _logsum(lx, ly, predicted.values, eps)
         i = int(np.argmax(window))
     peak = float(window.flat[i])
     iy, ix = divmod(i, window.shape[1])
@@ -162,8 +163,8 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     if cfg.decode is DecodeMethod.ARGMAX:
         return float(ax), float(ay)
     return _centroid_at(
-        values.shape, ax, ay, 3,
-        lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], values[ys, xs], eps) - peak))
+        predicted._shape, ax, ay, 3,
+        lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak))
 
 
 def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
@@ -180,12 +181,12 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
     cfg._check_landmarks(len(predicted_stack))
     if not predicted_stack:
         return LandmarkSet(np.empty((0, 2)), coords.frame)
-    shape = predicted_stack[0].values.shape
+    shape = predicted_stack[0]._shape
     out = np.empty((len(predicted_stack), 2))
     for k, (hm, coord) in enumerate(zip(predicted_stack, coords.points)):
-        if hm.values.shape != shape:
+        if hm._shape != shape:
             raise ValidationError(
-                f"channel {k}: shape {hm.values.shape[::-1]} differs from "
+                f"channel {k}: shape {hm._shape[::-1]} differs from "
                 f"channel 0 shape {shape[::-1]}"
             )
         try:

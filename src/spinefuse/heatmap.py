@@ -54,50 +54,85 @@ class GaussianSpec:
         _positive_finite("amplitude", self.amplitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Heatmap:
-    """Dense grid of non-negative finite scores, one value per pixel.
+    """Grid of non-negative finite scores, one value per pixel.
 
-    Each map also records its support, the rows ``r0:r1`` and columns
-    ``c0:c1`` outside which every value is exactly 0, and its maximum.
-    Maps the package renders get the box of their Gaussians' nonzero
-    blocks; any other map (``Heatmap(values)``, an HMAP channel, a fused
-    product) gets the whole grid. Validation and :func:`decode_argmax`
-    scan only the box, and fusion uses the maximum to tell when the map
-    outside its prior's window can matter.
+    Each map records its support, the rows ``r0:r1`` and columns ``c0:c1``
+    outside which every value is exactly 0, and its maximum, and it stores
+    only the block of values inside that box. Maps the package renders get
+    the box of their Gaussians' nonzero blocks; any other map
+    (``Heatmap(values)``, an HMAP channel, a fused product) gets the whole
+    grid. Validation, decoding, fusion and HMAP writes read only the block,
+    and fusion uses the maximum to tell when the map outside its prior's
+    window can matter.
+
+    ``values`` is the given array or, for a rendered map, a dense grid
+    built from the block the first time it is asked for.
     """
 
-    values: np.ndarray
-    # private: passed only by _render, which knows the box
-    _support: tuple[int, int, int, int] | None = field(
-        default=None, kw_only=True, repr=False, compare=False)
-    _top: float = field(init=False, repr=False, compare=False)
+    # the values inside the support; a given dense grid is cut to it
+    _block: np.ndarray
+    # private: passed only by _render, which knows the box and renders
+    # only its block, of a grid of (height, width) _shape
+    _support: tuple[int, int, int, int] | None = field(default=None, kw_only=True)
+    _shape: tuple[int, int] | None = field(default=None, kw_only=True)
+    _top: float = field(init=False, repr=False)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {arr.shape}")
-        r0, r1, c0, c1 = self._support or (0, arr.shape[0], 0, arr.shape[1])
-        inner = arr[r0:r1, c0:c1]
+        arr = np.asarray(self._block, dtype=np.float64)
+        shape = self._shape or arr.shape
+        if len(shape) != 2 or 0 in shape:
+            raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {shape}")
+        r0, r1, c0, c1 = self._support or (0, shape[0], 0, shape[1])
+        # a rendered block is already the support's; a given grid is cut to it
+        block = arr if self._shape else arr[r0:r1, c0:c1]
         # NaN and +-inf all reach min or max, so two reductions check both;
         # every value outside the box is 0, which passes both checks and
         # raises no maximum of non-negative values
-        lo, hi = (inner.min(), inner.max()) if inner.size else (0.0, 0.0)
+        lo, hi = (block.min(), block.max()) if block.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("heatmap values must be finite")
         if lo < 0:
             raise ValidationError("heatmap values must be non-negative")
-        object.__setattr__(self, "values", _frozen(arr))
+        if self._shape is None:
+            object.__setattr__(self, "_dense", _frozen(arr))
+        object.__setattr__(self, "_block", _frozen(block))
+        object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_support", (r0, r1, c0, c1))
         object.__setattr__(self, "_top", float(hi))
 
     @property
+    def values(self) -> np.ndarray:
+        """The dense grid, frozen float64; the same array on every access."""
+        if self._dense is None:
+            dense = self._window(slice(0, self.height), slice(0, self.width))
+            object.__setattr__(self, "_dense", _frozen(dense))
+        return self._dense
+
+    @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self._shape[1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self._shape[0]
+
+    def _window(self, ys: slice, xs: slice) -> np.ndarray:
+        """The values in rows ``ys`` and columns ``xs``, two in-grid slices
+        of step 1: a view of the block when the support holds the window,
+        else a copy, zero outside the support."""
+        r0, r1, c0, c1 = self._support
+        if r0 <= ys.start and ys.stop <= r1 and c0 <= xs.start and xs.stop <= c1:
+            return self._block[ys.start - r0:ys.stop - r0, xs.start - c0:xs.stop - c0]
+        out = np.zeros((ys.stop - ys.start, xs.stop - xs.start))
+        y0, y1 = max(ys.start, r0), min(ys.stop, r1)
+        x0, x1 = max(xs.start, c0), min(xs.stop, c1)
+        if y1 > y0 and x1 > x0:
+            out[y0 - ys.start:y1 - ys.start, x0 - xs.start:x1 - xs.start] = \
+                self._block[y0 - r0:y1 - r0, x0 - c0:x1 - c0]
+        return out
 
 
 def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
@@ -112,28 +147,37 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
 
 
 def _render(specs, width: int, height: int) -> Heatmap:
-    """The Gaussians of ``specs``, max-combined into one zeroed grid.
+    """The Gaussians of ``specs``, max-combined over the box spanning their
+    nonzero blocks.
 
     Each is computed only over its nonzero block: outside it the rendered
-    Gaussian is 0, which max leaves as is. The map's support is the box
-    spanning those blocks.
+    Gaussian is 0, which max leaves as is. A single block is the map's
+    block as it is; several are max-combined into a zeroed array of the box
+    that joins them. That box is the map's support.
     """
     PixelFrame(width, height)
-    vals, blocks = np.zeros((height, width)), []
+    blocks = []
     for spec in specs:
         lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)
         ex, ey = np.exp(lx), np.exp(ly)
         # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
-        r0, r1, c0, c1 = _box(ey > 0, ex > 0)
+        r0, r1, c0, c1 = box = _box(ey > 0, ex > 0)
         if r1 > r0:
             block = np.outer(ey[r0:r1], ex[c0:c1])
             if spec.amplitude != 1.0:
                 block *= spec.amplitude
-            np.maximum(vals[r0:r1, c0:c1], block, out=vals[r0:r1, c0:c1])
-            blocks.append((r0, r1, c0, c1))
-    # a map with no nonzero pixel gets the empty box
-    r0s, r1s, c0s, c1s = zip(*blocks) if blocks else ((0,),) * 4
-    return Heatmap(vals, _support=(min(r0s), max(r1s), min(c0s), max(c1s)))
+            blocks.append((box, block))
+    if len(blocks) == 1:
+        (box, joined), = blocks
+    else:
+        # a map with no nonzero pixel gets the empty box
+        r0s, r1s, c0s, c1s = zip(*(b for b, _ in blocks)) if blocks else ((0,),) * 4
+        box = (min(r0s), max(r1s), min(c0s), max(c1s))
+        joined = np.zeros((box[1] - box[0], box[3] - box[2]))
+        for (r0, r1, c0, c1), block in blocks:
+            part = joined[r0 - box[0]:r1 - box[0], c0 - box[2]:c1 - box[2]]
+            np.maximum(part, block, out=part)
+    return Heatmap(joined, _support=box, _shape=(height, width))
 
 
 def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -161,9 +205,9 @@ def decode_argmax(hm: Heatmap) -> tuple[int, int]:
     # every pixel outside the support is 0, below the maximum, and the box
     # keeps the grid's row-major order, so its first match is the grid's.
     # np.argmax copies an array that is not writeable, as a Heatmap's
-    # values are; the first pixel equal to the maximum is the same index
-    r0, r1, c0, c1 = hm._support
-    iy, ix = divmod(int(np.argmax(hm.values[r0:r1, c0:c1] == hm._top)), c1 - c0)
+    # block is; the first pixel equal to the maximum is the same index
+    r0, _, c0, c1 = hm._support
+    iy, ix = divmod(int(np.argmax(hm._block == hm._top)), c1 - c0)
     return c0 + ix, r0 + iy
 
 
@@ -174,7 +218,7 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
     """
     _odd_window(window)
     ax, ay = decode_argmax(hm)
-    return _centroid_at(hm.values.shape, ax, ay, window, lambda ys, xs: hm.values[ys, xs])
+    return _centroid_at(hm._shape, ax, ay, window, hm._window)
 
 
 def _odd_window(window: int) -> int:

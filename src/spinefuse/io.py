@@ -155,21 +155,23 @@ _HMAP_MAGIC = b"HMAP"
 
 
 def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
-    """Cast each channel to float32 in place in one buffer, after the header,
-    and write that buffer. A value beyond the float32 range is refused: it
-    would be written as inf, which :func:`read_heatmap_stack` rejects."""
+    """Cast each channel's support box to float32 in place in one zeroed
+    buffer, after the header, and write that buffer. A value beyond the
+    float32 range is refused: it would be written as inf, which
+    :func:`read_heatmap_stack` rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
-    h, w = stack[0].values.shape
-    buf = np.empty(16 + len(stack) * h * w * 4, dtype=np.uint8)
+    h, w = stack[0]._shape
+    buf = np.zeros(16 + len(stack) * h * w * 4, dtype=np.uint8)
     buf[:16] = np.frombuffer(_HMAP_MAGIC + struct.pack("<III", len(stack), h, w), np.uint8)
     body = buf[16:].view("<f4").reshape(len(stack), h, w)
     with np.errstate(over="raise"):
         for k, hm in enumerate(stack):
-            if hm.values.shape != (h, w):
+            if hm._shape != (h, w):
                 raise ValidationError(f"channel {k} shape differs from channel 0")
+            r0, r1, c0, c1 = hm._support
             try:
-                body[k] = hm.values
+                body[k, r0:r1, c0:c1] = hm._block
             except FloatingPointError:
                 raise ValidationError(
                     f"channel {k} holds a value beyond the float32 range") from None

@@ -122,7 +122,11 @@ def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
     """Render a chain as a displayable raster: bright blobs on a dark bed."""
     blobs = _render([GaussianSpec((float(x), float(y)), 5.0) for x, y in lms.points],
                     config.width, config.height)
-    return GrayImage(_round_u8(15.0 + 220.0 * blobs.values), config.spacing_mm_per_px)
+    # outside the blobs' support every pixel is the bed, 15 + 220 * 0
+    pixels = np.full((config.height, config.width), _round_u8(np.float64(15.0)))
+    r0, r1, c0, c1 = blobs._support
+    pixels[r0:r1, c0:c1] = _round_u8(15.0 + 220.0 * blobs._block)
+    return GrayImage(pixels, config.spacing_mm_per_px)
 
 
 def simulate_coords(rng: Rng, gt: LandmarkSet, model: CoordPredictorModel) -> LandmarkSet:

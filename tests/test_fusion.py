@@ -216,6 +216,15 @@ class TestFuseBatch:
         with pytest.raises(ValidationError, match="channel 1"):
             fuse_batch(stack, coords, FusionConfig())
 
+    @pytest.mark.parametrize("size", [(24, 24), (40, 40)], ids=["columns", "rows"])
+    def test_one_side_differing_is_a_shape_mismatch(self, size):
+        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 24),
+                 render_gaussian(GaussianSpec((5, 5), 1.2), *size)]
+        coords = LandmarkSet(np.array([[5.0, 5.0], [5.0, 5.0]]), PixelFrame(40, 24))
+        with pytest.raises(ValidationError, match=fr"^channel 1: shape \({size[0]}, {size[1]}\) "
+                                                  r"differs from channel 0 shape \(40, 24\)$"):
+            fuse_batch(stack, coords, FusionConfig())
+
     def test_per_landmark_sigma_override(self):
         pts = np.array([[10.0, 10.0], [20.0, 20.0]])
         stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), 48, 48) for p in pts]

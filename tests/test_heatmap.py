@@ -10,6 +10,7 @@ from spinefuse.fusion import DecodeMethod, FusionConfig, _outside_can_reach, fus
 from spinefuse.heatmap import (
     GaussianSpec,
     Heatmap,
+    _render,
     decode_argmax,
     decode_centroid,
     render_gaussian,
@@ -209,6 +210,47 @@ class TestDecodeCentroid:
         hm = render_gaussian(GaussianSpec((0, 0), 1.5), 12, 12)
         x, y = decode_centroid(hm, window=3)
         assert 0 <= x < 1 and 0 <= y < 1
+
+
+class TestBlockStorage:
+    """A rendered map stores its support block and the grid shape, on a
+    300 x 200 grid where a swapped row and column would show."""
+
+    @pytest.mark.parametrize("centres, cuts", [
+        ([(2.0, 100.0)], (False, False, True, False)),     # left edge
+        ([(297.5, 100.0)], (False, False, False, True)),   # right edge
+        ([(150.0, 1.0)], (True, False, False, False)),     # top edge
+        ([(150.0, 198.0)], (False, True, False, False)),   # bottom edge
+        ([(280.0, 190.0), (260.0, 150.0)], (False, True, False, True)),
+    ], ids=["left", "right", "top", "bottom", "two-at-a-corner"])
+    def test_a_block_cut_by_an_edge(self, centres, cuts):
+        specs = [GaussianSpec(c, 1.2, 1.0 - 0.25 * i) for i, c in enumerate(centres)]
+        hm = _render(specs, 300, 200)
+        r0, r1, c0, c1 = hm._support
+        assert (r0 == 0, r1 == 200, c0 == 0, c1 == 300) == cuts
+        assert hm._block.shape == (r1 - r0, c1 - c0) and hm._dense is None
+        assert (hm.width, hm.height) == (300, 200)
+        want = np.max([dense_gaussian(spec, 300, 200) for spec in specs], axis=0)
+
+        def clip(y0, y1, x0, x1):
+            return slice(max(y0, 0), min(y1, 200)), slice(max(x0, 0), min(x1, 300))
+        for ys, xs in [clip(r0, r1, c0, c1),                          # the block
+                       clip(r0 + 1, r0 + 4, c0 + 1, c0 + 4),          # inside it
+                       clip(r0 - 5, r1 + 5, c0 - 5, c1 + 5),          # across its edges
+                       clip(0, 200, 0, 300),                          # the grid
+                       clip(0, 200, c1, 300) if c1 < 300 else clip(0, 200, 0, c0)]:  # beside it
+            assert hm._window(ys, xs).tobytes() == want[ys, xs].tobytes()
+        assert hm._dense is None
+        whole = Heatmap(want)
+        assert decode_argmax(hm) == decode_argmax(whole)
+        assert decode_centroid(hm) == decode_centroid(whole)
+        for decode in DecodeMethod:
+            cfg = FusionConfig(decode=decode)
+            for coord in [(c0 + 10.0, r0 + 20.0), (c1 + 30.0, r1 - 4.0), (-500.0, 100.0)]:
+                assert fuse_and_decode(hm, coord, cfg) == fuse_and_decode(whole, coord, cfg)
+        assert hm.values is hm.values
+        assert hm.values.dtype == np.float64 and not hm.values.flags.writeable
+        assert hm.values.tobytes() == want.tobytes()
 
 
 @st.composite

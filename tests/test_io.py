@@ -17,11 +17,13 @@ from spinefuse import io
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from spinefuse.evaluate import pck
 from spinefuse.fusion import FusionConfig
-from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
+from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian, render_label_stack
 from spinefuse.simulate import (
+    HeatmapPredictorModel,
     calibrated_config,
     noiseless_config,
     read_sim_config,
+    simulate_heatmaps,
     write_sim_config,
 )
 
@@ -202,6 +204,39 @@ class TestHeatmapStacks:
                 io.write_heatmap_stack(path, [Heatmap(np.ones((3, 3))), Heatmap(values)])
             assert not path.exists()
             assert list(tmp_path.iterdir()) == []
+
+    def test_block_held_maps_write_the_dense_bytes(self, tmp_path):
+        # rendered maps hold only their support block; the file holds zeros
+        # around it, as for the same maps rebuilt dense. 300 x 200, with
+        # blocks cut by each edge of the grid
+        gt = LandmarkSet(np.array([[2.0, 100.0], [297.0, 60.0], [150.0, 1.0], [40.0, 198.0],
+                                   [150.0, 100.0]]), PixelFrame(300, 200))
+        model = HeatmapPredictorModel(adjacent_confusion_prob=1.0)
+        for k, stack in enumerate([render_label_stack(gt, 1.2, 300, 200),
+                                   list(simulate_heatmaps(Rng(3), gt, model, 300, 200))]):
+            assert all(hm._dense is None for hm in stack)
+            io.write_heatmap_stack(tmp_path / f"{k}.hmap", stack)
+            io.write_heatmap_stack(tmp_path / f"{k}.dense.hmap",
+                                   [Heatmap(hm.values.copy()) for hm in stack])
+            assert ((tmp_path / f"{k}.hmap").read_bytes()
+                    == (tmp_path / f"{k}.dense.hmap").read_bytes())
+
+    def test_block_beyond_float32_names_its_channel(self, tmp_path):
+        path = tmp_path / "s.hmap"
+        stack = [render_gaussian(GaussianSpec((4.0, 3.0), 1.2), 9, 7),
+                 render_gaussian(GaussianSpec((4.0, 3.0), 1.2, amplitude=1e300), 9, 7)]
+        assert stack[1]._dense is None
+        with pytest.raises(ValidationError, match="channel 1 .*float32"):
+            io.write_heatmap_stack(path, stack)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [(24, 24), (40, 40)], ids=["columns", "rows"])
+    def test_one_side_differing_is_refused(self, tmp_path, size):
+        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 24),
+                 render_gaussian(GaussianSpec((5, 5), 1.2), *size)]
+        with pytest.raises(ValidationError, match="channel 1 shape differs from channel 0"):
+            io.write_heatmap_stack(tmp_path / "s.hmap", stack)
+        assert list(tmp_path.iterdir()) == []
 
     def test_read_channels_are_frozen_float64_and_disjoint(self, tmp_path):
         path = tmp_path / "s.hmap"

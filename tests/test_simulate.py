@@ -1,14 +1,16 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinefuse import io
 from spinefuse.core import LandmarkSet, Rng, ValidationError
 from spinefuse.evaluate import ComparisonReport, pck
 from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_batch
-from spinefuse.heatmap import decode_argmax
+from spinefuse.heatmap import Heatmap, decode_argmax
 from spinefuse.preprocess import _round_u8
 from spinefuse.simulate import (
     METHOD_COORDS,
@@ -202,6 +204,13 @@ class TestSimulateHeatmaps:
         want = reference(Rng(19), gt, model, SMALL.width, SMALL.height)
         assert len(got) == len(want) == len(gt)
         for hm, ref in zip(got, want):
+            # a simulated map stores its support block and no dense grid
+            r0, r1, c0, c1 = hm._support
+            assert hm._block.shape == (r1 - r0, c1 - c0) and hm._dense is None
+            assert hm._block.nbytes < ref.nbytes // 4
+            # values is built on first use, then the same frozen array
+            assert hm.values is hm.values
+            assert hm.values.dtype == np.float64 and not hm.values.flags.writeable
             assert hm.values.tobytes() == ref.tobytes()
 
     def test_confusion_rate_matches_analytic_law(self):
@@ -278,6 +287,19 @@ class TestRunTrial:
                                 decode=method),
         )
         assert run_trial(Rng(24), config) == whole_stack_trial(Rng(24), config)
+
+    def test_calibrated_run_never_builds_a_dense_map(self, monkeypatch):
+        # decoding and fusing read a rendered map's support block only
+        def refuse(hm):
+            raise AssertionError("a dense heatmap was built")
+        monkeypatch.setattr(Heatmap, "values", property(refuse))
+        assert run_trial(Rng(25), calibrated_config(images=3)).images == 3
+
+    def test_calibrated_report_bytes_are_pinned(self):
+        # any change to the report's bytes fails here, not only in bench digests
+        text = io.format_comparison(run_trial(Rng(2020), calibrated_config(images=30)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "189be8b8b81ad88ff6ca555f89ff46f10eb93adf1e35655d4748338cb21d4977")
 
     def test_memory_stays_flat(self):
         # whole 11-channel stacks of 512x512 maps peaked at about 24 MiB
