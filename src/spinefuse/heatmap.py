@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class GaussianSpec:
         _positive_finite("amplitude", self.amplitude)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Heatmap:
     """Grid of non-negative finite scores, one value per pixel.
 
@@ -73,21 +73,26 @@ class Heatmap:
 
     # the values inside the support; a given dense grid is cut to it
     _block: np.ndarray
-    # private: passed only by _render, which knows the box and renders
-    # only its block, of a grid of (height, width) _shape
-    _support: tuple[int, int, int, int] | None = field(default=None, kw_only=True)
-    _shape: tuple[int, int] | None = field(default=None, kw_only=True)
-    _top: float = field(init=False, repr=False)
-    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+    _support: tuple[int, int, int, int]
+    # (height, width)
+    _shape: tuple[int, int]
+    _top: float
+    _dense: np.ndarray | None
 
-    def __post_init__(self):
-        arr = np.asarray(self._block, dtype=np.float64)
-        shape = self._shape or arr.shape
+    def __init__(self, values: np.ndarray, *, _support=None, _shape=None):
+        # _support and _shape are private: passed only by _render, which
+        # knows the box and renders only its block of a (height, width) grid
+        self.__post_init__(values, _support, _shape)
+
+    def __post_init__(self, values, support, rendered_shape):
+        # the validating constructor, under the name bench/tracer.py patches
+        arr = np.asarray(values, dtype=np.float64)
+        shape = rendered_shape or arr.shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {shape}")
-        r0, r1, c0, c1 = self._support or (0, shape[0], 0, shape[1])
+        r0, r1, c0, c1 = support or (0, shape[0], 0, shape[1])
         # a rendered block is already the support's; a given grid is cut to it
-        block = arr if self._shape else arr[r0:r1, c0:c1]
+        block = arr if rendered_shape else arr[r0:r1, c0:c1]
         # NaN and +-inf all reach min or max, so two reductions check both;
         # every value outside the box is 0, which passes both checks and
         # raises no maximum of non-negative values
@@ -96,8 +101,7 @@ class Heatmap:
             raise ValidationError("heatmap values must be finite")
         if lo < 0:
             raise ValidationError("heatmap values must be non-negative")
-        if self._shape is None:
-            object.__setattr__(self, "_dense", _frozen(arr))
+        object.__setattr__(self, "_dense", None if rendered_shape else _frozen(arr))
         object.__setattr__(self, "_block", _frozen(block))
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_support", (r0, r1, c0, c1))
@@ -110,6 +114,9 @@ class Heatmap:
             dense = self._window(slice(0, self.height), slice(0, self.width))
             object.__setattr__(self, "_dense", _frozen(dense))
         return self._dense
+
+    def __repr__(self) -> str:
+        return f"Heatmap(values={self.values!r})"
 
     @property
     def width(self) -> int:

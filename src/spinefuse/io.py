@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError, _positive_finite
-from .evaluate import ComparisonReport, EvalReport, LandmarkStats
+from .evaluate import ComparisonReport, EvalReport
 from .heatmap import Heatmap
 
 
@@ -333,30 +333,6 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(["# spinefuse report v1", "[summary]"] + kv + ["[per_landmark]"] + rows) + "\n"
 
 
-def _parse_report_sections(kv: dict[str, str], rows: list[list[str]]) -> EvalReport:
-    per = []
-    for row in rows:
-        if len(row) != 5:
-            raise ValidationError(f"per-landmark row needs 5 cells, got {row}")
-        per.append(LandmarkStats(int(row[0]), int(row[1]), int(row[2]),
-                                 float(row[3]), float(row[4])))
-    return EvalReport(
-        total=int(_need(kv, "total")),
-        hits=int(_need(kv, "hits")),
-        threshold_mm=float(_need(kv, "threshold_mm")),
-        spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px")),
-        per_landmark=tuple(per),
-    )
-
-
-@_reader
-def read_report(path: str | Path) -> EvalReport:
-    sections = _parse_sections(Path(path).read_text())
-    if "summary" not in sections or "per_landmark" not in sections:
-        raise ValidationError("report needs [summary] and [per_landmark]")
-    return _parse_report_sections(sections["summary"][0], sections["per_landmark"][1])
-
-
 def format_comparison(report: ComparisonReport) -> str:
     lines = [
         "# spinefuse comparison report v1",
@@ -377,26 +353,3 @@ def format_comparison(report: ComparisonReport) -> str:
             lines.append(f"{name}_relative = {relative:.6f}")
     return "\n".join(lines) + "\n"
 
-
-@_reader
-def read_comparison(path: str | Path) -> ComparisonReport:
-    sections = _parse_sections(Path(path).read_text())
-    kv = sections[""][0]
-    methods: dict[str, EvalReport] = {}
-    for name in sections:
-        if name.startswith("method ") and not name.endswith(" per_landmark"):
-            method = name[len("method "):]
-            rows_section = f"method {method} per_landmark"
-            if rows_section not in sections:
-                raise ValidationError(f"missing [{rows_section}]")
-            methods[method] = _parse_report_sections(sections[name][0],
-                                                     sections[rows_section][1])
-    if not methods:
-        raise ValidationError("no [method ...] sections")
-    return ComparisonReport(
-        images=int(_need(kv, "images")),
-        landmarks_per_image=int(_need(kv, "landmarks_per_image")),
-        threshold_mm=float(_need(kv, "threshold_mm")),
-        spacing_mm_per_px=float(_need(kv, "spacing_mm_per_px")),
-        methods=methods,
-    )

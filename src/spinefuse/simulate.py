@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -203,26 +203,17 @@ def run_trial(rng: Rng, config: TrialConfig) -> ComparisonReport:
     results do not depend on execution order.
     """
     cfg = config.phantom
-    n = cfg.landmarks
-    # channel k is fused alone, so it gets a config holding only its sigma
-    channel_fusion = [replace(config.fusion, prior_sigma=config.fusion.sigma_for(k))
-                      for k in range(n)]
     gts, coord_preds, heat_preds, fused_preds = [], [], [], []
     for i in range(config.images):
         stream = rng.spawn(i)
         gt = generate_phantom(stream, cfg)
         coords = simulate_coords(stream, gt, config.coords)
-        heat, fused = np.empty((n, 2)), np.empty((n, 2))
-        # one channel at a time, so no more than two maps are alive at once
-        channels = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
-        for k, channel in enumerate(channels):
-            heat[k] = decode_argmax(channel)
-            coord = LandmarkSet(coords.points[k:k + 1], coords.frame)
-            fused[k] = fuse_batch([channel], coord, channel_fusion[k]).points[0]
+        stack = list(simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height))
+        heat = np.array([decode_argmax(channel) for channel in stack], dtype=np.float64)
         gts.append(gt)
         coord_preds.append(coords)
         heat_preds.append(LandmarkSet(heat, gt.frame))
-        fused_preds.append(LandmarkSet(fused, gt.frame))
+        fused_preds.append(fuse_batch(stack, coords, config.fusion))
 
     spacing = cfg.spacing_mm_per_px
     methods = {

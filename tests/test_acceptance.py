@@ -57,19 +57,17 @@ def test_criterion_1_metric_fixtures(tmp_path):
     """pck reproduces the 548/550 and 392/550 fixtures through cmd_eval."""
     started = time.perf_counter()
     results = {}
-    for name, misses, expected in (("hi", 2, 0.9964), ("lo", 158, 0.7127)):
+    for name, misses, accuracy in (("hi", 2, "0.996364"), ("lo", 158, "0.712727")):
         manifest, pred_dir = write_eval_fixture(tmp_path / name, 50, 11, misses)
         out = tmp_path / f"report_{name}.txt"
         code = main(["eval", "--manifest", str(manifest), "--pred-dir", str(pred_dir),
                      "--threshold-mm", "8", "--out", str(out)])
         assert code == 0
-        report = io.read_report(out)
-        assert report.total == 550
-        assert report.hits == 550 - misses
-        assert abs(report.accuracy - expected) <= 1e-4
-        results[name] = report.accuracy
+        summary = ["total = 550", f"hits = {550 - misses}", f"accuracy = {accuracy}"]
+        assert out.read_text().splitlines()[2:5] == summary
+        results[name] = accuracy
     report_line("criterion 1 (metric fixtures)", started, 1.0,
-                f"548/550 -> {results['hi']:.6f}, 392/550 -> {results['lo']:.6f}")
+                f"548/550 -> {results['hi']}, 392/550 -> {results['lo']}")
 
 
 def test_criterion_2_gaussian_rendering_oracle():
@@ -290,14 +288,13 @@ def run_pipeline(root, seed=33):
 
 def test_criterion_8_pipeline_round_trip(tmp_path):
     """phantom -> equalize -> augment -> gen-heatmaps -> fuse -> eval runs
-    end to end, produces a parseable report, and repeats byte-identically."""
+    end to end, writes a report of 132 hits in 132, and repeats byte-identically."""
     started = time.perf_counter()
     run_pipeline(tmp_path / "run1")
     run_pipeline(tmp_path / "run2")
 
-    report = io.read_report(tmp_path / "run1/report.txt")
-    assert report.total == 4 * 3 * 11
-    assert report.accuracy == 1.0
+    summary = (tmp_path / "run1/report.txt").read_text().splitlines()[2:5]
+    assert summary == ["total = 132", "hits = 132", "accuracy = 1.000000"]
 
     compared = 0
     for f1 in sorted((tmp_path / "run1").rglob("*")):

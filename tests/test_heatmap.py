@@ -53,6 +53,14 @@ class TestHeatmapValidation:
         with pytest.raises(ValidationError, match="non-empty 2-D"):
             Heatmap(np.ones(shape))
 
+    def test_values_is_the_keyword_and_the_repr(self):
+        vals = np.arange(6.0).reshape(2, 3)
+        hm = Heatmap(values=vals)
+        assert hm.values.tobytes() == Heatmap(vals).values.tobytes() == vals.tobytes()
+        assert repr(hm) == f"Heatmap(values={vals!r})"
+        with pytest.raises(ValidationError, match="non-negative"):
+            Heatmap(values=-vals)
+
 
 class TestRenderGaussian:
     def test_center_value_is_one(self):

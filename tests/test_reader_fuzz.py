@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spinefuse import io
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, ValidationError
-from spinefuse.evaluate import ComparisonReport, pck
 from spinefuse.heatmap import GaussianSpec, render_gaussian
 from spinefuse.simulate import noiseless_config, read_sim_config, write_sim_config
 
@@ -31,12 +30,6 @@ def corpus(tmp_path_factory):
         (io.ManifestRecord(root / "img.pgm", root / "lms.txt", 0.5),),
         landmark_count=2, working_size=(6, 5)))
     write_sim_config(root / "sim.txt", noiseless_config(images=2))
-    gts = [LandmarkSet(np.array([[1.0, 1.0], [4.0, 3.0]]), FRAME)]
-    preds = [LandmarkSet(np.array([[1.5, 1.0], [0.0, 0.0]]), FRAME)]
-    report = pck(preds, gts, 1.0, 0.5)
-    io.atomic_write(root / "report.txt", io.format_report(report).encode())
-    comparison = ComparisonReport(2, 2, 1.0, 0.5, {"coords": report, "fused": report})
-    io.atomic_write(root / "cmp.txt", io.format_comparison(comparison).encode())
     return root
 
 
@@ -46,8 +39,6 @@ READERS = {
     "s.hmap": io.read_heatmap_stack,
     "manifest.txt": io.read_manifest,
     "sim.txt": read_sim_config,
-    "report.txt": io.read_report,
-    "cmp.txt": io.read_comparison,
 }
 
 
