@@ -220,7 +220,7 @@ def _flag(parse):
 
 
 def _prior_sigmas(raw: str) -> float | tuple[float, ...]:
-    sigmas = tuple(float(p) for p in raw.split(",") if p.strip())
+    sigmas = tuple(float(p) for p in raw.split(","))
     return FusionConfig(prior_sigma=sigmas[0] if len(sigmas) == 1 else sigmas).prior_sigma
 
 

@@ -27,9 +27,9 @@ class FusionConfig:
     """Prior width (px), numeric floor, and decoding method.
 
     ``prior_sigma`` is either one value for every landmark or a per-landmark
-    sequence. The floor keeps the product total: a raw product of two
-    far-apart narrow Gaussians underflows to all-zeros, so both factors are
-    clamped to ``floor_epsilon`` before multiplying in log space.
+    sequence. Fusion multiplies in log space, where two far-apart narrow
+    Gaussians cannot underflow to all zeros; only the predicted map is
+    clamped to ``floor_epsilon``.
     """
 
     prior_sigma: float | tuple[float, ...] = 6.0
@@ -79,12 +79,15 @@ def coord_to_prior(coord: tuple[float, float], prior_sigma: float,
                            width, height)
 
 
+# the log of the smallest normal float64; exp below it is subnormal or 0
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
 def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
             floor_epsilon: float) -> np.ndarray:
-    """max(lx + ly, log eps) + log(max(values, eps)) over one block of the
-    grid: the log of the clamped product of the prior and the map."""
+    """lx + ly + log(max(values, eps)) over one block of the grid: the log
+    of the product of the prior and the map clamped at eps."""
     out = lx[None, :] + ly[:, None]
-    np.maximum(out, math.log(floor_epsilon), out=out)
     clamped = np.maximum(values, floor_epsilon)
     out += np.log(clamped, out=clamped)
     return out
@@ -93,31 +96,21 @@ def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
 def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
                  channel: int | None = None) -> Heatmap:
     """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
-    reads, built over the whole grid.
+    reads, built over the whole grid, and values below the smallest normal
+    float64 set to 0.
 
-    That is the clamped product of the predicted map and the coordinate's
-    Gaussian prior, peak-normalized so its maximum is exactly 1; its
-    row-major first maximum is the argmax :func:`fuse_and_decode` returns.
+    That is the product of the prior and the map clamped at eps,
+    peak-normalized so its maximum is exactly 1; its row-major first
+    maximum is the argmax :func:`fuse_and_decode` returns.
     """
     lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
                                  predicted.height)
     logsum = _logsum(lx, ly, predicted.values, cfg.floor_epsilon)
     logsum -= logsum.max()
-    return Heatmap(np.exp(logsum, out=logsum))
-
-
-def _outside_can_reach(best: float, top: float, eps: float) -> bool:
-    """Whether a pixel outside the prior's window can score ``best`` or more.
-
-    Every outside pixel p <= top scores log eps + log(max(p, eps)), at most
-    the ceiling log eps + log(max(top, eps)). The ceiling's log and the
-    scores' logs are rounded separately, and a log is not promised to be
-    monotone to the last ulp, so only a best that clears the ceiling by a
-    margin far above that rounding rules the outside out.
-    """
-    log_eps, log_top = math.log(eps), math.log(max(top, eps))
-    ceiling = log_eps + log_top
-    return best <= ceiling + 1e-12 * (1.0 + abs(log_eps) + abs(log_top))
+    # exp of the flushed tail would take numpy's slow subnormal path; the
+    # skipped entries keep their negative logs, which the maximum zeroes
+    np.exp(logsum, out=logsum, where=logsum >= _LOG_TINY)
+    return Heatmap(np.maximum(logsum, 0.0, out=logsum))
 
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
@@ -125,18 +118,17 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     """Fuse one channel with its coordinate prediction and decode the peak.
 
     Both methods read the log-domain sum of :func:`fuse_product`,
-    max(log prior, log eps) + log(max(predicted, eps)). Argmax takes its
-    row-major first maximum; centroid weights the 3x3 patch around that
-    same index by exp(logsum - peak), the values :func:`fuse_product`
-    holds there.
+    lx + ly + log(max(predicted, eps)). Argmax takes its row-major first
+    maximum; centroid weights the 3x3 patch around that same index by
+    exp(logsum - peak), the values :func:`fuse_product` holds there.
 
-    The sum is first built only inside the window of rows and columns
-    whose prior can rise above log eps. Every pixel outside it scores at
-    most the ceiling log eps + log(max(top, eps)), with top the map's
-    maximum, so a window best that clears the ceiling is the whole grid's
-    first maximum. When the window is empty, or its best does not clear
-    the ceiling, the sum is built over the whole grid. Either way the
-    result is the argmax of the whole grid's sum, ties included.
+    The sum is built only inside a window that holds every pixel able to
+    reach ``best``, the score of the pixel nearest the coordinate. No pixel
+    scores more than its prior plus log(max(top, eps)), with top the map's
+    maximum, so each pixel outside the window scores strictly less than
+    ``best`` and the window's first maximum is the whole grid's, ties
+    included. A coordinate so far from the grid that the nearest pixel's
+    prior is -inf is refused: the prior cannot rank pixels there.
     """
     eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
@@ -144,19 +136,22 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
                                  predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    log_eps = math.log(eps)
-    # float addition is monotone, so a column whose prior cannot beat
-    # log eps on the best row cannot beat it on any row
-    r0, r1, c0, c1 = _box(ly + lx.max() > log_eps, lx + ly.max() > log_eps)
-    if r1 > r0:
-        inside = predicted._window(slice(r0, r1), slice(c0, c1))
-        window = _logsum(lx[c0:c1], ly[r0:r1], inside, eps)
-        i = int(np.argmax(window))
-    if r1 <= r0 or _outside_can_reach(float(window.flat[i]), predicted._top, eps):
-        # the window is empty, or a pixel outside it could match its best
-        r0, c0 = 0, 0
-        window = _logsum(lx, ly, predicted.values, eps)
-        i = int(np.argmax(window))
+    # the pixel nearest the coordinate, where both prior terms peak
+    nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
+    best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
+                         predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
+    if not math.isfinite(best):
+        raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
+                              "is too far from the grid")
+    # the margin covers best's log and log top being rounded separately;
+    # float addition is monotone, so a column whose prior falls short of
+    # reach on the nearest pixel's row falls short on every row
+    log_top = math.log(max(predicted._top, eps))
+    reach = best - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top))
+    r0, r1, c0, c1 = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
+    window = _logsum(lx[c0:c1], ly[r0:r1], predicted._window(slice(r0, r1), slice(c0, c1)),
+                     eps)
+    i = int(np.argmax(window))
     peak = float(window.flat[i])
     iy, ix = divmod(i, window.shape[1])
     ax, ay = c0 + ix, r0 + iy

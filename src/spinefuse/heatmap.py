@@ -27,8 +27,9 @@ def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
     exp(lx[x]) * exp(ly[y]).
 
     Overflow is ignored: an overflowing square or quotient means the true
-    exponent is below -1.8e308, so -inf is exact (exp gives 0, a log clamped
-    at log eps gives log eps) while sigma stays below about 1e152.
+    exponent is below -1.8e308, so -inf is exact (exp gives 0, and a fused
+    score of -inf ranks below every finite one) while sigma stays below
+    about 1e152.
     """
     x0, y0 = center
     two_s2 = 2.0 * sigma * sigma
@@ -64,8 +65,7 @@ class Heatmap:
     the box of their Gaussians' nonzero blocks; any other map
     (``Heatmap(values)``, an HMAP channel, a fused product) gets the whole
     grid. Validation, decoding, fusion and HMAP writes read only the block,
-    and fusion uses the maximum to tell when the map outside its prior's
-    window can matter.
+    and fusion uses the maximum to bound its window.
 
     ``values`` is the given array or, for a rendered map, a dense grid
     built from the block the first time it is asked for.

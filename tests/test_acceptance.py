@@ -111,8 +111,10 @@ def test_criterion_3_product_closed_form():
             continue
         ax = int(rng.integers(margin, size - margin))
         ay = int(rng.integers(margin, size - margin))
-        # keep the pair inside the floor horizon so the product cannot
-        # underflow past the clamp: |mu_a - mu_b| < sqrt(2(sa^2+sb^2) ln(1/eps))
+        # keep the pair inside the floor horizon, |mu_a - mu_b| <
+        # sqrt(2(sa^2+sb^2) ln(1/eps)): beyond it the map's clamp at eps has
+        # erased the tail under the mean, and the pixel nearest the
+        # coordinate wins instead
         horizon = 0.9 * math.sqrt(2.0 * (sa * sa + sb * sb) * -math.log(eps))
         theta = float(rng.uniform(0, 2 * math.pi))
         radius = float(rng.uniform(1.0, horizon))
@@ -170,8 +172,10 @@ def test_criterion_4_adjacent_peak_disambiguation():
         assert sep >= 8.0
         d2t = (xs - t[0]) ** 2 + (ys - t[1]) ** 2
         d2a = (xs - a[0]) ** 2 + (ys - a[1]) ** 2
-        # informative-prior precondition: no grid point beyond the floor
-        # horizon of its nearer peak, otherwise the prior is flat there
+        # precondition: no grid point beyond the prior's floor horizon of its
+        # nearer peak (inside the fused horizon sqrt(2(sh^2+sp^2) ln(1/eps))),
+        # otherwise the map's clamp hides both peaks and the coordinate's own
+        # pixel wins
         assert np.minimum(d2t, d2a).max() < horizon2
         hm = Heatmap(np.maximum(
             render_gaussian(GaussianSpec(t, sigma_h), size, size).values,

@@ -198,6 +198,23 @@ class TestFuse:
             for stack in sorted(hm_dir.glob("*.hmap"))]
         assert not list(out.iterdir())
 
+    def test_a_coordinate_too_far_from_the_grid_fails_its_stack(self, tmp_path, capsys):
+        manifest_path = make_corpus(tmp_path, count=1)
+        hm_dir, out = tmp_path / "hm", tmp_path / "fused"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        (stack,) = hm_dir.glob("*.hmap")
+        coords_dir = tmp_path / "coords"
+        coords_dir.mkdir()
+        pts = np.full((11, 2), 5.0)
+        pts[3] = (5.0, 1e160)
+        io.write_landmarks(coords_dir / f"{stack.stem}.txt", LandmarkSet(pts, GRID))
+        capsys.readouterr()
+        assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
+                   "--out-dir", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stack}: channel 3: coordinate (5.0, 1e+160) is too far from the grid"]
+        assert not list(out.iterdir())
+
     def test_dump_heatmaps(self, tmp_path):
         manifest_path = make_corpus(tmp_path, count=1)
         hm_dir, out = tmp_path / "hm", tmp_path / "fused"
@@ -466,6 +483,13 @@ class TestFlags:
          "--prior-sigma", ","],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", ""],
+        # an empty entry in a per-landmark list
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", ",6"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", "6,,7"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", "6,7,"],
         # a flag the command would ignore
         ["simulate", "--config", "f", "--preset", "noiseless"],
         ["simulate", "--preset", "calibrated", "--config", "f"],

@@ -19,13 +19,14 @@ from spinefuse.fusion import (
 from spinefuse.heatmap import GaussianSpec, Heatmap, decode_argmax, decode_centroid, render_gaussian
 
 
-def brute_force_fused_argmax(predicted: Heatmap, prior: Heatmap, eps: float = 1e-12):
-    """Scalar-loop oracle for the clamped-product argmax."""
+def brute_force_fused_argmax(predicted: Heatmap, coord, sigma: float, eps: float = 1e-12):
+    """Scalar-loop oracle for the argmax of the Gaussian prior around
+    ``coord`` times the predicted map clamped at eps, in the log domain."""
     best, bx, by = -math.inf, -1, -1
     for y in range(predicted.height):
         for x in range(predicted.width):
-            v = (math.log(max(predicted.values[y, x], eps))
-                 + math.log(max(prior.values[y, x], eps)))
+            v = (-((x - coord[0]) ** 2 + (y - coord[1]) ** 2) / (2.0 * sigma * sigma)
+                 + math.log(max(predicted.values[y, x], eps)))
             if v > best:
                 best, bx, by = v, x, y
     return bx, by
@@ -59,10 +60,8 @@ class TestFuseProduct:
         ones = Heatmap(np.ones((64, 64)))
         fused = fuse_product(ones, (20, 30), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (20, 30)
-        # identity up to the documented floor on the deep tail
-        np.testing.assert_allclose(
-            fused.values, np.maximum(prior.values, 1e-12), rtol=1e-12
-        )
+        # only the map is clamped, so the identity holds on the deep tail too
+        np.testing.assert_allclose(fused.values, prior.values, rtol=1e-12)
 
     def test_equal_sigmas_meet_at_midpoint(self):
         a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
@@ -71,23 +70,24 @@ class TestFuseProduct:
     def test_closed_form_mean(self):
         # precision-weighted mean: (sb^2*10 + sa^2*20) / (sa^2 + sb^2) = 12
         a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
-        b = render_gaussian(GaussianSpec((20, 10), 4.0), 64, 64)
         fused = fuse_product(a, (20, 10), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (12, 10)
-        assert brute_force_fused_argmax(a, b) == (12, 10)
+        assert brute_force_fused_argmax(a, (20, 10), 4.0) == (12, 10)
 
     def test_output_peak_is_one(self):
         a = render_gaussian(GaussianSpec((10, 10), 2.0), 32, 32)
         assert fuse_product(a, (20, 20), FusionConfig(prior_sigma=3.0)).values.max() == 1.0
 
     def test_symmetric_in_arguments(self):
-        # which Gaussian is the map and which the prior does not matter
+        # which Gaussian is the map and which the prior does not matter where
+        # neither map is clamped, that is, where both exceed eps
         a = render_gaussian(GaussianSpec((10, 12), 2.0), 32, 32)
         b = render_gaussian(GaussianSpec((17, 20), 3.0), 32, 32)
-        np.testing.assert_allclose(
-            fuse_product(a, (17, 20), FusionConfig(prior_sigma=3.0)).values,
-            fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0)).values, atol=1e-12
-        )
+        both = (a.values > 1e-12) & (b.values > 1e-12)
+        ab = fuse_product(a, (17, 20), FusionConfig(prior_sigma=3.0)).values
+        ba = fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0)).values
+        assert ab[both].max() == ba[both].max() == 1.0
+        np.testing.assert_allclose(ab[both], ba[both], atol=1e-12)
 
     def test_far_apart_narrow_peaks_do_not_underflow(self):
         # the raw product of these maps is all zeros in float64
@@ -172,15 +172,34 @@ class TestFuseAndDecode:
 
     # -(d*d)/(2*sigma*sigma) overflows in the divide (2*sigma*sigma is
     # subnormal) or in the square; -inf is the exact exponent either way, and
-    # the suite turns numpy's overflow warning into an error
-    @pytest.mark.parametrize("sigma, coord", [(1e-160, (3, 4)), (6.0, (1e160, 0))],
+    # the suite turns numpy's overflow warning into an error. Dividing leaves
+    # the coordinate's own pixel at exponent 0, the only finite score; when
+    # the square overflows every exponent is -inf and nothing can be ranked
+    @pytest.mark.parametrize("sigma, coord, expected",
+                             [(1e-160, (3, 4), (3, 4)), (6.0, (1e160, 0), None)],
                              ids=["divide-overflows", "square-overflows"])
     @pytest.mark.parametrize("decode", list(DecodeMethod))
-    def test_overflowing_exponent_is_exact(self, sigma, coord, decode):
+    def test_overflowing_exponent_is_exact(self, sigma, coord, expected, decode):
         values = np.zeros((8, 8))
         values[2, 6] = 1.0
         cfg = FusionConfig(prior_sigma=sigma, decode=decode)
-        assert fuse_and_decode(Heatmap(values), coord, cfg) == (6, 2)
+        if expected:
+            assert fuse_and_decode(Heatmap(values), coord, cfg) == expected
+        else:
+            with pytest.raises(ValidationError,
+                               match=r"^coordinate \(1e\+160, 0\.0\) is too far from the grid$"):
+                fuse_and_decode(Heatmap(values), coord, cfg)
+
+    # a sigma 1.2 peak at (400, 400) and prior sigma 6: both coordinates lie
+    # 304 px from the peak, beyond the floor horizon sqrt(2 (1.2^2 + 6^2)
+    # ln(1/eps)) of about 45.5 px, where the map's clamp erases the peak's
+    # tail and the prior alone ranks pixels, in either raster direction
+    @pytest.mark.parametrize("coord", [(100.0, 450.0), (450.0, 100.0)])
+    @pytest.mark.parametrize("decode", list(DecodeMethod))
+    def test_beyond_the_floor_horizon_the_coordinate_wins(self, coord, decode):
+        hm = render_gaussian(GaussianSpec((400, 400), 1.2), 512, 512)
+        cfg = FusionConfig(prior_sigma=6.0, decode=decode)
+        assert fuse_and_decode(hm, coord, cfg) == coord
 
     def test_all_zero_predicted_rejected(self):
         cfg = FusionConfig()
@@ -223,6 +242,14 @@ class TestFuseBatch:
         coords = LandmarkSet(np.array([[5.0, 5.0], [5.0, 5.0]]), PixelFrame(40, 24))
         with pytest.raises(ValidationError, match=fr"^channel 1: shape \({size[0]}, {size[1]}\) "
                                                   r"differs from channel 0 shape \(40, 24\)$"):
+            fuse_batch(stack, coords, FusionConfig())
+
+    def test_a_coordinate_too_far_from_the_grid_names_its_channel(self):
+        pts = np.array([[10.0, 10.0], [1e160, 20.0]])
+        stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)] * 2
+        coords = LandmarkSet(pts, PixelFrame(48, 48))
+        with pytest.raises(ValidationError, match=r"^channel 1: coordinate \(1e\+160, 20\.0\) "
+                                                  r"is too far from the grid$"):
             fuse_batch(stack, coords, FusionConfig())
 
     def test_per_landmark_sigma_override(self):
@@ -277,39 +304,46 @@ class TestPeakSelectionRule:
 
 
 EPS = FusionConfig().floor_epsilon
+# below it exp(x) is not a normal float64
+LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
-def clamped_log_prior(coord, sigma: float, width: int, height: int, eps: float) -> np.ndarray:
+def log_prior(coord, sigma: float, width: int, height: int) -> np.ndarray:
     two_s2 = 2.0 * sigma * sigma
     lx = -((np.arange(width, dtype=np.float64) - coord[0]) ** 2) / two_s2
     ly = -((np.arange(height, dtype=np.float64) - coord[1]) ** 2) / two_s2
-    return np.maximum(lx[None, :] + ly[:, None], math.log(eps))
+    return lx[None, :] + ly[:, None]
 
 
 def dense_logsum(hm: Heatmap, coord, sigma: float, eps: float) -> np.ndarray:
-    """The clamped log prior plus the clamped log map over the whole grid,
-    summed in the decoder's operation order so ties break identically."""
-    return (clamped_log_prior(coord, sigma, hm.width, hm.height, eps)
-            + np.log(np.maximum(hm.values, eps)))
+    """The log prior plus the log of the map clamped at eps over the whole
+    grid, summed in the decoder's operation order so ties break identically."""
+    return log_prior(coord, sigma, hm.width, hm.height) + np.log(np.maximum(hm.values, eps))
 
 
 @st.composite
 def fusion_inputs(draw):
     """A map on a grid of up to 96 x 96, a prior width, and a coordinate
-    that may lie outside the frame, or beyond the floor horizon
-    sigma * sqrt(2 ln(1/eps)) of every pixel.
+    that may lie outside the frame, beyond the floor horizon
+    sigma * sqrt(2 ln(1/eps)) of every pixel, or up to 1e4 grid widths away.
 
     Besides constant, bimodal and random maps there are two tie-heavy kinds:
     ``near_tie`` mixes values one ulp apart, values just above and at or
     below eps, and zeros; ``floor_ring`` puts one value above 1 on every
-    pixel whose clamped prior is exactly log eps and zero elsewhere, so the
-    best scores inside and outside the prior's window are equal.
+    pixel whose prior is at or below log eps and zero elsewhere, so the best
+    pixels lie beyond the floor horizon, and, with the coordinate on the
+    half-pixel lattice, tie in mirrored pairs.
     """
     w, h = draw(st.integers(1, 96)), draw(st.integers(1, 96))
     sigma = draw(st.floats(0.3, 20.0))
-    margin = draw(st.sampled_from([0.0, 2.0 * sigma * math.sqrt(-2.0 * math.log(EPS))]))
-    coord = (draw(st.floats(-w - margin, 2 * w + margin)),
-             draw(st.floats(-h - margin, 2 * h + margin)))
+    span = draw(st.sampled_from(["frame", "horizon", "far"]))
+
+    def axis(n):
+        margin = {"frame": 0.0, "far": 1e4 * n,
+                  "horizon": 2.0 * sigma * math.sqrt(-2.0 * math.log(EPS))}[span]
+        return draw(st.floats(-n - margin, 2 * n + margin))
+
+    coord = (axis(w), axis(h))
     kind = draw(st.sampled_from(["constant", "bimodal", "random", "near_tie", "floor_ring"]))
     if kind == "constant":
         values = np.full((h, w), draw(st.floats(1e-6, 1e3)))
@@ -331,7 +365,8 @@ def fusion_inputs(draw):
         values = pool[rng.integers(0, draw(st.integers(1, len(pool))), (h, w))]
         assume(values.max() > 0)
     else:
-        ring = clamped_log_prior(coord, sigma, w, h, EPS) == math.log(EPS)
+        coord = (round(2.0 * coord[0]) / 2.0, round(2.0 * coord[1]) / 2.0)
+        ring = log_prior(coord, sigma, w, h) <= math.log(EPS)
         assume(ring.any())
         values = np.where(ring, draw(st.floats(1.5, 1e3)), 0.0)
     return Heatmap(values), coord, sigma
@@ -351,7 +386,9 @@ class TestSingleDecodePath:
 
         cx, cy = fuse_and_decode(hm, coord, centroid_cfg)
         assert abs(cx - ax) <= 1 and abs(cy - ay) <= 1
-        fused = np.exp(logsum - logsum.max())
+        shifted = logsum - logsum.max()
+        # the fused map flushes every value below the smallest normal to 0
+        fused = np.where(shifted >= LOG_TINY, np.exp(shifted), 0.0)
         assert fuse_product(hm, coord, argmax_cfg).values.tobytes() == fused.tobytes()
         if int(np.argmax(fused)) == idx:
             ref = decode_centroid(Heatmap(fused))
@@ -361,34 +398,57 @@ class TestSingleDecodePath:
             # product map's first maximum sits before the log-domain one
             assert fused.flat[int(np.argmax(fused))] == fused.flat[idx] == 1.0
 
-    @staticmethod
-    def _ring(coord, sigma, size):
-        """10 on every pixel whose clamped prior is exactly log eps, else 0."""
-        ring = clamped_log_prior(coord, sigma, size, size, EPS) == math.log(EPS)
-        return Heatmap(np.where(ring, 10.0, 0.0))
-
     @pytest.mark.parametrize("case", ["ulp_apart", "below_eps", "ring_inside_first",
                                       "ring_outside_first"])
     def test_near_ties_match_the_dense_argmax(self, case):
-        sigma = 1.0
+        sigma, eps = 1.0, EPS
         if case == "ulp_apart":
-            # far from the prior, 1 - ulp and 1 round to one score: the
+            # at mirrored pixels, 1 - ulp and 1 round to one score: the
             # earlier pixel wins although its raw value is smaller
             values = np.zeros((64, 64))
-            values[0, 5], values[0, 10] = np.nextafter(1.0, 0.0), 1.0
-            hm, coord, expected = Heatmap(values), (32.0, 32.0), (5, 0)
+            values[32, 30], values[32, 34] = np.nextafter(1.0, 0.0), 1.0
+            hm, coord, expected = Heatmap(values), (32.0, 32.0), (30, 32)
         elif case == "below_eps":
-            # beyond the horizon every pixel is outside the window, and every
-            # value at or below eps scores the same floor
+            # far beyond the horizon every value at or below eps scores the
+            # same floor, so the prior alone decides: the pixel nearest the
+            # coordinate wins, not the earliest one
             values = np.zeros((16, 16))
             values[3, 7], values[9, 2] = EPS / 2, EPS
-            hm, coord, expected = Heatmap(values), (-500.0, 8.0), (0, 0)
-        elif case == "ring_inside_first":
-            # the window's clamped corner (0, 0) ties with later outside pixels
-            hm, coord, expected = self._ring((6.0, 6.0), sigma, 32), (6.0, 6.0), (0, 0)
+            hm, coord, expected = Heatmap(values), (-500.0, 8.0), (0, 8)
         else:
-            # the outside pixel (0, 0) ties with the window's clamped corners
-            hm, coord, expected = self._ring((20.0, 20.0), sigma, 48), (20.0, 20.0), (0, 0)
-        idx = int(np.argmax(dense_logsum(hm, coord, sigma, EPS)))
+            # every log here is exact: eps = e^-28, a prior of -(dx^2 + dy^2)/2,
+            # and maps of 1 and e^29. The coordinate's own pixel (10, 10)
+            # scores 0 + 0; a pixel beyond the floor horizon, (17, 13) after
+            # it or (7, 3) before it, scores -29 + 29, the same, and the
+            # earlier wins. (7, 3) sits on the window's first row
+            eps = math.exp(-28.0)
+            far = (17, 13) if case == "ring_inside_first" else (7, 3)
+            values = np.zeros((24, 24))
+            values[10, 10], values[far[1], far[0]] = 1.0, math.exp(29.0)
+            hm, coord = Heatmap(values), (10.0, 10.0)
+            expected = (10, 10) if case == "ring_inside_first" else far
+            assert dense_logsum(hm, coord, sigma, eps)[far[1], far[0]] == 0.0
+        idx = int(np.argmax(dense_logsum(hm, coord, sigma, eps)))
         assert (idx % hm.width, idx // hm.width) == expected
-        assert fuse_and_decode(hm, coord, FusionConfig(prior_sigma=sigma)) == expected
+        cfg = FusionConfig(prior_sigma=sigma, floor_epsilon=eps)
+        assert fuse_and_decode(hm, coord, cfg) == expected
+
+    def test_a_score_rounded_up_to_best_is_in_the_window(self):
+        # the coordinate's pixel (2, 1) holds a value just below the top and
+        # scores best = log(value); its left neighbour holds the top, and its
+        # prior lies just below best - log top, so its score is rounded up
+        # to best, a tie that the earlier pixel wins. The window's margin
+        # keeps that neighbour in; without it only (2, 1) would be read
+        top = 1e300
+        log_top = math.log(top)
+        values = np.zeros((4, 4))
+        values[1, 1], values[1, 2] = top, top * math.exp(-1e-3)
+        best = float(np.log(values[1, 2]))
+        # a prior 2e-14 below best - log top, well inside half an ulp of log top
+        sigma = math.sqrt(0.5 / (log_top - best + 2e-14))
+        prior = log_prior((2.0, 1.0), sigma, 4, 4)[1, 1]
+        assert prior < best - log_top and prior + log_top == best
+        hm = Heatmap(values)
+        idx = int(np.argmax(dense_logsum(hm, (2.0, 1.0), sigma, EPS)))
+        assert (idx % 4, idx // 4) == (1, 1)
+        assert fuse_and_decode(hm, (2.0, 1.0), FusionConfig(prior_sigma=sigma)) == (1.0, 1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
-from spinefuse.fusion import DecodeMethod, FusionConfig, _outside_can_reach, fuse_and_decode
+from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
 from spinefuse.heatmap import (
     GaussianSpec,
     Heatmap,
@@ -335,35 +335,10 @@ class TestSupportDecodes:
             assert decode_centroid(hm) == decode_centroid(whole)
             x, y = fx * hm.width, fy * hm.height
             if beyond:
-                # past the floor horizon of every column: the window is
-                # empty and the whole grid's sum decides
+                # past the prior's floor horizon of every column
                 horizon = sigma * math.sqrt(-2.0 * math.log(FusionConfig().floor_epsilon))
                 x = (min(x, 0.0) - horizon - 1.0 if fx < 0.5
                      else max(x, hm.width - 1.0) + horizon + 1.0)
             for decode in DecodeMethod:
                 cfg = FusionConfig(prior_sigma=sigma, decode=decode)
                 assert fuse_and_decode(hm, (x, y), cfg) == fuse_and_decode(whole, (x, y), cfg)
-
-    @pytest.mark.parametrize("support", [None, (0, 17, 0, 17)])
-    def test_an_earlier_outside_pixel_ties_at_the_ceiling_and_wins(self, support):
-        # prior sigma 2 at (30, 30) on 40 x 40: the window is rows and columns
-        # 16..39, and its corner (16, 16) has a clamped prior, log eps. With
-        # the maximum 1 there and at (0, 0), both score log eps + log 1, the
-        # ceiling of every outside score, and the earlier pixel must win
-        values = np.zeros((40, 40))
-        values[16, 16] = values[0, 0] = 1.0
-        hm = Heatmap(values) if support is None else Heatmap(values, _support=support)
-        assert fuse_and_decode(hm, (30.0, 30.0), FusionConfig(prior_sigma=2.0)) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("top", [1.0, 0.37, 3e-12, 1e-15, 7.5e300])
-    def test_the_outside_is_read_within_rounding_of_its_ceiling(self, top):
-        eps = FusionConfig().floor_epsilon
-        ceiling = math.log(eps) + math.log(max(top, eps))
-        # a log one ulp off, in the ceiling or in a score, moves a score a
-        # few ulps past the ceiling; such a best must not skip the outside
-        near = ceiling
-        for _ in range(4):
-            near = math.nextafter(near, math.inf)
-        assert _outside_can_reach(ceiling, top, eps)
-        assert _outside_can_reach(near, top, eps)
-        assert not _outside_can_reach(ceiling + 1e-6 * (1.0 + abs(ceiling)), top, eps)
