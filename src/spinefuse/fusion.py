@@ -93,6 +93,16 @@ def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
     return out
 
 
+def _refuse_unranked(score: float, coord: tuple[float, float]) -> None:
+    """The rule for a fused score: the best one must be finite. A coordinate
+    so far from the grid that the nearest pixel's prior is -inf makes every
+    score -inf, and the prior cannot rank pixels there; raises a
+    ValidationError naming the coordinate."""
+    if not math.isfinite(score):
+        raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
+                              "is too far from the grid")
+
+
 def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
                  channel: int | None = None) -> Heatmap:
     """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
@@ -101,12 +111,20 @@ def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConf
 
     That is the product of the prior and the map clamped at eps,
     peak-normalized so its maximum is exactly 1; its row-major first
-    maximum is the argmax :func:`fuse_and_decode` returns.
+    maximum is the argmax :func:`fuse_and_decode` returns. Only the map's
+    support block is read: every pixel outside it is 0, clamped to eps, so
+    it sums the prior and log(eps) in the same order as the block does.
     """
+    eps = cfg.floor_epsilon
     lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
                                  predicted.height)
-    logsum = _logsum(lx, ly, predicted.values, cfg.floor_epsilon)
-    logsum -= logsum.max()
+    logsum = lx[None, :] + ly[:, None]
+    logsum += np.log(eps)
+    r0, r1, c0, c1 = predicted._support
+    logsum[r0:r1, c0:c1] = _logsum(lx[c0:c1], ly[r0:r1], predicted._block, eps)
+    peak = logsum.max()
+    _refuse_unranked(peak, coord)
+    logsum -= peak
     # exp of the flushed tail would take numpy's slow subnormal path; the
     # skipped entries keep their negative logs, which the maximum zeroes
     np.exp(logsum, out=logsum, where=logsum >= _LOG_TINY)
@@ -140,9 +158,7 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
     best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
                          predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
-    if not math.isfinite(best):
-        raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
-                              "is too far from the grid")
+    _refuse_unranked(best, coord)
     # the margin covers best's log and log top being rounded separately;
     # float addition is monotone, so a column whose prior falls short of
     # reach on the nearest pixel's row falls short on every row

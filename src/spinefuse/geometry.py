@@ -92,44 +92,57 @@ def build_transform(tx: float, ty: float, angle_deg: float, scale: float,
     ]))
 
 
+# pixels per row strip of warp_image: enough rows to amortize numpy's call
+# overhead, few enough that a strip's float64 temporaries stay in cache
+_STRIP_PIXELS = 8192
+
+
 def warp_image(img: GrayImage, t: AffineTransform2D) -> GrayImage:
     """Resample the image through the inverse map with bilinear weights.
 
     Output pixel p takes the bilinear sample of the input at t^-1(p);
     samples falling outside the input grid contribute intensity 0.
-    Dimensions and spacing are unchanged.
+    Dimensions and spacing are unchanged. The output is computed in strips
+    of whole rows, about ``_STRIP_PIXELS`` pixels each (one row when a row
+    is wider); every pixel takes the same operations as over the whole
+    grid at once, so the bytes do not depend on the strip size.
     """
     h, w = img.pixels.shape
     inv = t.invert().matrix
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    sx = inv[0, 0] * xs[None, :] + inv[0, 1] * ys[:, None] + inv[0, 2]
-    sy = inv[1, 0] * xs[None, :] + inv[1, 1] * ys[:, None] + inv[1, 2]
-
-    # A sample beyond [-1, w] x [-1, h] has all four corners outside the grid.
-    # Clipped onto that range, each of its corners reads the zero border or
-    # has weight 0, and the border (one pixel before the grid, two after it)
-    # takes every other outside corner. Weights are >= 0, so an outside corner
-    # adds (wx * wy) * 0 = +0, which leaves the sum bitwise unchanged.
-    np.clip(sx, -1.0, w, out=sx)
-    np.clip(sy, -1.0, h, out=sy)
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-
     pw = w + 3
     padded = np.zeros((h + 3, pw), dtype=np.uint8)
     padded[1:h + 1, 1:w + 1] = img.pixels
     flat = padded.ravel()
-    top_left = ((y0 + 1.0) * pw + (x0 + 1.0)).astype(np.intp)
-    out = (gx * gy) * flat.take(top_left)
-    out += (fx * gy) * flat.take(top_left + 1)
-    out += (gx * fy) * flat.take(top_left + pw)
-    out += (fx * fy) * flat.take(top_left + (pw + 1))
-    return GrayImage(_round_u8(out), img.spacing)
+    xs = np.arange(w, dtype=np.float64)
+    out = np.empty((h, w), dtype=np.uint8)
+    rows = max(1, _STRIP_PIXELS // w)
+    for top in range(0, h, rows):
+        ys = np.arange(top, min(top + rows, h), dtype=np.float64)
+        sx = inv[0, 0] * xs[None, :] + inv[0, 1] * ys[:, None] + inv[0, 2]
+        sy = inv[1, 0] * xs[None, :] + inv[1, 1] * ys[:, None] + inv[1, 2]
+
+        # A sample beyond [-1, w] x [-1, h] has all four corners outside the
+        # grid. Clipped onto that range, each of its corners reads the zero
+        # border or has weight 0, and the border (one pixel before the grid,
+        # two after it) takes every other outside corner. Weights are >= 0,
+        # so an outside corner adds (wx * wy) * 0 = +0, which leaves the sum
+        # bitwise unchanged.
+        np.clip(sx, -1.0, w, out=sx)
+        np.clip(sy, -1.0, h, out=sy)
+        x0 = np.floor(sx)
+        y0 = np.floor(sy)
+        fx = sx - x0
+        fy = sy - y0
+        gx = 1.0 - fx
+        gy = 1.0 - fy
+
+        top_left = ((y0 + 1.0) * pw + (x0 + 1.0)).astype(np.intp)
+        acc = (gx * gy) * flat.take(top_left)
+        acc += (fx * gy) * flat.take(top_left + 1)
+        acc += (gx * fy) * flat.take(top_left + pw)
+        acc += (fx * fy) * flat.take(top_left + (pw + 1))
+        out[top:top + rows] = _round_u8(acc)
+    return GrayImage(out, img.spacing)
 
 
 def warp_landmarks(lms: LandmarkSet, t: AffineTransform2D) -> LandmarkSet:

@@ -189,10 +189,10 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     expected = 16 + channels * h * w * 4
     if len(data) != expected:
         raise ValidationError(f"{len(data)} bytes, expected {expected} for {channels}x{h}x{w}")
-    # casting a signalling NaN sets numpy's invalid flag; Heatmap rejects NaN anyway
-    with np.errstate(invalid="ignore"):
-        values = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
-    return [Heatmap(channel) for channel in values.reshape(channels, h, w)]
+    # each channel is a float32 view of the file's bytes; Heatmap casts and
+    # validates only its nonzero block
+    values = np.frombuffer(data, dtype="<f4", offset=16).reshape(channels, h, w)
+    return [Heatmap(channel) for channel in values]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ class TestFuseProduct:
         assert (a.values * b.values).max() == 0.0
         fused = fuse_product(a, (120, 120), FusionConfig(prior_sigma=1.0))
         assert fused.values.max() == 1.0
+
+
+    # every exponent overflows to -inf there; the dense sum must not reach
+    # numpy's invalid-value warning first (-inf - -inf)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coord", [(1e160, 0.0), (3.0, -1e160)])
+    def test_a_coordinate_too_far_from_the_grid_is_refused(self, coord):
+        values = np.zeros((8, 8))
+        values[2, 6] = 1.0
+        hm, cfg = Heatmap(values), FusionConfig()
+        message = f"^{re.escape(f'coordinate {coord} is too far from the grid')}$"
+        with pytest.raises(ValidationError, match=message):
+            fuse_product(hm, coord, cfg)
+        with pytest.raises(ValidationError, match=message):
+            fuse_and_decode(hm, coord, cfg)
 
 
 class TestFuseAndDecode:

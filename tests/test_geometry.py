@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
 from spinefuse.geometry import (
+    _STRIP_PIXELS,
     AffineTransform2D,
     AugmentationRanges,
     build_transform,
@@ -44,6 +45,47 @@ def masked_warp(img, t):
             valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
             out[valid] += (wx * wy)[valid] * src[yy[valid], xx[valid]]
     return GrayImage(_round_u8(out), img.spacing)
+
+
+def whole_grid_warp(img, t):
+    """Reference: the padded gather of warp_image computed over the whole
+    grid at once, without row strips."""
+    h, w = img.pixels.shape
+    inv = t.invert().matrix
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)
+    sx = inv[0, 0] * xs[None, :] + inv[0, 1] * ys[:, None] + inv[0, 2]
+    sy = inv[1, 0] * xs[None, :] + inv[1, 1] * ys[:, None] + inv[1, 2]
+    np.clip(sx, -1.0, w, out=sx)
+    np.clip(sy, -1.0, h, out=sy)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    pw = w + 3
+    padded = np.zeros((h + 3, pw), dtype=np.uint8)
+    padded[1:h + 1, 1:w + 1] = img.pixels
+    flat = padded.ravel()
+    top_left = ((y0 + 1.0) * pw + (x0 + 1.0)).astype(np.intp)
+    out = (gx * gy) * flat.take(top_left)
+    out += (fx * gy) * flat.take(top_left + 1)
+    out += (gx * fy) * flat.take(top_left + pw)
+    out += (fx * fy) * flat.take(top_left + (pw + 1))
+    return GrayImage(_round_u8(out), img.spacing)
+
+
+# (width, height) of images that cut the row strips of warp_image in every way
+strip_shapes = st.one_of(
+    # rows wider than a strip: one row per strip
+    st.tuples(st.integers(_STRIP_PIXELS + 1, _STRIP_PIXELS + 64), st.integers(1, 3)),
+    # several rows per strip, mostly with a partial last strip
+    st.tuples(st.integers(2, 400), st.integers(1, 200)),
+    # 1 x N and N x 1
+    st.tuples(st.just(1), st.integers(1, 3 * _STRIP_PIXELS)),
+    st.tuples(st.integers(1, 3 * _STRIP_PIXELS), st.just(1)),
+)
 
 
 class TestSampleAugmentation:
@@ -145,6 +187,26 @@ class TestWarpImage:
         t = build_transform(tx * width, ty * height, angle, scale, (cx * width, cy * height))
         got = warp_image(img, t)
         assert got.pixels.tobytes() == masked_warp(img, t).pixels.tobytes()
+        assert got.spacing == img.spacing
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=strip_shapes, seed=st.integers(0, 2**32 - 1),
+           linear=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+           shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    # 300 x 200: 27 rows per strip and a partial last strip of 11 rows
+    @example(shape=(300, 200), seed=7, linear=(0.9, -0.3, 0.3, 0.9), shift=(0.1, -0.05))
+    @example(shape=(_STRIP_PIXELS, 3), seed=1, linear=(1.0, 0.0, 0.0, 1.0), shift=(0.0, 0.0))
+    def test_row_strips_equal_the_whole_grid(self, shape, seed, linear, shift):
+        # any invertible linear part, shear included, and shifts of up to two
+        # grid sizes, so that some samples, or all, fall outside the grid
+        a, b, c, d = linear
+        assume(abs(a * d - b * c) > 1e-3)
+        w, h = shape
+        t = AffineTransform2D(np.array([[a, b, shift[0] * w], [c, d, shift[1] * h]]))
+        pix = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+        img = GrayImage(pix, 0.5)
+        got = warp_image(img, t)
+        assert got.pixels.tobytes() == whole_grid_warp(img, t).pixels.tobytes()
         assert got.spacing == img.spacing
 
 

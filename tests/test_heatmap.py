@@ -313,9 +313,30 @@ class TestSupport:
         assert hm._support == (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1)
         assert hm._support != (0, 256, 0, 256)
 
-    def test_a_public_map_gets_the_whole_grid(self):
-        hm = Heatmap(np.zeros((5, 7)))
-        assert (hm._support, hm._top) == ((0, 5, 0, 7), 0.0)
+    def test_an_all_zero_grid_gets_the_empty_box(self):
+        for dtype in (np.float64, np.float32, np.int64):
+            hm = Heatmap(np.zeros((5, 7), dtype=dtype))
+            assert (hm._support, hm._top) == ((0, 0, 0, 0), 0.0)
+            assert hm.values.shape == (5, 7) and not hm.values.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([np.float64, np.float32]),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.floats(0.0, 2.0 ** 100, exclude_min=True, width=32)),
+                    max_size=4))
+    def test_a_given_grid_gets_its_tight_nonzero_box(self, h, w, dtype, spots):
+        grid = np.zeros((h, w), dtype=dtype)
+        for y, x, value in spots:
+            grid[y % h, x % w] = value
+        hm = Heatmap(grid)
+        rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
+        tight = (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if spots else (0, 0, 0, 0)
+        assert hm._support == tight
+        assert hm._top == grid.max()
+        # a given float64 grid is kept; any other is rebuilt from the block
+        assert (hm.values is grid) == (dtype == np.float64)
+        assert hm.values.dtype == np.float64
+        assert np.array_equal(hm.values, grid)
 
 
 class TestSupportDecodes:
@@ -329,8 +350,9 @@ class TestSupportDecodes:
         for hm in maps:
             if hm._top == 0:
                 continue
-            whole = Heatmap(hm.values.copy())
-            assert whole._support == (0, hm.height, 0, hm.width)
+            # the same grid with the whole grid as its box
+            whole = Heatmap(hm.values.copy(), _support=(0, hm.height, 0, hm.width),
+                            _shape=hm._shape)
             assert decode_argmax(hm) == decode_argmax(whole)
             assert decode_centroid(hm) == decode_centroid(whole)
             x, y = fx * hm.width, fy * hm.height

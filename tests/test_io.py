@@ -97,9 +97,10 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 
 def test_support_boxes_stay_inside_heatmap():
-    # a map's support box comes only from the renderer that knows where the
-    # map is nonzero; fusion uses the same box rule for its prior's window
-    # and gives no box to a map
+    # a map's support box is found only in heatmap: by the renderer, which
+    # knows where its Gaussians are nonzero, or by Heatmap on a given grid.
+    # Fusion uses the same box rule for its prior's window and gives no box
+    # to a map
     offenders = []
     for path in sorted(Path(io.__file__).parent.glob("*.py")):
         if path.name == "heatmap.py":
@@ -213,6 +214,36 @@ class TestHeatmapStacks:
             with pytest.raises(ValidationError, match=message) as exc:
                 io.read_heatmap_stack(path)
             assert str(path) in str(exc.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000, 0xBF800000,
+                            0x80000001]),
+           st.integers(0, 1), st.integers(0, 29), st.integers(0, 39))
+    def test_a_bad_value_anywhere_in_a_channel_is_refused(self, tmp_path_factory, bits,
+                                                           channel, y, x):
+        # NaN (quiet and signalling), +-inf, -1 and the smallest negative
+        # subnormal, at any pixel of either channel: alone in channel 0, or
+        # far from channel 1's peak near the top left corner
+        path = tmp_path_factory.mktemp("bad") / "s.hmap"
+        io.write_heatmap_stack(path, [Heatmap(np.zeros((30, 40))),
+                                      render_gaussian(GaussianSpec((3.0, 2.0), 1.0), 40, 30)])
+        data = bytearray(path.read_bytes())
+        offset = 16 + 4 * ((channel * 30 + y) * 40 + x)
+        data[offset:offset + 4] = struct.pack("<I", bits)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="finite|non-negative") as exc:
+            io.read_heatmap_stack(path)
+        assert str(path) in str(exc.value)
+
+    def test_negative_zero_reads_back_as_zero(self, tmp_path):
+        # one -0.0 outside the nonzero box and one inside it
+        values = np.zeros((6, 8), dtype="<f4")
+        values[1, 1], values[2, 3], values[1, 3], values[5, 7] = 1.0, 0.5, -0.0, -0.0
+        path = tmp_path / "s.hmap"
+        path.write_bytes(b"HMAP" + struct.pack("<III", 1, 6, 8) + values.tobytes())
+        hm, = io.read_heatmap_stack(path)
+        assert hm._support == (1, 3, 1, 4)
+        assert np.array_equal(hm.values, values) and not np.signbit(hm.values).any()
 
     def test_empty_stack_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
