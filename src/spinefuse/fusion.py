@@ -79,8 +79,9 @@ def coord_to_prior(coord: tuple[float, float], prior_sigma: float,
                            width, height)
 
 
-# the log of the smallest normal float64; exp below it is subnormal or 0
-_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+# float32 rounds every value at or below 2^-150 to 0; the fused map is
+# flushed one binade lower, where exp is still a normal float64
+_LOG_FLUSH = math.log(2.0 ** -151)
 
 
 def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
@@ -93,42 +94,55 @@ def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
     return out
 
 
-def _refuse_unranked(score: float, coord: tuple[float, float]) -> None:
-    """The rule for a fused score: the best one must be finite. A coordinate
-    so far from the grid that the nearest pixel's prior is -inf makes every
-    score -inf, and the prior cannot rank pixels there; raises a
-    ValidationError naming the coordinate."""
-    if not math.isfinite(score):
+def _scored_box(predicted: Heatmap, lx: np.ndarray, ly: np.ndarray, eps: float,
+                offset: float, coord: tuple[float, float]):
+    """``((r0, r1, c0, c1), logsum)``: the box of every pixel able to score
+    ``best + offset`` or more, with ``best`` the score of the pixel nearest
+    the coordinate, and the log-sum over it.
+
+    No pixel scores more than its prior plus log(max(top, eps)), with top
+    the map's maximum, so each pixel outside the box scores strictly less
+    than ``best + offset``. A coordinate so far from the grid that the
+    nearest pixel's prior is -inf makes every score -inf, and is refused
+    with a ValidationError naming it: the prior cannot rank pixels there.
+    """
+    # the pixel nearest the coordinate, where both prior terms peak
+    nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
+    best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
+                         predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
+    if not math.isfinite(best):
         raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
                               "is too far from the grid")
+    # the margin covers best's log and log top being rounded separately;
+    # float addition is monotone, so a column whose prior falls short of
+    # reach on the nearest pixel's row falls short on every row
+    log_top = math.log(max(predicted._top, eps))
+    reach = best + offset - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top) + abs(offset))
+    r0, r1, c0, c1 = box = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
+    return box, _logsum(lx[c0:c1], ly[r0:r1], predicted._window(slice(r0, r1), slice(c0, c1)),
+                        eps)
 
 
 def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
                  channel: int | None = None) -> Heatmap:
     """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
-    reads, built over the whole grid, and values below the smallest normal
-    float64 set to 0.
+    reads, and every value below 2^-151 set to 0.
 
     That is the product of the prior and the map clamped at eps,
     peak-normalized so its maximum is exactly 1; its row-major first
-    maximum is the argmax :func:`fuse_and_decode` returns. Only the map's
-    support block is read: every pixel outside it is 0, clamped to eps, so
-    it sums the prior and log(eps) in the same order as the block does.
+    maximum is the argmax :func:`fuse_and_decode` returns. L is built only
+    over the box of pixels that can score at least ``best + log 2^-151``,
+    the window rule of :func:`fuse_and_decode` one offset lower: every
+    pixel outside it scores below ``max L + log 2^-151`` and is 0.
     """
-    eps = cfg.floor_epsilon
     lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
                                  predicted.height)
-    logsum = lx[None, :] + ly[:, None]
-    logsum += np.log(eps)
-    r0, r1, c0, c1 = predicted._support
-    logsum[r0:r1, c0:c1] = _logsum(lx[c0:c1], ly[r0:r1], predicted._block, eps)
-    peak = logsum.max()
-    _refuse_unranked(peak, coord)
-    logsum -= peak
-    # exp of the flushed tail would take numpy's slow subnormal path; the
-    # skipped entries keep their negative logs, which the maximum zeroes
-    np.exp(logsum, out=logsum, where=logsum >= _LOG_TINY)
-    return Heatmap(np.maximum(logsum, 0.0, out=logsum))
+    box, logsum = _scored_box(predicted, lx, ly, cfg.floor_epsilon, _LOG_FLUSH, coord)
+    logsum -= logsum.max()
+    # the flushed entries keep their negative logs, which the maximum zeroes
+    np.exp(logsum, out=logsum, where=logsum >= _LOG_FLUSH)
+    return Heatmap(np.maximum(logsum, 0.0, out=logsum), _support=box,
+                   _shape=predicted._shape)
 
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
@@ -140,13 +154,9 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     maximum; centroid weights the 3x3 patch around that same index by
     exp(logsum - peak), the values :func:`fuse_product` holds there.
 
-    The sum is built only inside a window that holds every pixel able to
-    reach ``best``, the score of the pixel nearest the coordinate. No pixel
-    scores more than its prior plus log(max(top, eps)), with top the map's
-    maximum, so each pixel outside the window scores strictly less than
-    ``best`` and the window's first maximum is the whole grid's, ties
-    included. A coordinate so far from the grid that the nearest pixel's
-    prior is -inf is refused: the prior cannot rank pixels there.
+    The sum is built only inside the box of :func:`_scored_box` at offset
+    0. It holds every pixel able to reach ``best``, so its first maximum is
+    the whole grid's, ties included.
     """
     eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
@@ -154,19 +164,7 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
                                  predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    # the pixel nearest the coordinate, where both prior terms peak
-    nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
-    best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
-                         predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
-    _refuse_unranked(best, coord)
-    # the margin covers best's log and log top being rounded separately;
-    # float addition is monotone, so a column whose prior falls short of
-    # reach on the nearest pixel's row falls short on every row
-    log_top = math.log(max(predicted._top, eps))
-    reach = best - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top))
-    r0, r1, c0, c1 = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
-    window = _logsum(lx[c0:c1], ly[r0:r1], predicted._window(slice(r0, r1), slice(c0, c1)),
-                     eps)
+    (r0, _, c0, _), window = _scored_box(predicted, lx, ly, eps, 0.0, coord)
     i = int(np.argmax(window))
     peak = float(window.flat[i])
     iy, ix = divmod(i, window.shape[1])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,55 +62,50 @@ class Heatmap:
 
     Each map records its support, the rows ``r0:r1`` and columns ``c0:c1``
     outside which every value is exactly 0, and its maximum, and it stores
-    only the block of values inside that box. A rendered map gets the box of
-    its Gaussians' nonzero blocks; any other map (``Heatmap(values)``, an
-    HMAP channel, a fused product) gets the tight box of the given array's
-    nonzero values, or the empty box if it has none. NaN, inf and negative
-    values are nonzero, so they lie inside the box, where validation refuses
-    them. Validation, decoding, fusion and HMAP writes read only the block,
-    and fusion uses the maximum to bound its window.
+    only the block of values inside that box, in float64. A rendered map
+    gets the box of its Gaussians' nonzero blocks, and a fused product the
+    box of its fusion window; any other map (``Heatmap(values)``, an HMAP
+    channel) gets the tight box of the given array's nonzero values, or the
+    empty box if it has none. The given array is never kept. Values must be
+    bool, integer or float; NaN, inf and negative values are nonzero, so
+    they lie inside the box, where validation refuses them. Validation,
+    decoding, fusion and HMAP writes read only the block, and fusion uses
+    the maximum to bound its window.
 
-    ``values`` is the given array when that is a float64 grid. Otherwise
-    (a rendered map, or a given grid of another dtype such as an HMAP
-    channel's float32) it is a dense float64 grid built from the block the
-    first time it is asked for; a -0.0 there reads back as 0.0.
+    ``values`` is a dense float64 grid built from the block the first time
+    it is asked for; a -0.0 there reads back as 0.0.
     """
 
-    # the values inside the support; a given dense grid is cut to it
+    # the values inside the support
     _block: np.ndarray
     _support: tuple[int, int, int, int]
     # (height, width)
     _shape: tuple[int, int]
     _top: float
-    _dense: np.ndarray | None
 
     def __init__(self, values: np.ndarray, *, _support=None, _shape=None):
-        # _support and _shape are private: passed only by _render, which
-        # knows the box and renders only its block of a (height, width) grid
+        # _support and _shape are private: passed by _render and fuse_product,
+        # which build only the box's float64 block of a (height, width) grid
         self.__post_init__(values, _support, _shape)
 
-    def __post_init__(self, values, support, rendered_shape):
+    def __post_init__(self, values, support, block_shape):
         # the validating constructor, under the name bench/tracer.py patches
         arr = np.asarray(values)
         if arr.dtype.kind not in "biuf":
-            arr = arr.astype(np.float64)
-        shape = rendered_shape or arr.shape
+            raise ValidationError(f"heatmap values must be bool, integer or float, "
+                                  f"got dtype {arr.dtype}")
+        shape = block_shape or arr.shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {shape}")
-        # a given float64 grid is kept as values; a rendered block is
-        # already the support's, in float64
-        dense = arr if not rendered_shape and arr.dtype == np.float64 else None
         block = arr
-        if not rendered_shape:
+        if not block_shape:
             # a signalling NaN sets numpy's invalid flag when it is compared
             # or cast; it is refused below like any NaN
             with np.errstate(invalid="ignore"):
                 nonzero = arr != 0
                 r0, r1, c0, c1 = support = _box(nonzero.any(axis=1), nonzero.any(axis=0))
-                block = arr[r0:r1, c0:c1]
-                if dense is None:
-                    # the cast to float64; adding +0.0 also turns -0.0 into 0.0
-                    block = np.add(block, 0.0, dtype=np.float64)
+                # the cast to float64; adding +0.0 also turns -0.0 into 0.0
+                block = np.add(arr[r0:r1, c0:c1], 0.0, dtype=np.float64)
         # NaN and +-inf all reach min or max, so two reductions check both;
         # every value outside the box is 0, which passes both checks and
         # raises no maximum of non-negative values
@@ -118,19 +114,15 @@ class Heatmap:
             raise ValidationError("heatmap values must be finite")
         if lo < 0:
             raise ValidationError("heatmap values must be non-negative")
-        object.__setattr__(self, "_dense", None if dense is None else _frozen(dense))
         object.__setattr__(self, "_block", _frozen(block))
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_top", float(hi))
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
         """The dense grid, frozen float64; the same array on every access."""
-        if self._dense is None:
-            dense = self._window(slice(0, self.height), slice(0, self.width))
-            object.__setattr__(self, "_dense", _frozen(dense))
-        return self._dense
+        return _frozen(self._window(slice(0, self.height), slice(0, self.width)))
 
     def __repr__(self) -> str:
         return f"Heatmap(values={self.values!r})"

@@ -9,7 +9,6 @@ jump to the wrong vertebra.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,16 +144,17 @@ def simulate_coords(rng: Rng, gt: LandmarkSet, model: CoordPredictorModel) -> La
 
 
 def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
-                      width: int, height: int) -> Iterator[Heatmap]:
+                      width: int, height: int) -> list[Heatmap]:
     """One channel per landmark: jittered true peak, max-combined with an
     occasional spurious peak at a uniformly chosen chain neighbor.
 
-    Channels are yielded one at a time, and each one takes its draws from
-    the stream only when it is pulled: two jitter normals and one confusion
-    uniform; a triggered confusion takes one neighbor-choice uniform and
-    one amplitude uniform.
+    Channels come in landmark order, and each takes its draws from the
+    stream in turn: two jitter normals and one confusion uniform; a
+    triggered confusion takes one neighbor-choice uniform and one amplitude
+    uniform.
     """
     n = len(gt)
+    stack = []
     for k, (x, y) in enumerate(gt.points):
         cx = x + rng.normal(0.0, model.peak_jitter_sigma)
         cy = y + rng.normal(0.0, model.peak_jitter_sigma)
@@ -170,7 +170,8 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
             specs.append(GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp))
-        yield _render(specs, width, height)
+        stack.append(_render(specs, width, height))
+    return stack
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def run_trial(rng: Rng, config: TrialConfig) -> ComparisonReport:
         stream = rng.spawn(i)
         gt = generate_phantom(stream, cfg)
         coords = simulate_coords(stream, gt, config.coords)
-        stack = list(simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height))
+        stack = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
         heat = np.array([decode_argmax(channel) for channel in stack], dtype=np.float64)
         gts.append(gt)
         coord_preds.append(coords)

@@ -416,6 +416,35 @@ class TestJobsFlag:
                 continue
             assert f.read_bytes() == (tmp_path / "p" / f.name).read_bytes()
 
+    def test_the_whole_chain_writes_the_same_bytes_at_any_jobs(self, tmp_path):
+        # phantom, then every --jobs stage; manifests hold relative paths, so
+        # two trees built under different roots compare file for file
+        trees = []
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
+            manifest = make_corpus(root, count=2)
+            for step in [
+                ["equalize", "--manifest", manifest, "--out-dir", root / "eq"],
+                ["augment", "--manifest", root / "eq" / "manifest.txt", "--out-dir", root / "aug",
+                 "--count", 2, "--seed", 7, "--working-size", 128, 128, "--ty-range", -4, 4,
+                 "--tx-range", -8, 8, "--angle-range", -10, 10, "--scale-range", 0.9, 1.1],
+                ["gen-heatmaps", "--manifest", root / "aug" / "manifest.txt",
+                 "--out-dir", root / "hmaps", "--sigma", 1.2],
+                ["fuse", "--heatmaps-dir", root / "hmaps", "--coords-dir", root / "aug",
+                 "--out-dir", root / "fused", "--prior-sigma", 6, "--decode", "centroid",
+                 "--dump-heatmaps"],
+                ["decode", "--heatmaps-dir", root / "fused", "--out-dir", root / "decoded",
+                 "--method", "centroid"],
+            ]:
+                assert run(*step, "--jobs", jobs) == EXIT_OK
+            trees.append({p.relative_to(root): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
+        serial, parallel = trees
+        assert sorted(serial) == sorted(parallel)
+        assert len([p for p in serial if p.name.endswith(".fused.hmap")]) == 4
+        for path, data in serial.items():
+            assert data == parallel[path], path
+
 
 class TestFlags:
     REQUIRED = {

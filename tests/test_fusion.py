@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ class TestFuseProduct:
         ba = fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0)).values
         assert ab[both].max() == ba[both].max() == 1.0
         np.testing.assert_allclose(ab[both], ba[both], atol=1e-12)
+
+    def test_builds_only_the_box_a_float32_dump_can_see(self):
+        # a whole 512 x 512 float64 grid is 2 MiB; the fused box of a sigma
+        # 1.2 map under a sigma 6 prior is about 190 x 190
+        grid = 512 * 512 * 8
+        hm = render_gaussian(GaussianSpec((200.0, 300.0), 1.2), 512, 512)
+        cfg = FusionConfig(prior_sigma=6.0)
+        tracemalloc.start()
+        try:
+            fused = fuse_product(hm, (205.0, 296.0), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid // 2
+        assert fused._block.nbytes < grid // 4
+        assert decode_argmax(fused) == tuple(map(int, fuse_and_decode(hm, (205.0, 296.0), cfg)))
 
     def test_far_apart_narrow_peaks_do_not_underflow(self):
         # the raw product of these maps is all zeros in float64
@@ -322,6 +339,8 @@ class TestPeakSelectionRule:
 EPS = FusionConfig().floor_epsilon
 # below it exp(x) is not a normal float64
 LOG_TINY = math.log(np.finfo(np.float64).tiny)
+# float32 rounds every value at or below 2^-150 to 0
+LOG_FLUSH = math.log(2.0 ** -151)
 
 
 def log_prior(coord, sigma: float, width: int, height: int) -> np.ndarray:
@@ -403,9 +422,14 @@ class TestSingleDecodePath:
         cx, cy = fuse_and_decode(hm, coord, centroid_cfg)
         assert abs(cx - ax) <= 1 and abs(cy - ay) <= 1
         shifted = logsum - logsum.max()
-        # the fused map flushes every value below the smallest normal to 0
-        fused = np.where(shifted >= LOG_TINY, np.exp(shifted), 0.0)
-        assert fuse_product(hm, coord, argmax_cfg).values.tobytes() == fused.tobytes()
+        # the fused map flushes every value below 2^-151 to 0, which a
+        # float32 dump cannot tell from a flush at the smallest normal
+        fused = np.where(shifted >= LOG_FLUSH, np.exp(shifted), 0.0)
+        product = fuse_product(hm, coord, argmax_cfg)
+        assert product.values.tobytes() == fused.tobytes()
+        normal = np.where(shifted >= LOG_TINY, np.exp(shifted), 0.0)
+        assert (product.values.astype(np.float32).tobytes()
+                == normal.astype(np.float32).tobytes())
         if int(np.argmax(fused)) == idx:
             ref = decode_centroid(Heatmap(fused))
             assert abs(cx - ref[0]) <= 1e-12 and abs(cy - ref[1]) <= 1e-12

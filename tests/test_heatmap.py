@@ -53,6 +53,16 @@ class TestHeatmapValidation:
         with pytest.raises(ValidationError, match="non-empty 2-D"):
             Heatmap(np.ones(shape))
 
+    # a complex value is not cast to its real part, nor a string parsed
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [np.array([[1 + 2j, 0]]), np.array([["1.5", "0"]]),
+                                        np.array([[1.5, 0.0]], dtype=object)],
+                             ids=["complex", "str", "object"])
+    def test_a_dtype_that_is_not_a_number_is_refused(self, values):
+        message = f"heatmap values must be bool, integer or float, got dtype {values.dtype}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Heatmap(values)
+
     def test_values_is_the_keyword_and_the_repr(self):
         vals = np.arange(6.0).reshape(2, 3)
         hm = Heatmap(values=vals)
@@ -236,7 +246,7 @@ class TestBlockStorage:
         hm = _render(specs, 300, 200)
         r0, r1, c0, c1 = hm._support
         assert (r0 == 0, r1 == 200, c0 == 0, c1 == 300) == cuts
-        assert hm._block.shape == (r1 - r0, c1 - c0) and hm._dense is None
+        assert hm._block.shape == (r1 - r0, c1 - c0) and "values" not in vars(hm)
         assert (hm.width, hm.height) == (300, 200)
         want = np.max([dense_gaussian(spec, 300, 200) for spec in specs], axis=0)
 
@@ -248,7 +258,7 @@ class TestBlockStorage:
                        clip(0, 200, 0, 300),                          # the grid
                        clip(0, 200, c1, 300) if c1 < 300 else clip(0, 200, 0, c0)]:  # beside it
             assert hm._window(ys, xs).tobytes() == want[ys, xs].tobytes()
-        assert hm._dense is None
+        assert "values" not in vars(hm)
         whole = Heatmap(want)
         assert decode_argmax(hm) == decode_argmax(whole)
         assert decode_centroid(hm) == decode_centroid(whole)
@@ -287,7 +297,7 @@ def package_maps(draw):
                                   adjacent_confusion_prob=draw(st.sampled_from([0.5, 1.0])),
                                   spurious_amplitude=(lo, lo * draw(st.floats(1.0, 10.0))))
     rng = Rng(draw(st.integers(0, 2**32 - 1)))
-    return list(simulate_heatmaps(rng, points, model, w, h))
+    return simulate_heatmaps(rng, points, model, w, h)
 
 
 class TestSupport:
@@ -307,7 +317,7 @@ class TestSupport:
         # support is their join, and it is tight: its edges hold nonzeros
         gt = LandmarkSet(np.array([[60.0, 60.0], [180.0, 190.0]]), PixelFrame(256, 256))
         model = HeatmapPredictorModel(adjacent_confusion_prob=1.0)
-        hm = next(simulate_heatmaps(Rng(0), gt, model, 256, 256))
+        hm = simulate_heatmaps(Rng(0), gt, model, 256, 256)[0]
         rows = np.flatnonzero(hm.values.any(axis=1))
         cols = np.flatnonzero(hm.values.any(axis=0))
         assert hm._support == (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1)
@@ -333,8 +343,8 @@ class TestSupport:
         tight = (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if spots else (0, 0, 0, 0)
         assert hm._support == tight
         assert hm._top == grid.max()
-        # a given float64 grid is kept; any other is rebuilt from the block
-        assert (hm.values is grid) == (dtype == np.float64)
+        # no given grid is kept: values is rebuilt from the block
+        assert hm.values is not grid and hm.values is hm.values
         assert hm.values.dtype == np.float64
         assert np.array_equal(hm.values, grid)
 

@@ -97,16 +97,16 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 
 def test_support_boxes_stay_inside_heatmap():
-    # a map's support box is found only in heatmap: by the renderer, which
-    # knows where its Gaussians are nonzero, or by Heatmap on a given grid.
-    # Fusion uses the same box rule for its prior's window and gives no box
-    # to a map
+    # a map's support box is found only in heatmap, by the renderer, which
+    # knows where its Gaussians are nonzero, or by Heatmap on a given grid,
+    # and in fusion, whose window bounds the fused product's nonzero values
     offenders = []
     for path in sorted(Path(io.__file__).parent.glob("*.py")):
         if path.name == "heatmap.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.keyword) and node.arg == "_support":
+            if (isinstance(node, ast.keyword) and node.arg == "_support"
+                    and path.name != "fusion.py"):
                 offenders.append((path.name, "_support="))
             elif isinstance(node, ast.ImportFrom) and path.name != "fusion.py":
                 offenders += [(path.name, alias.name) for alias in node.names
@@ -279,8 +279,8 @@ class TestHeatmapStacks:
                                    [150.0, 100.0]]), PixelFrame(300, 200))
         model = HeatmapPredictorModel(adjacent_confusion_prob=1.0)
         for k, stack in enumerate([render_label_stack(gt, 1.2, 300, 200),
-                                   list(simulate_heatmaps(Rng(3), gt, model, 300, 200))]):
-            assert all(hm._dense is None for hm in stack)
+                                   simulate_heatmaps(Rng(3), gt, model, 300, 200)]):
+            assert all("values" not in vars(hm) for hm in stack)
             io.write_heatmap_stack(tmp_path / f"{k}.hmap", stack)
             io.write_heatmap_stack(tmp_path / f"{k}.dense.hmap",
                                    [Heatmap(hm.values.copy()) for hm in stack])
@@ -291,7 +291,7 @@ class TestHeatmapStacks:
         path = tmp_path / "s.hmap"
         stack = [render_gaussian(GaussianSpec((4.0, 3.0), 1.2), 9, 7),
                  render_gaussian(GaussianSpec((4.0, 3.0), 1.2, amplitude=1e300), 9, 7)]
-        assert stack[1]._dense is None
+        assert "values" not in vars(stack[1])
         with pytest.raises(ValidationError, match="channel 1 .*float32"):
             io.write_heatmap_stack(path, stack)
         assert list(tmp_path.iterdir()) == []
