@@ -19,7 +19,7 @@ from . import io
 from .core import (LandmarkSet, PixelFrame, Rng, ValidationError, _non_negative_finite,
                    _positive_finite)
 from .evaluate import pck
-from .fusion import DecodeMethod, FusionConfig, fuse_batch, fuse_product
+from .fusion import DecodeMethod, FusionConfig, _fuse_stack, fuse_batch
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
 from .heatmap import _odd_window, _usable_sigma, decode_argmax, decode_centroid, render_label_stack
 from .preprocess import equalize_histogram, resize_bilinear, resize_landmarks
@@ -248,11 +248,13 @@ def cmd_fuse(args) -> int:
                 f"{stack_path.name}: {len(stack)} heatmap channels but "
                 f"{len(coords)} coordinates in {coords_path.name}"
             )
-        fused = fuse_batch(stack, coords, cfg)
-        io.write_landmarks(out / f"{stack_path.stem}.txt", fused)
         if args.dump_heatmaps:
-            dumps = [fuse_product(hm, tuple(c), cfg, k)
-                     for k, (hm, c) in enumerate(zip(stack, coords.points))]
+            # one log-sum per channel gives both its point and its map
+            fused, dumps = _fuse_stack(stack, coords, cfg, dump=True)
+        else:
+            fused, dumps = fuse_batch(stack, coords, cfg), []
+        io.write_landmarks(out / f"{stack_path.stem}.txt", fused)
+        if dumps:
             io.write_heatmap_stack(out / f"{stack_path.stem}.fused.hmap", dumps)
         return stack_path
 

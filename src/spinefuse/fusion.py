@@ -124,7 +124,7 @@ def _scored_box(predicted: Heatmap, lx: np.ndarray, ly: np.ndarray, eps: float,
 
 
 def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
-                 channel: int | None = None) -> Heatmap:
+                 channel: int | None = None, *, _scored=None) -> Heatmap:
     """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
     reads, and every value below 2^-151 set to 0.
 
@@ -135,9 +135,14 @@ def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConf
     the window rule of :func:`fuse_and_decode` one offset lower: every
     pixel outside it scores below ``max L + log 2^-151`` and is 0.
     """
-    lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
-                                 predicted.height)
-    box, logsum = _scored_box(predicted, lx, ly, cfg.floor_epsilon, _LOG_FLUSH, coord)
+    # _scored is private: the (box, logsum) of _scored_box at _LOG_FLUSH for
+    # these arguments, passed by _fuse_stack, which decoded the channel from
+    # it; the logsum is overwritten
+    if _scored is None:
+        lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
+                                     predicted.height)
+        _scored = _scored_box(predicted, lx, ly, cfg.floor_epsilon, _LOG_FLUSH, coord)
+    box, logsum = _scored
     logsum -= logsum.max()
     # the flushed entries keep their negative logs, which the maximum zeroes
     np.exp(logsum, out=logsum, where=logsum >= _LOG_FLUSH)
@@ -158,22 +163,36 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     0. It holds every pixel able to reach ``best``, so its first maximum is
     the whole grid's, ties included.
     """
+    return _fuse(predicted, coord, cfg, channel, 0.0)[0]
+
+
+def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
+          channel: int | None, offset: float):
+    """``(point, (box, logsum))``: the point :func:`fuse_and_decode`
+    returns, decoded from the log-sum over the box of :func:`_scored_box`
+    at ``offset`` <= 0.
+
+    A lower offset gives a box that holds the offset-0 box, and each value
+    in it is the same sum of the same three terms, so its row-major first
+    maximum is the same pixel with the same peak.
+    """
     eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
     lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
                                  predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    (r0, _, c0, _), window = _scored_box(predicted, lx, ly, eps, 0.0, coord)
+    scored = (r0, _, c0, _), window = _scored_box(predicted, lx, ly, eps, offset, coord)
     i = int(np.argmax(window))
     peak = float(window.flat[i])
     iy, ix = divmod(i, window.shape[1])
     ax, ay = c0 + ix, r0 + iy
     if cfg.decode is DecodeMethod.ARGMAX:
-        return float(ax), float(ay)
+        return (float(ax), float(ay)), scored
     return _centroid_at(
         predicted._shape, ax, ay, 3,
-        lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak))
+        lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak)
+    ), scored
 
 
 def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
@@ -182,6 +201,17 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
 
     Channel k is fused with coordinate k; output order matches input order.
     """
+    return _fuse_stack(predicted_stack, coords, cfg, dump=False)[0]
+
+
+def _fuse_stack(predicted_stack: list[Heatmap], coords: LandmarkSet, cfg: FusionConfig,
+                dump: bool) -> tuple[LandmarkSet, list[Heatmap]]:
+    """:func:`fuse_batch`'s points and, if ``dump``, each channel's
+    :func:`fuse_product` map, else no maps.
+
+    A dumped channel builds its log-sum once, over the box of
+    :func:`fuse_product`, and decodes its point from that same sum.
+    """
     if len(predicted_stack) != len(coords):
         raise ValidationError(
             f"length mismatch: {len(predicted_stack)} heatmap channels "
@@ -189,17 +219,23 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
         )
     cfg._check_landmarks(len(predicted_stack))
     if not predicted_stack:
-        return LandmarkSet(np.empty((0, 2)), coords.frame)
+        return LandmarkSet(np.empty((0, 2)), coords.frame), []
     shape = predicted_stack[0]._shape
     out = np.empty((len(predicted_stack), 2))
+    dumps = []
     for k, (hm, coord) in enumerate(zip(predicted_stack, coords.points)):
         if hm._shape != shape:
             raise ValidationError(
                 f"channel {k}: shape {hm._shape[::-1]} differs from "
                 f"channel 0 shape {shape[::-1]}"
             )
+        coord = (coord[0], coord[1])
         try:
-            out[k] = fuse_and_decode(hm, (coord[0], coord[1]), cfg, channel=k)
+            if dump:
+                out[k], scored = _fuse(hm, coord, cfg, k, _LOG_FLUSH)
+                dumps.append(fuse_product(hm, coord, cfg, k, _scored=scored))
+            else:
+                out[k] = fuse_and_decode(hm, coord, cfg, channel=k)
         except ValidationError as exc:
             raise ValidationError(f"channel {k}: {exc}") from exc
-    return LandmarkSet(out, PixelFrame(shape[1], shape[0]))
+    return LandmarkSet(out, PixelFrame(shape[1], shape[0])), dumps

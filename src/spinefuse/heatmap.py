@@ -167,33 +167,34 @@ def _render(specs, width: int, height: int) -> Heatmap:
     nonzero blocks.
 
     Each is computed only over its nonzero block: outside it the rendered
-    Gaussian is 0, which max leaves as is. A single block is the map's
-    block as it is; several are max-combined into a zeroed array of the box
-    that joins them. That box is the map's support.
+    Gaussian is 0, which max leaves as is. The box that joins the blocks,
+    the map's support, is found from the Gaussians' 1-D factors first. A
+    single block is the map's block as it is; several are computed one at a
+    time and max-combined into a zeroed array of that box.
     """
     PixelFrame(width, height)
-    blocks = []
+    factors = []
     for spec in specs:
         lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)
         ex, ey = np.exp(lx), np.exp(ly)
         # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
         r0, r1, c0, c1 = box = _box(ey > 0, ex > 0)
         if r1 > r0:
-            block = np.outer(ey[r0:r1], ex[c0:c1])
-            if spec.amplitude != 1.0:
-                block *= spec.amplitude
-            blocks.append((box, block))
-    if len(blocks) == 1:
-        (box, joined), = blocks
-    else:
-        # a map with no nonzero pixel gets the empty box
-        r0s, r1s, c0s, c1s = zip(*(b for b, _ in blocks)) if blocks else ((0,),) * 4
-        box = (min(r0s), max(r1s), min(c0s), max(c1s))
-        joined = np.zeros((box[1] - box[0], box[3] - box[2]))
-        for (r0, r1, c0, c1), block in blocks:
-            part = joined[r0 - box[0]:r1 - box[0], c0 - box[2]:c1 - box[2]]
+            factors.append((box, ey[r0:r1], ex[c0:c1], spec.amplitude))
+    # a map with no nonzero pixel gets the empty box
+    r0s, r1s, c0s, c1s = zip(*(f[0] for f in factors)) if factors else ((0,),) * 4
+    row0, col0 = min(r0s), min(c0s)
+    joined = None if len(factors) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
+    for (r0, r1, c0, c1), ey, ex, amplitude in factors:
+        block = np.outer(ey, ex)
+        if amplitude != 1.0:
+            block *= amplitude
+        if joined is None:
+            joined = block
+        else:
+            part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
             np.maximum(part, block, out=part)
-    return Heatmap(joined, _support=box, _shape=(height, width))
+    return Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)), _shape=(height, width))
 
 
 def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:

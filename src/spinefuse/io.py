@@ -10,11 +10,14 @@ Every format is fixed bit-exactly so outputs are reproducible byte for byte:
 * manifests, reports, and the simulation configs of :mod:`spinefuse.simulate`:
   line-oriented key/value and table sections (grammar below)
 
-All writers go through :func:`atomic_write` (temp file + rename) so partial
-runs never leave corrupt artifacts.
+All writers go through :func:`_atomic_file` (temp file + rename) so partial
+runs never leave corrupt artifacts. HMAP stacks are read and written one
+channel at a time, through one reused float32 grid, so no whole stack file
+is held in memory.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import secrets
@@ -29,22 +32,29 @@ from .evaluate import ComparisonReport, EvalReport
 from .heatmap import Heatmap
 
 
-def atomic_write(path: str | Path, data: bytes | bytearray | np.ndarray) -> None:
-    """Write ``data``, any bytes-like buffer (bytes, bytearray, a contiguous
-    numpy array), as is via a sibling temp file and rename, so readers never
-    see a half-written file. The temp file has a random name, is created
-    exclusively with mode 0o666 less the umask, and is removed if the write
-    fails."""
+@contextlib.contextmanager
+def _atomic_file(path: str | Path):
+    """A binary file to write ``path`` through: a sibling temp file with a
+    random name, created exclusively with mode 0o666 less the umask, renamed
+    onto ``path`` when the block ends and removed if it raises, so readers
+    never see a half-written file."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str | Path, data: bytes | bytearray | np.ndarray) -> None:
+    """Write ``data``, any bytes-like buffer (bytes, bytearray, a contiguous
+    numpy array), as is through :func:`_atomic_file`."""
+    with _atomic_file(path) as f:
+        f.write(data)
 
 
 def _reader(read):
@@ -155,44 +165,54 @@ _HMAP_MAGIC = b"HMAP"
 
 
 def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
-    """Cast each channel's support box to float32 in place in one zeroed
-    buffer, after the header, and write that buffer. A value beyond the
-    float32 range is refused: it would be written as inf, which
-    :func:`read_heatmap_stack` rejects."""
+    """Write the header, then each channel through one reused zeroed float32
+    grid: its support box is cast in, the grid is written, and the box is
+    zeroed again. Every channel's shape is checked before anything is
+    written. A value beyond the float32 range is refused: it would be
+    written as inf, which :func:`read_heatmap_stack` rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
     h, w = stack[0]._shape
-    buf = np.zeros(16 + len(stack) * h * w * 4, dtype=np.uint8)
-    buf[:16] = np.frombuffer(_HMAP_MAGIC + struct.pack("<III", len(stack), h, w), np.uint8)
-    body = buf[16:].view("<f4").reshape(len(stack), h, w)
-    with np.errstate(over="raise"):
+    for k, hm in enumerate(stack):
+        if hm._shape != (h, w):
+            raise ValidationError(f"channel {k} shape differs from channel 0")
+    grid = np.zeros((h, w), dtype="<f4")
+    with _atomic_file(path) as f, np.errstate(over="raise"):
+        f.write(_HMAP_MAGIC + struct.pack("<III", len(stack), h, w))
         for k, hm in enumerate(stack):
-            if hm._shape != (h, w):
-                raise ValidationError(f"channel {k} shape differs from channel 0")
             r0, r1, c0, c1 = hm._support
+            box = grid[r0:r1, c0:c1]
             try:
-                body[k, r0:r1, c0:c1] = hm._block
+                box[...] = hm._block
             except FloatingPointError:
                 raise ValidationError(
                     f"channel {k} holds a value beyond the float32 range") from None
-    atomic_write(path, buf)
+            f.write(grid)
+            box[...] = 0
 
 
 @_reader
 def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != _HMAP_MAGIC:
-        raise ValidationError("not an HMAP v1 file")
-    channels, h, w = struct.unpack("<III", data[4:16])
-    if channels == 0:
-        raise ValidationError(f"HMAP declares {channels} channels, need at least 1")
-    expected = 16 + channels * h * w * 4
-    if len(data) != expected:
-        raise ValidationError(f"{len(data)} bytes, expected {expected} for {channels}x{h}x{w}")
-    # each channel is a float32 view of the file's bytes; Heatmap casts and
-    # validates only its nonzero block
-    values = np.frombuffer(data, dtype="<f4", offset=16).reshape(channels, h, w)
-    return [Heatmap(channel) for channel in values]
+    """Check the header and the file size, then read each channel into one
+    reused float32 grid; ``Heatmap`` casts and keeps only its nonzero block."""
+    with open(path, "rb") as f:
+        header = f.read(16)
+        if len(header) < 16 or header[:4] != _HMAP_MAGIC:
+            raise ValidationError("not an HMAP v1 file")
+        channels, h, w = struct.unpack("<III", header[4:])
+        if channels == 0:
+            raise ValidationError(f"HMAP declares {channels} channels, need at least 1")
+        size = os.fstat(f.fileno()).st_size
+        expected = 16 + channels * h * w * 4
+        if size != expected:
+            raise ValidationError(f"{size} bytes, expected {expected} for {channels}x{h}x{w}")
+        grid = np.empty((h, w), dtype="<f4")
+        stack = []
+        for k in range(channels):
+            if f.readinto(grid) != grid.nbytes:
+                raise ValidationError(f"file ended inside channel {k}")
+            stack.append(Heatmap(grid))
+    return stack
 
 
 # ---------------------------------------------------------------------------

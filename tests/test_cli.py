@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinefuse import cli, io
+from spinefuse import cli, fusion, io
 from spinefuse.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from spinefuse.core import LandmarkSet, PixelFrame
 from spinefuse.simulate import noiseless_config, write_sim_config
@@ -226,6 +226,22 @@ class TestFuse:
         stack = io.read_heatmap_stack(dumps[0])
         assert len(stack) == 11
 
+
+    @pytest.mark.parametrize("decode", ["argmax", "centroid"])
+    def test_dumps_and_points_come_from_one_fusion(self, tmp_path, monkeypatch, decode):
+        # the landmarks written with dumps are those written without, and
+        # no channel is fused a second time through fuse_and_decode
+        manifest_path = make_corpus(tmp_path, count=2)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        fuse = ("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus",
+                "--decode", decode)
+        assert run(*fuse, "--out-dir", tmp_path / "plain") == EXIT_OK
+        monkeypatch.setattr(fusion, "fuse_and_decode", None)
+        assert run(*fuse, "--out-dir", tmp_path / "dumped", "--dump-heatmaps") == EXIT_OK
+        for txt in (tmp_path / "plain").iterdir():
+            assert (tmp_path / "dumped" / txt.name).read_bytes() == txt.read_bytes()
+        assert len(list((tmp_path / "dumped").glob("*.fused.hmap"))) == 2
 
 class TestDecode:
     def test_argmax_decode(self, tmp_path):

@@ -492,3 +492,76 @@ class TestSingleDecodePath:
         idx = int(np.argmax(dense_logsum(hm, (2.0, 1.0), sigma, EPS)))
         assert (idx % 4, idx // 4) == (1, 1)
         assert fuse_and_decode(hm, (2.0, 1.0), FusionConfig(prior_sigma=sigma)) == (1.0, 1.0)
+
+
+class TestDumpsShareTheLogSum:
+    """``fuse --dump-heatmaps`` fuses each channel once: ``_fuse_stack``
+    decodes the point from the log-sum over ``fuse_product``'s box and
+    exponentiates that same sum for the map."""
+
+    @staticmethod
+    def outcome(fuse):
+        try:
+            return fuse()
+        except ValidationError as exc:
+            return str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fusion_inputs(), st.sampled_from(list(DecodeMethod)))
+    def test_points_and_maps_are_fuse_batchs_and_fuse_products(self, inputs, decode):
+        hm, coord, sigma = inputs
+        cfg = FusionConfig(prior_sigma=sigma, decode=decode)
+        coords = LandmarkSet(np.array([coord, coord]), PixelFrame(hm.width, hm.height))
+        points = self.outcome(lambda: fuse_batch([hm, hm], coords, cfg).points.tobytes())
+        product = self.outcome(lambda: fuse_product(hm, coord, cfg))
+        fused = self.outcome(lambda: fusion._fuse_stack([hm, hm], coords, cfg, dump=True))
+        if isinstance(fused, str):
+            assert fused == points == f"channel 0: {product}"
+            return
+        assert fused[0].points.tobytes() == points
+        for dump in fused[1]:
+            assert dump._support == product._support and dump._shape == product._shape
+            assert dump._block.tobytes() == product._block.tobytes()
+
+    def test_each_channel_builds_one_log_sum(self, monkeypatch):
+        pts = np.array([[10.0, 10.0], [20.0, 30.0], [40.0, 50.0]])
+        stack = [render_gaussian(GaussianSpec((x + 1.5, y - 2.0), 1.2), 64, 64) for x, y in pts]
+        coords = LandmarkSet(pts, PixelFrame(64, 64))
+        cfg = FusionConfig(prior_sigma=6.0, decode=DecodeMethod.CENTROID)
+        expected = fuse_batch(stack, coords, cfg).points
+        offsets = []
+        scored_box = fusion._scored_box
+        monkeypatch.setattr(fusion, "_scored_box",
+                            lambda *args: offsets.append(args[4]) or scored_box(*args))
+        monkeypatch.setattr(fusion, "fuse_and_decode", None)
+        fused, dumps = fusion._fuse_stack(stack, coords, cfg, dump=True)
+        assert offsets == [fusion._LOG_FLUSH] * 3
+        assert fused.points.tobytes() == expected.tobytes() and len(dumps) == 3
+
+    @pytest.mark.parametrize("case", ["length", "sigmas", "shape", "far_then_zero",
+                                      "zero_then_far"])
+    def test_errors_and_their_order_are_fuse_batchs(self, case):
+        stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)] * 3
+        pts = np.array([[10.0, 10.0]] * 3)
+        cfg = FusionConfig(prior_sigma=6.0)
+        if case == "length":
+            pts = pts[:2]
+        elif case == "sigmas":
+            cfg = FusionConfig(prior_sigma=(6.0, 6.0))
+        elif case == "shape":
+            stack = stack[:2] + [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 48)]
+        else:
+            far, zero = (1, 2) if case == "far_then_zero" else (2, 1)
+            pts[far] = (1e160, 20.0)
+            stack = list(stack)
+            stack[zero] = Heatmap(np.zeros((48, 48)))
+        coords = LandmarkSet(pts, PixelFrame(48, 48))
+        with pytest.raises(ValidationError) as batch:
+            fuse_batch(stack, coords, cfg)
+        with pytest.raises(ValidationError) as dumped:
+            fusion._fuse_stack(stack, coords, cfg, dump=True)
+        assert str(dumped.value) == str(batch.value)
+        if case.endswith("zero"):
+            assert str(batch.value).startswith("channel 1: coordinate (1e+160, 20.0)")
+        elif case.endswith("far"):
+            assert str(batch.value) == "channel 1: cannot fuse an all-zero predicted heatmap"

@@ -5,6 +5,7 @@ import stat
 import struct
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,63 @@ class TestHeatmapStacks:
         with pytest.raises(ValidationError, match="channel 1 shape differs from channel 0"):
             io.write_heatmap_stack(tmp_path / "s.hmap", stack)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_stack_streams_through_one_channel_grid(self, tmp_path):
+        # 11 x 512 x 512 float32 is 11.5 MiB of file; reading and writing hold
+        # one 1 MiB channel grid, plus the label maps' small blocks
+        pts = np.array([[40.0 * k + 30.0, 45.0 * k + 20.0] for k in range(11)])
+        stack = render_label_stack(LandmarkSet(pts, PixelFrame(512, 512)), 1.2, 512, 512)
+        path = tmp_path / "s.hmap"
+        peaks = []
+        for call in (lambda: io.write_heatmap_stack(path, stack),
+                     lambda: io.read_heatmap_stack(path)):
+            tracemalloc.start()
+            try:
+                back = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3 * 2 ** 20, peaks
+        expected = (b"HMAP" + struct.pack("<III", 11, 512, 512)
+                    + b"".join(hm.values.astype("<f4").tobytes() for hm in stack))
+        assert path.read_bytes() == expected
+        for orig, rec in zip(stack, back):
+            assert np.array_equal(rec.values, orig.values.astype("<f4"))
+
+    @pytest.mark.parametrize("bad", [1, 6, 10])
+    def test_overflow_after_written_channels_leaves_no_file(self, tmp_path, bad):
+        # channels before the bad one are already in the temp file
+        values = np.zeros((512, 512))
+        values[300, 200] = 1e39
+        stack = [render_gaussian(GaussianSpec((20.0 * k, 30.0), 1.2), 512, 512)
+                 for k in range(11)]
+        stack[bad] = Heatmap(values)
+        with pytest.raises(ValidationError, match=f"^channel {bad} holds a value beyond"):
+            io.write_heatmap_stack(tmp_path / "s.hmap", stack)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_a_file_one_byte_off_names_both_sizes(self, tmp_path, delta):
+        path = tmp_path / "s.hmap"
+        io.write_heatmap_stack(path, [render_gaussian(GaussianSpec((3.0, 4.0), 1.2), 9, 7)] * 2)
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] if delta < 0 else data + b"\x00")
+        size = len(data) + delta
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: {size} bytes, "
+                                 f"expected {len(data)} for 2x7x9$"):
+            io.read_heatmap_stack(path)
+
+    def test_a_file_cut_after_its_size_was_checked_is_refused(self, tmp_path, monkeypatch):
+        # the size is taken once, before the channels are read; a file cut
+        # after that must not leave the previous channel's values in the grid
+        path = tmp_path / "s.hmap"
+        io.write_heatmap_stack(path, [render_gaussian(GaussianSpec((3.0, 4.0), 1.2), 9, 7)] * 3)
+        full = path.stat()
+        path.write_bytes(path.read_bytes()[:16 + 4 * 9 * 7 + 5])
+        monkeypatch.setattr(io.os, "fstat", lambda fd: full)
+        with pytest.raises(ValidationError, match="^.*s.hmap: file ended inside channel 1$"):
+            io.read_heatmap_stack(path)
 
     def test_read_channels_are_frozen_float64_and_disjoint(self, tmp_path):
         path = tmp_path / "s.hmap"

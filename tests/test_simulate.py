@@ -118,6 +118,21 @@ class TestGeneratePhantom:
         assert img.spacing == config.spacing_mm_per_px
         assert np.array_equal(img.pixels, _round_u8(15.0 + 220.0 * blobs))
 
+    def test_phantom_image_folds_one_blob_at_a_time(self):
+        # 11 sigma 5 blobs at 512 x 512, each a ~1.2 MB nonzero block: all
+        # of them held at once peaked at 12.4 MiB; folded into the joined box
+        # as each is computed, the peak is that box (~1.6 MB), one block and
+        # the raster's own temporaries of the box, about 6.5 MiB
+        config = PhantomConfig()
+        lms = generate_phantom(Rng(6), config)
+        tracemalloc.start()
+        try:
+            phantom_image(lms, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
 
 class TestSimulateCoords:
     def test_noiseless_is_exact(self):
