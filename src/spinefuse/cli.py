@@ -19,7 +19,7 @@ from . import io
 from .core import (LandmarkSet, PixelFrame, Rng, ValidationError, _non_negative_finite,
                    _positive_finite)
 from .evaluate import pck
-from .fusion import DecodeMethod, FusionConfig, _fuse_stack, fuse_batch
+from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
 from .heatmap import _odd_window, _usable_sigma, decode_argmax, decode_centroid, render_label_stack
 from .preprocess import equalize_histogram, resize_bilinear, resize_landmarks
@@ -244,15 +244,11 @@ def cmd_fuse(args) -> int:
         frame = PixelFrame(stack[0].width, stack[0].height)
         coords = io.read_landmarks(coords_path, frame)
         if len(coords) != len(stack):
-            raise ValidationError(
-                f"{stack_path.name}: {len(stack)} heatmap channels but "
-                f"{len(coords)} coordinates in {coords_path.name}"
-            )
-        if args.dump_heatmaps:
-            # one log-sum per channel gives both its point and its map
-            fused, dumps = _fuse_stack(stack, coords, cfg, dump=True)
-        else:
-            fused, dumps = fuse_batch(stack, coords, cfg), []
+            raise ValidationError(f"{len(stack)} heatmap channels but "
+                                  f"{len(coords)} coordinates in {coords_path}")
+        # with dumps, one log-sum per channel gives both its point and its map
+        dumps = [] if args.dump_heatmaps else None
+        fused = fuse_batch(stack, coords, cfg, _dumps=dumps)
         io.write_landmarks(out / f"{stack_path.stem}.txt", fused)
         if dumps:
             io.write_heatmap_stack(out / f"{stack_path.stem}.fused.hmap", dumps)
@@ -377,11 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--coords-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--prior-sigma", type=_flag(_prior_sigmas), default="6.0",
+    p.add_argument("--prior-sigma", type=_flag(_prior_sigmas), default=FusionConfig.prior_sigma,
                    help="one value, or comma-separated per-landmark values")
-    p.add_argument("--floor-epsilon", default=1e-12,
+    p.add_argument("--floor-epsilon", default=FusionConfig.floor_epsilon,
                    type=_flag(lambda raw: _positive_finite("floor_epsilon", float(raw))))
-    p.add_argument("--decode", choices=["argmax", "centroid"], default="argmax")
+    p.add_argument("--decode", choices=[m.value for m in DecodeMethod],
+                   default=FusionConfig.decode.value)
     p.add_argument("--dump-heatmaps", action="store_true",
                    help="also write fused stacks as .fused.hmap")
     p.set_defaults(func=cmd_fuse)
@@ -389,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode heatmap stacks to landmarks")
     p.add_argument("--heatmaps-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--method", choices=["argmax", "centroid"], default="argmax")
+    p.add_argument("--method", choices=[m.value for m in DecodeMethod], default="argmax")
     p.add_argument("--window", type=_flag(lambda raw: _odd_window(int(raw))),
                    help="odd centroid patch size (default 3); only with --method centroid")
     p.set_defaults(func=cmd_decode)

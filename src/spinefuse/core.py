@@ -53,10 +53,11 @@ class GrayImage:
 
     def __post_init__(self):
         arr = np.asarray(self.pixels)
-        if arr.ndim != 2 or arr.size == 0:
+        if arr.ndim != 2:
             raise ValidationError(
                 f"image pixels must be a non-empty 2-D array, got shape {arr.shape}"
             )
+        PixelFrame(arr.shape[1], arr.shape[0])
         if arr.dtype != np.uint8:
             if not (np.issubdtype(arr.dtype, np.integer)
                     and arr.min() >= 0 and arr.max() <= 255):

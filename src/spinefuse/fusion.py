@@ -94,35 +94,6 @@ def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
     return out
 
 
-def _scored_box(predicted: Heatmap, lx: np.ndarray, ly: np.ndarray, eps: float,
-                offset: float, coord: tuple[float, float]):
-    """``((r0, r1, c0, c1), logsum)``: the box of every pixel able to score
-    ``best + offset`` or more, with ``best`` the score of the pixel nearest
-    the coordinate, and the log-sum over it.
-
-    No pixel scores more than its prior plus log(max(top, eps)), with top
-    the map's maximum, so each pixel outside the box scores strictly less
-    than ``best + offset``. A coordinate so far from the grid that the
-    nearest pixel's prior is -inf makes every score -inf, and is refused
-    with a ValidationError naming it: the prior cannot rank pixels there.
-    """
-    # the pixel nearest the coordinate, where both prior terms peak
-    nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
-    best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
-                         predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
-    if not math.isfinite(best):
-        raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
-                              "is too far from the grid")
-    # the margin covers best's log and log top being rounded separately;
-    # float addition is monotone, so a column whose prior falls short of
-    # reach on the nearest pixel's row falls short on every row
-    log_top = math.log(max(predicted._top, eps))
-    reach = best + offset - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top) + abs(offset))
-    r0, r1, c0, c1 = box = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
-    return box, _logsum(lx[c0:c1], ly[r0:r1], predicted._window(slice(r0, r1), slice(c0, c1)),
-                        eps)
-
-
 def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
                  channel: int | None = None, *, _scored=None) -> Heatmap:
     """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
@@ -133,15 +104,14 @@ def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConf
     maximum is the argmax :func:`fuse_and_decode` returns. L is built only
     over the box of pixels that can score at least ``best + log 2^-151``,
     the window rule of :func:`fuse_and_decode` one offset lower: every
-    pixel outside it scores below ``max L + log 2^-151`` and is 0.
+    pixel outside it scores below ``max L + log 2^-151`` and is 0. Every
+    input :func:`fuse_and_decode` refuses is refused with its message.
     """
-    # _scored is private: the (box, logsum) of _scored_box at _LOG_FLUSH for
-    # these arguments, passed by _fuse_stack, which decoded the channel from
-    # it; the logsum is overwritten
+    # _scored is private: the (box, logsum) of _fuse at _LOG_FLUSH for these
+    # arguments, passed by fuse_batch, which decoded the channel from it; the
+    # logsum is overwritten
     if _scored is None:
-        lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
-                                     predicted.height)
-        _scored = _scored_box(predicted, lx, ly, cfg.floor_epsilon, _LOG_FLUSH, coord)
+        _scored = _fuse(predicted, coord, cfg, channel, _LOG_FLUSH)[1]
     box, logsum = _scored
     logsum -= logsum.max()
     # the flushed entries keep their negative logs, which the maximum zeroes
@@ -159,8 +129,8 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     maximum; centroid weights the 3x3 patch around that same index by
     exp(logsum - peak), the values :func:`fuse_product` holds there.
 
-    The sum is built only inside the box of :func:`_scored_box` at offset
-    0. It holds every pixel able to reach ``best``, so its first maximum is
+    The sum is built only inside the window of :func:`_fuse` at offset 0.
+    It holds every pixel able to reach ``best``, so its first maximum is
     the whole grid's, ties included.
     """
     return _fuse(predicted, coord, cfg, channel, 0.0)[0]
@@ -169,12 +139,18 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
 def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
           channel: int | None, offset: float):
     """``(point, (box, logsum))``: the point :func:`fuse_and_decode`
-    returns, decoded from the log-sum over the box of :func:`_scored_box`
-    at ``offset`` <= 0.
+    returns, decoded from the log-sum over the box of every pixel able to
+    score ``best + offset`` or more, with ``best`` the score of the pixel
+    nearest the coordinate and ``offset`` <= 0.
 
-    A lower offset gives a box that holds the offset-0 box, and each value
-    in it is the same sum of the same three terms, so its row-major first
-    maximum is the same pixel with the same peak.
+    No pixel scores more than its prior plus log(max(top, eps)), with top
+    the map's maximum, so each pixel outside the box scores strictly less
+    than ``best + offset``. A lower offset gives a box that holds the
+    offset-0 box, and each value in it is the same sum of the same three
+    terms, so its row-major first maximum is the same pixel with the same
+    peak. A coordinate so far from the grid that the nearest pixel's prior
+    is -inf makes every score -inf, and is refused with a ValidationError
+    naming it: the prior cannot rank pixels there.
     """
     eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
@@ -182,36 +158,42 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
                                  predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    scored = (r0, _, c0, _), window = _scored_box(predicted, lx, ly, eps, offset, coord)
+    # the pixel nearest the coordinate, where both prior terms peak
+    nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
+    best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
+                         predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
+    if not math.isfinite(best):
+        raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
+                              "is too far from the grid")
+    # the margin covers best's log and log top being rounded separately;
+    # float addition is monotone, so a column whose prior falls short of
+    # reach on the nearest pixel's row falls short on every row
+    log_top = math.log(max(predicted._top, eps))
+    reach = best + offset - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top) + abs(offset))
+    r0, r1, c0, c1 = box = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
+    window = _logsum(lx[c0:c1], ly[r0:r1], predicted._window(slice(r0, r1), slice(c0, c1)),
+                     eps)
     i = int(np.argmax(window))
     peak = float(window.flat[i])
     iy, ix = divmod(i, window.shape[1])
     ax, ay = c0 + ix, r0 + iy
     if cfg.decode is DecodeMethod.ARGMAX:
-        return (float(ax), float(ay)), scored
+        return (float(ax), float(ay)), (box, window)
     return _centroid_at(
         predicted._shape, ax, ay, 3,
         lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak)
-    ), scored
+    ), (box, window)
 
 
 def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
-               cfg: FusionConfig) -> LandmarkSet:
+               cfg: FusionConfig, *, _dumps: list[Heatmap] | None = None) -> LandmarkSet:
     """Channelwise fuse-and-decode over a heatmap stack.
 
     Channel k is fused with coordinate k; output order matches input order.
     """
-    return _fuse_stack(predicted_stack, coords, cfg, dump=False)[0]
-
-
-def _fuse_stack(predicted_stack: list[Heatmap], coords: LandmarkSet, cfg: FusionConfig,
-                dump: bool) -> tuple[LandmarkSet, list[Heatmap]]:
-    """:func:`fuse_batch`'s points and, if ``dump``, each channel's
-    :func:`fuse_product` map, else no maps.
-
-    A dumped channel builds its log-sum once, over the box of
-    :func:`fuse_product`, and decodes its point from that same sum.
-    """
+    # _dumps is private: a list that, when given, receives each channel's
+    # fuse_product map. A dumped channel builds its log-sum once, over the
+    # box of fuse_product, and decodes its point from that same sum
     if len(predicted_stack) != len(coords):
         raise ValidationError(
             f"length mismatch: {len(predicted_stack)} heatmap channels "
@@ -219,10 +201,9 @@ def _fuse_stack(predicted_stack: list[Heatmap], coords: LandmarkSet, cfg: Fusion
         )
     cfg._check_landmarks(len(predicted_stack))
     if not predicted_stack:
-        return LandmarkSet(np.empty((0, 2)), coords.frame), []
+        return LandmarkSet(np.empty((0, 2)), coords.frame)
     shape = predicted_stack[0]._shape
     out = np.empty((len(predicted_stack), 2))
-    dumps = []
     for k, (hm, coord) in enumerate(zip(predicted_stack, coords.points)):
         if hm._shape != shape:
             raise ValidationError(
@@ -231,11 +212,11 @@ def _fuse_stack(predicted_stack: list[Heatmap], coords: LandmarkSet, cfg: Fusion
             )
         coord = (coord[0], coord[1])
         try:
-            if dump:
-                out[k], scored = _fuse(hm, coord, cfg, k, _LOG_FLUSH)
-                dumps.append(fuse_product(hm, coord, cfg, k, _scored=scored))
-            else:
+            if _dumps is None:
                 out[k] = fuse_and_decode(hm, coord, cfg, channel=k)
+            else:
+                out[k], scored = _fuse(hm, coord, cfg, k, _LOG_FLUSH)
+                _dumps.append(fuse_product(hm, coord, cfg, k, _scored=scored))
         except ValidationError as exc:
             raise ValidationError(f"channel {k}: {exc}") from exc
-    return LandmarkSet(out, PixelFrame(shape[1], shape[0])), dumps
+    return LandmarkSet(out, PixelFrame(shape[1], shape[0]))

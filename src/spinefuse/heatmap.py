@@ -95,8 +95,9 @@ class Heatmap:
             raise ValidationError(f"heatmap values must be bool, integer or float, "
                                   f"got dtype {arr.dtype}")
         shape = block_shape or arr.shape
-        if len(shape) != 2 or 0 in shape:
+        if len(shape) != 2:
             raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {shape}")
+        PixelFrame(shape[1], shape[0])
         block = arr
         if not block_shape:
             # a signalling NaN sets numpy's invalid flag when it is compared

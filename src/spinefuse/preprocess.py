@@ -7,8 +7,11 @@ from .core import GrayImage, LandmarkSet, PixelFrame
 
 
 def _round_u8(vals: np.ndarray) -> np.ndarray:
-    # round half away from zero, saturating; np.round would round half to even
-    return np.clip(np.floor(vals + 0.5), 0, 255).astype(np.uint8)
+    # round half away from zero, saturating; np.round would round half to even.
+    # One temporary, rounded in place; a scalar becomes a 0-d array
+    out = np.asarray(vals + 0.5)
+    np.floor(out, out=out)
+    return np.clip(out, 0, 255, out=out).astype(np.uint8)
 
 
 def equalize_histogram(img: GrayImage) -> GrayImage:

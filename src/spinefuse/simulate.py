@@ -124,7 +124,9 @@ def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
     # outside the blobs' support every pixel is the bed, 15 + 220 * 0
     pixels = np.full((config.height, config.width), _round_u8(np.float64(15.0)))
     r0, r1, c0, c1 = blobs._support
-    pixels[r0:r1, c0:c1] = _round_u8(15.0 + 220.0 * blobs._block)
+    shade = 220.0 * blobs._block
+    shade += 15.0
+    pixels[r0:r1, c0:c1] = _round_u8(shade)
     return GrayImage(pixels, config.spacing_mm_per_px)
 
 
@@ -389,8 +391,8 @@ def read_sim_config(path: str | Path) -> TrialConfig:
         ),
         fusion=FusionConfig(
             prior_sigma=prior_sigma,
-            floor_epsilon=float(fu.get("floor_epsilon", "1e-12")),
-            decode=DecodeMethod(fu.get("decode", "argmax")),
+            floor_epsilon=float(fu.get("floor_epsilon", FusionConfig.floor_epsilon)),
+            decode=DecodeMethod(fu.get("decode", FusionConfig.decode)),
         ),
         threshold_mm=float(_need(run, "threshold_mm")),
         images=int(_need(run, "images")),

@@ -4,6 +4,7 @@ import pytest
 from spinefuse import cli, fusion, io
 from spinefuse.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from spinefuse.core import LandmarkSet, PixelFrame
+from spinefuse.fusion import FusionConfig
 from spinefuse.simulate import noiseless_config, write_sim_config
 
 GRID = PixelFrame(128, 128)
@@ -164,11 +165,24 @@ class TestFuse:
         coords_dir.mkdir()
         for rec in io.read_manifest(manifest_path).records:
             io.write_landmarks(coords_dir / f"{rec.image_path.stem}.txt",
-                               LandmarkSet(np.array([[5.0, 5.0]]), PixelFrame(128, 128)))
+                               LandmarkSet(np.full((10, 2), 5.0), PixelFrame(128, 128)))
+        capsys.readouterr()
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
                    "--out-dir", tmp_path / "f") == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "11" in err and "1" in err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stack}: 11 heatmap channels but 10 coordinates in "
+            f"{coords_dir / stack.stem}.txt" for stack in sorted(hm_dir.glob("*.hmap"))]
+
+    def test_no_fusion_flags_build_the_default_config(self, tmp_path, monkeypatch):
+        manifest_path = make_corpus(tmp_path, count=1)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        configs, fuse_batch = [], cli.fuse_batch
+        monkeypatch.setattr(cli, "fuse_batch", lambda stack, coords, cfg, **kw:
+                            configs.append(cfg) or fuse_batch(stack, coords, cfg, **kw))
+        assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus",
+                   "--out-dir", tmp_path / "f") == EXIT_OK
+        assert configs == [FusionConfig()]
 
     def test_batch_exits_with_first_failure_class(self, tmp_path, capsys):
         # stack a fails validation, stack b then fails on I/O; a comes first

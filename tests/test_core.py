@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from spinefuse.core import (
     Rng,
     ValidationError,
 )
-from spinefuse.heatmap import GaussianSpec, render_gaussian
+from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
 from spinefuse.preprocess import resize_bilinear, resize_landmarks
 from spinefuse.simulate import PhantomConfig
 
@@ -18,6 +20,12 @@ def _manifest_with_working_size(tmp_path, size):
     path = tmp_path / "manifest.txt"
     path.write_text(f"working_size = {size}\n[images]\n")
     return io.read_manifest(path)
+
+
+def _hmap_with_grid(tmp_path, width, height):
+    path = tmp_path / "grid.hmap"
+    path.write_bytes(b"HMAP" + struct.pack("<III", 1, height, width))
+    return io.read_heatmap_stack(path)
 
 
 class TestGrayImage:
@@ -57,8 +65,11 @@ class TestPixelFrame:
         lambda tmp: resize_landmarks(LandmarkSet(np.zeros((1, 2)), PixelFrame(2, 2)), 0, 4),
         lambda tmp: PhantomConfig(landmarks=2, width=0, height=4, chain_spacing_px=1.0),
         lambda tmp: _manifest_with_working_size(tmp, "0 4"),
+        lambda tmp: GrayImage(np.zeros((4, 0), np.uint8), 1.0),
+        lambda tmp: Heatmap(np.ones((4, 0))),
+        lambda tmp: _hmap_with_grid(tmp, 0, 4),
     ], ids=["frame", "image", "heatmap", "resize", "resize-landmarks", "phantom",
-            "manifest"])
+            "manifest", "image-array", "heatmap-array", "hmap"])
     def test_every_grid_has_the_one_size_rule(self, tmp_path, build):
         with pytest.raises(ValidationError, match="non-positive grid: 0x4"):
             build(tmp_path)

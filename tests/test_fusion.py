@@ -495,9 +495,9 @@ class TestSingleDecodePath:
 
 
 class TestDumpsShareTheLogSum:
-    """``fuse --dump-heatmaps`` fuses each channel once: ``_fuse_stack``
-    decodes the point from the log-sum over ``fuse_product``'s box and
-    exponentiates that same sum for the map."""
+    """``fuse --dump-heatmaps`` fuses each channel once: ``fuse_batch`` with
+    a ``_dumps`` list decodes the point from the log-sum over
+    ``fuse_product``'s box and exponentiates that same sum for the map."""
 
     @staticmethod
     def outcome(fuse):
@@ -507,19 +507,23 @@ class TestDumpsShareTheLogSum:
             return str(exc)
 
     @settings(max_examples=300, deadline=None)
-    @given(fusion_inputs(), st.sampled_from(list(DecodeMethod)))
-    def test_points_and_maps_are_fuse_batchs_and_fuse_products(self, inputs, decode):
+    @given(fusion_inputs(), st.sampled_from(list(DecodeMethod)), st.booleans())
+    def test_points_and_maps_are_fuse_batchs_and_fuse_products(self, inputs, decode, zero):
         hm, coord, sigma = inputs
+        if zero:
+            # refused by the decoder, so by fuse_product too, with its message
+            hm = Heatmap(np.zeros((hm.height, hm.width)))
         cfg = FusionConfig(prior_sigma=sigma, decode=decode)
         coords = LandmarkSet(np.array([coord, coord]), PixelFrame(hm.width, hm.height))
         points = self.outcome(lambda: fuse_batch([hm, hm], coords, cfg).points.tobytes())
         product = self.outcome(lambda: fuse_product(hm, coord, cfg))
-        fused = self.outcome(lambda: fusion._fuse_stack([hm, hm], coords, cfg, dump=True))
+        dumps = []
+        fused = self.outcome(lambda: fuse_batch([hm, hm], coords, cfg, _dumps=dumps))
         if isinstance(fused, str):
             assert fused == points == f"channel 0: {product}"
             return
-        assert fused[0].points.tobytes() == points
-        for dump in fused[1]:
+        assert fused.points.tobytes() == points and len(dumps) == 2
+        for dump in dumps:
             assert dump._support == product._support and dump._shape == product._shape
             assert dump._block.tobytes() == product._block.tobytes()
 
@@ -529,12 +533,12 @@ class TestDumpsShareTheLogSum:
         coords = LandmarkSet(pts, PixelFrame(64, 64))
         cfg = FusionConfig(prior_sigma=6.0, decode=DecodeMethod.CENTROID)
         expected = fuse_batch(stack, coords, cfg).points
-        offsets = []
-        scored_box = fusion._scored_box
-        monkeypatch.setattr(fusion, "_scored_box",
-                            lambda *args: offsets.append(args[4]) or scored_box(*args))
+        offsets, dumps = [], []
+        fuse = fusion._fuse
+        monkeypatch.setattr(fusion, "_fuse",
+                            lambda *args: offsets.append(args[4]) or fuse(*args))
         monkeypatch.setattr(fusion, "fuse_and_decode", None)
-        fused, dumps = fusion._fuse_stack(stack, coords, cfg, dump=True)
+        fused = fuse_batch(stack, coords, cfg, _dumps=dumps)
         assert offsets == [fusion._LOG_FLUSH] * 3
         assert fused.points.tobytes() == expected.tobytes() and len(dumps) == 3
 
@@ -559,7 +563,7 @@ class TestDumpsShareTheLogSum:
         with pytest.raises(ValidationError) as batch:
             fuse_batch(stack, coords, cfg)
         with pytest.raises(ValidationError) as dumped:
-            fusion._fuse_stack(stack, coords, cfg, dump=True)
+            fuse_batch(stack, coords, cfg, _dumps=[])
         assert str(dumped.value) == str(batch.value)
         if case.endswith("zero"):
             assert str(batch.value).startswith("channel 1: coordinate (1e+160, 20.0)")

@@ -50,7 +50,9 @@ class TestHeatmapValidation:
 
     @pytest.mark.parametrize("shape", [(0, 3), (4,), (2, 2, 2)])
     def test_shape(self, shape):
-        with pytest.raises(ValidationError, match="non-empty 2-D"):
+        # a 2-D grid with a side of 0 meets the one grid-size rule
+        message = "non-positive grid: 3x0" if len(shape) == 2 else "non-empty 2-D"
+        with pytest.raises(ValidationError, match=message):
             Heatmap(np.ones(shape))
 
     # a complex value is not cast to its real part, nor a string parsed

@@ -63,8 +63,9 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_public_name_has_a_caller_in_the_package():
     # the package keeps only the API it uses: a public module-level function
-    # or class is referred to by some other top-level statement of a package
-    # module. __init__.py only re-exports names, so it does not count
+    # or class, or a private module-level function, is referred to by some
+    # other top-level statement of a package module. Dunders are Python's to
+    # call. __init__.py only re-exports names, so it does not count
     exempt = {
         # the bench still declares fusion.coord_to_prior.* metrics; it goes
         # once they are dropped (ROADMAP item 1)
@@ -90,9 +91,13 @@ def test_every_public_name_has_a_caller_in_the_package():
     for module, stmt in statements:
         for name in set(names(stmt)):
             referred.setdefault(name, []).append(stmt)
-    unused = [(module, stmt.name) for module, stmt in statements
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_")
+    def checked(stmt):
+        if isinstance(stmt, ast.ClassDef):
+            return not stmt.name.startswith("_")
+        return (isinstance(stmt, ast.FunctionDef)
+                and not (stmt.name.startswith("__") and stmt.name.endswith("__")))
+
+    unused = [(module, stmt.name) for module, stmt in statements if checked(stmt)
               and not any(other is not stmt for other in referred.get(stmt.name, ()))]
     assert [entry for entry in unused if entry not in exempt] == []
 

@@ -122,7 +122,7 @@ class TestGeneratePhantom:
         # 11 sigma 5 blobs at 512 x 512, each a ~1.2 MB nonzero block: all
         # of them held at once peaked at 12.4 MiB; folded into the joined box
         # as each is computed, the peak is that box (~1.6 MB), one block and
-        # the raster's own temporaries of the box, about 6.5 MiB
+        # the raster's shading and rounding arrays of the box, about 5.1 MiB
         config = PhantomConfig()
         lms = generate_phantom(Rng(6), config)
         tracemalloc.start()
@@ -131,7 +131,7 @@ class TestGeneratePhantom:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 5.5 * 2 ** 20
 
 
 class TestSimulateCoords:
