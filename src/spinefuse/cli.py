@@ -83,15 +83,19 @@ def _batch(process, items, paths, jobs: int):
     return ok, code
 
 
+def _read_counted(path: Path, frame: PixelFrame, landmark_count: int) -> LandmarkSet:
+    """The landmarks in path, which must number the manifest's landmark_count."""
+    lms = io.read_landmarks(path, frame)
+    if len(lms) != landmark_count:
+        raise ValidationError(f"{path}: {len(lms)} landmarks, manifest says {landmark_count}")
+    return lms
+
+
 def _read_pair(rec: io.ManifestRecord, landmark_count: int):
     """A record's image and its landmarks, which must number landmark_count."""
     img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
-    lms = io.read_landmarks(rec.landmarks_path, PixelFrame(img.width, img.height))
-    if len(lms) != landmark_count:
-        raise ValidationError(
-            f"{rec.landmarks_path}: {len(lms)} landmarks, manifest says {landmark_count}"
-        )
-    return img, lms
+    return img, _read_counted(rec.landmarks_path, PixelFrame(img.width, img.height),
+                              landmark_count)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +293,11 @@ def cmd_eval(args) -> int:
     frame = PixelFrame(*manifest.working_size)
     gts, preds, spacings = [], [], []
     for rec in manifest.records:
-        gt = io.read_landmarks(rec.landmarks_path, frame)
+        gt = _read_counted(rec.landmarks_path, frame, manifest.landmark_count)
         pred_path = pred_dir / rec.landmarks_path.name
         if not pred_path.is_file():
             raise FileNotFoundError(f"missing prediction file: {pred_path}")
-        pred = io.read_landmarks(pred_path, frame)
+        pred = _read_counted(pred_path, frame, manifest.landmark_count)
         gts.append(gt)
         preds.append(pred)
         spacings.append(rec.spacing_mm_per_px)
@@ -335,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", default=10,
                    type=_flag(lambda raw: _non_negative_finite("count", int(raw))))
-    p.add_argument("--landmarks", type=int, default=11)
-    p.add_argument("--grid", type=int, nargs=2, default=(512, 512), metavar=("W", "H"))
-    p.add_argument("--spacing", type=float, default=0.5, help="mm per pixel")
-    p.add_argument("--chain-spacing", type=float, default=40.0)
-    p.add_argument("--wobble", type=float, default=6.0)
+    p.add_argument("--landmarks", type=int, default=PhantomConfig.landmarks)
+    p.add_argument("--grid", type=int, nargs=2, metavar=("W", "H"),
+                   default=(PhantomConfig.width, PhantomConfig.height))
+    p.add_argument("--spacing", type=float, default=PhantomConfig.spacing_mm_per_px,
+                   help="mm per pixel")
+    p.add_argument("--chain-spacing", type=float, default=PhantomConfig.chain_spacing_px)
+    p.add_argument("--wobble", type=float, default=PhantomConfig.wobble_px)
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("equalize", help="histogram-equalize a corpus")
@@ -353,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", default=1, help="augmented copies per input",
                    type=_flag(lambda raw: _non_negative_finite("count", int(raw))))
-    p.add_argument("--tx-range", type=float, nargs=2, default=(-35.0, 35.0))
-    p.add_argument("--ty-range", type=float, nargs=2, default=(-8.0, 8.0))
-    p.add_argument("--angle-range", type=float, nargs=2, default=(-25.0, 25.0))
-    p.add_argument("--scale-range", type=float, nargs=2, default=(0.7, 1.3))
+    p.add_argument("--tx-range", type=float, nargs=2, default=AugmentationRanges.tx)
+    p.add_argument("--ty-range", type=float, nargs=2, default=AugmentationRanges.ty)
+    p.add_argument("--angle-range", type=float, nargs=2, default=AugmentationRanges.angle_deg)
+    p.add_argument("--scale-range", type=float, nargs=2, default=AugmentationRanges.scale)
     p.add_argument("--working-size", nargs=2, default=None, metavar=("W", "H"),
                    type=_flag(lambda raw: _positive_finite("working_size", int(raw))))
     p.set_defaults(func=cmd_augment)

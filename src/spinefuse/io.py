@@ -296,7 +296,7 @@ def read_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     sections = _parse_sections(path.read_text())
     kv = sections[""][0]
-    landmark_count = int(kv.get("landmark_count", "11"))
+    landmark_count = int(kv.get("landmark_count", Manifest.landmark_count))
     if landmark_count < 0:
         raise ValidationError("negative landmark_count")
     if "images" not in sections:
@@ -313,7 +313,7 @@ def read_manifest(path: str | Path) -> Manifest:
             if not p.is_file():
                 raise FileNotFoundError(f"{path}: referenced file missing: {p}")
         records.append(ManifestRecord(img, lmk, spacing))
-    size = kv.get("working_size", "512 512").split()
+    size = kv["working_size"].split() if "working_size" in kv else Manifest.working_size
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
     frame = PixelFrame(int(size[0]), int(size[1]))

@@ -19,7 +19,7 @@ from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError,
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .heatmap import GaussianSpec, Heatmap, _render, _usable_sigma, decode_argmax
-from .io import _fmt_float, _need, _parse_sections, _reader, atomic_write
+from .io import _need, _parse_sections, _reader
 from .preprocess import _round_u8
 
 
@@ -184,8 +184,8 @@ class TrialConfig:
     coords: CoordPredictorModel
     heatmaps: HeatmapPredictorModel
     fusion: FusionConfig
-    threshold_mm: float = 8.0
-    images: int = 50
+    threshold_mm: float
+    images: int
 
     def __post_init__(self):
         _positive_finite("threshold", self.threshold_mm)
@@ -250,8 +250,7 @@ def noise_sigma_for_accuracy(accuracy: float, threshold_px: float) -> float:
     return threshold_px / math.sqrt(-2.0 * math.log(1.0 - accuracy))
 
 
-def confusion_prob_for_accuracy(accuracy: float,
-                                amplitude_range: tuple[float, float] = (0.9, 1.1)) -> float:
+def confusion_prob_for_accuracy(accuracy: float, amplitude_range: tuple[float, float]) -> float:
     """Confusion probability giving the target heatmap-argmax hit rate.
 
     A spurious peak steals the argmax iff its amplitude exceeds 1, so the
@@ -270,40 +269,39 @@ def confusion_prob_for_accuracy(accuracy: float,
     return prob
 
 
-def calibrated_config(coords_accuracy: float = 0.713,
-                      heatmap_accuracy: float = 0.65,
-                      images: int = 4546,
+def calibrated_config(images: int = 4546,
                       phantom: PhantomConfig = PhantomConfig()) -> TrialConfig:
-    """The comparison setup tuned to the target standalone accuracies.
+    """The comparison setup tuned to standalone accuracies of 0.713 for the
+    coordinate branch and 0.65 for heatmap argmax.
 
     Defaults give ~50,000 landmark trials (4546 images x 11 landmarks) at
     an 8 mm threshold, which is 16 px at the default 0.5 mm/px spacing.
     The heatmap branch uses zero peak jitter so the analytic amplitude law
     holds exactly on integer-pixel ground truth.
     """
-    threshold_px = 8.0 / phantom.spacing_mm_per_px
+    threshold_mm = 8.0
+    amplitude = (0.9, 1.1)
     return TrialConfig(
         phantom=phantom,
         coords=CoordPredictorModel(
-            noise_sigma=noise_sigma_for_accuracy(coords_accuracy, threshold_px)
+            noise_sigma=noise_sigma_for_accuracy(0.713, threshold_mm / phantom.spacing_mm_per_px)
         ),
         heatmaps=HeatmapPredictorModel(
             peak_jitter_sigma=0.0,
             heatmap_sigma=1.2,
-            adjacent_confusion_prob=confusion_prob_for_accuracy(heatmap_accuracy),
-            spurious_amplitude=(0.9, 1.1),
+            adjacent_confusion_prob=confusion_prob_for_accuracy(0.65, amplitude),
+            spurious_amplitude=amplitude,
         ),
         fusion=FusionConfig(prior_sigma=6.0),
-        threshold_mm=8.0,
+        threshold_mm=threshold_mm,
         images=images,
     )
 
 
-def noiseless_config(images: int = 10,
-                     phantom: PhantomConfig = PhantomConfig()) -> TrialConfig:
+def noiseless_config(images: int = 10) -> TrialConfig:
     """Both branches exact: every method should score 1.0."""
     return TrialConfig(
-        phantom=phantom,
+        phantom=PhantomConfig(),
         coords=CoordPredictorModel(noise_sigma=0.0),
         heatmaps=HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=0.0),
         fusion=FusionConfig(prior_sigma=6.0),
@@ -315,39 +313,6 @@ def noiseless_config(images: int = 10,
 # ---------------------------------------------------------------------------
 # simulation configs
 # ---------------------------------------------------------------------------
-
-def write_sim_config(path: str | Path, config: TrialConfig) -> None:
-    f = config.fusion
-    sigma = (" ".join(_fmt_float(s) for s in f.prior_sigma)
-             if isinstance(f.prior_sigma, tuple) else _fmt_float(f.prior_sigma))
-    lines = [
-        "# spinefuse sim config v1",
-        "[phantom]",
-        f"landmarks = {config.phantom.landmarks}",
-        f"grid = {config.phantom.width} {config.phantom.height}",
-        f"spacing_mm_per_px = {_fmt_float(config.phantom.spacing_mm_per_px)}",
-        f"chain_spacing_px = {_fmt_float(config.phantom.chain_spacing_px)}",
-        f"wobble_px = {_fmt_float(config.phantom.wobble_px)}",
-        "[coords_model]",
-        f"noise_sigma_px = {_fmt_float(config.coords.noise_sigma)}",
-        f"outlier_rate = {_fmt_float(config.coords.outlier_rate)}",
-        f"outlier_sigma_px = {_fmt_float(config.coords.outlier_sigma)}",
-        "[heatmap_model]",
-        f"peak_jitter_sigma_px = {_fmt_float(config.heatmaps.peak_jitter_sigma)}",
-        f"heatmap_sigma_px = {_fmt_float(config.heatmaps.heatmap_sigma)}",
-        f"adjacent_confusion_prob = {_fmt_float(config.heatmaps.adjacent_confusion_prob)}",
-        f"spurious_amplitude = {_fmt_float(config.heatmaps.spurious_amplitude[0])} "
-        f"{_fmt_float(config.heatmaps.spurious_amplitude[1])}",
-        "[fusion]",
-        f"prior_sigma_px = {sigma}",
-        f"floor_epsilon = {_fmt_float(f.floor_epsilon)}",
-        f"decode = {f.decode.value}",
-        "[run]",
-        f"images = {config.images}",
-        f"threshold_mm = {_fmt_float(config.threshold_mm)}",
-    ]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
-
 
 @_reader
 def read_sim_config(path: str | Path) -> TrialConfig:
@@ -380,8 +345,8 @@ def read_sim_config(path: str | Path) -> TrialConfig:
         ),
         coords=CoordPredictorModel(
             noise_sigma=float(_need(cm, "noise_sigma_px")),
-            outlier_rate=float(cm.get("outlier_rate", "0")),
-            outlier_sigma=float(cm.get("outlier_sigma_px", "0")),
+            outlier_rate=float(cm.get("outlier_rate", CoordPredictorModel.outlier_rate)),
+            outlier_sigma=float(cm.get("outlier_sigma_px", CoordPredictorModel.outlier_sigma)),
         ),
         heatmaps=HeatmapPredictorModel(
             peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px")),

@@ -5,7 +5,9 @@ from spinefuse import cli, fusion, io
 from spinefuse.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from spinefuse.core import LandmarkSet, PixelFrame
 from spinefuse.fusion import FusionConfig
-from spinefuse.simulate import noiseless_config, write_sim_config
+from spinefuse.geometry import AugmentationRanges
+from spinefuse.simulate import PhantomConfig
+from sim_config import SIM_CONFIG
 
 GRID = PixelFrame(128, 128)
 
@@ -56,6 +58,13 @@ class TestPhantom:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_geometry_flags_build_the_default_config(self, tmp_path, monkeypatch):
+        configs, generate = [], cli.generate_phantom
+        monkeypatch.setattr(cli, "generate_phantom", lambda rng, config:
+                            configs.append(config) or generate(rng, config))
+        assert run("phantom", "--out-dir", tmp_path, "--count", 1) == EXIT_OK
+        assert configs == [PhantomConfig()]
+
     def test_seed_reproducibility(self, tmp_path):
         m1 = make_corpus(tmp_path / "a")
         m2 = make_corpus(tmp_path / "b")
@@ -102,6 +111,15 @@ class TestAugment:
         assert run("augment", "--manifest", manifest, "--out-dir", out,
                    "--scale-range", 0, 1) == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_no_range_flags_build_the_default_ranges(self, tmp_path, monkeypatch):
+        assert run("phantom", "--out-dir", tmp_path / "corpus", "--count", 1) == EXIT_OK
+        ranges, sample = [], cli.sample_valid_augmentation
+        monkeypatch.setattr(cli, "sample_valid_augmentation", lambda rng, r, *rest:
+                            ranges.append(r) or sample(rng, r, *rest))
+        assert run("augment", "--manifest", tmp_path / "corpus" / "manifest.txt",
+                   "--out-dir", tmp_path / "aug") == EXIT_OK
+        assert ranges == [AugmentationRanges()]
 
     def test_byte_identical_across_runs(self, tmp_path):
         manifest = make_corpus(tmp_path)
@@ -298,18 +316,36 @@ class TestEval:
         pred_dir.mkdir()
         assert run("eval", "--manifest", src, "--pred-dir", pred_dir) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("short", ["prediction", "ground truth"])
+    def test_short_landmark_file_fails_with_its_path(self, tmp_path, capsys, short):
+        manifest_path = make_corpus(tmp_path)
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        records = io.read_manifest(manifest_path).records
+        for rec in records:
+            pred_dir.joinpath(rec.landmarks_path.name).write_bytes(rec.landmarks_path.read_bytes())
+        gt_path = records[1].landmarks_path
+        lms = io.read_landmarks(gt_path, GRID)
+        # a short ground truth with its copy as the prediction pairs up, so
+        # only the manifest's count can tell
+        cut = [pred_dir / gt_path.name] + ([gt_path] if short == "ground truth" else [])
+        for path in cut:
+            io.write_landmarks(path, LandmarkSet(lms.points[:10], GRID))
+        assert run("eval", "--manifest", manifest_path, "--pred-dir", pred_dir) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cut[-1]}: 10 landmarks, manifest says 11\n"
+
 
 class TestSimulate:
     def test_noiseless_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sim.txt"
-        write_sim_config(cfg, noiseless_config(images=3))
+        cfg.write_text(SIM_CONFIG.format(images=3))
         assert run("simulate", "--config", cfg, "--seed", 9) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("accuracy = 1.000000") == 3
 
     def test_same_seed_same_report(self, tmp_path):
         cfg = tmp_path / "sim.txt"
-        write_sim_config(cfg, noiseless_config(images=3))
+        cfg.write_text(SIM_CONFIG.format(images=3))
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
         assert run("simulate", "--config", cfg, "--seed", 9, "--out", out1) == EXIT_OK
         assert run("simulate", "--config", cfg, "--seed", 9, "--out", out2) == EXIT_OK
@@ -322,8 +358,9 @@ class TestSimulate:
 
 def _sim_config(tmp_path, old, new):
     path = tmp_path / "sim.txt"
-    write_sim_config(path, noiseless_config(images=1))
-    path.write_bytes(path.read_bytes().replace(old, new))
+    data = SIM_CONFIG.format(images=1).encode()
+    assert old in data
+    path.write_bytes(data.replace(old, new))
     return ["simulate", "--config", path], path
 
 

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 from spinefuse import io
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
-from spinefuse.fusion import FusionConfig
 from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian, render_label_stack
 from spinefuse.simulate import (
     HeatmapPredictorModel,
@@ -24,8 +23,8 @@ from spinefuse.simulate import (
     noiseless_config,
     read_sim_config,
     simulate_heatmaps,
-    write_sim_config,
 )
+from sim_config import SIM_CONFIG
 
 
 def test_io_does_not_import_the_simulator():
@@ -70,8 +69,6 @@ def test_every_public_name_has_a_caller_in_the_package():
         # the bench still declares fusion.coord_to_prior.* metrics; it goes
         # once they are dropped (ROADMAP item 1)
         ("fusion.py", "coord_to_prior"),
-        # the README names it as the reference for the sim-config keys
-        ("simulate.py", "write_sim_config"),
     }
     statements = [(path.name, stmt)
                   for path in sorted(Path(io.__file__).parent.glob("*.py"))
@@ -446,31 +443,38 @@ class TestManifests:
         assert back.working_size == (4, 4) and len(back.records) == 1
 
 
-class TestSimConfig:
-    def test_round_trip(self, tmp_path):
-        config = calibrated_config(images=123)
-        path = tmp_path / "sim.txt"
-        write_sim_config(path, config)
-        back = read_sim_config(path)
-        assert back == config
+def _sim_config(tmp_path, images, old="", new=""):
+    text = SIM_CONFIG.format(images=images)
+    assert old in text
+    path = tmp_path / "sim.txt"
+    path.write_text(text.replace(old, new))
+    return path
 
-    def test_per_landmark_sigmas_round_trip(self, tmp_path):
-        config = noiseless_config(images=2)
-        config = type(config)(
-            phantom=config.phantom, coords=config.coords, heatmaps=config.heatmaps,
-            fusion=FusionConfig(prior_sigma=tuple(float(3 + k) for k in range(11))),
-            threshold_mm=config.threshold_mm, images=config.images,
-        )
+
+class TestSimConfig:
+    def test_readme_example_is_the_pinned_format(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert f"```\n{SIM_CONFIG.format(images=2)}```\n" in readme.read_text()
+        assert read_sim_config(_sim_config(tmp_path, 2)) == noiseless_config(images=2)
+
+    def test_reads_repr_floats_back_exactly(self, tmp_path):
+        config = calibrated_config(images=123)
+        text = (SIM_CONFIG.format(images=123)
+                .replace("noise_sigma_px = 0.0", f"noise_sigma_px = {config.coords.noise_sigma!r}")
+                .replace("confusion_prob = 0.0",
+                         f"confusion_prob = {config.heatmaps.adjacent_confusion_prob!r}"))
         path = tmp_path / "sim.txt"
-        write_sim_config(path, config)
-        assert read_sim_config(path).fusion.prior_sigma == config.fusion.prior_sigma
+        path.write_text(text)
+        assert read_sim_config(path) == config
+
+    def test_per_landmark_sigmas_read_as_a_tuple(self, tmp_path):
+        sigmas = tuple(float(3 + k) for k in range(11))
+        path = _sim_config(tmp_path, 2, "prior_sigma_px = 6.0\n",
+                           f"prior_sigma_px = {' '.join(map(repr, sigmas))}\n")
+        assert read_sim_config(path).fusion.prior_sigma == sigmas
 
     def test_too_few_per_landmark_sigmas_fail_with_the_path(self, tmp_path):
-        path = tmp_path / "sim.txt"
-        write_sim_config(path, calibrated_config(images=1))
-        text = path.read_text()
-        assert "prior_sigma_px = 6.0\n" in text
-        path.write_text(text.replace("prior_sigma_px = 6.0\n", "prior_sigma_px = 5.0 6.0\n"))
+        path = _sim_config(tmp_path, 1, "prior_sigma_px = 6.0\n", "prior_sigma_px = 5.0 6.0\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 2 prior sigmas "
                                                   f"for 11 landmarks$"):
             read_sim_config(path)

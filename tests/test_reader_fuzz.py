@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from spinefuse import io
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, ValidationError
 from spinefuse.heatmap import GaussianSpec, render_gaussian
-from spinefuse.simulate import noiseless_config, read_sim_config, write_sim_config
+from spinefuse.simulate import read_sim_config
+from sim_config import SIM_CONFIG
 
 FRAME = PixelFrame(6, 5)
 TOKENS = [b"", b"abc", b"-1", b"0", b"7", b"nan", b"inf", b"1e999", b"99999999999",
@@ -19,7 +20,8 @@ TOKENS = [b"", b"abc", b"-1", b"0", b"7", b"nan", b"inf", b"1e999", b"9999999999
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """A valid file per reader, written by the package's own writers."""
+    """A valid file per reader, written by the package's own writers, or for
+    a sim config, which the package only reads, the tests' literal."""
     root = tmp_path_factory.mktemp("fuzz")
     io.write_pgm(root / "img.pgm", GrayImage.from_flat(6, 5, list(range(30)), 0.5))
     io.write_landmarks(root / "lms.txt",
@@ -29,7 +31,7 @@ def corpus(tmp_path_factory):
     io.write_manifest(root / "manifest.txt", io.Manifest(
         (io.ManifestRecord(root / "img.pgm", root / "lms.txt", 0.5),),
         landmark_count=2, working_size=(6, 5)))
-    write_sim_config(root / "sim.txt", noiseless_config(images=2))
+    (root / "sim.txt").write_text(SIM_CONFIG.format(images=2))
     return root
 
 

@@ -379,3 +379,6 @@ class TestCalibration:
         assert config.images * config.phantom.landmarks >= 50_000
         assert config.heatmaps.peak_jitter_sigma == 0.0
         assert config.fusion.prior_sigma == 6.0
+        # the calibration law reads the model's own amplitude range
+        assert config.heatmaps.adjacent_confusion_prob == confusion_prob_for_accuracy(
+            0.65, config.heatmaps.spurious_amplitude)
