@@ -54,40 +54,38 @@ def _run_jobs(fn, items, jobs: int):
         return list(pool.map(guarded, items))
 
 
-def _exit_class(exc: Exception) -> int:
+def _report(exc: Exception, path: Path | None = None) -> int:
+    """Print exc as one ``error:`` line and return its exit class. An internal
+    error prints its traceback first and names its type. The line starts with
+    path, a batch item's file, unless a reader has recorded the bad file."""
     if isinstance(exc, OSError):
-        return EXIT_IO
-    if isinstance(exc, ValidationError):
-        return EXIT_VALIDATION
-    return EXIT_INTERNAL
+        code, msg = EXIT_IO, str(exc)
+    elif isinstance(exc, ValidationError):
+        code, msg = EXIT_VALIDATION, str(exc)
+    else:
+        traceback.print_exception(exc)
+        code, msg = EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
+    if path is not None and getattr(exc, "_path", None) is None:
+        msg = f"{path}: {msg}"
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 def _batch(process, items, paths, jobs: int):
-    """Run process over items through _run_jobs and print each failure with
+    """Run process over items through _run_jobs and report each failure with
     its path. Returns the successful results, in input order, and the exit
     class of the first failure (EXIT_OK if none failed)."""
-    ok, code = [], EXIT_OK
-    for (result, exc), path in zip(_run_jobs(process, items, jobs), paths):
-        if exc is None:
-            ok.append(result)
-            continue
-        cls = _exit_class(exc)
-        if cls == EXIT_INTERNAL:
-            traceback.print_exception(exc)
-            exc = f"{type(exc).__name__}: {exc}"
-        # a reader's error already starts with its file's path
-        msg = str(exc) if str(exc).startswith(f"{path}: ") else f"{path}: {exc}"
-        print(f"error: {msg}", file=sys.stderr)
-        if code == EXIT_OK:
-            code = cls
-    return ok, code
+    results = _run_jobs(process, items, jobs)
+    codes = [_report(exc, path) for (_, exc), path in zip(results, paths) if exc is not None]
+    return [result for result, exc in results if exc is None], (codes or [EXIT_OK])[0]
 
 
+@io._reader
 def _read_counted(path: Path, frame: PixelFrame, landmark_count: int) -> LandmarkSet:
     """The landmarks in path, which must number the manifest's landmark_count."""
     lms = io.read_landmarks(path, frame)
     if len(lms) != landmark_count:
-        raise ValidationError(f"{path}: {len(lms)} landmarks, manifest says {landmark_count}")
+        raise ValidationError(f"{len(lms)} landmarks, manifest says {landmark_count}")
     return lms
 
 
@@ -289,6 +287,8 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest = io.read_manifest(args.manifest)
+    if not (manifest.records and manifest.landmark_count):
+        raise ValidationError(f"{args.manifest}: no landmarks to evaluate")
     pred_dir = Path(args.pred_dir)
     frame = PixelFrame(*manifest.working_size)
     gts, preds, spacings = [], [], []
@@ -433,12 +433,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # the exit code names the class of failure
-        code = _exit_class(exc)
-        if code == EXIT_INTERNAL:
-            traceback.print_exc()
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return code
+        return _report(exc)
 
 
 if __name__ == "__main__":

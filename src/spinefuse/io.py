@@ -60,13 +60,19 @@ def atomic_write(path: str | Path, data: bytes | bytearray | np.ndarray) -> None
 def _reader(read):
     """Re-raise any ValueError of ``read(path, ...)`` (a bad number, undecodable
     text, a NUL byte in a path, a domain ValidationError) as a ValidationError
-    whose message starts with the path. I/O errors pass through."""
+    whose message starts with the path, which it records as ``_path``. I/O
+    errors pass through, and so does a nested reader's error, which records
+    its own file."""
     @functools.wraps(read)
     def checked(path, *args, **kwargs):
         try:
             return read(path, *args, **kwargs)
         except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+            if getattr(exc, "_path", None) is not None:
+                raise
+            err = ValidationError(f"{path}: {exc}")
+            err._path = path
+            raise err from exc
     return checked
 
 

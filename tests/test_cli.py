@@ -309,12 +309,24 @@ class TestEval:
         empty.mkdir()
         assert run("eval", "--manifest", manifest_path, "--pred-dir", empty) == EXIT_IO
 
-    def test_empty_manifest_is_validation_error(self, tmp_path):
+    def test_empty_manifest_is_validation_error(self, tmp_path, capsys):
         src = tmp_path / "manifest.txt"
         io.write_manifest(src, io.Manifest(records=()))
         pred_dir = tmp_path / "preds"
         pred_dir.mkdir()
         assert run("eval", "--manifest", src, "--pred-dir", pred_dir) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {src}: no landmarks to evaluate\n"
+
+    def test_zero_landmark_manifest_is_validation_error(self, tmp_path, capsys):
+        manifest_path = make_corpus(tmp_path, count=1)
+        # the file agrees with the manifest, so only the empty score can fail
+        manifest_path.write_text(manifest_path.read_text().replace(
+            "landmark_count = 11", "landmark_count = 0"))
+        manifest_path.with_name("phantom_000.txt").write_text("#count=0\n")
+        capsys.readouterr()
+        assert run("eval", "--manifest", manifest_path,
+                   "--pred-dir", manifest_path.parent) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {manifest_path}: no landmarks to evaluate\n"
 
     @pytest.mark.parametrize("short", ["prediction", "ground truth"])
     def test_short_landmark_file_fails_with_its_path(self, tmp_path, capsys, short):
@@ -407,6 +419,27 @@ def _truncated_pgm(tmp_path):
     return ["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq"], image
 
 
+def _short_ground_truth(command):
+    def case(tmp_path):
+        manifest_path = make_corpus(tmp_path, count=1)
+        gt = io.read_manifest(manifest_path).records[0].landmarks_path
+        io.write_landmarks(gt, LandmarkSet(io.read_landmarks(gt, GRID).points[:3], GRID))
+        return [command, "--manifest", manifest_path, "--out-dir", tmp_path / "out"], gt
+    return case
+
+
+def _bad_coordinate_line(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    hm_dir = tmp_path / "hm"
+    assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+    coords = tmp_path / "corpus" / "phantom_000.txt"
+    lines = coords.read_text().splitlines()
+    lines[2] = "1,x,4"
+    coords.write_text("\n".join(lines) + "\n")
+    return ["fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus",
+            "--out-dir", tmp_path / "f"], coords
+
+
 class TestMalformedInput:
     """A malformed file exits 4 and names itself, without a traceback."""
 
@@ -441,13 +474,18 @@ class TestMalformedInput:
         assert str(bad) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("case", [_corrupt_stack, _truncated_pgm],
-                             ids=["decode", "equalize"])
+    # in the last three, the bad file is not the batch item's own: an
+    # image's landmarks, a stack's coordinates
+    @pytest.mark.parametrize("case", [_corrupt_stack, _truncated_pgm,
+                                      _short_ground_truth("augment"),
+                                      _short_ground_truth("gen-heatmaps"), _bad_coordinate_line],
+                             ids=["decode", "equalize", "augment", "gen-heatmaps", "fuse"])
     def test_batch_error_names_the_file_once(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()
         assert run(*argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
         assert err.count(str(bad)) == 1
 
     def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch):
@@ -461,6 +499,20 @@ class TestMalformedInput:
         assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d") == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "IndexError" in next(ln for ln in err.splitlines() if ln.startswith("error:"))
+
+    def test_internal_error_in_a_command_prints_an_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        manifest_path = make_corpus(tmp_path, count=1)
+
+        def broken(*args):
+            raise IndexError("broken scorer")
+        monkeypatch.setattr(cli, "pck", broken)
+        capsys.readouterr()
+        assert run("eval", "--manifest", manifest_path,
+                   "--pred-dir", manifest_path.parent) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.splitlines()[-1] == "error: IndexError: broken scorer"
 
     @pytest.mark.parametrize("command", [["fuse", "--coords-dir", "c"], ["decode"]],
                              ids=["fuse", "decode"])

@@ -44,11 +44,9 @@ def test_io_does_not_import_the_simulator():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names only to export them
+    # so no module re-exports a name: each has one import path
     unused = []
     for path in sorted(Path(io.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -64,7 +62,7 @@ def test_every_public_name_has_a_caller_in_the_package():
     # the package keeps only the API it uses: a public module-level function
     # or class, or a private module-level function, is referred to by some
     # other top-level statement of a package module. Dunders are Python's to
-    # call. __init__.py only re-exports names, so it does not count
+    # call
     exempt = {
         # the bench still declares fusion.coord_to_prior.* metrics; it goes
         # once they are dropped (ROADMAP item 1)
@@ -72,7 +70,6 @@ def test_every_public_name_has_a_caller_in_the_package():
     }
     statements = [(path.name, stmt)
                   for path in sorted(Path(io.__file__).parent.glob("*.py"))
-                  if path.name != "__init__.py"
                   for stmt in ast.parse(path.read_text()).body]
 
     def names(stmt):
