@@ -57,15 +57,17 @@ def _run_jobs(fn, items, jobs: int):
 def _report(exc: Exception, path: Path | None = None) -> int:
     """Print exc as one ``error:`` line and return its exit class. An internal
     error prints its traceback first and names its type. The line starts with
-    path, a batch item's file, unless a reader has recorded the bad file."""
+    the file the error names (a rename's target, else its ``filename``), once;
+    if it names none, with path, a batch item's file."""
+    name = getattr(exc, "filename2", None) or getattr(exc, "filename", None)
     if isinstance(exc, OSError):
-        code, msg = EXIT_IO, str(exc)
+        code, msg = EXIT_IO, f"{name}: [Errno {exc.errno}] {exc.strerror}" if name else str(exc)
     elif isinstance(exc, ValidationError):
-        code, msg = EXIT_VALIDATION, str(exc)
+        code, msg = EXIT_VALIDATION, str(exc)  # a reader's message starts with name
     else:
         traceback.print_exception(exc)
         code, msg = EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
-    if path is not None and getattr(exc, "_path", None) is None:
+    if path is not None and name is None:
         msg = f"{path}: {msg}"
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -294,10 +296,7 @@ def cmd_eval(args) -> int:
     gts, preds, spacings = [], [], []
     for rec in manifest.records:
         gt = _read_counted(rec.landmarks_path, frame, manifest.landmark_count)
-        pred_path = pred_dir / rec.landmarks_path.name
-        if not pred_path.is_file():
-            raise FileNotFoundError(f"missing prediction file: {pred_path}")
-        pred = _read_counted(pred_path, frame, manifest.landmark_count)
+        pred = _read_counted(pred_dir / rec.landmarks_path.name, frame, manifest.landmark_count)
         gts.append(gt)
         preds.append(pred)
         spacings.append(rec.spacing_mm_per_px)

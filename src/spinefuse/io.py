@@ -60,18 +60,18 @@ def atomic_write(path: str | Path, data: bytes | bytearray | np.ndarray) -> None
 def _reader(read):
     """Re-raise any ValueError of ``read(path, ...)`` (a bad number, undecodable
     text, a NUL byte in a path, a domain ValidationError) as a ValidationError
-    whose message starts with the path, which it records as ``_path``. I/O
-    errors pass through, and so does a nested reader's error, which records
-    its own file."""
+    whose message starts with the path, which it records as ``filename``, the
+    attribute an OSError names its file by. I/O errors pass through, and so
+    does a nested reader's error, which records its own file."""
     @functools.wraps(read)
     def checked(path, *args, **kwargs):
         try:
             return read(path, *args, **kwargs)
         except ValueError as exc:
-            if getattr(exc, "_path", None) is not None:
+            if getattr(exc, "filename", None) is not None:
                 raise
             err = ValidationError(f"{path}: {exc}")
-            err._path = path
+            err.filename = path
             raise err from exc
     return checked
 
@@ -173,26 +173,25 @@ _HMAP_MAGIC = b"HMAP"
 def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
     """Write the header, then each channel through one reused zeroed float32
     grid: its support box is cast in, the grid is written, and the box is
-    zeroed again. Every channel's shape is checked before anything is
-    written. A value beyond the float32 range is refused: it would be
-    written as inf, which :func:`read_heatmap_stack` rejects."""
+    zeroed again. Every channel is checked before anything is written: its
+    shape, and its maximum, which must not reach 2**128 - 2**103, the least
+    double that float32 rounds to inf, which :func:`read_heatmap_stack`
+    rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
     h, w = stack[0]._shape
     for k, hm in enumerate(stack):
         if hm._shape != (h, w):
             raise ValidationError(f"channel {k} shape differs from channel 0")
+        if hm._top >= 2.0 ** 128 - 2.0 ** 103:
+            raise ValidationError(f"channel {k} holds a value beyond the float32 range")
     grid = np.zeros((h, w), dtype="<f4")
-    with _atomic_file(path) as f, np.errstate(over="raise"):
+    with _atomic_file(path) as f:
         f.write(_HMAP_MAGIC + struct.pack("<III", len(stack), h, w))
-        for k, hm in enumerate(stack):
+        for hm in stack:
             r0, r1, c0, c1 = hm._support
             box = grid[r0:r1, c0:c1]
-            try:
-                box[...] = hm._block
-            except FloatingPointError:
-                raise ValidationError(
-                    f"channel {k} holds a value beyond the float32 range") from None
+            box[...] = hm._block
             f.write(grid)
             box[...] = 0
 

@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from spinefuse.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, buil
 from spinefuse.core import LandmarkSet, PixelFrame
 from spinefuse.fusion import FusionConfig
 from spinefuse.geometry import AugmentationRanges
-from spinefuse.simulate import PhantomConfig
+from spinefuse.simulate import PhantomConfig, calibrated_config, noiseless_config
 from sim_config import SIM_CONFIG
 
 GRID = PixelFrame(128, 128)
@@ -51,7 +54,9 @@ class TestPhantom:
     @pytest.mark.parametrize("flags, message", [
         (("--landmarks", "1"), "need at least 2 landmarks, got 1"),
         (("--grid", "0", "512"), "non-positive grid: 0x512"),
-    ], ids=["landmarks", "grid"])
+        (("--wobble", "300"), "wobble 300.0px exceeds the frame"),
+        (("--chain-spacing", "0.4"), "chain spacing too small: rows collide after rounding"),
+    ], ids=["landmarks", "grid", "wobble", "chain-spacing"])
     def test_bad_geometry_writes_nothing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
         assert run("phantom", "--out-dir", out, "--count", 1, *flags) == EXIT_VALIDATION
@@ -367,6 +372,14 @@ class TestSimulate:
         assert run("simulate", "--preset", "noiseless", "--seed", 1) == EXIT_OK
         assert "fused" in capsys.readouterr().out
 
+    def test_no_source_flags_build_the_default_config(self, monkeypatch):
+        # the calibrated trial is recorded, and a one-image noiseless one is run
+        configs, run_trial = [], cli.run_trial
+        monkeypatch.setattr(cli, "run_trial", lambda rng, config:
+                            configs.append(config) or run_trial(rng, noiseless_config(images=1)))
+        assert run("simulate") == EXIT_OK
+        assert configs == [calibrated_config()]
+
 
 def _sim_config(tmp_path, old, new):
     path = tmp_path / "sim.txt"
@@ -440,8 +453,47 @@ def _bad_coordinate_line(tmp_path):
             "--out-dir", tmp_path / "f"], coords
 
 
+def _missing_coords(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    hm_dir, coords_dir = tmp_path / "hm", tmp_path / "e"
+    assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+    coords_dir.mkdir()
+    return (["fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
+             "--out-dir", tmp_path / "f"], coords_dir / "phantom_000.txt", errno.ENOENT)
+
+
+def _directory_stack(tmp_path):
+    stack = tmp_path / "h2" / "dir.hmap"
+    stack.mkdir(parents=True)
+    return (["decode", "--heatmaps-dir", stack.parent, "--out-dir", tmp_path / "d"],
+            stack, errno.EISDIR)
+
+
+def _missing_prediction(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    pred_dir = tmp_path / "e"
+    pred_dir.mkdir()
+    return (["eval", "--manifest", manifest_path, "--pred-dir", pred_dir],
+            pred_dir / "phantom_000.txt", errno.ENOENT)
+
+
+def _report_onto_directory(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    out = tmp_path / "isdir"
+    out.mkdir()
+    return (["eval", "--manifest", manifest_path, "--pred-dir", manifest_path.parent,
+             "--out", out], out, errno.EISDIR)
+
+
+def _missing_manifest(tmp_path):
+    manifest_path = tmp_path / "nope.txt"
+    return (["eval", "--manifest", manifest_path, "--pred-dir", tmp_path],
+            manifest_path, errno.ENOENT)
+
+
 class TestMalformedInput:
-    """A malformed file exits 4 and names itself, without a traceback."""
+    """A malformed file exits 4 and a file that cannot be read exits 3; either
+    names itself, without a traceback."""
 
     @pytest.mark.parametrize("case", [
         lambda t: _sim_config(t, b"landmarks = 11", b"landmarks = abc"),
@@ -461,11 +513,22 @@ class TestMalformedInput:
         lambda t: _sim_config(t, b"landmarks = 11", b"landmarks = 1" + b"0" * 400),
         lambda t: _sim_config(t, b"grid = 512 512", b"grid = 512 1" + b"0" * 400),
         lambda t: _sim_config(t, b"grid = 512 512", b"grid = 1" + b"0" * 400 + b" 512"),
+        lambda t: _sim_config(t, b"grid = 512 512", b"grid = 512"),
+        lambda t: _sim_config(t, b"spurious_amplitude = 0.9 1.1", b"spurious_amplitude = 0.9"),
+        lambda t: _sim_config(t, b"spurious_amplitude = 0.9 1.1",
+                              b"spurious_amplitude = 1.1 0.9"),
+        lambda t: _sim_config(t, b"images = 1", b"images = 0"),
+        lambda t: _sim_config(t, b"adjacent_confusion_prob = 0.0",
+                              b"adjacent_confusion_prob = 1.5"),
+        lambda t: _bad_manifest(t, b"[images]", b"[images]\n[images]"),
+        lambda t: _bad_manifest(t, b"landmark_count = 11", b"landmark_count = -1"),
     ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
             "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii",
             "sim-chain-spacing-nan", "sim-wobble-nan", "sim-spacing-nan", "sim-spacing-inf",
             "sim-chain-does-not-fit", "sim-landmarks-huge", "sim-height-huge",
-            "sim-width-huge"])
+            "sim-width-huge", "sim-grid-one-side", "sim-amplitude-one-value",
+            "sim-amplitude-reversed", "sim-no-images", "sim-confusion-above-one",
+            "manifest-duplicate-section", "manifest-negative-count"])
     def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()
@@ -487,6 +550,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert err.count(str(bad)) == 1
+
+    # an I/O error names its own file, whichever item or command hit it; the
+    # report's rename names its target
+    @pytest.mark.parametrize("case", [_missing_coords, _directory_stack, _missing_prediction,
+                                      _report_onto_directory, _missing_manifest],
+                             ids=["fuse-coords", "decode-directory", "eval-prediction",
+                                  "eval-out-directory", "eval-manifest"])
+    def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, case):
+        argv, bad, code = case(tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {bad}: [Errno {code}] {os.strerror(code)}\n"
 
     def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch):
         manifest_path = make_corpus(tmp_path, count=1)

@@ -75,6 +75,16 @@ class TestPixelFrame:
             build(tmp_path)
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GrayImage(np.zeros(4, np.uint8), 1.0), r"non-empty 2-D array, got shape \(4,\)"),
+        (lambda: LandmarkSet(np.zeros((1, 2)), (4, 4)), r"unknown frame: \(4, 4\)"),
+    ], ids=["image-1d", "landmarks-frame"])
+    def test_refusal_names_its_rule(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+
 class TestLandmarkSet:
     def test_shape_enforced(self):
         with pytest.raises(ValidationError):

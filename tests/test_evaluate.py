@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,15 @@ class TestPck:
         with pytest.raises(ValidationError, match="spacing must be positive and finite"):
             pck(preds, gts, 8.0, spacing)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: pck(*make_sets(2, 3, np.zeros((2, 3, 2))), 8.0, [0.5]),
+         "^1 spacings for 2 images$"),
+        (lambda: pck(*make_sets(1, 0, np.zeros((1, 0, 2))), 8.0, 0.5), "^empty evaluation$"),
+    ], ids=["spacing-count", "no-landmarks"])
+    def test_inconsistent_input_names_its_rule(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_empty_inputs_are_error(self):
         with pytest.raises(ValidationError, match="empty"):
             pck([], [], 8.0, 0.5)
@@ -145,6 +156,9 @@ class TestReports:
         with pytest.raises(ValidationError):
             EvalReport(total=10, hits=5, threshold_mm=8.0, spacing_mm_per_px=0.5,
                        per_landmark=(LandmarkStats(0, 10, 4, 0.0, 0.0),))
+        with pytest.raises(ValidationError, match="^per-landmark totals do not sum"):
+            EvalReport(total=10, hits=4, threshold_mm=8.0, spacing_mm_per_px=0.5,
+                       per_landmark=(LandmarkStats(0, 9, 4, 0.0, 0.0),))
 
     def test_comparison_deltas(self):
         def report(hits):
@@ -159,3 +173,5 @@ class TestReports:
         assert deltas["a"][0] == pytest.approx(0.25)
         assert deltas["a"][1] == pytest.approx(95 / 70 - 1)
         assert deltas["b"][0] == pytest.approx(0.35)
+        # one method has nothing to be compared with
+        assert dataclasses.replace(comp, methods={"fused": report(95)}).deltas() == {}

@@ -293,6 +293,8 @@ class TestFuseBatch:
         np.testing.assert_array_equal(out.points, pts)
         with pytest.raises(ValidationError, match="channel"):
             FusionConfig(prior_sigma=(3.0,)).sigma_for(2)
+        with pytest.raises(ValidationError, match="^per-landmark prior sigmas need a channel"):
+            FusionConfig(prior_sigma=(3.0, 9.0)).sigma_for()
 
     def test_too_few_per_landmark_sigmas_fail_before_any_channel(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
@@ -313,6 +315,14 @@ class TestFusionConfig:
         prior = (6.0, sigma) if per_landmark else sigma
         with pytest.raises(ValidationError, match=f"got {sigma}$"):
             FusionConfig(prior_sigma=prior)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FusionConfig(prior_sigma=()), r"^bad per-landmark prior sigmas: \(\)$"),
+        (lambda: FusionConfig(decode="argmax"), "^unknown decode method: 'argmax'$"),
+    ], ids=["no-sigmas", "decode-string"])
+    def test_malformed_config_names_its_rule(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
 
 class TestPeakSelectionRule:

@@ -138,6 +138,14 @@ class TestAffineTransform:
         with pytest.raises(ValidationError, match="singular"):
             AffineTransform2D(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.eye(2), r"^affine matrix must be 2x3, got \(2, 2\)$"),
+        (np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]]), "^affine matrix must be finite$"),
+    ], ids=["shape", "nan"])
+    def test_malformed_matrix_names_its_rule(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            AffineTransform2D(matrix)
+
     def test_invert_round_trip(self):
         rng = np.random.default_rng(6)
         for _ in range(50):

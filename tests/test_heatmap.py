@@ -75,6 +75,11 @@ class TestHeatmapValidation:
 
 
 class TestRenderGaussian:
+    @pytest.mark.parametrize("center", [(math.nan, 1.0), (1.0, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_center_is_refused(self, center):
+        with pytest.raises(ValidationError, match=r"^non-finite center: \("):
+            GaussianSpec(center, 1.2)
+
     def test_center_value_is_one(self):
         hm = render_gaussian(GaussianSpec((5, 5), 1.2), 16, 16)
         assert hm.values[5, 5] == pytest.approx(1.0, abs=1e-15)

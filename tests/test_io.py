@@ -263,11 +263,19 @@ class TestHeatmapStacks:
 
     def test_value_beyond_float32_names_its_channel(self, tmp_path):
         path = tmp_path / "s.hmap"
-        for big in (1e300, 2.0 ** 128):
+        # 2**128 - 2**103 is the least double that float32 rounds to inf; the
+        # double below it is written as float32's largest value
+        edge = 2.0 ** 128 - 2.0 ** 103
+        for big in (1e300, 2.0 ** 128, edge, np.nextafter(edge, 0)):
             values = np.zeros((3, 3))
             values[1, 2] = big
+            stack = [Heatmap(np.ones((3, 3))), Heatmap(values)]
+            if big < edge:
+                io.write_heatmap_stack(path, stack)
+                assert io.read_heatmap_stack(path)[1].values[1, 2] == np.finfo(np.float32).max
+                continue
             with pytest.raises(ValidationError, match="channel 1 .*float32"):
-                io.write_heatmap_stack(path, [Heatmap(np.ones((3, 3))), Heatmap(values)])
+                io.write_heatmap_stack(path, stack)
             assert not path.exists()
             assert list(tmp_path.iterdir()) == []
 
@@ -420,6 +428,7 @@ class TestManifests:
     @pytest.mark.parametrize("header, cell", [
         ("landmark_count = abc", "0.5"),
         ("working_size = 64 wide", "0.5"),
+        ("working_size = 64", "0.5"),
         ("", "half"),
     ])
     def test_malformed_value_names_manifest(self, tmp_path, header, cell):

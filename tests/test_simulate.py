@@ -360,6 +360,12 @@ class TestCalibration:
         with pytest.raises(ValidationError, match="^10 prior sigmas for 11 landmarks$"):
             dataclasses.replace(config, fusion=FusionConfig(prior_sigma=(6.0,) * 10))
 
+    @pytest.mark.parametrize("accuracy", [0.0, 1.0])
+    def test_accuracy_outside_the_open_unit_interval_is_refused(self, accuracy):
+        with pytest.raises(ValidationError,
+                           match=rf"^accuracy must be in \(0, 1\), got {accuracy}$"):
+            noise_sigma_for_accuracy(accuracy, 16.0)
+
     def test_rayleigh_inversion(self):
         sigma = noise_sigma_for_accuracy(0.713, 16.0)
         assert sigma == pytest.approx(10.12628591241215, rel=1e-12)
