@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,8 @@ def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
                         height: int) -> tuple[np.ndarray, np.ndarray]:
     """-(d*d)/(2*sigma*sigma) for the distance d of each column from the
     center's x and of each row from its y; the Gaussian at pixel (y, x) is
-    exp(lx[x]) * exp(ly[y]).
+    exp(lx[x]) * exp(ly[y]). Given columns of k centers' x and y and of k
+    sigmas, it gives k rows of each, every element by the same operations.
 
     Overflow is ignored: an overflowing square or quotient means the true
     exponent is below -1.8e308, so -inf is exact (exp gives 0, and a fused
@@ -160,59 +162,79 @@ def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
     relies on the tails). Only the region where that product is exactly 0,
     beyond where an exponential underflows, is filled without computing it.
     """
-    return _render((spec,), width, height)
+    return _render([(spec,)], width, height)[0]
 
 
-def _render(specs, width: int, height: int) -> Heatmap:
-    """The Gaussians of ``specs``, max-combined over the box spanning their
-    nonzero blocks.
+def _render(channels, width: int, height: int) -> list[Heatmap]:
+    """One map per spec sequence of ``channels``: its Gaussians,
+    max-combined over the box spanning their nonzero blocks.
 
-    Each is computed only over its nonzero block: outside it the rendered
-    Gaussian is 0, which max leaves as is. The box that joins the blocks,
-    the map's support, is found from the Gaussians' 1-D factors first. A
-    single block is the map's block as it is; several are computed one at a
-    time and max-combined into a zeroed array of that box.
+    Each Gaussian is computed only over its nonzero block: outside it the
+    rendered Gaussian is 0, which max leaves as is. The 1-D factors of every
+    distinct (center, sigma) in the batch come from one array of exponents,
+    one row each, and give each block's box before any block is built. A
+    unit-peak block is built once, on its first use, and shared by every
+    spec with its key until the last one; an amplitude scales a new array,
+    so a shared block is never written. A map of one block keeps that
+    block; several are max-combined, one at a time, into a zeroed array of
+    their joined box.
     """
     PixelFrame(width, height)
-    factors = []
-    for spec in specs:
-        lx, ly = _gaussian_exponents(spec.center, spec.sigma, width, height)
-        ex, ey = np.exp(lx), np.exp(ly)
-        # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
-        r0, r1, c0, c1 = box = _box(ey > 0, ex > 0)
-        if r1 > r0:
-            factors.append((box, ey[r0:r1], ex[c0:c1], spec.amplitude))
-    # a map with no nonzero pixel gets the empty box
-    r0s, r1s, c0s, c1s = zip(*(f[0] for f in factors)) if factors else ((0,),) * 4
-    row0, col0 = min(r0s), min(c0s)
-    joined = None if len(factors) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
-    for (r0, r1, c0, c1), ey, ex, amplitude in factors:
-        block = np.outer(ey, ex)
-        if amplitude != 1.0:
-            block *= amplitude
-        if joined is None:
-            joined = block
-        else:
-            part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
-            np.maximum(part, block, out=part)
-    return Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)), _shape=(height, width))
+    # each distinct (center, sigma), with the number of specs that use it
+    keys = Counter((spec.center, spec.sigma) for specs in channels for spec in specs)
+    row = {key: i for i, key in enumerate(keys)}
+    uses = list(keys.values())
+    centers = np.array([center for center, _ in keys], dtype=np.float64).reshape(-1, 2)
+    sigmas = np.array([sigma for _, sigma in keys], dtype=np.float64)[:, None]
+    lx, ly = _gaussian_exponents((centers[:, :1], centers[:, 1:]), sigmas, width, height)
+    ex, ey = np.exp(lx, out=lx), np.exp(ly, out=ly)
+    # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
+    boxes = [_box(y > 0, x > 0) for y, x in zip(ey, ex)]
+    units = {}
+    stack = []
+    for specs in channels:
+        placed = [(row[spec.center, spec.sigma], spec.amplitude) for spec in specs]
+        placed = [(i, amplitude) for i, amplitude in placed if boxes[i][1] > boxes[i][0]]
+        # a map with no nonzero pixel gets the empty box
+        r0s, r1s, c0s, c1s = zip(*(boxes[i] for i, _ in placed)) if placed else ((0,),) * 4
+        row0, col0 = min(r0s), min(c0s)
+        joined = None if len(placed) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
+        for i, amplitude in placed:
+            r0, r1, c0, c1 = boxes[i]
+            block = units.get(i)
+            if block is None:
+                block = units[i] = np.outer(ey[i, r0:r1], ex[i, c0:c1])
+            uses[i] -= 1
+            if not uses[i]:
+                del units[i]
+            if amplitude != 1.0:
+                block = block * amplitude
+            if joined is None:
+                joined = block
+            else:
+                part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
+                np.maximum(part, block, out=part)
+        stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)),
+                             _shape=(height, width)))
+    return stack
 
 
 def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:
     """(r0, r1, c0, c1): the rows and the columns from the first to the last
-    True entry of each mask, or the empty box if either mask has none."""
-    rows, cols = np.flatnonzero(row_mask), np.flatnonzero(col_mask)
-    if not (rows.size and cols.size):
+    True entry of each mask, or the empty box if either mask has none.
+    Neither mask is empty: every grid side is at least 1."""
+    # argmax gives the first True, or 0 when there is none
+    r0, c0 = int(row_mask.argmax()), int(col_mask.argmax())
+    if not (row_mask[r0] and col_mask[c0]):
         return 0, 0, 0, 0
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return (r0, row_mask.size - int(row_mask[::-1].argmax()),
+            c0, col_mask.size - int(col_mask[::-1].argmax()))
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:
     """One unit-peak heatmap per landmark, channel order matching point order."""
-    return [
-        render_gaussian(GaussianSpec((float(x), float(y)), sigma), width, height)
-        for x, y in lms.points
-    ]
+    return _render([(GaussianSpec((float(x), float(y)), sigma),) for x, y in lms.points],
+                   width, height)
 
 
 def decode_argmax(hm: Heatmap) -> tuple[int, int]:

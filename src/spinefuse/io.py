@@ -37,10 +37,16 @@ def _atomic_file(path: str | Path):
     """A binary file to write ``path`` through: a sibling temp file with a
     random name, created exclusively with mode 0o666 less the umask, renamed
     onto ``path`` when the block ends and removed if it raises, so readers
-    never see a half-written file."""
+    never see a half-written file. An error creating the temp file names
+    ``path``."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # the temp file is never the caller's: name the file it stands for
+        exc.filename = path
+        raise
     try:
         with open(fd, "wb") as f:
             yield f

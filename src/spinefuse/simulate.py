@@ -119,8 +119,8 @@ def generate_phantom(rng: Rng, config: PhantomConfig) -> LandmarkSet:
 
 def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
     """Render a chain as a displayable raster: bright blobs on a dark bed."""
-    blobs = _render([GaussianSpec((float(x), float(y)), 5.0) for x, y in lms.points],
-                    config.width, config.height)
+    blobs = _render([[GaussianSpec((float(x), float(y)), 5.0) for x, y in lms.points]],
+                    config.width, config.height)[0]
     # outside the blobs' support every pixel is the bed, 15 + 220 * 0
     pixels = np.full((config.height, config.width), _round_u8(np.float64(15.0)))
     r0, r1, c0, c1 = blobs._support
@@ -156,7 +156,7 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
     uniform.
     """
     n = len(gt)
-    stack = []
+    channels = []
     for k, (x, y) in enumerate(gt.points):
         cx = x + rng.normal(0.0, model.peak_jitter_sigma)
         cy = y + rng.normal(0.0, model.peak_jitter_sigma)
@@ -172,8 +172,9 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
             amp = rng.uniform(*model.spurious_amplitude)
             nx, ny = gt.points[nb]
             specs.append(GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp))
-        stack.append(_render(specs, width, height))
-    return stack
+        channels.append(specs)
+    # every draw is taken before rendering, which draws nothing
+    return _render(channels, width, height)
 
 
 @dataclass(frozen=True)

@@ -485,6 +485,19 @@ def _report_onto_directory(tmp_path):
              "--out", out], out, errno.EISDIR)
 
 
+def _simulate_into_missing_directory(tmp_path):
+    out = tmp_path / "nodir" / "r.txt"
+    return (["simulate", "--preset", "noiseless", "--seed", 7, "--out", out], out,
+            errno.ENOENT)
+
+
+def _report_into_missing_directory(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    out = tmp_path / "nodir" / "r.txt"
+    return (["eval", "--manifest", manifest_path, "--pred-dir", manifest_path.parent,
+             "--out", out], out, errno.ENOENT)
+
+
 def _missing_manifest(tmp_path):
     manifest_path = tmp_path / "nope.txt"
     return (["eval", "--manifest", manifest_path, "--pred-dir", tmp_path],
@@ -551,17 +564,23 @@ class TestMalformedInput:
         assert err.startswith(f"error: {bad}: ")
         assert err.count(str(bad)) == 1
 
-    # an I/O error names its own file, whichever item or command hit it; the
-    # report's rename names its target
+    # an I/O error names its own file, whichever item or command hit it; a
+    # report's rename, or its temp file in a missing directory, names the
+    # report, and no temp file is left
     @pytest.mark.parametrize("case", [_missing_coords, _directory_stack, _missing_prediction,
-                                      _report_onto_directory, _missing_manifest],
+                                      _report_onto_directory, _missing_manifest,
+                                      _simulate_into_missing_directory,
+                                      _report_into_missing_directory],
                              ids=["fuse-coords", "decode-directory", "eval-prediction",
-                                  "eval-out-directory", "eval-manifest"])
+                                  "eval-out-directory", "eval-manifest",
+                                  "simulate-out-missing-directory",
+                                  "eval-out-missing-directory"])
     def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, case):
         argv, bad, code = case(tmp_path)
         capsys.readouterr()
         assert run(*argv) == EXIT_IO
         assert capsys.readouterr().err == f"error: {bad}: [Errno {code}] {os.strerror(code)}\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch):
         manifest_path = make_corpus(tmp_path, count=1)

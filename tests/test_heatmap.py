@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
@@ -10,6 +10,7 @@ from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
 from spinefuse.heatmap import (
     GaussianSpec,
     Heatmap,
+    _box,
     _render,
     decode_argmax,
     decode_centroid,
@@ -172,6 +173,48 @@ class TestRenderLabelStack:
         assert stack[0].values[13, 10] == pytest.approx(0.04393693362340742, rel=1e-12)
 
 
+@st.composite
+def spec_batches(draw):
+    """A grid and a batch of spec sequences drawn from a few (center, sigma)
+    keys, so keys repeat within and across channels. Centres reach three
+    grid sizes outside the frame, where a narrow Gaussian's block is empty;
+    amplitudes are 1 or not, and a channel may hold no spec."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    keys = draw(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0),
+                                   st.one_of(st.sampled_from([0.05, 1.2]),
+                                             st.floats(0.05, 50.0))),
+                         min_size=1, max_size=4))
+    amplitude = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
+    channels = draw(st.lists(st.lists(st.tuples(st.sampled_from(keys), amplitude), max_size=4),
+                             max_size=5))
+    return w, h, [[GaussianSpec((fx * w, fy * h), sigma, amp) for (fx, fy, sigma), amp in specs]
+                  for specs in channels]
+
+
+class TestBatchedRender:
+    @settings(max_examples=300, deadline=None)
+    @given(spec_batches(), spec_batches())
+    def test_a_batch_equals_each_channel_alone_and_the_dense_reference(self, batch, other):
+        w, h, channels = batch
+        got = _render(channels, w, h)
+        assert len(got) == len(channels)
+        for hm, specs in zip(got, channels):
+            alone = _render([specs], w, h)[0]
+            dense = np.max([dense_gaussian(spec, w, h) for spec in specs] or [np.zeros((h, w))],
+                           axis=0)
+            assert hm._support == alone._support
+            assert hm._block.tobytes() == alone._block.tobytes()
+            assert hm.values.tobytes() == alone.values.tobytes() == dense.tobytes()
+            assert not hm._block.flags.writeable
+        # blocks shared within a batch are never written, by this batch or
+        # by a later one
+        before = [hm._block.tobytes() for hm in got]
+        ow, oh, more = other
+        _render(more + channels, ow, oh)
+        _render(channels[::-1], w, h)
+        assert [hm._block.tobytes() for hm in got] == before
+
+
 class TestDecodeArgmax:
     def test_integer_center_recovered(self):
         hm = render_gaussian(GaussianSpec((7, 3), 1.2), 16, 16)
@@ -250,7 +293,7 @@ class TestBlockStorage:
     ], ids=["left", "right", "top", "bottom", "two-at-a-corner"])
     def test_a_block_cut_by_an_edge(self, centres, cuts):
         specs = [GaussianSpec(c, 1.2, 1.0 - 0.25 * i) for i, c in enumerate(centres)]
-        hm = _render(specs, 300, 200)
+        hm = _render([specs], 300, 200)[0]
         r0, r1, c0, c1 = hm._support
         assert (r0 == 0, r1 == 200, c0 == 0, c1 == 300) == cuts
         assert hm._block.shape == (r1 - r0, c1 - c0) and "values" not in vars(hm)
@@ -354,6 +397,34 @@ class TestSupport:
         assert hm.values is not grid and hm.values is hm.values
         assert hm.values.dtype == np.float64
         assert np.array_equal(hm.values, grid)
+
+
+def bool_masks():
+    """Masks of 1 to 40 entries: all False, one True, or a few, with True
+    often at either end."""
+    @st.composite
+    def draw_mask(draw):
+        n = draw(st.integers(1, 40))
+        on = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        on |= draw(st.sets(st.sampled_from([0, n - 1])))
+        mask = np.zeros(n, dtype=bool)
+        mask[sorted(on)] = True
+        return mask
+    return draw_mask()
+
+
+class TestBox:
+    @settings(max_examples=300, deadline=None)
+    @given(bool_masks(), bool_masks())
+    @example(np.zeros(3, dtype=bool), np.ones(2, dtype=bool))
+    @example(np.array([False, True, False]), np.array([True]))
+    @example(np.array([True, False, False]), np.array([False, False, True]))
+    def test_matches_the_flatnonzero_reference(self, row_mask, col_mask):
+        rows, cols = np.flatnonzero(row_mask), np.flatnonzero(col_mask)
+        want = ((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if rows.size and cols.size
+                else (0, 0, 0, 0))
+        got = _box(row_mask, col_mask)
+        assert got == want and all(type(v) is int for v in got)
 
 
 class TestSupportDecodes:

@@ -196,7 +196,10 @@ class TestSimulateHeatmaps:
                 for nb in neighbors
             )
 
-    def test_matches_rendered_and_max_combined_reference(self):
+    # at jitter 0 a spurious peak has its neighbour's (center, sigma), so
+    # the two share one block
+    @pytest.mark.parametrize("jitter", [0.7, 0.0])
+    def test_matches_rendered_and_max_combined_reference(self, jitter):
         def reference(rng, gt, model, width, height):
             # one whole-grid map per Gaussian, combined with np.maximum
             n, out = len(gt), []
@@ -217,7 +220,7 @@ class TestSimulateHeatmaps:
             return out
 
         gt = generate_phantom(Rng(18), SMALL)
-        model = HeatmapPredictorModel(peak_jitter_sigma=0.7, adjacent_confusion_prob=0.6,
+        model = HeatmapPredictorModel(peak_jitter_sigma=jitter, adjacent_confusion_prob=0.6,
                                       spurious_amplitude=(0.8, 1.3))
         got = simulate_heatmaps(Rng(19), gt, model, SMALL.width, SMALL.height)
         want = reference(Rng(19), gt, model, SMALL.width, SMALL.height)
