@@ -140,12 +140,14 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
           channel: int | None, offset: float):
     """``(point, (box, logsum))``: the point :func:`fuse_and_decode`
     returns, decoded from the log-sum over the box of every pixel able to
-    score ``best + offset`` or more, with ``best`` the score of the pixel
-    nearest the coordinate and ``offset`` <= 0.
+    score ``best + offset`` or more, with ``best`` the larger score of the
+    pixel nearest the coordinate and of the map's first maximum, and
+    ``offset`` <= 0.
 
-    No pixel scores more than its prior plus log(max(top, eps)), with top
-    the map's maximum, so each pixel outside the box scores strictly less
-    than ``best + offset``. A lower offset gives a box that holds the
+    Both are scores of pixels, so ``best`` is at most max L. No pixel
+    scores more than its prior plus log(max(top, eps)), with top the map's
+    maximum, so each pixel outside the box scores strictly less than
+    ``best + offset``. A lower offset gives a box that holds the
     offset-0 box, and each value in it is the same sum of the same three
     terms, so its row-major first maximum is the same pixel with the same
     peak. A coordinate so far from the grid that the nearest pixel's prior
@@ -165,10 +167,14 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
     if not math.isfinite(best):
         raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
                               "is too far from the grid")
-    # the margin covers best's log and log top being rounded separately;
-    # float addition is monotone, so a column whose prior falls short of
-    # reach on the nearest pixel's row falls short on every row
+    # any pixel's score is a lower bound on max L, so the map's first
+    # maximum may raise best; the margin covers best's log and log top being
+    # rounded separately. Float addition is monotone, so a column whose
+    # prior falls short of reach on the nearest pixel's row falls short on
+    # every row
     log_top = math.log(max(predicted._top, eps))
+    py, px = divmod(predicted._argmax, predicted.width)
+    best = max(best, float(lx[px] + ly[py]) + log_top)
     reach = best + offset - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top) + abs(offset))
     r0, r1, c0, c1 = box = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
     window = _logsum(lx[c0:c1], ly[r0:r1], predicted._window(slice(r0, r1), slice(c0, c1)),

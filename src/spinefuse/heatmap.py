@@ -63,16 +63,18 @@ class Heatmap:
     """Grid of non-negative finite scores, one value per pixel.
 
     Each map records its support, the rows ``r0:r1`` and columns ``c0:c1``
-    outside which every value is exactly 0, and its maximum, and it stores
-    only the block of values inside that box, in float64. A rendered map
+    outside which every value is exactly 0, its maximum and the row-major
+    index of its first maximum, and it stores only the block of values
+    inside that box, in float64. A rendered map
     gets the box of its Gaussians' nonzero blocks, and a fused product the
     box of its fusion window; any other map (``Heatmap(values)``, an HMAP
     channel) gets the tight box of the given array's nonzero values, or the
     empty box if it has none. The given array is never kept. Values must be
     bool, integer or float; NaN, inf and negative values are nonzero, so
     they lie inside the box, where validation refuses them. Validation,
-    decoding, fusion and HMAP writes read only the block, and fusion uses
-    the maximum to bound its window.
+    decoding, fusion and HMAP writes read only the block; argmax decoding
+    reads the recorded first maximum, and fusion uses it and the maximum
+    to bound its window.
 
     ``values`` is a dense float64 grid built from the block the first time
     it is asked for; a -0.0 there reads back as 0.0.
@@ -84,6 +86,8 @@ class Heatmap:
     # (height, width)
     _shape: tuple[int, int]
     _top: float
+    # the row-major grid index of the first maximum, if any value is nonzero
+    _argmax: int
 
     def __init__(self, values: np.ndarray, *, _support=None, _shape=None):
         # _support and _shape are private: passed by _render and fuse_product,
@@ -109,10 +113,20 @@ class Heatmap:
                 r0, r1, c0, c1 = support = _box(nonzero.any(axis=1), nonzero.any(axis=0))
                 # the cast to float64; adding +0.0 also turns -0.0 into 0.0
                 block = np.add(arr[r0:r1, c0:c1], 0.0, dtype=np.float64)
-        # NaN and +-inf all reach min or max, so two reductions check both;
-        # every value outside the box is 0, which passes both checks and
-        # raises no maximum of non-negative values
-        lo, hi = (block.min(), block.max()) if block.size else (0.0, 0.0)
+        # NaN and +-inf all reach min or the first maximum (argmax stops at
+        # the first NaN), so two reductions check both; every value outside
+        # the box is 0, which passes both checks and raises no maximum of
+        # non-negative values
+        first, lo, hi = 0, 0.0, 0.0
+        if block.size:
+            at = int(block.argmax())
+            lo, hi = block.min(), block.flat[at]
+            # the box keeps the grid's row-major order and every pixel
+            # outside it is 0, so unless every value is 0 the block's first
+            # maximum is the grid's
+            r0, _, c0, c1 = support
+            iy, ix = divmod(at, c1 - c0)
+            first = (r0 + iy) * shape[1] + c0 + ix
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("heatmap values must be finite")
         if lo < 0:
@@ -121,6 +135,7 @@ class Heatmap:
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_top", float(hi))
+        object.__setattr__(self, "_argmax", first)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -170,26 +185,63 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
     max-combined over the box spanning their nonzero blocks.
 
     Each Gaussian is computed only over its nonzero block: outside it the
-    rendered Gaussian is 0, which max leaves as is. The 1-D factors of every
-    distinct (center, sigma) in the batch come from one array of exponents,
-    one row each, and give each block's box before any block is built. A
-    unit-peak block is built once, on its first use, and shared by every
-    spec with its key until the last one; an amplitude scales a new array,
-    so a shared block is never written. A map of one block keeps that
-    block; several are max-combined, one at a time, into a zeroed array of
-    their joined box.
+    rendered Gaussian is 0, which max leaves as is. Each distinct (center,
+    sigma) of the batch reads its 1-D factors from a family. When every
+    pixel index x gives an exact x - c (a whole-numbered centre below
+    2**52), each factor depends only on the offset from the centre and on
+    sigma, so the whole-numbered centres of one sigma that lie within a
+    grid side of each other, along each axis, share one family: the factors
+    of their last centre on a grid that reaches every one's pixels. Any
+    other key is a family of its own, one row of one array of exponents.
+    The keys' boxes are found from the factors before any block is built.
+    A family's unit-peak block spans the offsets its keys' boxes use; it
+    is built once, on its first use, and every key's block is a slice of
+    it until the last use. An amplitude scales a new array, so a shared
+    block is never written. A map of one block keeps that block; several
+    are max-combined, one at a time, into a zeroed array of their joined
+    box.
     """
     PixelFrame(width, height)
     # each distinct (center, sigma), with the number of specs that use it
-    keys = Counter((spec.center, spec.sigma) for specs in channels for spec in specs)
+    counts = Counter((spec.center, spec.sigma) for specs in channels for spec in specs)
+    keys, uses = list(counts), list(counts.values())
     row = {key: i for i, key in enumerate(keys)}
-    uses = list(keys.values())
-    centers = np.array([center for center, _ in keys], dtype=np.float64).reshape(-1, 2)
-    sigmas = np.array([sigma for _, sigma in keys], dtype=np.float64)[:, None]
-    lx, ly = _gaussian_exponents((centers[:, :1], centers[:, 1:]), sigmas, width, height)
-    ex, ey = np.exp(lx, out=lx), np.exp(ly, out=ly)
-    # a pixel is ey[y] * ex[x], so it is 0 unless both factors are nonzero
-    boxes = [_box(y > 0, x > 0) for y, x in zip(ey, ex)]
+    # key i reads rows dy:dy + height of uy and columns dx:dx + width of ux,
+    # for (f, dy, dx) = place[i] and (uy, ux) = factors[f]
+    factors, place = [], [None] * len(keys)
+    whole = {}
+    for i, ((x, y), sigma) in enumerate(keys):
+        if _whole(x) and _whole(y):
+            whole.setdefault(sigma, []).append(i)
+    for sigma, members in whole.items():
+        xs, ys = zip(*(keys[i][0] for i in members))
+        x1, y1 = max(xs), max(ys)
+        spread_x, spread_y = int(x1 - min(xs)), int(y1 - min(ys))
+        if spread_x >= width or spread_y >= height:
+            continue
+        for i, x, y in zip(members, xs, ys):
+            place[i] = (len(factors), int(y1 - y), int(x1 - x))
+        lx, ly = _gaussian_exponents((x1, y1), sigma, width + spread_x, height + spread_y)
+        factors.append((np.exp(ly, out=ly), np.exp(lx, out=lx)))
+    rest = [i for i, at in enumerate(place) if at is None]
+    if rest:
+        centers = np.array([keys[i][0] for i in rest], dtype=np.float64)
+        sigmas = np.array([keys[i][1] for i in rest], dtype=np.float64)[:, None]
+        lx, ly = _gaussian_exponents((centers[:, :1], centers[:, 1:]), sigmas, width, height)
+        for i, uy, ux in zip(rest, np.exp(ly, out=ly), np.exp(lx, out=lx)):
+            place[i] = (len(factors), 0, 0)
+            factors.append((uy, ux))
+    # a pixel is uy * ux, so it is 0 unless both factors are nonzero
+    boxes = [_box(factors[f][0][dy:dy + height] > 0, factors[f][1][dx:dx + width] > 0)
+             for f, dy, dx in place]
+    # each family's block spans its keys' boxes, in its own offsets, and
+    # lives until its keys' last use
+    spans, left = {}, [0] * len(factors)
+    for (f, dy, dx), (r0, r1, c0, c1), n in zip(place, boxes, uses):
+        if r1 > r0:
+            a0, a1, b0, b1 = spans.get(f, (r0 + dy, r1 + dy, c0 + dx, c1 + dx))
+            spans[f] = (min(a0, r0 + dy), max(a1, r1 + dy), min(b0, c0 + dx), max(b1, c1 + dx))
+            left[f] += n
     units = {}
     stack = []
     for specs in channels:
@@ -201,12 +253,16 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
         joined = None if len(placed) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
         for i, amplitude in placed:
             r0, r1, c0, c1 = boxes[i]
-            block = units.get(i)
-            if block is None:
-                block = units[i] = np.outer(ey[i, r0:r1], ex[i, c0:c1])
-            uses[i] -= 1
-            if not uses[i]:
-                del units[i]
+            f, dy, dx = place[i]
+            a0, a1, b0, b1 = spans[f]
+            unit = units.get(f)
+            if unit is None:
+                uy, ux = factors[f]
+                unit = units[f] = np.outer(uy[a0:a1], ux[b0:b1])
+            left[f] -= 1
+            if not left[f]:
+                del units[f]
+            block = unit[r0 + dy - a0:r1 + dy - a0, c0 + dx - b0:c1 + dx - b0]
             if amplitude != 1.0:
                 block = block * amplitude
             if joined is None:
@@ -217,6 +273,12 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
         stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)),
                              _shape=(height, width)))
     return stack
+
+
+def _whole(v) -> bool:
+    """True for a whole number below 2**52 in magnitude: x - v is then
+    exact for every pixel index x."""
+    return abs(v) < 2.0 ** 52 and float(v).is_integer()
 
 
 def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -242,13 +304,8 @@ def decode_argmax(hm: Heatmap) -> tuple[int, int]:
     # values are non-negative by type, so a zero maximum means an all-zero map
     if hm._top <= 0:
         raise ValidationError("cannot decode an all-zero heatmap")
-    # every pixel outside the support is 0, below the maximum, and the box
-    # keeps the grid's row-major order, so its first match is the grid's.
-    # np.argmax copies an array that is not writeable, as a Heatmap's
-    # block is; the first pixel equal to the maximum is the same index
-    r0, _, c0, c1 = hm._support
-    iy, ix = divmod(int(np.argmax(hm._block == hm._top)), c1 - c0)
-    return c0 + ix, r0 + iy
+    iy, ix = divmod(hm._argmax, hm.width)
+    return ix, iy
 
 
 def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:

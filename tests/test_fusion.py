@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinefuse import fusion
-from spinefuse.core import LandmarkSet, PixelFrame, ValidationError
+from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
 from spinefuse.fusion import (
     DecodeMethod,
     FusionConfig,
@@ -18,7 +18,10 @@ from spinefuse.fusion import (
     fuse_batch,
     fuse_product,
 )
-from spinefuse.heatmap import GaussianSpec, Heatmap, decode_argmax, decode_centroid, render_gaussian
+from spinefuse.heatmap import (GaussianSpec, Heatmap, _box, decode_argmax, decode_centroid,
+                               render_gaussian)
+from spinefuse.simulate import (calibrated_config, generate_phantom, simulate_coords,
+                                simulate_heatmaps)
 
 
 def brute_force_fused_argmax(predicted: Heatmap, coord, sigma: float, eps: float = 1e-12):
@@ -372,7 +375,10 @@ def fusion_inputs(draw):
     that may lie outside the frame, beyond the floor horizon
     sigma * sqrt(2 ln(1/eps)) of every pixel, or up to 1e4 grid widths away.
 
-    Besides constant, bimodal and random maps there are two tie-heavy kinds:
+    Besides constant, bimodal and random maps there is ``sharp``: one peak
+    of sigma at most 1.5 and a coordinate 5 to 40 px from it, inside the
+    floor horizon, where the peak's score, not the nearest pixel's, bounds
+    the window. And there are two tie-heavy kinds:
     ``near_tie`` mixes values one ulp apart, values just above and at or
     below eps, and zeros; ``floor_ring`` puts one value above 1 on every
     pixel whose prior is at or below log eps and zero elsewhere, so the best
@@ -389,7 +395,8 @@ def fusion_inputs(draw):
         return draw(st.floats(-n - margin, 2 * n + margin))
 
     coord = (axis(w), axis(h))
-    kind = draw(st.sampled_from(["constant", "bimodal", "random", "near_tie", "floor_ring"]))
+    kind = draw(st.sampled_from(["constant", "bimodal", "random", "sharp", "near_tie",
+                                 "floor_ring"]))
     if kind == "constant":
         values = np.full((h, w), draw(st.floats(1e-6, 1e3)))
     elif kind == "bimodal":
@@ -402,6 +409,15 @@ def fusion_inputs(draw):
     elif kind == "random":
         values = draw(arrays(np.float64, (h, w), elements=st.floats(0, 1)))
         assume(values.max() > 0)
+    elif kind == "sharp":
+        centre = (draw(st.floats(0, w - 1)), draw(st.floats(0, h - 1)))
+        peak_sigma = draw(st.floats(0.3, 1.5))
+        horizon = math.sqrt(2.0 * (peak_sigma ** 2 + sigma ** 2) * -math.log(EPS))
+        assume(horizon > 5.0)
+        r = draw(st.floats(5.0, min(40.0, horizon), exclude_max=True))
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        coord = (centre[0] + r * math.cos(theta), centre[1] + r * math.sin(theta))
+        values = render_gaussian(GaussianSpec(centre, peak_sigma), w, h).values
     elif kind == "near_tie":
         base = draw(st.sampled_from([1.0, 3e-7, np.nextafter(EPS, 1.0)]))
         pool = np.array([base, np.nextafter(base, 2.0), np.nextafter(base, 0.0),
@@ -502,6 +518,37 @@ class TestSingleDecodePath:
         idx = int(np.argmax(dense_logsum(hm, (2.0, 1.0), sigma, EPS)))
         assert (idx % 4, idx // 4) == (1, 1)
         assert fuse_and_decode(hm, (2.0, 1.0), FusionConfig(prior_sigma=sigma)) == (1.0, 1.0)
+
+
+class TestPeakBoundedWindow:
+    def test_the_window_holds_the_nearest_pixel_and_the_peak_inside_the_old_box(self):
+        # the old window took best from the nearest pixel alone; on a
+        # calibrated image that pixel mostly sits on the map's eps floor.
+        # The map's peak lies in the new window whenever it scores at least
+        # what the nearest pixel does, so at least best
+        config = calibrated_config(images=1)
+        stream = Rng(4).spawn(0)
+        gt = generate_phantom(stream, config.phantom)
+        coords = simulate_coords(stream, gt, config.coords)
+        stack = simulate_heatmaps(stream, gt, config.heatmaps, 512, 512)
+        eps, held, shrunk = config.fusion.floor_epsilon, 0, 0
+        for k, (hm, coord) in enumerate(zip(stack, coords.points)):
+            (r0, r1, c0, c1), _ = fusion._fuse(hm, tuple(coord), config.fusion, k, 0.0)[1]
+            prior = log_prior(coord, config.fusion.sigma_for(k), 512, 512)
+            scores = dense_logsum(hm, coord, config.fusion.sigma_for(k), eps)
+            ny, nx = np.unravel_index(np.argmax(prior), prior.shape)
+            px, py = decode_argmax(hm)
+            assert r0 <= ny < r1 and c0 <= nx < c1
+            if scores[py, px] >= scores[ny, nx]:
+                assert r0 <= py < r1 and c0 <= px < c1
+                held += 1
+            best = float(scores[ny, nx])
+            log_top = math.log(max(hm._top, eps))
+            reach = best - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top))
+            o0, o1, p0, p1 = _box(prior[:, nx] >= reach, prior[ny] >= reach)
+            assert o0 <= r0 <= r1 <= o1 and p0 <= c0 <= c1 <= p1
+            shrunk += (r1 - r0) * (c1 - c0) < (o1 - o0) * (p1 - p0)
+        assert held > len(stack) // 2 and shrunk > len(stack) // 2
 
 
 class TestDumpsShareTheLogSum:

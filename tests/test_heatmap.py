@@ -1,9 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
 from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
@@ -17,6 +20,7 @@ from spinefuse.heatmap import (
     render_gaussian,
     render_label_stack,
 )
+from spinefuse.io import read_heatmap_stack, write_heatmap_stack
 from spinefuse.simulate import HeatmapPredictorModel, simulate_heatmaps
 
 
@@ -144,6 +148,9 @@ class TestRenderGaussian:
     @given(width=st.integers(1, 300), height=st.integers(1, 300),
            sigma=st.floats(0.05, 1e3), fx=st.floats(-3.0, 4.0), fy=st.floats(-3.0, 4.0),
            amplitude=st.floats(1e-3, 1e3))
+    # an out-of-frame whole-numbered centre whose in-grid offsets (-2 here)
+    # reach beyond the grid's side
+    @example(width=1, height=1, sigma=1.0, fx=0.0, fy=2.0, amplitude=1.0)
     def test_equals_the_dense_outer_product(self, width, height, sigma, fx, fy, amplitude):
         # centres up to three grid widths outside the frame, so some maps are all zero
         spec = GaussianSpec((fx * width, fy * height), sigma, amplitude)
@@ -176,18 +183,27 @@ class TestRenderLabelStack:
 @st.composite
 def spec_batches(draw):
     """A grid and a batch of spec sequences drawn from a few (center, sigma)
-    keys, so keys repeat within and across channels. Centres reach three
-    grid sizes outside the frame, where a narrow Gaussian's block is empty;
-    amplitudes are 1 or not, and a channel may hold no spec."""
+    keys of one or two sigmas, so keys repeat within and across channels.
+    Centres are whole numbers, at the frame or up to three grid sizes
+    outside it, so that keys of one sigma share a block or lie too far
+    apart to, or any fraction of the grid size that far out. Far out, a
+    narrow Gaussian's block is empty; amplitudes are 1 or not, and a
+    channel may hold no spec."""
     w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    keys = draw(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0),
-                                   st.one_of(st.sampled_from([0.05, 1.2]),
-                                             st.floats(0.05, 50.0))),
-                         min_size=1, max_size=4))
+    sigmas = draw(st.lists(st.one_of(st.sampled_from([0.05, 1.2]), st.floats(0.05, 50.0)),
+                           min_size=1, max_size=2))
+    # whole-numbered centres near the frame twice as often as far out
+    near = st.tuples(st.integers(-1, w), st.integers(-1, h))
+    far = st.tuples(st.integers(-3 * w, 4 * w), st.integers(-3 * h, 4 * h))
+    whole = [c.map(lambda c: (float(c[0]), float(c[1]))) for c in (near, near, far)]
+    fraction = st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)).map(
+        lambda f: (f[0] * w, f[1] * h))
+    centre = st.one_of(*whole, fraction)
+    keys = draw(st.lists(st.tuples(centre, st.sampled_from(sigmas)), min_size=1, max_size=8))
     amplitude = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
     channels = draw(st.lists(st.lists(st.tuples(st.sampled_from(keys), amplitude), max_size=4),
                              max_size=5))
-    return w, h, [[GaussianSpec((fx * w, fy * h), sigma, amp) for (fx, fy, sigma), amp in specs]
+    return w, h, [[GaussianSpec(centre, sigma, amp) for (centre, sigma), amp in specs]
                   for specs in channels]
 
 
@@ -213,6 +229,20 @@ class TestBatchedRender:
         _render(more + channels, ow, oh)
         _render(channels[::-1], w, h)
         assert [hm._block.tobytes() for hm in got] == before
+
+    def test_whole_numbered_centres_of_one_sigma_share_one_block(self):
+        # within a grid side of each other, so every block is a slice of
+        # one unit block; a fractional centre, or another sigma, gets its own
+        pts = np.array([[10.0, 3.0], [30.0, 20.0], [0.0, 39.0], [17.5, 9.0]])
+        labels = render_label_stack(LandmarkSet(pts, PixelFrame(40, 40)), 1.2, 40, 40)
+        a, b, c, fractional = labels
+        other = _render([(GaussianSpec((20.0, 20.0), 2.0),)], 40, 40)[0]
+        assert np.shares_memory(a._block, b._block) and np.shares_memory(a._block, c._block)
+        assert not np.shares_memory(a._block, fractional._block)
+        assert not np.shares_memory(a._block, other._block)
+        for hm, (x, y) in zip(labels, pts):
+            assert hm.values.tobytes() == dense_gaussian(GaussianSpec((x, y), 1.2),
+                                                         40, 40).tobytes()
 
 
 class TestDecodeArgmax:
@@ -249,6 +279,70 @@ class TestDecodeArgmax:
             for y0 in range(2, 14, 4):
                 hm = render_gaussian(GaussianSpec((x0, y0), 1.2), 16, 16)
                 assert decode_argmax(hm) == (x0, y0)
+
+
+def first_maximum(grid: np.ndarray) -> tuple[int, int]:
+    """Brute-force reference: the row-major first pixel equal to the maximum, as (x, y)."""
+    y, x = np.unravel_index(np.argmax(grid == grid.max()), grid.shape)
+    return int(x), int(y)
+
+
+@st.composite
+def maps_and_grids(draw):
+    """Maps with the grids they hold: ``Heatmap(values)`` of a bool, int or
+    float array of a few values, so maxima tie; such a float grid read back
+    as an HMAP channel; rendered batches; package-rendered maps; and a
+    confused simulated stack whose spurious peaks have amplitude exactly 1,
+    so each channel's two unit peaks tie."""
+    kind = draw(st.sampled_from(["given", "hmap", "rendered", "package", "tied_confusion"]))
+    if kind in ("given", "hmap"):
+        h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        dtype, pool = draw(st.sampled_from([(np.bool_, [False, True]), (np.int64, [0, 2, 5]),
+                                            (np.float64, [0.0, 0.25, 1.5])]))
+        if kind == "hmap":
+            dtype = np.float32
+        grid = draw(arrays(dtype, (h, w), elements=st.sampled_from(pool)))
+        if kind == "given":
+            return [(Heatmap(grid), grid)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stack.hmap"
+            write_heatmap_stack(path, [Heatmap(grid)] * 2)
+            return [(hm, grid) for hm in read_heatmap_stack(path)]
+    if kind == "rendered":
+        w, h, channels = draw(spec_batches())
+        maps = _render(channels, w, h)
+    elif kind == "package":
+        maps = draw(package_maps())
+    else:
+        w, h = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+        points = draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                               min_size=2, max_size=5))
+        gt = LandmarkSet(np.array(points, dtype=np.float64), PixelFrame(w, h))
+        model = HeatmapPredictorModel(peak_jitter_sigma=0.0, heatmap_sigma=draw(st.floats(0.3, 5.0)),
+                                      adjacent_confusion_prob=1.0, spurious_amplitude=(1.0, 1.0))
+        maps = simulate_heatmaps(Rng(draw(st.integers(0, 2**32 - 1))), gt, model, w, h)
+    return [(hm, hm.values) for hm in maps]
+
+
+class TestRecordedMaximum:
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_grids())
+    def test_decode_argmax_is_the_brute_force_first_maximum(self, maps):
+        for hm, grid in maps:
+            if not grid.any():
+                with pytest.raises(ValidationError, match="^cannot decode an all-zero heatmap$"):
+                    decode_argmax(hm)
+            else:
+                assert decode_argmax(hm) == first_maximum(grid)
+
+    def test_a_spurious_peak_of_amplitude_one_ties_and_the_earlier_row_wins(self):
+        gt = LandmarkSet(np.array([[60.0, 140.0], [64.0, 100.0], [58.0, 180.0]]),
+                         PixelFrame(128, 256))
+        model = HeatmapPredictorModel(adjacent_confusion_prob=1.0, spurious_amplitude=(1.0, 1.0))
+        for hm in simulate_heatmaps(Rng(3), gt, model, 128, 256):
+            peaks = [(int(x), int(y)) for x, y in gt.points if hm.values[int(y), int(x)] == 1.0]
+            assert len(peaks) == 2
+            assert decode_argmax(hm) == min(peaks, key=lambda p: p[1]) == first_maximum(hm.values)
 
 
 class TestDecodeCentroid:
