@@ -26,8 +26,7 @@ def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
                         height: int) -> tuple[np.ndarray, np.ndarray]:
     """-(d*d)/(2*sigma*sigma) for the distance d of each column from the
     center's x and of each row from its y; the Gaussian at pixel (y, x) is
-    exp(lx[x]) * exp(ly[y]). Given columns of k centers' x and y and of k
-    sigmas, it gives k rows of each, every element by the same operations.
+    exp(lx[x]) * exp(ly[y]).
 
     Overflow is ignored: an overflowing square or quotient means the true
     exponent is below -1.8e308, so -inf is exact (exp gives 0, and a fused
@@ -186,83 +185,76 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
 
     Each Gaussian is computed only over its nonzero block: outside it the
     rendered Gaussian is 0, which max leaves as is. Each distinct (center,
-    sigma) of the batch reads its 1-D factors from a family. When every
-    pixel index x gives an exact x - c (a whole-numbered centre below
-    2**52), each factor depends only on the offset from the centre and on
-    sigma, so the whole-numbered centres of one sigma that lie within a
-    grid side of each other, along each axis, share one family: the factors
-    of their last centre on a grid that reaches every one's pixels. Any
-    other key is a family of its own, one row of one array of exponents.
-    The keys' boxes are found from the factors before any block is built.
-    A family's unit-peak block spans the offsets its keys' boxes use; it
-    is built once, on its first use, and every key's block is a slice of
-    it until the last use. An amplitude scales a new array, so a shared
+    sigma) of the batch belongs to one family, and every family's 1-D
+    factors are the exp of one _gaussian_exponents call. When every pixel
+    index x gives an exact x - c (a whole-numbered centre below 2**52),
+    each factor depends only on the offset from the centre and on sigma, so
+    the whole-numbered centres of one sigma that lie within a grid side of
+    each other, along each axis, form one family: the factors of their last
+    centre on a grid that reaches every one's pixels. Any other key is a
+    family of its own. A factor is exp of an exponent that falls as the
+    distance from the centre grows, so its nonzero entries form one run,
+    and a key's box is its family's nonzero extent, shifted by the key's
+    offset and clipped to the grid. A family's unit-peak block spans that extent; it is built
+    once, on its first use, and every key's block is a slice of it until
+    the family's last use. An amplitude scales a new array, so a shared
     block is never written. A map of one block keeps that block; several
     are max-combined, one at a time, into a zeroed array of their joined
     box.
     """
     PixelFrame(width, height)
     # each distinct (center, sigma), with the number of specs that use it
-    counts = Counter((spec.center, spec.sigma) for specs in channels for spec in specs)
-    keys, uses = list(counts), list(counts.values())
-    row = {key: i for i, key in enumerate(keys)}
-    # key i reads rows dy:dy + height of uy and columns dx:dx + width of ux,
-    # for (f, dy, dx) = place[i] and (uy, ux) = factors[f]
-    factors, place = [], [None] * len(keys)
-    whole = {}
-    for i, ((x, y), sigma) in enumerate(keys):
-        if _whole(x) and _whole(y):
-            whole.setdefault(sigma, []).append(i)
-    for sigma, members in whole.items():
-        xs, ys = zip(*(keys[i][0] for i in members))
+    uses = Counter((spec.center, spec.sigma) for specs in channels for spec in specs)
+    # whole-numbered centres group by sigma, and any other key is alone
+    groups = {}
+    for key in uses:
+        (x, y), sigma = key
+        groups.setdefault(sigma if _whole(x) and _whole(y) else key, []).append(key)
+    families = []
+    for members in groups.values():
+        xs, ys = zip(*(center for center, _ in members))
+        split = max(xs) - min(xs) >= width or max(ys) - min(ys) >= height
+        families += [[key] for key in members] if split else [members]
+    # pixel (r, c) of a key's Gaussian is element (r + oy, c + ox) of its
+    # family's unit block, for (f, oy, ox) = place[key]; boxes holds the box
+    # of each key with a nonzero pixel, and a family's block lives until its
+    # keys' last use
+    place, boxes, factors, left = {}, {}, [], [0] * len(families)
+    for f, members in enumerate(families):
+        xs, ys = zip(*(center for center, _ in members))
         x1, y1 = max(xs), max(ys)
-        spread_x, spread_y = int(x1 - min(xs)), int(y1 - min(ys))
-        if spread_x >= width or spread_y >= height:
-            continue
-        for i, x, y in zip(members, xs, ys):
-            place[i] = (len(factors), int(y1 - y), int(x1 - x))
-        lx, ly = _gaussian_exponents((x1, y1), sigma, width + spread_x, height + spread_y)
-        factors.append((np.exp(ly, out=ly), np.exp(lx, out=lx)))
-    rest = [i for i, at in enumerate(place) if at is None]
-    if rest:
-        centers = np.array([keys[i][0] for i in rest], dtype=np.float64)
-        sigmas = np.array([keys[i][1] for i in rest], dtype=np.float64)[:, None]
-        lx, ly = _gaussian_exponents((centers[:, :1], centers[:, 1:]), sigmas, width, height)
-        for i, uy, ux in zip(rest, np.exp(ly, out=ly), np.exp(lx, out=lx)):
-            place[i] = (len(factors), 0, 0)
-            factors.append((uy, ux))
-    # a pixel is uy * ux, so it is 0 unless both factors are nonzero
-    boxes = [_box(factors[f][0][dy:dy + height] > 0, factors[f][1][dx:dx + width] > 0)
-             for f, dy, dx in place]
-    # each family's block spans its keys' boxes, in its own offsets, and
-    # lives until its keys' last use
-    spans, left = {}, [0] * len(factors)
-    for (f, dy, dx), (r0, r1, c0, c1), n in zip(place, boxes, uses):
-        if r1 > r0:
-            a0, a1, b0, b1 = spans.get(f, (r0 + dy, r1 + dy, c0 + dx, c1 + dx))
-            spans[f] = (min(a0, r0 + dy), max(a1, r1 + dy), min(b0, c0 + dx), max(b1, c1 + dx))
-            left[f] += n
-    units = {}
-    stack = []
+        lx, ly = _gaussian_exponents((x1, y1), members[0][1], width + int(x1 - min(xs)),
+                                     height + int(y1 - min(ys)))
+        uy, ux = np.exp(ly, out=ly), np.exp(lx, out=lx)
+        a0, a1, b0, b1 = _box(uy > 0, ux > 0)
+        factors.append((uy[a0:a1], ux[b0:b1]))
+        for key in members:
+            (x, y), _ = key
+            dy, dx = int(y1 - y), int(x1 - x)
+            place[key] = (f, dy - a0, dx - b0)
+            r0, r1 = max(a0 - dy, 0), min(a1 - dy, height)
+            c0, c1 = max(b0 - dx, 0), min(b1 - dx, width)
+            if r1 > r0 and c1 > c0:
+                boxes[key] = (r0, r1, c0, c1)
+                left[f] += uses[key]
+    units, stack = {}, []
     for specs in channels:
-        placed = [(row[spec.center, spec.sigma], spec.amplitude) for spec in specs]
-        placed = [(i, amplitude) for i, amplitude in placed if boxes[i][1] > boxes[i][0]]
+        placed = [((spec.center, spec.sigma), spec.amplitude) for spec in specs]
+        placed = [(key, amplitude) for key, amplitude in placed if key in boxes]
         # a map with no nonzero pixel gets the empty box
-        r0s, r1s, c0s, c1s = zip(*(boxes[i] for i, _ in placed)) if placed else ((0,),) * 4
+        r0s, r1s, c0s, c1s = zip(*(boxes[key] for key, _ in placed)) if placed else ((0,),) * 4
         row0, col0 = min(r0s), min(c0s)
         joined = None if len(placed) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
-        for i, amplitude in placed:
-            r0, r1, c0, c1 = boxes[i]
-            f, dy, dx = place[i]
-            a0, a1, b0, b1 = spans[f]
+        for key, amplitude in placed:
+            r0, r1, c0, c1 = boxes[key]
+            f, oy, ox = place[key]
             unit = units.get(f)
             if unit is None:
-                uy, ux = factors[f]
-                unit = units[f] = np.outer(uy[a0:a1], ux[b0:b1])
+                unit = units[f] = np.outer(*factors[f])
             left[f] -= 1
             if not left[f]:
                 del units[f]
-            block = unit[r0 + dy - a0:r1 + dy - a0, c0 + dx - b0:c1 + dx - b0]
+            block = unit[r0 + oy:r1 + oy, c0 + ox:c1 + ox]
             if amplitude != 1.0:
                 block = block * amplitude
             if joined is None:

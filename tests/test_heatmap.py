@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,50 @@ class TestBatchedRender:
         for hm, (x, y) in zip(labels, pts):
             assert hm.values.tobytes() == dense_gaussian(GaussianSpec((x, y), 1.2),
                                                          40, 40).tobytes()
+        # two whole-numbered centres of one sigma more than a grid side apart
+        # get a block each: slices of one block a grid side apart hold no
+        # byte in common, but they lie within the bounds of that block
+        specs = [GaussianSpec((2.0, 20.0), 1.2), GaussianSpec((43.0, 20.0), 1.2)]
+        near, far = _render([(spec,) for spec in specs], 40, 40)
+        assert near._block.size and far._block.size
+        assert not np.may_share_memory(near._block, far._block)
+        # a fractional key used by two channels builds one block
+        specs += [GaussianSpec((17.5, 9.25), 1.2)] * 2
+        first, second = _render([(specs[2],), (specs[3],)], 40, 40)
+        assert np.shares_memory(first._block, second._block)
+        # sigma 0.05 is nonzero only within one pixel of its centre, so the
+        # whole-numbered centre three columns past the frame renders the
+        # empty box, though it lies within a grid side of the in-frame centre
+        # and, as the last centre on both axes, sets their family's factors
+        specs += [GaussianSpec((10.0, 10.0), 0.05), GaussianSpec((42.0, 12.0), 0.05)]
+        inside, outside = _render([(specs[4],), (specs[5],)], 40, 40)
+        alone = render_gaussian(specs[4], 40, 40)
+        assert inside._support == alone._support != (0, 0, 0, 0)
+        assert inside._block.tobytes() == alone._block.tobytes()
+        assert outside._support == (0, 0, 0, 0)
+        for hm, spec in zip([near, far, first, second, inside, outside], specs):
+            assert hm.values.tobytes() == dense_gaussian(spec, 40, 40).tobytes()
+
+    def test_a_family_block_is_dropped_after_its_last_use(self):
+        # each channel's fractional peak is a family used once, so its unit
+        # block must not outlive the channel; eight such blocks alive at once
+        # would read about eight map blocks above what the maps hold
+        channels = [(GaussianSpec((50.0 * i + 20.5, 50.0 * i + 20.25), 3.0),
+                     GaussianSpec((50.0 * i + 21.0, 50.0 * i + 20.0), 3.0, amplitude=0.5))
+                    for i in range(8)]
+        # a first call, so one-time allocations are not counted
+        _render(channels, 400, 400)
+        tracemalloc.start()
+        try:
+            maps = _render(channels, 400, 400)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for hm, specs in zip(maps, channels):
+            want = np.max([dense_gaussian(spec, 400, 400) for spec in specs], axis=0)
+            assert hm.values.tobytes() == want.tobytes()
+        largest = max(hm._block.nbytes for hm in maps)
+        assert peak - now < 4 * largest, (peak - now) / largest
 
 
 class TestDecodeArgmax:
