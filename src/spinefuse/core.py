@@ -20,6 +20,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:
+    """(r0, r1, c0, c1): the rows and the columns from the first to the last
+    True entry of each mask, or the empty box if either mask has none.
+    Neither mask is empty: every grid side is at least 1."""
+    # argmax gives the first True, or 0 when there is none
+    r0, c0 = int(row_mask.argmax()), int(col_mask.argmax())
+    if not (row_mask[r0] and col_mask[c0]):
+        return 0, 0, 0, 0
+    return (r0, row_mask.size - int(row_mask[::-1].argmax()),
+            c0, col_mask.size - int(col_mask[::-1].argmax()))
+
+
 def _positive_finite(name: str, value: float) -> float:
     """The rule for a setting that must be a positive, finite number: returns
     the value, or raises a ValidationError that names the setting."""

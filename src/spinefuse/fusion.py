@@ -12,9 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError, _positive_finite
-from .heatmap import (GaussianSpec, Heatmap, _box, _centroid_at, _gaussian_exponents,
-                      _usable_sigma, render_gaussian)
+from .core import LandmarkSet, PixelFrame, ValidationError, _box, _positive_finite
+from .heatmap import (GaussianSpec, Heatmap, _centroid_at, _gaussian_exponents, _usable_sigma,
+                      render_gaussian)
 
 
 class DecodeMethod(Enum):

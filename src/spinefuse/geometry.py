@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, Rng, ValidationError, _frozen, _positive_finite
+from .core import (GrayImage, LandmarkSet, Rng, ValidationError, _box, _frozen,
+                   _positive_finite)
 from .preprocess import _round_u8
 
 
@@ -92,9 +93,46 @@ def build_transform(tx: float, ty: float, angle_deg: float, scale: float,
     ]))
 
 
-# pixels per row strip of warp_image: enough rows to amortize numpy's call
-# overhead, few enough that a strip's float64 temporaries stay in cache
+# pixels per strip of warp_image: enough to amortize numpy's call overhead,
+# few enough that a strip's float64 temporaries stay in cache
 _STRIP_PIXELS = 8192
+
+
+def _reach(a: float, k: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the bounds of the open interval of real x with
+    lo < a * x + k < hi; the interval is empty where they do not ascend."""
+    if a == 0:
+        inside = (lo < k) & (k < hi)
+        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+    with np.errstate(over="ignore"):  # a subnormal slope sends a bound to +-inf
+        p, q = (lo - k) / a, (hi - k) / a
+    return np.minimum(p, q), np.maximum(p, q)
+
+
+def _spans(inv: np.ndarray, box: tuple[int, int, int, int], w: int,
+           h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per output row, the columns [start, stop) whose sample under ``inv``
+    can reach the box (r0, r1, c0, c1); a row that reaches nothing gets
+    (w, 0), which widens no union of spans.
+
+    A sample at sx <= c0 - 1 or sx >= c1 (or sy <= r0 - 1 or sy >= r1) has
+    each of its four corners outside the box or at weight 0. On a row, the
+    samples inside form one open interval of x. Its bounds are widened by
+    2^-48 of the magnitudes summed into sx (or sy) and into the bounds,
+    which covers the rounding of both.
+    """
+    r0, r1, c0, c1 = box
+    ys = np.arange(h, dtype=np.float64)
+    (a, b, e), (c, d, f) = inv
+    tol_x = 2.0 ** -48 * (abs(a) * w + abs(b) * h + abs(e) + w + h)
+    tol_y = 2.0 ** -48 * (abs(c) * w + abs(d) * h + abs(f) + w + h)
+    lo_x, hi_x = _reach(a, b * ys + e, c0 - 1 - tol_x, c1 + tol_x)
+    lo_y, hi_y = _reach(c, d * ys + f, r0 - 1 - tol_y, r1 + tol_y)
+    start = np.clip(np.floor(np.maximum(lo_x, lo_y)) + 1.0, 0, w).astype(np.intp)
+    stop = np.clip(np.ceil(np.minimum(hi_x, hi_y)), 0, w).astype(np.intp)
+    empty = start >= stop
+    start[empty], stop[empty] = w, 0
+    return start, stop
 
 
 def warp_image(img: GrayImage, t: AffineTransform2D) -> GrayImage:
@@ -102,46 +140,65 @@ def warp_image(img: GrayImage, t: AffineTransform2D) -> GrayImage:
 
     Output pixel p takes the bilinear sample of the input at t^-1(p);
     samples falling outside the input grid contribute intensity 0.
-    Dimensions and spacing are unchanged. The output is computed in strips
-    of whole rows, about ``_STRIP_PIXELS`` pixels each (one row when a row
-    is wider); every pixel takes the same operations as over the whole
-    grid at once, so the bytes do not depend on the strip size.
+    Dimensions and spacing are unchanged. Only the output pixels whose
+    sample can reach the input's nonzero box are computed, in strips of
+    rows about ``_STRIP_PIXELS`` pixels each (one row when a row is wider);
+    every other pixel is exactly 0. A computed pixel takes the same
+    operations as over the whole grid at once, so the bytes depend on
+    neither the box nor the strips.
     """
     h, w = img.pixels.shape
+    out = np.zeros((h, w), dtype=np.uint8)
+    r0, r1, c0, c1 = box = _box(img.pixels.any(axis=1), img.pixels.any(axis=0))
+    if r0 == r1:
+        return GrayImage(out, img.spacing)
     inv = t.invert().matrix
-    pw = w + 3
-    padded = np.zeros((h + 3, pw), dtype=np.uint8)
-    padded[1:h + 1, 1:w + 1] = img.pixels
-    flat = padded.ravel()
-    xs = np.arange(w, dtype=np.float64)
-    out = np.empty((h, w), dtype=np.uint8)
-    rows = max(1, _STRIP_PIXELS // w)
-    for top in range(0, h, rows):
-        ys = np.arange(top, min(top + rows, h), dtype=np.float64)
-        sx = inv[0, 0] * xs[None, :] + inv[0, 1] * ys[:, None] + inv[0, 2]
-        sy = inv[1, 0] * xs[None, :] + inv[1, 1] * ys[:, None] + inv[1, 2]
+    start, stop = _spans(inv, box, w, h)
+    rows = np.flatnonzero(start < stop)
+    if not rows.size:
+        return GrayImage(out, img.spacing)
 
-        # A sample beyond [-1, w] x [-1, h] has all four corners outside the
-        # grid. Clipped onto that range, each of its corners reads the zero
-        # border or has weight 0, and the border (one pixel before the grid,
-        # two after it) takes every other outside corner. Weights are >= 0,
-        # so an outside corner adds (wx * wy) * 0 = +0, which leaves the sum
-        # bitwise unchanged.
-        np.clip(sx, -1.0, w, out=sx)
-        np.clip(sy, -1.0, h, out=sy)
+    # the box with a zero border, one pixel before it and two after it
+    pw = c1 - c0 + 3
+    padded = np.zeros((r1 - r0 + 3, pw), dtype=np.uint8)
+    padded[1:-2, 1:-2] = img.pixels[r0:r1, c0:c1]
+    flat = padded.ravel()
+    top, last = int(rows[0]), int(rows[-1]) + 1
+    while top < last:
+        # the longest run of rows from top whose union of spans fits a strip
+        lo = np.minimum.accumulate(start[top:last])
+        hi = np.maximum.accumulate(stop[top:last])
+        fits = (hi - lo) * np.arange(1, last + 1 - top) <= _STRIP_PIXELS
+        end = top + max(1, int(np.count_nonzero(fits)))
+        lo, hi = int(lo[end - top - 1]), int(hi[end - top - 1])
+        x = np.arange(lo, hi, dtype=np.float64)
+        y = np.arange(top, end, dtype=np.float64)
+        sx = inv[0, 0] * x[None, :] + inv[0, 1] * y[:, None] + inv[0, 2]
+        sy = inv[1, 0] * x[None, :] + inv[1, 1] * y[:, None] + inv[1, 2]
+
+        # Clipped onto [c0 - 1, c1] x [r0 - 1, r1], a sample outside the box
+        # keeps its pixel at 0: each corner reads the zero border or has
+        # weight 0. A sample inside is not moved, and reads what it would
+        # read from the whole grid. Weights are >= 0, so a corner that
+        # reads 0 adds (wx * wy) * 0 = +0, which leaves the sum bitwise
+        # unchanged.
+        np.clip(sx, c0 - 1.0, c1, out=sx)
+        np.clip(sy, r0 - 1.0, r1, out=sy)
         x0 = np.floor(sx)
         y0 = np.floor(sy)
-        fx = sx - x0
-        fy = sy - y0
+        # the fractional parts, in place of the samples
+        fx = np.subtract(sx, x0, out=sx)
+        fy = np.subtract(sy, y0, out=sy)
         gx = 1.0 - fx
         gy = 1.0 - fy
 
-        top_left = ((y0 + 1.0) * pw + (x0 + 1.0)).astype(np.intp)
+        top_left = ((y0 + (1.0 - r0)) * pw + (x0 + (1.0 - c0))).astype(np.intp)
         acc = (gx * gy) * flat.take(top_left)
         acc += (fx * gy) * flat.take(top_left + 1)
         acc += (gx * fy) * flat.take(top_left + pw)
         acc += (fx * fy) * flat.take(top_left + (pw + 1))
-        out[top:top + rows] = _round_u8(acc)
+        out[top:end, lo:hi] = _round_u8(acc)
+        top = end
     return GrayImage(out, img.spacing)
 
 

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError, _frozen, _positive_finite
+from .core import LandmarkSet, PixelFrame, ValidationError, _box, _frozen, _positive_finite
 
 
 def _usable_sigma(name: str, sigma: float) -> float:
@@ -271,18 +271,6 @@ def _whole(v) -> bool:
     """True for a whole number below 2**52 in magnitude: x - v is then
     exact for every pixel index x."""
     return abs(v) < 2.0 ** 52 and float(v).is_integer()
-
-
-def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int]:
-    """(r0, r1, c0, c1): the rows and the columns from the first to the last
-    True entry of each mask, or the empty box if either mask has none.
-    Neither mask is empty: every grid side is at least 1."""
-    # argmax gives the first True, or 0 when there is none
-    r0, c0 = int(row_mask.argmax()), int(col_mask.argmax())
-    if not (row_mask[r0] and col_mask[c0]):
-        return 0, 0, 0, 0
-    return (r0, row_mask.size - int(row_mask[::-1].argmax()),
-            c0, col_mask.size - int(col_mask[::-1].argmax()))
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:

@@ -98,9 +98,9 @@ def write_pgm(path: str | Path, img: GrayImage) -> None:
 
 @_reader
 def read_pgm(path: str | Path, spacing: float = 1.0) -> GrayImage:
-    """Parse a binary PGM. Only 8-bit (maxval <= 255) images are accepted;
-    ``spacing`` is attached from the caller since PGM carries no physical
-    metadata."""
+    """Parse a binary PGM. Only 8-bit images with maxval 255 are accepted;
+    any other maxval raises a ValidationError. ``spacing`` is attached from
+    the caller since PGM carries no physical metadata."""
     data = Path(path).read_bytes()
     pos = 0
 

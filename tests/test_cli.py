@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 
 import numpy as np
@@ -139,6 +140,19 @@ class TestAugment:
             if p1.name == "manifest.txt":
                 continue
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_default_pipeline_bytes_are_pinned(self, tmp_path):
+        # any inexact warp or resample fails here, not only in bench digests
+        assert run("phantom", "--out-dir", tmp_path / "corpus", "--count", 2,
+                   "--seed", 7) == EXIT_OK
+        assert run("equalize", "--manifest", tmp_path / "corpus" / "manifest.txt",
+                   "--out-dir", tmp_path / "eq") == EXIT_OK
+        assert run("augment", "--manifest", tmp_path / "eq" / "manifest.txt",
+                   "--out-dir", tmp_path / "aug", "--count", 4, "--seed", 7) == EXIT_OK
+        pgms = sorted((tmp_path / "aug").glob("*.pgm"))
+        assert len(pgms) == 8
+        assert hashlib.sha256(b"".join(p.read_bytes() for p in pgms)).hexdigest() == (
+            "1ceb11b096685f4863b601dc1b42e3efe624d7747652faa372352cdacd258d6f")
 
     def test_outputs_keep_landmarks_in_frame(self, tmp_path):
         manifest = make_corpus(tmp_path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinefuse import fusion
-from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
+from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError, _box
 from spinefuse.fusion import (
     DecodeMethod,
     FusionConfig,
@@ -18,7 +18,7 @@ from spinefuse.fusion import (
     fuse_batch,
     fuse_product,
 )
-from spinefuse.heatmap import (GaussianSpec, Heatmap, _box, decode_argmax, decode_centroid,
+from spinefuse.heatmap import (GaussianSpec, Heatmap, decode_argmax, decode_centroid,
                                render_gaussian)
 from spinefuse.simulate import (calibrated_config, generate_phantom, simulate_coords,
                                 simulate_heatmaps)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from spinefuse.geometry import (
     warp_image,
     warp_landmarks,
 )
-from spinefuse.preprocess import _round_u8
+from spinefuse.preprocess import _round_u8, equalize_histogram
+from spinefuse.simulate import PhantomConfig, generate_phantom, phantom_image
 
 
 def masked_warp(img, t):
@@ -86,6 +88,35 @@ strip_shapes = st.one_of(
     st.tuples(st.just(1), st.integers(1, 3 * _STRIP_PIXELS)),
     st.tuples(st.integers(1, 3 * _STRIP_PIXELS), st.just(1)),
 )
+
+
+# linear parts (a, b, c, d) with exact-zero coefficients: quarter turns, a
+# flip, an axis swap and axis scales; and one with subnormal coefficients,
+# whose inverse sends a naive span division to overflow
+SPECIAL_LINEAR = [
+    (0.0, 1.0, -1.0, 0.0), (0.0, -1.0, 1.0, 0.0), (0.0, 1.0, 1.0, 0.0),
+    (-1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5),
+    tuple(build_transform(0, 0, 2.225073858507e-311, 1, (0, 0)).matrix[:, :2].ravel()),
+]
+
+
+@st.composite
+def sparse_images(draw):
+    """A grid that is 0 outside a random box: the box may touch each border
+    in turn, be a single pixel at a corner, or be empty."""
+    w, h = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    pix = np.zeros((h, w), dtype=np.uint8)
+    kind = draw(st.sampled_from(["inside", "top", "bottom", "left", "right", "corner", "zero"]))
+    if kind == "corner":
+        pix[draw(st.sampled_from([0, h - 1])), draw(st.sampled_from([0, w - 1]))] = 255
+    elif kind != "zero":
+        r0 = 0 if kind == "top" else draw(st.integers(0, h - 1))
+        r1 = h if kind == "bottom" else draw(st.integers(r0 + 1, h))
+        c0 = 0 if kind == "left" else draw(st.integers(0, w - 1))
+        c1 = w if kind == "right" else draw(st.integers(c0 + 1, w))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pix[r0:r1, c0:c1] = rng.integers(1, 256, (r1 - r0, c1 - c0))
+    return GrayImage(pix, 0.5)
 
 
 class TestSampleAugmentation:
@@ -216,6 +247,83 @@ class TestWarpImage:
         got = warp_image(img, t)
         assert got.pixels.tobytes() == whole_grid_warp(img, t).pixels.tobytes()
         assert got.spacing == img.spacing
+
+    @settings(max_examples=400, deadline=None)
+    @given(img=sparse_images(),
+           linear=st.one_of(st.sampled_from(SPECIAL_LINEAR),
+                            st.tuples(*[st.floats(-3.0, 3.0)] * 4)),
+           shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           whole=st.booleans())
+    # a quarter turn onto whole pixels puts samples on the box's edges
+    @example(img=GrayImage(np.pad(np.full((3, 4), 9, np.uint8), ((2, 1), (3, 2))), 0.5),
+             linear=(0.0, 1.0, -1.0, 0.0), shift=(0.5, 0.0), whole=True)
+    # subnormal coefficients
+    @example(img=GrayImage(np.pad(np.full((3, 4), 9, np.uint8), ((2, 1), (3, 2))), 0.5),
+             linear=SPECIAL_LINEAR[-1], shift=(0.1, -0.2), whole=False)
+    # shifted fully off the grid
+    @example(img=GrayImage(np.full((5, 7), 200, np.uint8), 0.5),
+             linear=(1.0, 0.0, 0.0, 1.0), shift=(1.5, 0.0), whole=False)
+    # an all-zero image
+    @example(img=GrayImage(np.zeros((6, 9), np.uint8), 0.5),
+             linear=(0.8, -0.5, 0.5, 0.8), shift=(0.1, 0.2), whole=False)
+    def test_sparse_images_equal_the_whole_grid(self, img, linear, shift, whole):
+        # only the pixels that can reach the nonzero box are computed
+        a, b, c, d = linear
+        assume(abs(a * d - b * c) > 1e-3)
+        h, w = img.pixels.shape
+        tx, ty = shift[0] * w, shift[1] * h
+        if whole:
+            tx, ty = round(tx), round(ty)
+        t = AffineTransform2D(np.array([[a, b, tx], [c, d, ty]]))
+        got = warp_image(img, t)
+        assert got.pixels.tobytes() == whole_grid_warp(img, t).pixels.tobytes()
+        assert got.spacing == img.spacing
+
+    def test_equalized_phantoms_equal_the_whole_grid(self):
+        # the images and the transforms of `augment` on default phantoms,
+        # which are about 96% exact zeros once equalized
+        config = PhantomConfig()
+        ranges = AugmentationRanges()
+        for i in range(3):
+            lms = generate_phantom(Rng(7).spawn(i), config)
+            img = equalize_histogram(phantom_image(lms, config))
+            assert np.count_nonzero(img.pixels) < img.pixels.size // 10
+            center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
+            for j in range(3):
+                t = sample_valid_augmentation(Rng(8).spawn(3 * i + j), ranges, lms, center)
+                got = warp_image(img, t)
+                assert got.pixels.tobytes() == whole_grid_warp(img, t).pixels.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["x", "y"])
+    def test_a_sample_within_rounding_of_the_box_edge(self, transpose):
+        # the inverse map scales x by about 1e14, so sx at column 5 is a sum
+        # of terms near 5e14 that cancel to within their rounding (1/16 px)
+        # of the box's left edge; its pixels are 16, not 0. With the input
+        # transposed and x and y swapped in the map, the same holds for sy
+        pix = np.zeros((10, 10), np.uint8)
+        pix[0:2, 1:5] = 255
+        m = np.array([[9.713083088255842e-15, 0.0, 4.999999999999952],
+                      [0.0, 113.7814968264549, 2.6883511266545135]])
+        if transpose:
+            pix, m = pix.T, m[:, [1, 0, 2]]
+        img, t = GrayImage(pix, 0.5), AffineTransform2D(m)
+        got = warp_image(img, t).pixels
+        assert got.tobytes() == whole_grid_warp(img, t).pixels.tobytes()
+        assert got[:, 5].tolist() == [16] * 10
+
+    def test_memory_peak_of_a_dense_grid(self):
+        # every row of a dense image spans the whole grid; row strips over
+        # the whole grid peak at 1,362.8 KiB here, and one index array over
+        # every pixel of the image at about 11.4 MiB
+        img = GrayImage(np.random.default_rng(1).integers(1, 256, (512, 512), np.uint8), 0.5)
+        t = build_transform(3.5, -2.25, 7.0, 1.1, (255.5, 255.5))
+        tracemalloc.start()
+        try:
+            warp_image(img, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1362.8 * 1024
 
 
 class TestWarpLandmarks:

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError
+from spinefuse.core import LandmarkSet, PixelFrame, Rng, ValidationError, _box
 from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
 from spinefuse.heatmap import (
     GaussianSpec,
     Heatmap,
-    _box,
     _render,
     decode_argmax,
     decode_centroid,

@@ -99,7 +99,8 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_support_boxes_stay_inside_heatmap():
     # a map's support box is found only in heatmap, by the renderer, which
     # knows where its Gaussians are nonzero, or by Heatmap on a given grid,
-    # and in fusion, whose window bounds the fused product's nonzero values
+    # and in fusion, whose window bounds the fused product's nonzero values;
+    # geometry takes an image's nonzero box by the same core rule
     offenders = []
     for path in sorted(Path(io.__file__).parent.glob("*.py")):
         if path.name == "heatmap.py":
@@ -108,7 +109,8 @@ def test_support_boxes_stay_inside_heatmap():
             if (isinstance(node, ast.keyword) and node.arg == "_support"
                     and path.name != "fusion.py"):
                 offenders.append((path.name, "_support="))
-            elif isinstance(node, ast.ImportFrom) and path.name != "fusion.py":
+            elif (isinstance(node, ast.ImportFrom)
+                  and path.name not in ("fusion.py", "geometry.py")):
                 offenders += [(path.name, alias.name) for alias in node.names
                               if alias.name == "_box"]
     assert offenders == []
@@ -147,6 +149,14 @@ class TestPgm:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValidationError, match="maxval"):
             io.read_pgm(path)
+
+    def test_maxval_below_255_rejected(self, tmp_path):
+        # an 8-bit file with a smaller maxval would need its levels rescaled
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n1 1\n100\n\x00")
+        with pytest.raises(ValidationError) as err:
+            io.read_pgm(path)
+        assert str(err.value) == f"{path}: unsupported maxval 100, need 255"
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "img.pgm"
