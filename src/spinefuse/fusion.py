@@ -7,8 +7,10 @@ where both branches agree, and decoding the product picks the consensus peak.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -37,14 +39,19 @@ class FusionConfig:
     decode: DecodeMethod = DecodeMethod.ARGMAX
 
     def __post_init__(self):
-        scalar = isinstance(self.prior_sigma, (int, float))
-        sigmas = (self.prior_sigma,) if scalar else tuple(float(s) for s in self.prior_sigma)
+        sigma = self.prior_sigma
+        # a string is not a sequence of widths, nor a bool a width
+        many = isinstance(sigma, Sequence) and not isinstance(sigma, (str, bytes))
+        sigmas = tuple(sigma) if many else (sigma,)
+        if not all(isinstance(s, Real) and not isinstance(s, bool) for s in sigmas):
+            raise ValidationError(f"prior_sigma must be a number or a sequence of numbers, "
+                                  f"got {sigma!r}")
+        sigmas = tuple(map(float, sigmas))
         if not sigmas:
             raise ValidationError("bad per-landmark prior sigmas: ()")
         for sig in sigmas:
             _usable_sigma("prior_sigma", sig)
-        if not scalar:
-            object.__setattr__(self, "prior_sigma", sigmas)
+        object.__setattr__(self, "prior_sigma", sigmas if many else sigmas[0])
         _positive_finite("floor_epsilon", self.floor_epsilon)
         if not isinstance(self.decode, DecodeMethod):
             raise ValidationError(f"unknown decode method: {self.decode!r}")
@@ -65,7 +72,7 @@ class FusionConfig:
                     f"channel {channel} out of range for {len(self.prior_sigma)} prior sigmas"
                 )
             return self.prior_sigma[channel]
-        return float(self.prior_sigma)
+        return self.prior_sigma
 
 
 def coord_to_prior(coord: tuple[float, float], prior_sigma: float,
@@ -160,10 +167,11 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
                                  predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
-    # the pixel nearest the coordinate, where both prior terms peak
-    nx, ny = int(np.argmax(lx)), int(np.argmax(ly))
-    best = float(_logsum(lx[nx:nx + 1], ly[ny:ny + 1],
-                         predicted._window(slice(ny, ny + 1), slice(nx, nx + 1)), eps)[0, 0])
+    # the pixel nearest the coordinate, where both prior terms peak; 0 off the support
+    nx, ny = int(lx.argmax()), int(ly.argmax())
+    r0, r1, c0, c1 = predicted._support
+    v = predicted._block[ny - r0, nx - c0] if r0 <= ny < r1 and c0 <= nx < c1 else 0.0
+    best = float((lx[nx] + ly[ny]) + np.log(max(v, eps)))
     if not math.isfinite(best):
         raise ValidationError(f"coordinate ({float(coord[0])}, {float(coord[1])}) "
                               "is too far from the grid")

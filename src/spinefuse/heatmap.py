@@ -31,14 +31,16 @@ def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
     Overflow is ignored: an overflowing square or quotient means the true
     exponent is below -1.8e308, so -inf is exact (exp gives 0, and a fused
     score of -inf ranks below every finite one) while sigma stays below
-    about 1e152.
+    about 1e152. Both rows are views of one array, built in one pass.
     """
     x0, y0 = center
     two_s2 = 2.0 * sigma * sigma
+    rows = np.arange(max(width, height), dtype=np.float64) - [[x0], [y0]]
     with np.errstate(over="ignore"):
-        lx = -((np.arange(width, dtype=np.float64) - x0) ** 2) / two_s2
-        ly = -((np.arange(height, dtype=np.float64) - y0) ** 2) / two_s2
-    return lx, ly
+        np.square(rows, out=rows)
+        np.negative(rows, out=rows)
+        rows /= two_s2
+    return rows[0, :width], rows[1, :height]
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,8 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
     once, on its first use, and every key's block is a slice of it until
     the family's last use. An amplitude scales a new array, so a shared
     block is never written. A map of one block keeps that block; several
-    are max-combined, one at a time, into a zeroed array of their joined
-    box.
+    fill a zeroed array of their joined box, the first written in place
+    and each later one max-combined with it.
     """
     PixelFrame(width, height)
     # each distinct (center, sigma), with the number of specs that use it
@@ -245,7 +247,7 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
         r0s, r1s, c0s, c1s = zip(*(boxes[key] for key, _ in placed)) if placed else ((0,),) * 4
         row0, col0 = min(r0s), min(c0s)
         joined = None if len(placed) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
-        for key, amplitude in placed:
+        for n, (key, amplitude) in enumerate(placed):
             r0, r1, c0, c1 = boxes[key]
             f, oy, ox = place[key]
             unit = units.get(f)
@@ -255,13 +257,18 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
             if not left[f]:
                 del units[f]
             block = unit[r0 + oy:r1 + oy, c0 + ox:c1 + ox]
-            if amplitude != 1.0:
-                block = block * amplitude
             if joined is None:
-                joined = block
+                joined = block if amplitude == 1.0 else block * amplitude
+                continue
+            part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
+            # every value is a non-negative product, never -0 or NaN, so the
+            # first block's max with the zeroed array is the block itself
+            if n:
+                np.maximum(part, block if amplitude == 1.0 else block * amplitude, out=part)
+            elif amplitude == 1.0:
+                np.copyto(part, block)
             else:
-                part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
-                np.maximum(part, block, out=part)
+                np.multiply(block, amplitude, out=part)
         stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)),
                              _shape=(height, width)))
     return stack

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -327,6 +327,28 @@ class TestFusionConfig:
         with pytest.raises(ValidationError, match=message):
             build()
 
+    # a string is not iterated into per-landmark sigmas, nor a bool taken
+    # as 1.0; a 0-d array is not a number
+    @pytest.mark.parametrize("sigma", ["12", b"12", True, (6.0, True), ("6",), None, {6.0},
+                                       np.array(6.0), np.array([6.0, 3.0])],
+                             ids=["str", "bytes", "bool", "bool-item", "str-item", "none",
+                                  "set", "array-0d", "array"])
+    def test_a_prior_sigma_that_is_not_numbers_is_refused(self, sigma):
+        message = f"prior_sigma must be a number or a sequence of numbers, got {sigma!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FusionConfig(prior_sigma=sigma)
+
+    # numpy scalars are real numbers; the config holds plain floats
+    @pytest.mark.parametrize("sigma, expected", [
+        (np.float32(6.0), 6.0), (np.int64(6), 6.0), (6, 6.0), (np.float64(2.5), 2.5),
+        ([3, np.float32(4.5)], (3.0, 4.5)), ((np.int64(2), 7.0), (2.0, 7.0)),
+    ], ids=["float32", "int64", "int", "float64", "list", "tuple"])
+    def test_real_numbers_are_widths(self, sigma, expected):
+        cfg = FusionConfig(prior_sigma=sigma)
+        assert cfg.prior_sigma == expected
+        got = cfg.prior_sigma if isinstance(expected, tuple) else (cfg.prior_sigma,)
+        assert all(type(s) is float for s in got)
+
 
 class TestPeakSelectionRule:
     """With equal-amplitude peaks, the prior picks whichever peak it is
@@ -370,8 +392,9 @@ def dense_logsum(hm: Heatmap, coord, sigma: float, eps: float) -> np.ndarray:
 
 
 @st.composite
-def fusion_inputs(draw):
-    """A map on a grid of up to 96 x 96, a prior width, and a coordinate
+def fusion_inputs(draw, size=None):
+    """A map on a grid of up to 96 x 96, or of ``size`` (width, height) when
+    given, a prior width, and a coordinate
     that may lie outside the frame, beyond the floor horizon
     sigma * sqrt(2 ln(1/eps)) of every pixel, or up to 1e4 grid widths away.
 
@@ -385,7 +408,7 @@ def fusion_inputs(draw):
     pixels lie beyond the floor horizon, and, with the coordinate on the
     half-pixel lattice, tie in mirrored pairs.
     """
-    w, h = draw(st.integers(1, 96)), draw(st.integers(1, 96))
+    w, h = size or (draw(st.integers(1, 96)), draw(st.integers(1, 96)))
     sigma = draw(st.floats(0.3, 20.0))
     span = draw(st.sampled_from(["frame", "horizon", "far"]))
 
@@ -549,6 +572,73 @@ class TestPeakBoundedWindow:
             assert o0 <= r0 <= r1 <= o1 and p0 <= c0 <= c1 <= p1
             shrunk += (r1 - r0) * (c1 - c0) < (o1 - o0) * (p1 - p0)
         assert held > len(stack) // 2 and shrunk > len(stack) // 2
+
+
+def dense_point(hm: Heatmap, coord, sigma: float, decode: DecodeMethod):
+    """The decoded point of one channel from the whole grid's log-sum: its
+    row-major first maximum, or the centroid of exp(logsum - peak) over the
+    3x3 patch there, clamped at the border."""
+    logsum = dense_logsum(hm, coord, sigma, EPS)
+    iy, ix = divmod(int(np.argmax(logsum)), hm.width)
+    if decode is DecodeMethod.ARGMAX:
+        return float(ix), float(iy)
+    x0, x1 = max(0, ix - 1), min(hm.width, ix + 2)
+    y0, y1 = max(0, iy - 1), min(hm.height, iy + 2)
+    patch = np.exp(logsum[y0:y1, x0:x1] - logsum[iy, ix])
+    dx = np.arange(x0 - ix, x1 - ix, dtype=np.float64)
+    dy = np.arange(y0 - iy, y1 - iy, dtype=np.float64)
+    total = patch.sum()
+    return (ix + float((patch.sum(axis=0) * dx).sum() / total),
+            iy + float((patch.sum(axis=1) * dy).sum() / total))
+
+
+@st.composite
+def fusion_stacks(draw):
+    """One to four channels of :func:`fusion_inputs` on one grid, not always
+    square, with their coordinates and either one prior width for every
+    channel or each channel's own. A ``sharp`` channel puts a narrow peak
+    5 to 40 px from its coordinate, so the pixel nearest the coordinate
+    often lies outside the map's support."""
+    w, h = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    channels = draw(st.lists(fusion_inputs(size=(w, h)), min_size=1, max_size=4))
+    maps, coords, sigmas = zip(*channels)
+    return list(maps), np.array(coords), sigmas if draw(st.booleans()) else sigmas[0]
+
+
+class TestFuseBatchIsChannelwise:
+    """``fuse_batch`` decodes each channel as the dense oracle does, and it
+    decodes a channel by one call of ``fuse_and_decode``, the call the
+    benchmark's per-layer counts are taken from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fusion_stacks())
+    # a one-row grid, a half-pixel coordinate between two equal values, and
+    # a coordinate beyond the floor horizon whose nearest pixel (0, 0) lies
+    # outside the support of the map's only nonzero pixel
+    @example(([Heatmap(np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 0.0]])),
+               Heatmap(np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 2.0]]))],
+              np.array([[1.5, 0.0], [-300.0, 0.0]]), (1.0, 2.0)))
+    def test_points_are_the_dense_oracles(self, stack):
+        maps, coords, sigma = stack
+        frame = PixelFrame(maps[0].width, maps[0].height)
+        for decode in DecodeMethod:
+            cfg = FusionConfig(prior_sigma=sigma, decode=decode)
+            points = fuse_batch(maps, LandmarkSet(coords, frame), cfg).points
+            for k, (hm, coord) in enumerate(zip(maps, coords)):
+                assert tuple(points[k]) == dense_point(hm, coord, cfg.sigma_for(k), decode)
+
+    def test_each_channel_is_one_fuse_and_decode_call(self, monkeypatch):
+        pts = np.array([[10.0, 10.0], [20.5, 30.0], [40.0, 50.25], [1e3, -4.0]])
+        specs = [GaussianSpec((x + 1.5, y - 2.0), 1.2) for x, y in pts[:3]]
+        stack = [render_gaussian(spec, 64, 48) for spec in specs + [GaussianSpec((5.0, 5.0), 0.3)]]
+        coords = LandmarkSet(pts, PixelFrame(64, 48))
+        cfg = FusionConfig(prior_sigma=(6.0, 3.0, 9.0, 6.0), decode=DecodeMethod.CENTROID)
+        expected = fuse_batch(stack, coords, cfg).points
+        calls, decode = [], fusion.fuse_and_decode
+        monkeypatch.setattr(fusion, "fuse_and_decode",
+                            lambda *args, **kw: calls.append((args[0], kw)) or decode(*args, **kw))
+        assert fuse_batch(stack, coords, cfg).points.tobytes() == expected.tobytes()
+        assert [(hm, kw["channel"]) for hm, kw in calls] == [(hm, k) for k, hm in enumerate(stack)]
 
 
 class TestDumpsShareTheLogSum:

@@ -14,6 +14,7 @@ from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
 from spinefuse.heatmap import (
     GaussianSpec,
     Heatmap,
+    _gaussian_exponents,
     _render,
     decode_argmax,
     decode_centroid,
@@ -77,6 +78,29 @@ class TestHeatmapValidation:
         assert repr(hm) == f"Heatmap(values={vals!r})"
         with pytest.raises(ValidationError, match="non-negative"):
             Heatmap(values=-vals)
+
+
+class TestGaussianExponents:
+    # centres on and off the grid, whole and fractional, and 1e160, whose
+    # square overflows to an exponent of -inf; sigma 1e-160, where the
+    # divide overflows. The suite turns a numpy overflow warning into an error
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 80), height=st.integers(1, 80),
+           centre=st.tuples(*[st.one_of(st.integers(-100, 200).map(float),
+                                        st.floats(-100.0, 200.0),
+                                        st.sampled_from([1e160, -1e160]))] * 2),
+           sigma=st.one_of(st.floats(0.05, 1e3), st.just(1e-160)))
+    @example(width=1, height=1, centre=(0.0, 0.0), sigma=1e-160)
+    @example(width=1, height=40, centre=(0.5, 1e160), sigma=1.2)
+    @example(width=40, height=1, centre=(1e160, 3.0), sigma=6.0)
+    def test_rows_equal_the_per_axis_reference(self, width, height, centre, sigma):
+        lx, ly = _gaussian_exponents(centre, sigma, width, height)
+        two_s2 = 2.0 * sigma * sigma
+        with np.errstate(over="ignore"):
+            ref = [-((np.arange(n, dtype=np.float64) - c) ** 2) / two_s2
+                   for n, c in ((width, centre[0]), (height, centre[1]))]
+        assert lx.shape == (width,) and ly.shape == (height,)
+        assert lx.tobytes() == ref[0].tobytes() and ly.tobytes() == ref[1].tobytes()
 
 
 class TestRenderGaussian:
@@ -287,6 +311,40 @@ class TestBatchedRender:
             assert hm.values.tobytes() == want.tobytes()
         largest = max(hm._block.nbytes for hm in maps)
         assert peak - now < 4 * largest, (peak - now) / largest
+
+
+class TestJoinedMaps:
+    """A map of several Gaussians: the first block is written into the
+    zeroed array of their joined box, and each later one max-combined."""
+
+    # sigma 0.25 is nonzero within 9 px of its centre; a box clipped by the
+    # grid's corner lies inside the box of a centre three pixels in, and a
+    # sigma 4 Gaussian covers the whole grid
+    LAYOUTS = {
+        "disjoint": [((10.0, 10.0), 0.25), ((40.0, 30.0), 0.25), ((60.0, 5.0), 0.25)],
+        "overlapping": [((20.0, 20.0), 0.25), ((28.0, 24.0), 0.25), ((14.5, 27.25), 0.25)],
+        "nested": [((0.0, 0.0), 0.25), ((3.0, 3.0), 0.25), ((30.0, 20.0), 4.0)],
+        "nested-first": [((30.0, 20.0), 4.0), ((25.5, 18.25), 0.25), ((33.0, 21.0), 0.25)],
+    }
+
+    @pytest.mark.parametrize("amplitudes", [(0.5, 1.0), (1.0, 0.7), (2.0, 1.0, 0.25),
+                                            (1.0, 1.0, 3.0)],
+                             ids=["first-scaled", "second-scaled", "first-and-third-scaled",
+                                  "third-scaled"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_equals_the_pointwise_max_and_leaves_the_unit_blocks(self, layout, amplitudes):
+        keys = self.LAYOUTS[layout][:len(amplitudes)]
+        specs = [GaussianSpec(centre, sigma, a) for (centre, sigma), a in zip(keys, amplitudes)]
+        # each unit-amplitude single keeps a slice of its family's unit
+        # block, alive from before the joined maps to after them
+        singles = [(GaussianSpec(centre, sigma),) for centre, sigma in keys]
+        n = len(singles)
+        maps = _render(singles + [specs, specs[::-1]] + singles, 64, 48)
+        dense = np.max([render_gaussian(spec, 64, 48).values for spec in specs], axis=0)
+        for joined in maps[n:n + 2]:
+            assert joined.values.tobytes() == dense.tobytes()
+        for single, (spec,) in zip(maps[:n] + maps[n + 2:], singles * 2):
+            assert single._block.tobytes() == render_gaussian(spec, 64, 48)._block.tobytes()
 
 
 class TestDecodeArgmax:
