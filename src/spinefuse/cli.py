@@ -212,13 +212,12 @@ def cmd_gen_heatmaps(args) -> int:
 
 def _flag(parse):
     """An argparse type: parse(raw), with a ValueError (a bad number, or the
-    ValidationError of the rule the value must meet) or an OverflowError (an
-    integer too large for that rule's float check) reported in its own words
-    as a usage error, exit 2."""
+    ValidationError of the rule the value must meet) reported in its own
+    words as a usage error, exit 2."""
     def checked(raw: str):
         try:
             return parse(raw)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return checked
 

@@ -6,7 +6,9 @@ All types are immutable after construction: numpy buffers are frozen with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from numbers import Rational
 
 import numpy as np
 
@@ -32,17 +34,22 @@ def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int
             c0, col_mask.size - int(col_mask[::-1].argmax()))
 
 
+def _finite(value: float) -> bool:
+    """math.isfinite, but an int or fraction beyond the float range is not finite."""
+    return abs(value) <= sys.float_info.max if isinstance(value, Rational) else math.isfinite(value)
+
+
 def _positive_finite(name: str, value: float) -> float:
     """The rule for a setting that must be a positive, finite number: returns
     the value, or raises a ValidationError that names the setting."""
-    if not (math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise ValidationError(f"{name} must be positive and finite, got {value}")
     return value
 
 
 def _non_negative_finite(name: str, value: float) -> float:
     """The rule for a setting that may be 0 but must be finite and not negative."""
-    if not (math.isfinite(value) and value >= 0):
+    if not (_finite(value) and value >= 0):
         raise ValidationError(f"{name} must be non-negative and finite, got {value}")
     return value
 

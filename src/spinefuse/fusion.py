@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Real
 
@@ -46,33 +46,23 @@ class FusionConfig:
         if not all(isinstance(s, Real) and not isinstance(s, bool) for s in sigmas):
             raise ValidationError(f"prior_sigma must be a number or a sequence of numbers, "
                                   f"got {sigma!r}")
-        sigmas = tuple(map(float, sigmas))
         if not sigmas:
             raise ValidationError("bad per-landmark prior sigmas: ()")
-        for sig in sigmas:
-            _usable_sigma("prior_sigma", sig)
+        sigmas = tuple(float(_usable_sigma("prior_sigma", s)) for s in sigmas)
         object.__setattr__(self, "prior_sigma", sigmas if many else sigmas[0])
         _positive_finite("floor_epsilon", self.floor_epsilon)
         if not isinstance(self.decode, DecodeMethod):
             raise ValidationError(f"unknown decode method: {self.decode!r}")
 
-    def _check_landmarks(self, landmarks: int) -> None:
-        """The rule that per-landmark prior sigmas cover every landmark:
-        raises a ValidationError if there are fewer sigmas than landmarks."""
-        if isinstance(self.prior_sigma, tuple) and len(self.prior_sigma) < landmarks:
+    def _per_landmark(self, landmarks: int) -> list[FusionConfig]:
+        """One config of one width for each of ``landmarks`` landmarks; raises
+        a ValidationError if there are fewer per-landmark widths."""
+        if not isinstance(self.prior_sigma, tuple):
+            return [self] * landmarks
+        if len(self.prior_sigma) < landmarks:
             raise ValidationError(f"{len(self.prior_sigma)} prior sigmas for "
                                   f"{landmarks} landmarks")
-
-    def sigma_for(self, channel: int | None = None) -> float:
-        if isinstance(self.prior_sigma, tuple):
-            if channel is None:
-                raise ValidationError("per-landmark prior sigmas need a channel index")
-            if not 0 <= channel < len(self.prior_sigma):
-                raise ValidationError(
-                    f"channel {channel} out of range for {len(self.prior_sigma)} prior sigmas"
-                )
-            return self.prior_sigma[channel]
-        return self.prior_sigma
+        return [replace(self, prior_sigma=s) for s in self.prior_sigma[:landmarks]]
 
 
 def coord_to_prior(coord: tuple[float, float], prior_sigma: float,
@@ -102,14 +92,14 @@ def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
 
 
 def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
-                 channel: int | None = None, *, _scored=None) -> Heatmap:
+                 *, _scored=None) -> Heatmap:
     """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
     reads, and every value below 2^-151 set to 0.
 
-    That is the product of the prior and the map clamped at eps,
-    peak-normalized so its maximum is exactly 1; its row-major first
-    maximum is the argmax :func:`fuse_and_decode` returns. L is built only
-    over the box of pixels that can score at least ``best + log 2^-151``,
+    That is the product of the prior and the map clamped at eps, exactly 1
+    at the argmax :func:`fuse_and_decode` returns, and 1 also at an earlier
+    pixel whose L is within exp's resolution at 1 of the peak. L is built
+    only over the box of pixels that can score at least ``best + log 2^-151``,
     the window rule of :func:`fuse_and_decode` one offset lower: every
     pixel outside it scores below ``max L + log 2^-151`` and is 0. Every
     input :func:`fuse_and_decode` refuses is refused with its message.
@@ -118,7 +108,7 @@ def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConf
     # arguments, passed by fuse_batch, which decoded the channel from it; the
     # logsum is overwritten
     if _scored is None:
-        _scored = _fuse(predicted, coord, cfg, channel, _LOG_FLUSH)[1]
+        _scored = _fuse(predicted, coord, cfg, _LOG_FLUSH)[1]
     box, logsum = _scored
     logsum -= logsum.max()
     # the flushed entries keep their negative logs, which the maximum zeroes
@@ -128,7 +118,7 @@ def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConf
 
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
-                    cfg: FusionConfig, channel: int | None = None) -> tuple[float, float]:
+                    cfg: FusionConfig) -> tuple[float, float]:
     """Fuse one channel with its coordinate prediction and decode the peak.
 
     Both methods read the log-domain sum of :func:`fuse_product`,
@@ -140,11 +130,11 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
     It holds every pixel able to reach ``best``, so its first maximum is
     the whole grid's, ties included.
     """
-    return _fuse(predicted, coord, cfg, channel, 0.0)[0]
+    return _fuse(predicted, coord, cfg, 0.0)[0]
 
 
 def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
-          channel: int | None, offset: float):
+          offset: float):
     """``(point, (box, logsum))``: the point :func:`fuse_and_decode`
     returns, decoded from the log-sum over the box of every pixel able to
     score ``best + offset`` or more, with ``best`` the larger score of the
@@ -161,10 +151,11 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
     is -inf makes every score -inf, and is refused with a ValidationError
     naming it: the prior cannot rank pixels there.
     """
+    if isinstance(cfg.prior_sigma, tuple):
+        raise ValidationError("per-landmark prior sigmas are fused by fuse_batch alone")
     eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
-    lx, ly = _gaussian_exponents(coord, cfg.sigma_for(channel), predicted.width,
-                                 predicted.height)
+    lx, ly = _gaussian_exponents(coord, cfg.prior_sigma, predicted.width, predicted.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
     # the pixel nearest the coordinate, where both prior terms peak; 0 off the support
@@ -203,7 +194,8 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
                cfg: FusionConfig, *, _dumps: list[Heatmap] | None = None) -> LandmarkSet:
     """Channelwise fuse-and-decode over a heatmap stack.
 
-    Channel k is fused with coordinate k; output order matches input order.
+    Channel k is fused with coordinate k, under a config that holds
+    landmark k's prior width; output order matches input order.
     """
     # _dumps is private: a list that, when given, receives each channel's
     # fuse_product map. A dumped channel builds its log-sum once, over the
@@ -213,12 +205,12 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
             f"length mismatch: {len(predicted_stack)} heatmap channels "
             f"vs {len(coords)} coordinates"
         )
-    cfg._check_landmarks(len(predicted_stack))
+    cfgs = cfg._per_landmark(len(predicted_stack))
     if not predicted_stack:
         return LandmarkSet(np.empty((0, 2)), coords.frame)
     shape = predicted_stack[0]._shape
     out = np.empty((len(predicted_stack), 2))
-    for k, (hm, coord) in enumerate(zip(predicted_stack, coords.points)):
+    for k, (hm, coord, cfg) in enumerate(zip(predicted_stack, coords.points, cfgs)):
         if hm._shape != shape:
             raise ValidationError(
                 f"channel {k}: shape {hm._shape[::-1]} differs from "
@@ -227,10 +219,10 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
         coord = (coord[0], coord[1])
         try:
             if _dumps is None:
-                out[k] = fuse_and_decode(hm, coord, cfg, channel=k)
+                out[k] = fuse_and_decode(hm, coord, cfg)
             else:
-                out[k], scored = _fuse(hm, coord, cfg, k, _LOG_FLUSH)
-                _dumps.append(fuse_product(hm, coord, cfg, k, _scored=scored))
+                out[k], scored = _fuse(hm, coord, cfg, _LOG_FLUSH)
+                _dumps.append(fuse_product(hm, coord, cfg, _scored=scored))
         except ValidationError as exc:
             raise ValidationError(f"channel {k}: {exc}") from exc
     return LandmarkSet(out, PixelFrame(shape[1], shape[0]))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GrayImage, LandmarkSet, Rng, ValidationError, _box, _frozen,
+from .core import (GrayImage, LandmarkSet, Rng, ValidationError, _box, _finite, _frozen,
                    _positive_finite)
 from .preprocess import _round_u8
 
@@ -51,7 +51,7 @@ class AugmentationRanges:
     def __post_init__(self):
         for name in ("tx", "ty", "angle_deg", "scale"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not (_finite(lo) and _finite(hi) and lo <= hi):
                 raise ValidationError(f"bad {name} range: ({lo}, {hi})")
         if self.scale[0] <= 0:
             raise ValidationError(f"scale must stay positive, got {self.scale}")
@@ -150,8 +150,6 @@ def warp_image(img: GrayImage, t: AffineTransform2D) -> GrayImage:
     h, w = img.pixels.shape
     out = np.zeros((h, w), dtype=np.uint8)
     r0, r1, c0, c1 = box = _box(img.pixels.any(axis=1), img.pixels.any(axis=0))
-    if r0 == r1:
-        return GrayImage(out, img.spacing)
     inv = t.invert().matrix
     start, stop = _spans(inv, box, w, h)
     rows = np.flatnonzero(start < stop)

@@ -8,17 +8,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError, _box, _frozen, _positive_finite
+from .core import LandmarkSet, PixelFrame, ValidationError, _box, _finite, _frozen, _positive_finite
 
 
 def _usable_sigma(name: str, sigma: float) -> float:
     """The rule for a Gaussian width: positive and finite, and 2*sigma*sigma
-    must not underflow to 0 (below about 1.5e-162 every exponent would be
-    -inf or NaN). Returns sigma, or raises a ValidationError naming it."""
-    _positive_finite(name, sigma)
-    if not 2.0 * sigma * sigma > 0:
+    must be neither 0 (below about 1.5e-162) nor inf (above about 9.48e153),
+    or an exponent would be NaN. Returns sigma, or raises a ValidationError."""
+    s = float(_positive_finite(name, sigma))
+    if not 2.0 * s * s > 0:
         raise ValidationError(f"{name} is so small that 2*sigma*sigma underflows to 0, "
                               f"got {sigma}")
+    if not math.isfinite(2.0 * s * s):
+        raise ValidationError(f"{name} is so large that 2*sigma*sigma overflows, got {sigma}")
     return sigma
 
 
@@ -28,10 +30,10 @@ def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
     center's x and of each row from its y; the Gaussian at pixel (y, x) is
     exp(lx[x]) * exp(ly[y]).
 
-    Overflow is ignored: an overflowing square or quotient means the true
-    exponent is below -1.8e308, so -inf is exact (exp gives 0, and a fused
-    score of -inf ranks below every finite one) while sigma stays below
-    about 1e152. Both rows are views of one array, built in one pass.
+    Overflow is ignored: for sigma below about 1e152 an overflowing square
+    or quotient means an exponent below -745, where exp gives 0, and a fused
+    score of -inf ranks below every finite one; :func:`_usable_sigma` keeps
+    the divisor finite. Both rows are views of one array, built in one pass.
     """
     x0, y0 = center
     two_s2 = 2.0 * sigma * sigma
@@ -53,7 +55,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         x0, y0 = self.center
-        if not (math.isfinite(x0) and math.isfinite(y0)):
+        if not (_finite(x0) and _finite(y0)):
             raise ValidationError(f"non-finite center: {self.center}")
         _usable_sigma("sigma", self.sigma)
         _positive_finite("amplitude", self.amplitude)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError,
+from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError, _finite,
                    _non_negative_finite, _positive_finite)
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
@@ -55,7 +55,7 @@ class HeatmapPredictorModel:
                 f"adjacent_confusion_prob must be in [0, 1], got {self.adjacent_confusion_prob}"
             )
         lo, hi = self.spurious_amplitude
-        if not (0 < lo <= hi and math.isfinite(hi)):
+        if not (0 < lo <= hi and _finite(hi)):
             raise ValidationError(f"bad spurious_amplitude range: ({lo}, {hi})")
 
 
@@ -192,7 +192,7 @@ class TrialConfig:
         _positive_finite("threshold", self.threshold_mm)
         if self.images < 1:
             raise ValidationError(f"need at least one image, got {self.images}")
-        self.fusion._check_landmarks(self.phantom.landmarks)
+        self.fusion._per_landmark(self.phantom.landmarks)
 
 
 METHOD_COORDS = "coords_only"

@@ -709,6 +709,10 @@ class TestFlags:
          "--prior-sigma", "1e-170"],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", "6,1e-170"],
+        # 2*sigma*sigma overflows above about 9.48e153
+        ["gen-heatmaps", "--manifest", "m", "--out-dir", "o", "--sigma", "1e200"],
+        ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
+         "--prior-sigma", "1e200"],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--floor-epsilon", "0"],
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
@@ -717,7 +721,7 @@ class TestFlags:
          "--floor-epsilon", "nan"],
         ["phantom", "--out-dir", "o", "--count", "-3"],
         ["augment", "--manifest", "m", "--out-dir", "o", "--count", "-2"],
-        # an integer too large for the float check
+        # an integer beyond the float range
         ["phantom", "--out-dir", "o", "--count", "1" + "0" * 400],
         ["equalize", "--manifest", "m", "--out-dir", "o", "--jobs", "0"],
         ["augment", "--manifest", "m", "--out-dir", "o", "--jobs", "-4"],
@@ -759,6 +763,13 @@ class TestFlags:
         assert exc.value.code == 2
         flag = next(a for a in reversed(argv) if a.startswith("--"))
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_an_integer_beyond_the_float_range_is_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "--out-dir", "o", "--count", "1" + "0" * 400])
+        assert exc.value.code == 2
+        message = "argument --count: count must be non-negative and finite, got 1" + "0" * 400
+        assert message in capsys.readouterr().err
 
     def test_window_message_is_the_library_rule(self, capsys):
         with pytest.raises(SystemExit):

@@ -11,9 +11,14 @@ from spinefuse.core import (
     Rng,
     ValidationError,
 )
+from spinefuse.fusion import FusionConfig
+from spinefuse.geometry import AugmentationRanges
 from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
 from spinefuse.preprocess import resize_bilinear, resize_landmarks
-from spinefuse.simulate import PhantomConfig
+from spinefuse.simulate import CoordPredictorModel, HeatmapPredictorModel, PhantomConfig
+
+# an int that no float holds
+HUGE = 10 ** 400
 
 
 def _manifest_with_working_size(tmp_path, size):
@@ -81,6 +86,26 @@ class TestMalformedArguments:
         (lambda: LandmarkSet(np.zeros((1, 2)), (4, 4)), r"unknown frame: \(4, 4\)"),
     ], ids=["image-1d", "landmarks-frame"])
     def test_refusal_names_its_rule(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    # every finite-number rule compares the value with the largest float,
+    # which holds for ints of any size, so none reaches an OverflowError
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FusionConfig(prior_sigma=HUGE), "^prior_sigma must be positive and finite"),
+        (lambda: FusionConfig(prior_sigma=(6.0, HUGE)),
+         "^prior_sigma must be positive and finite"),
+        (lambda: GaussianSpec((1, 1), HUGE), "^sigma must be positive and finite"),
+        (lambda: GaussianSpec((HUGE, 1), 1.0), "^non-finite center"),
+        (lambda: AugmentationRanges(tx=(0, HUGE)), "^bad tx range"),
+        (lambda: HeatmapPredictorModel(spurious_amplitude=(0.9, HUGE)),
+         "^bad spurious_amplitude range"),
+        (lambda: CoordPredictorModel(noise_sigma=HUGE), "^noise_sigma must be non-negative"),
+        (lambda: PhantomConfig(spacing_mm_per_px=HUGE),
+         "^spacing_mm_per_px must be positive and finite"),
+    ], ids=["prior-sigma", "prior-sigmas", "sigma", "center", "tx-range", "spurious-amplitude",
+            "noise-sigma", "spacing"])
+    def test_an_int_beyond_the_float_range_is_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
 

@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +111,18 @@ class TestFuseProduct:
         assert peak < grid // 2
         assert fused._block.nbytes < grid // 4
         assert decode_argmax(fused) == tuple(map(int, fuse_and_decode(hm, (205.0, 296.0), cfg)))
+
+    def test_the_map_is_1_at_the_decoders_argmax_and_at_an_earlier_near_tie(self):
+        # the two log-sums differ by less than exp's resolution at 1, so both
+        # fused values are exactly 1 and the map's first maximum comes first
+        values = np.zeros((1, 300))
+        values[0, 100] = values[0, 101] = 1.0
+        hm, coord = Heatmap(values), (float(np.nextafter(100.5, 200.0)), 0.0)
+        cfg = FusionConfig(prior_sigma=60.0)
+        assert fuse_and_decode(hm, coord, cfg) == (101.0, 0.0)
+        fused = fuse_product(hm, coord, cfg)
+        assert decode_argmax(fused) == (100, 0)
+        assert fused.values[0, 100] == fused.values[0, 101] == 1.0
 
     def test_far_apart_narrow_peaks_do_not_underflow(self):
         # the raw product of these maps is all zeros in float64
@@ -294,10 +308,14 @@ class TestFuseBatch:
         coords = LandmarkSet(pts, PixelFrame(48, 48))
         out = fuse_batch(stack, coords, FusionConfig(prior_sigma=(3.0, 9.0)))
         np.testing.assert_array_equal(out.points, pts)
-        with pytest.raises(ValidationError, match="channel"):
-            FusionConfig(prior_sigma=(3.0,)).sigma_for(2)
-        with pytest.raises(ValidationError, match="^per-landmark prior sigmas need a channel"):
-            FusionConfig(prior_sigma=(3.0, 9.0)).sigma_for()
+
+    @pytest.mark.parametrize("fuse", [fuse_and_decode, fuse_product])
+    def test_one_channel_refuses_per_landmark_sigmas(self, fuse):
+        # only fuse_batch knows which landmark a map is
+        hm = render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)
+        with pytest.raises(ValidationError, match="^per-landmark prior sigmas are fused by "
+                                                  "fuse_batch"):
+            fuse(hm, (10.0, 10.0), FusionConfig(prior_sigma=(3.0, 9.0)))
 
     def test_too_few_per_landmark_sigmas_fail_before_any_channel(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
@@ -318,6 +336,18 @@ class TestFusionConfig:
         prior = (6.0, sigma) if per_landmark else sigma
         with pytest.raises(ValidationError, match=f"got {sigma}$"):
             FusionConfig(prior_sigma=prior)
+
+    @pytest.mark.parametrize("per_landmark", [False, True])
+    def test_a_sigma_whose_square_overflows_is_refused_without_a_warning(self, per_landmark):
+        # 2*sigma*sigma is finite up to about 9.48e153
+        largest = math.sqrt(sys.float_info.max / 2.0)
+        assert FusionConfig(prior_sigma=largest).prior_sigma == largest
+        message = r"^prior_sigma is so large that 2\*sigma\*sigma overflows, got 1e\+200$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                fuse_and_decode(Heatmap(np.ones((8, 8))), (1e160, 0.0),
+                                FusionConfig(prior_sigma=(6.0, 1e200) if per_landmark else 1e200))
 
     @pytest.mark.parametrize("build, message", [
         (lambda: FusionConfig(prior_sigma=()), r"^bad per-landmark prior sigmas: \(\)$"),
@@ -556,9 +586,9 @@ class TestPeakBoundedWindow:
         stack = simulate_heatmaps(stream, gt, config.heatmaps, 512, 512)
         eps, held, shrunk = config.fusion.floor_epsilon, 0, 0
         for k, (hm, coord) in enumerate(zip(stack, coords.points)):
-            (r0, r1, c0, c1), _ = fusion._fuse(hm, tuple(coord), config.fusion, k, 0.0)[1]
-            prior = log_prior(coord, config.fusion.sigma_for(k), 512, 512)
-            scores = dense_logsum(hm, coord, config.fusion.sigma_for(k), eps)
+            (r0, r1, c0, c1), _ = fusion._fuse(hm, tuple(coord), config.fusion, 0.0)[1]
+            prior = log_prior(coord, config.fusion.prior_sigma, 512, 512)
+            scores = dense_logsum(hm, coord, config.fusion.prior_sigma, eps)
             ny, nx = np.unravel_index(np.argmax(prior), prior.shape)
             px, py = decode_argmax(hm)
             assert r0 <= ny < r1 and c0 <= nx < c1
@@ -621,11 +651,45 @@ class TestFuseBatchIsChannelwise:
     def test_points_are_the_dense_oracles(self, stack):
         maps, coords, sigma = stack
         frame = PixelFrame(maps[0].width, maps[0].height)
+        sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(maps)
         for decode in DecodeMethod:
             cfg = FusionConfig(prior_sigma=sigma, decode=decode)
             points = fuse_batch(maps, LandmarkSet(coords, frame), cfg).points
             for k, (hm, coord) in enumerate(zip(maps, coords)):
-                assert tuple(points[k]) == dense_point(hm, coord, cfg.sigma_for(k), decode)
+                assert tuple(points[k]) == dense_point(hm, coord, sigmas[k], decode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fusion_stacks(), st.sampled_from(list(DecodeMethod)))
+    def test_per_landmark_widths_are_one_width_configs(self, stack, decode):
+        # channel k of a per-landmark config is fused as one channel under a
+        # config of channel k's width alone, points and dumped maps alike
+        maps, coords, sigma = stack
+        sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(maps)
+        coords = LandmarkSet(coords, PixelFrame(maps[0].width, maps[0].height))
+        ones = [FusionConfig(prior_sigma=s, decode=decode) for s in sigmas]
+        dumps = []
+        points = fuse_batch(maps, coords, FusionConfig(prior_sigma=sigmas, decode=decode),
+                            _dumps=dumps).points
+        for k, (hm, coord, one) in enumerate(zip(maps, coords.points, ones)):
+            coord = (coord[0], coord[1])
+            assert tuple(points[k]) == fuse_and_decode(hm, coord, one)
+            product = fuse_product(hm, coord, one)
+            assert dumps[k]._support == product._support
+            assert dumps[k]._block.tobytes() == product._block.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(fusion_stacks(), st.sampled_from(list(DecodeMethod)), st.booleans())
+    def test_equal_widths_are_the_one_width(self, stack, decode, dump):
+        maps, coords, sigma = stack
+        s = sigma[0] if isinstance(sigma, tuple) else sigma
+        coords = LandmarkSet(coords, PixelFrame(maps[0].width, maps[0].height))
+        outs = []
+        for width in (s, (s,) * len(maps)):
+            dumps = [] if dump else None
+            points = fuse_batch(maps, coords, FusionConfig(prior_sigma=width, decode=decode),
+                                _dumps=dumps).points
+            outs.append((points.tobytes(), [d._block.tobytes() for d in dumps or []]))
+        assert outs[0] == outs[1]
 
     def test_each_channel_is_one_fuse_and_decode_call(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.5, 30.0], [40.0, 50.25], [1e3, -4.0]])
@@ -636,9 +700,11 @@ class TestFuseBatchIsChannelwise:
         expected = fuse_batch(stack, coords, cfg).points
         calls, decode = [], fusion.fuse_and_decode
         monkeypatch.setattr(fusion, "fuse_and_decode",
-                            lambda *args, **kw: calls.append((args[0], kw)) or decode(*args, **kw))
+                            lambda *args: calls.append((args[0], args[2])) or decode(*args))
         assert fuse_batch(stack, coords, cfg).points.tobytes() == expected.tobytes()
-        assert [(hm, kw["channel"]) for hm, kw in calls] == [(hm, k) for k, hm in enumerate(stack)]
+        # each channel's call gets a config of its landmark's width alone
+        assert [(hm, c.prior_sigma, c.decode) for hm, c in calls] == [
+            (hm, s, DecodeMethod.CENTROID) for hm, s in zip(stack, cfg.prior_sigma)]
 
 
 class TestDumpsShareTheLogSum:
@@ -683,25 +749,25 @@ class TestDumpsShareTheLogSum:
         offsets, dumps = [], []
         fuse = fusion._fuse
         monkeypatch.setattr(fusion, "_fuse",
-                            lambda *args: offsets.append(args[4]) or fuse(*args))
+                            lambda *args: offsets.append(args[3]) or fuse(*args))
         monkeypatch.setattr(fusion, "fuse_and_decode", None)
         fused = fuse_batch(stack, coords, cfg, _dumps=dumps)
         assert offsets == [fusion._LOG_FLUSH] * 3
         assert fused.points.tobytes() == expected.tobytes() and len(dumps) == 3
 
-    @pytest.mark.parametrize("case", ["length", "sigmas", "shape", "far_then_zero",
-                                      "zero_then_far"])
+    @pytest.mark.parametrize("case", ["length", "sigmas", "shape", "length_and_sigmas",
+                                      "sigmas_and_shape", "far_then_zero", "zero_then_far"])
     def test_errors_and_their_order_are_fuse_batchs(self, case):
         stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)] * 3
         pts = np.array([[10.0, 10.0]] * 3)
         cfg = FusionConfig(prior_sigma=6.0)
-        if case == "length":
+        if "length" in case:
             pts = pts[:2]
-        elif case == "sigmas":
+        if "sigmas" in case:
             cfg = FusionConfig(prior_sigma=(6.0, 6.0))
-        elif case == "shape":
+        if "shape" in case:
             stack = stack[:2] + [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 48)]
-        else:
+        if "then" in case:
             far, zero = (1, 2) if case == "far_then_zero" else (2, 1)
             pts[far] = (1e160, 20.0)
             stack = list(stack)
@@ -716,3 +782,7 @@ class TestDumpsShareTheLogSum:
             assert str(batch.value).startswith("channel 1: coordinate (1e+160, 20.0)")
         elif case.endswith("far"):
             assert str(batch.value) == "channel 1: cannot fuse an all-zero predicted heatmap"
+        elif case == "length_and_sigmas":
+            assert str(batch.value).startswith("length mismatch")
+        elif case == "sigmas_and_shape":
+            assert str(batch.value) == "2 prior sigmas for 3 landmarks"

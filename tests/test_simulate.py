@@ -58,7 +58,9 @@ def channel_at_a_time_trial(rng, config):
         for k, channel in enumerate(channels):
             heat[k] = decode_argmax(channel)
             x, y = coords.points[k]
-            fused[k] = fuse_and_decode(channel, (x, y), config.fusion, channel=k)
+            sigma = config.fusion.prior_sigma[k]
+            fused[k] = fuse_and_decode(channel, (x, y),
+                                       dataclasses.replace(config.fusion, prior_sigma=sigma))
         gts.append(gt)
         coord_preds.append(coords)
         heat_preds.append(LandmarkSet(heat, gt.frame))
