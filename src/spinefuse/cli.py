@@ -98,6 +98,42 @@ def _read_pair(rec: io.ManifestRecord, landmark_count: int):
                               landmark_count)
 
 
+def _out_dir(args) -> Path:
+    """--out-dir, made if missing."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_manifest(out: Path, records, landmark_count: int, working_size) -> None:
+    """The manifest.txt of a stage's output corpus in out."""
+    io.write_manifest(out / "manifest.txt", io.Manifest(
+        records=tuple(records), landmark_count=landmark_count, working_size=working_size))
+
+
+def _stack_stage(args, process, verb: str) -> int:
+    """Run process(stack_path, stack, out) through _batch over the sorted
+    .hmap files of --heatmaps-dir, each stack read first, into --out-dir.
+    No stack at all is refused before --out-dir is made."""
+    heat_dir = Path(args.heatmaps_dir)
+    stacks = sorted(heat_dir.glob("*.hmap"))
+    if not stacks:
+        raise ValidationError(f"no .hmap files in {heat_dir}")
+    out = _out_dir(args)
+    ok, code = _batch(lambda path: process(path, io.read_heatmap_stack(path), out),
+                      stacks, stacks, args.jobs)
+    print(f"{verb} {len(ok)} stacks into {out}")
+    return code
+
+
+def _emit(args, text: str) -> int:
+    """Print a report, and also write it to --out when that is given."""
+    if args.out:
+        io.atomic_write(args.out, text.encode())
+    print(text, end="")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -112,8 +148,7 @@ def cmd_phantom(args) -> int:
         wobble_px=args.wobble,
     )
     master = Rng(args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     records = []
     for i in range(args.count):
         lms = generate_phantom(master.spawn(i), config)
@@ -122,18 +157,14 @@ def cmd_phantom(args) -> int:
         io.write_pgm(img_path, phantom_image(lms, config))
         io.write_landmarks(lmk_path, lms)
         records.append(io.ManifestRecord(img_path, lmk_path, config.spacing_mm_per_px))
-    io.write_manifest(out / "manifest.txt", io.Manifest(
-        records=tuple(records), landmark_count=config.landmarks,
-        working_size=(config.width, config.height),
-    ))
+    _write_manifest(out, records, config.landmarks, (config.width, config.height))
     print(f"wrote {args.count} phantoms to {out}")
     return EXIT_OK
 
 
 def cmd_equalize(args) -> int:
     manifest = io.read_manifest(args.manifest)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     def process(rec: io.ManifestRecord):
         img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
@@ -145,10 +176,7 @@ def cmd_equalize(args) -> int:
 
     ok, code = _batch(process, manifest.records,
                       [r.image_path for r in manifest.records], args.jobs)
-    io.write_manifest(out / "manifest.txt", io.Manifest(
-        records=tuple(ok), landmark_count=manifest.landmark_count,
-        working_size=manifest.working_size,
-    ))
+    _write_manifest(out, ok, manifest.landmark_count, manifest.working_size)
     print(f"equalized {len(ok)}/{len(manifest.records)} images into {out}")
     return code
 
@@ -161,8 +189,7 @@ def cmd_augment(args) -> int:
     )
     work_w, work_h = args.working_size or manifest.working_size
     master = Rng(args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     def process(task):
         i, j, rec = task
@@ -184,18 +211,14 @@ def cmd_augment(args) -> int:
 
     tasks = [(i, j, rec) for i, rec in enumerate(manifest.records) for j in range(args.count)]
     ok, code = _batch(process, tasks, [t[2].image_path for t in tasks], args.jobs)
-    io.write_manifest(out / "manifest.txt", io.Manifest(
-        records=tuple(ok), landmark_count=manifest.landmark_count,
-        working_size=(work_w, work_h),
-    ))
+    _write_manifest(out, ok, manifest.landmark_count, (work_w, work_h))
     print(f"wrote {len(ok)} augmented pairs to {out}")
     return code
 
 
 def cmd_gen_heatmaps(args) -> int:
     manifest = io.read_manifest(args.manifest)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     def process(rec: io.ManifestRecord):
         img, lms = _read_pair(rec, manifest.landmark_count)
@@ -228,22 +251,15 @@ def _prior_sigmas(raw: str) -> float | tuple[float, ...]:
 
 
 def cmd_fuse(args) -> int:
-    heat_dir = Path(args.heatmaps_dir)
     coord_dir = Path(args.coords_dir)
     cfg = FusionConfig(
         prior_sigma=args.prior_sigma,
         floor_epsilon=args.floor_epsilon,
         decode=DecodeMethod(args.decode),
     )
-    stacks = sorted(heat_dir.glob("*.hmap"))
-    if not stacks:
-        raise ValidationError(f"no .hmap files in {heat_dir}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    def process(stack_path: Path):
+    def process(stack_path: Path, stack, out: Path):
         coords_path = coord_dir / f"{stack_path.stem}.txt"
-        stack = io.read_heatmap_stack(stack_path)
         frame = PixelFrame(stack[0].width, stack[0].height)
         coords = io.read_landmarks(coords_path, frame)
         if len(coords) != len(stack):
@@ -255,23 +271,12 @@ def cmd_fuse(args) -> int:
         io.write_landmarks(out / f"{stack_path.stem}.txt", fused)
         if dumps:
             io.write_heatmap_stack(out / f"{stack_path.stem}.fused.hmap", dumps)
-        return stack_path
 
-    ok, code = _batch(process, stacks, stacks, args.jobs)
-    print(f"fused {len(ok)} stacks into {out}")
-    return code
+    return _stack_stage(args, process, "fused")
 
 
 def cmd_decode(args) -> int:
-    heat_dir = Path(args.heatmaps_dir)
-    stacks = sorted(heat_dir.glob("*.hmap"))
-    if not stacks:
-        raise ValidationError(f"no .hmap files in {heat_dir}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def process(stack_path: Path):
-        stack = io.read_heatmap_stack(stack_path)
+    def process(stack_path: Path, stack, out: Path):
         if args.method == "argmax":
             pts = [decode_argmax(hm) for hm in stack]
         else:
@@ -279,11 +284,8 @@ def cmd_decode(args) -> int:
         frame = PixelFrame(stack[0].width, stack[0].height)
         io.write_landmarks(out / f"{stack_path.stem}.txt",
                            LandmarkSet(np.array(pts, dtype=np.float64), frame))
-        return stack_path
 
-    ok, code = _batch(process, stacks, stacks, args.jobs)
-    print(f"decoded {len(ok)} stacks into {out}")
-    return code
+    return _stack_stage(args, process, "decoded")
 
 
 def cmd_eval(args) -> int:
@@ -299,12 +301,7 @@ def cmd_eval(args) -> int:
         gts.append(gt)
         preds.append(pred)
         spacings.append(rec.spacing_mm_per_px)
-    report = pck(preds, gts, args.threshold_mm, spacings)
-    text = io.format_report(report)
-    if args.out:
-        io.atomic_write(args.out, text.encode())
-    print(text, end="")
-    return EXIT_OK
+    return _emit(args, io.format_report(pck(preds, gts, args.threshold_mm, spacings)))
 
 
 def cmd_simulate(args) -> int:
@@ -314,12 +311,7 @@ def cmd_simulate(args) -> int:
         config = noiseless_config()
     else:
         config = calibrated_config()
-    report = run_trial(Rng(args.seed), config)
-    text = io.format_comparison(report)
-    if args.out:
-        io.atomic_write(args.out, text.encode())
-    print(text, end="")
-    return EXIT_OK
+    return _emit(args, io.format_comparison(run_trial(Rng(args.seed), config)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +324,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Landmark localization by fusing heatmaps with coordinate priors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, text in [
+        ("phantom", cmd_phantom, "generate a synthetic corpus"),
+        ("equalize", cmd_equalize, "histogram-equalize a corpus"),
+        ("augment", cmd_augment, "emit augmented image/landmark pairs at the working size"),
+        ("gen-heatmaps", cmd_gen_heatmaps, "render label heatmap stacks"),
+        ("fuse", cmd_fuse, "fuse heatmap stacks with coordinate predictions"),
+        ("decode", cmd_decode, "decode heatmap stacks to landmarks"),
+        ("eval", cmd_eval, "score predictions against a manifest"),
+        ("simulate", cmd_simulate, "compare coords-only, heatmap-argmax, and fused decoding"),
+    ]:
+        # no abbreviations: a flag the subcommand does not take is refused,
+        # not read as one it does (--out as --out-dir)
+        commands[name] = sub.add_parser(name, help=text, allow_abbrev=False)
+        commands[name].set_defaults(func=func)
 
-    p = sub.add_parser("phantom", help="generate a synthetic corpus")
-    p.add_argument("--out-dir", required=True)
+    # each subcommand takes only the path flags and shared flags it reads,
+    # and refuses any other (exit 2); its path flags lead its usage line
+    for flag, readers in [
+        ("--manifest", "equalize augment gen-heatmaps eval"),
+        ("--heatmaps-dir", "fuse decode"),
+        ("--coords-dir", "fuse"),
+        ("--out-dir", "phantom equalize augment gen-heatmaps fuse decode"),
+    ]:
+        for name in readers.split():
+            commands[name].add_argument(flag, required=True)
+
+    p = commands["phantom"]
     p.add_argument("--count", default=10,
                    type=_flag(lambda raw: _non_negative_finite("count", int(raw))))
     p.add_argument("--landmarks", type=int, default=PhantomConfig.landmarks)
@@ -344,17 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mm per pixel")
     p.add_argument("--chain-spacing", type=float, default=PhantomConfig.chain_spacing_px)
     p.add_argument("--wobble", type=float, default=PhantomConfig.wobble_px)
-    p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("equalize", help="histogram-equalize a corpus")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_equalize)
-
-    p = sub.add_parser("augment",
-                       help="emit augmented image/landmark pairs at the working size")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = commands["augment"]
     p.add_argument("--count", default=1, help="augmented copies per input",
                    type=_flag(lambda raw: _non_negative_finite("count", int(raw))))
     p.add_argument("--tx-range", type=float, nargs=2, default=AugmentationRanges.tx)
@@ -363,20 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-range", type=float, nargs=2, default=AugmentationRanges.scale)
     p.add_argument("--working-size", nargs=2, default=None, metavar=("W", "H"),
                    type=_flag(lambda raw: _positive_finite("working_size", int(raw))))
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("gen-heatmaps", help="render label heatmap stacks")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--sigma", type=_flag(lambda raw: _usable_sigma("sigma", float(raw))),
-                   default=1.2)
-    p.set_defaults(func=cmd_gen_heatmaps)
+    commands["gen-heatmaps"].add_argument(
+        "--sigma", type=_flag(lambda raw: _usable_sigma("sigma", float(raw))), default=1.2)
 
-    p = sub.add_parser("fuse",
-                       help="fuse heatmap stacks with coordinate predictions")
-    p.add_argument("--heatmaps-dir", required=True)
-    p.add_argument("--coords-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = commands["fuse"]
     p.add_argument("--prior-sigma", type=_flag(_prior_sigmas), default=FusionConfig.prior_sigma,
                    help="one value, or comma-separated per-landmark values")
     p.add_argument("--floor-epsilon", default=FusionConfig.floor_epsilon,
@@ -385,41 +384,34 @@ def build_parser() -> argparse.ArgumentParser:
                    default=FusionConfig.decode.value)
     p.add_argument("--dump-heatmaps", action="store_true",
                    help="also write fused stacks as .fused.hmap")
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("decode", help="decode heatmap stacks to landmarks")
-    p.add_argument("--heatmaps-dir", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = commands["decode"]
     p.add_argument("--method", choices=[m.value for m in DecodeMethod], default="argmax")
     p.add_argument("--window", type=_flag(lambda raw: _odd_window(int(raw))),
                    help="odd centroid patch size (default 3); only with --method centroid")
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("eval", help="score predictions against a manifest")
-    p.add_argument("--manifest", required=True, help="ground-truth manifest")
+    p = commands["eval"]
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--threshold-mm", default=8.0,
                    type=_flag(lambda raw: _positive_finite("threshold", float(raw))))
-    p.add_argument("--out", default=None, help="also write the report here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("simulate",
-                       help="compare coords-only, heatmap-argmax, and fused decoding")
+    p = commands["simulate"]
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help="sim config file")
     source.add_argument("--preset", choices=["calibrated", "noiseless"],
                         help="built-in config (default calibrated)")
-    p.add_argument("--out", default=None, help="also write the report here")
-    p.set_defaults(func=cmd_simulate)
 
-    # each subcommand takes only the shared flags it reads
-    for name in ("phantom", "augment", "simulate"):
-        sub.choices[name].add_argument("--seed", default=0, help="master random seed",
-                                       type=_flag(lambda raw: Rng(int(raw)).seed))
-    for name in ("equalize", "augment", "gen-heatmaps", "fuse", "decode"):
-        sub.choices[name].add_argument("--jobs", default=1,
-                                       type=_flag(lambda raw: _positive_finite("jobs", int(raw))),
-                                       help="parallel workers for file batches")
+    # the shared flags end each usage line
+    for flag, readers, kwargs in [
+        ("--out", "eval simulate", dict(default=None, help="also write the report here")),
+        ("--seed", "phantom augment simulate",
+         dict(default=0, help="master random seed", type=_flag(lambda raw: Rng(int(raw)).seed))),
+        ("--jobs", "equalize augment gen-heatmaps fuse decode",
+         dict(default=1, help="parallel workers for file batches",
+              type=_flag(lambda raw: _positive_finite("jobs", int(raw))))),
+    ]:
+        for name in readers.split():
+            commands[name].add_argument(flag, **kwargs)
     return parser
 
 

@@ -93,18 +93,6 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, pixels, spacing: float) -> "GrayImage":
-        """Build from a row-major flat intensity sequence, validating shape."""
-        PixelFrame(width, height)
-        flat = np.asarray(pixels)
-        if flat.size != width * height:
-            raise ValidationError(
-                f"dimension mismatch: {width}x{height} needs {width * height} pixels, "
-                f"got {flat.size}"
-            )
-        return cls(flat.reshape(height, width), spacing)
-
 
 # ---------------------------------------------------------------------------
 # landmark sets and their pixel frames

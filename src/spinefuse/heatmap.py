@@ -47,7 +47,8 @@ def _gaussian_exponents(center: tuple[float, float], sigma: float, width: int,
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Center, width, and peak amplitude of one Gaussian spot."""
+    """Center, width, and peak amplitude of one Gaussian spot. The width is
+    kept as a Python float, so a numpy scalar renders the bytes of its value."""
 
     center: tuple[float, float]
     sigma: float
@@ -57,7 +58,7 @@ class GaussianSpec:
         x0, y0 = self.center
         if not (_finite(x0) and _finite(y0)):
             raise ValidationError(f"non-finite center: {self.center}")
-        _usable_sigma("sigma", self.sigma)
+        object.__setattr__(self, "sigma", float(_usable_sigma("sigma", self.sigma)))
         _positive_finite("amplitude", self.amplitude)
 
 

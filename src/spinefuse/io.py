@@ -126,11 +126,12 @@ def read_pgm(path: str | Path, spacing: float = 1.0) -> GrayImage:
     width, height, maxval = int(token()), int(token()), int(token())
     if maxval != 255:
         raise ValidationError(f"unsupported maxval {maxval}, need 255")
+    PixelFrame(width, height)
     pos += 1  # single whitespace byte after maxval
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:
         raise ValidationError(f"raster holds {len(raster)} bytes, expected {width * height}")
-    return GrayImage.from_flat(width, height, np.frombuffer(raster, dtype=np.uint8), spacing)
+    return GrayImage(np.frombuffer(raster, np.uint8).reshape(height, width), spacing)
 
 
 # ---------------------------------------------------------------------------

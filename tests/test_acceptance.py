@@ -44,7 +44,7 @@ def write_eval_fixture(root, n_images, n_landmarks, miss_count, spacing=0.5):
                 pred[k, 0] += 30.0  # 15 mm at 0.5 mm/px, past any 8 mm threshold
                 missed += 1
         img_path = gt_dir / f"case_{i:03d}.pgm"
-        io.write_pgm(img_path, GrayImage.from_flat(2, 2, [0, 50, 100, 150], spacing))
+        io.write_pgm(img_path, GrayImage(np.array([[0, 50], [100, 150]], np.uint8), spacing))
         io.write_landmarks(gt_dir / f"case_{i:03d}.txt", LandmarkSet(pts, frame))
         io.write_landmarks(pred_dir / f"case_{i:03d}.txt", LandmarkSet(pred, frame))
         records.append(io.ManifestRecord(img_path, gt_dir / f"case_{i:03d}.txt", spacing))
@@ -260,11 +260,11 @@ def test_criterion_6_geometry_consistency():
 def test_criterion_7_preprocessing_fixtures():
     """Hand-derived equalization and bilinear fixtures reproduce exactly."""
     started = time.perf_counter()
-    eq1 = equalize_histogram(GrayImage.from_flat(2, 2, [0, 0, 255, 255], 1.0))
+    eq1 = equalize_histogram(GrayImage(np.array([[0, 0], [255, 255]], np.uint8), 1.0))
     assert eq1.pixels.ravel().tolist() == [0, 0, 255, 255]
-    eq2 = equalize_histogram(GrayImage.from_flat(2, 2, [10, 20, 20, 30], 1.0))
+    eq2 = equalize_histogram(GrayImage(np.array([[10, 20], [20, 30]], np.uint8), 1.0))
     assert eq2.pixels.ravel().tolist() == [0, 170, 170, 255]
-    rz = resize_bilinear(GrayImage.from_flat(2, 1, [0, 100], 1.0), 4, 1)
+    rz = resize_bilinear(GrayImage(np.array([[0, 100]], np.uint8), 1.0), 4, 1)
     assert rz.pixels.ravel().tolist() == [0, 25, 75, 100]
     report_line("criterion 7 (preprocessing fixtures)", started, 1.0,
                 "equalization and bilinear fixtures exact")

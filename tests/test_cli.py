@@ -688,6 +688,12 @@ class TestFlags:
         "--seed": {"phantom", "augment", "simulate"},
         "--jobs": {"equalize", "augment", "gen-heatmaps", "fuse", "decode"},
         "--config": {"simulate"},
+        "--manifest": {"equalize", "augment", "gen-heatmaps", "eval"},
+        "--out-dir": {"phantom", "equalize", "augment", "gen-heatmaps", "fuse", "decode"},
+        "--heatmaps-dir": {"fuse", "decode"},
+        "--coords-dir": {"fuse"},
+        # a prefix of --out-dir, which abbreviation would take it for
+        "--out": {"eval", "simulate"},
     }
 
     @pytest.mark.parametrize("argv", [

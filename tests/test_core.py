@@ -27,6 +27,12 @@ def _manifest_with_working_size(tmp_path, size):
     return io.read_manifest(path)
 
 
+def _pgm_with_grid(tmp_path, width, height):
+    path = tmp_path / "grid.pgm"
+    path.write_bytes(b"P5\n%d %d\n255\n" % (width, height))
+    return io.read_pgm(path)
+
+
 def _hmap_with_grid(tmp_path, width, height):
     path = tmp_path / "grid.hmap"
     path.write_bytes(b"HMAP" + struct.pack("<III", 1, height, width))
@@ -35,28 +41,24 @@ def _hmap_with_grid(tmp_path, width, height):
 
 class TestGrayImage:
     def test_minimal_well_formed(self):
-        img = GrayImage.from_flat(2, 2, [0, 1, 2, 3], 0.5)
+        img = GrayImage(np.array([[0, 1], [2, 3]], np.uint8), 0.5)
         assert img.width == 2 and img.height == 2
         assert img.spacing == 0.5
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="dimension mismatch"):
-            GrayImage.from_flat(2, 2, [0, 1, 2], 0.5)
-
     def test_zero_spacing(self):
         with pytest.raises(ValidationError, match="spacing"):
-            GrayImage.from_flat(2, 2, [0, 1, 2, 3], 0.0)
+            GrayImage(np.array([[0, 1], [2, 3]], np.uint8), 0.0)
 
     def test_negative_spacing(self):
         with pytest.raises(ValidationError, match="spacing"):
-            GrayImage.from_flat(1, 1, [0], -1.0)
+            GrayImage(np.array([[0]], np.uint8), -1.0)
 
     def test_out_of_range_intensity(self):
         with pytest.raises(ValidationError):
             GrayImage(np.array([[300]]), 1.0)
 
     def test_pixels_are_immutable(self):
-        img = GrayImage.from_flat(2, 2, [0, 1, 2, 3], 1.0)
+        img = GrayImage(np.array([[0, 1], [2, 3]], np.uint8), 1.0)
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 9
 
@@ -64,9 +66,9 @@ class TestGrayImage:
 class TestPixelFrame:
     @pytest.mark.parametrize("build", [
         lambda tmp: PixelFrame(0, 4),
-        lambda tmp: GrayImage.from_flat(0, 4, [], 1.0),
+        lambda tmp: _pgm_with_grid(tmp, 0, 4),
         lambda tmp: render_gaussian(GaussianSpec((1.0, 1.0), 1.0), 0, 4),
-        lambda tmp: resize_bilinear(GrayImage.from_flat(1, 1, [0], 1.0), 0, 4),
+        lambda tmp: resize_bilinear(GrayImage(np.array([[0]], np.uint8), 1.0), 0, 4),
         lambda tmp: resize_landmarks(LandmarkSet(np.zeros((1, 2)), PixelFrame(2, 2)), 0, 4),
         lambda tmp: PhantomConfig(landmarks=2, width=0, height=4, chain_spacing_px=1.0),
         lambda tmp: _manifest_with_working_size(tmp, "0 4"),

@@ -168,6 +168,16 @@ class TestRenderGaussian:
         got = render_gaussian(GaussianSpec(center, sigma), 8, 8).values
         assert got.tobytes() == expected.tobytes()
 
+    # under numpy 2 a float32 sigma would keep 2*sigma*sigma in float32:
+    # other bytes, or an overflow warning for a width that passed the rule
+    @pytest.mark.parametrize("center, sigma", [((3.0, 3.0), 1.2), ((1e30, 1.0), 1e20)],
+                             ids=["bytes", "overflow"])
+    def test_numpy_scalar_sigma_renders_as_its_float(self, center, sigma):
+        spec = GaussianSpec(center, np.float32(sigma))
+        assert type(spec.sigma) is float
+        want = render_gaussian(GaussianSpec(center, float(np.float32(sigma))), 8, 8)
+        assert render_gaussian(spec, 8, 8).values.tobytes() == want.values.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 300), height=st.integers(1, 300),
            sigma=st.floats(0.05, 1e3), fx=st.floats(-3.0, 4.0), fy=st.floats(-3.0, 4.0),

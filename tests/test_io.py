@@ -127,7 +127,7 @@ class TestPgm:
         assert back.spacing == 0.5
 
     def test_header_bytes(self, tmp_path):
-        img = GrayImage.from_flat(2, 2, [1, 2, 3, 4], 1.0)
+        img = GrayImage(np.array([[1, 2], [3, 4]], np.uint8), 1.0)
         path = tmp_path / "img.pgm"
         io.write_pgm(path, img)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
@@ -397,7 +397,7 @@ class TestManifests:
         for i in range(n):
             img = tmp_path / f"im_{i}.pgm"
             lmk = tmp_path / f"im_{i}.txt"
-            io.write_pgm(img, GrayImage.from_flat(4, 4, list(range(16)), 0.5))
+            io.write_pgm(img, GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4), 0.5))
             io.write_landmarks(lmk, LandmarkSet(np.array([[1.0, 1.0]]), PixelFrame(4, 4)))
             records.append(io.ManifestRecord(img, lmk, 0.5))
         return tuple(records)

@@ -33,20 +33,20 @@ def gathered_resize(img, out_w, out_h):
 
 class TestEqualizeHistogram:
     def test_constant_image_unchanged(self):
-        img = GrayImage.from_flat(3, 3, [77] * 9, 1.0)
+        img = GrayImage(np.full((3, 3), 77, np.uint8), 1.0)
         out = equalize_histogram(img)
         np.testing.assert_array_equal(out.pixels, img.pixels)
 
     def test_two_level_image(self):
         # cdf(0)=2, cdf(255)=4, cdf_min=2 -> extremes stay put
-        img = GrayImage.from_flat(2, 2, [0, 0, 255, 255], 1.0)
+        img = GrayImage(np.array([[0, 0], [255, 255]], np.uint8), 1.0)
         out = equalize_histogram(img)
         np.testing.assert_array_equal(out.pixels.ravel(), [0, 0, 255, 255])
 
     def test_hand_derived_three_levels(self):
         # cdf = {10: 1, 20: 3, 30: 4}, cdf_min = 1
         # -> round(0/3*255)=0, round(2/3*255)=170, round(3/3*255)=255
-        img = GrayImage.from_flat(2, 2, [10, 20, 20, 30], 1.0)
+        img = GrayImage(np.array([[10, 20], [20, 30]], np.uint8), 1.0)
         out = equalize_histogram(img)
         np.testing.assert_array_equal(out.pixels.ravel(), [0, 170, 170, 255])
 
@@ -88,13 +88,13 @@ class TestResizeBilinear:
         assert out.spacing == want.spacing == 0.3
 
     def test_single_pixel_extends_constant(self):
-        img = GrayImage.from_flat(1, 1, [42], 1.0)
+        img = GrayImage(np.array([[42]], np.uint8), 1.0)
         out = resize_bilinear(img, 3, 3)
         np.testing.assert_array_equal(out.pixels, np.full((3, 3), 42))
 
     def test_half_pixel_center_alignment(self):
         # sample coords for 2->4 upscale are -0.25, 0.25, 0.75, 1.25
-        img = GrayImage.from_flat(2, 1, [0, 100], 1.0)
+        img = GrayImage(np.array([[0, 100]], np.uint8), 1.0)
         out = resize_bilinear(img, 4, 1)
         np.testing.assert_array_equal(out.pixels.ravel(), [0, 25, 75, 100])
 
@@ -112,7 +112,7 @@ class TestResizeBilinear:
         assert out.spacing == pytest.approx(1.0)
 
     def test_bad_size(self):
-        img = GrayImage.from_flat(2, 2, [0, 0, 0, 0], 1.0)
+        img = GrayImage(np.array([[0, 0], [0, 0]], np.uint8), 1.0)
         with pytest.raises(ValidationError):
             resize_bilinear(img, 0, 4)
 

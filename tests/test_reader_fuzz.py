@@ -23,7 +23,7 @@ def corpus(tmp_path_factory):
     """A valid file per reader, written by the package's own writers, or for
     a sim config, which the package only reads, the tests' literal."""
     root = tmp_path_factory.mktemp("fuzz")
-    io.write_pgm(root / "img.pgm", GrayImage.from_flat(6, 5, list(range(30)), 0.5))
+    io.write_pgm(root / "img.pgm", GrayImage(np.arange(30, dtype=np.uint8).reshape(5, 6), 0.5))
     io.write_landmarks(root / "lms.txt",
                        LandmarkSet(np.array([[1.0, 2.5], [3.25, 4.0]]), FRAME))
     io.write_heatmap_stack(root / "s.hmap", [
