@@ -196,8 +196,7 @@ def cmd_augment(args) -> int:
         stream = master.spawn(i * args.count + j)
         img, lms = _read_pair(rec, manifest.landmark_count)
         lms.validate_bounds()
-        center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
-        transform = sample_valid_augmentation(stream, ranges, lms, center)
+        transform = sample_valid_augmentation(stream, ranges, lms)
         warped_img = warp_image(img, transform)
         warped_lms = warp_landmarks(lms, transform)
         out_img = resize_bilinear(warped_img, work_w, work_h)
@@ -221,8 +220,8 @@ def cmd_gen_heatmaps(args) -> int:
     out = _out_dir(args)
 
     def process(rec: io.ManifestRecord):
-        img, lms = _read_pair(rec, manifest.landmark_count)
-        stack = render_label_stack(lms, args.sigma, img.width, img.height)
+        _, lms = _read_pair(rec, manifest.landmark_count)
+        stack = render_label_stack(lms, args.sigma)
         path = out / f"{rec.image_path.stem}.hmap"
         io.write_heatmap_stack(path, stack)
         return path

@@ -191,15 +191,16 @@ class Rng:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
+    # uniform and normal compute in Python floats, whatever the parameters' type
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        return float(lo) + (float(hi) - float(lo)) * self.random()
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         # (0,1] for the radius so log never sees zero
         u1 = ((self.next_u64() >> 11) + 1) * (2.0 ** -53)
         u2 = (self.next_u64() >> 11) * (2.0 ** -53)
         r = math.sqrt(-2.0 * math.log(u1))
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+        return float(mu) + float(sigma) * r * math.cos(2.0 * math.pi * u2)
 
     def spawn(self, index: int) -> "Rng":
         """Derive an independent child stream from the seed and an index.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
         raise ValidationError("empty evaluation")
     _positive_finite("threshold", threshold_mm)
 
-    if isinstance(spacing, (int, float)):
+    if isinstance(spacing, Real):
         spacings = [_positive_finite("spacing", float(spacing))] * len(preds)
     else:
         spacings = [_positive_finite("spacing", float(s)) for s in spacing]

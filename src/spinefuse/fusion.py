@@ -50,7 +50,8 @@ class FusionConfig:
             raise ValidationError("bad per-landmark prior sigmas: ()")
         sigmas = tuple(float(_usable_sigma("prior_sigma", s)) for s in sigmas)
         object.__setattr__(self, "prior_sigma", sigmas if many else sigmas[0])
-        _positive_finite("floor_epsilon", self.floor_epsilon)
+        object.__setattr__(self, "floor_epsilon",
+                           float(_positive_finite("floor_epsilon", self.floor_epsilon)))
         if not isinstance(self.decode, DecodeMethod):
             raise ValidationError(f"unknown decode method: {self.decode!r}")
 

@@ -212,17 +212,15 @@ def warp_landmarks(lms: LandmarkSet, t: AffineTransform2D) -> LandmarkSet:
 _MAX_TRIES = 100
 
 
-def sample_valid_augmentation(
-    rng: Rng,
-    ranges: AugmentationRanges,
-    lms: LandmarkSet,
-    center: tuple[float, float],
-) -> AffineTransform2D:
-    """Sample until the augmentation keeps every landmark in frame.
+def sample_valid_augmentation(rng: Rng, ranges: AugmentationRanges,
+                              lms: LandmarkSet) -> AffineTransform2D:
+    """Sample until the augmentation keeps every landmark in frame; it turns
+    and scales about the frame's centre, ((w - 1) / 2, (h - 1) / 2).
 
     Silently clipping labels would corrupt training targets, so draws that
     push any landmark out are discarded. Raises after ``_MAX_TRIES`` draws.
     """
+    center = ((lms.frame.width - 1) / 2, (lms.frame.height - 1) / 2)
     for _ in range(_MAX_TRIES):
         t = build_transform(*sample_augmentation(rng, ranges), center)
         if warp_landmarks(lms, t).in_bounds_mask().all():

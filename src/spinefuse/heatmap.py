@@ -204,55 +204,50 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
     once, on its first use, and every key's block is a slice of it until
     the family's last use. An amplitude scales a new array, so a shared
     block is never written. A map of one block keeps that block; several
-    fill a zeroed array of their joined box, the first written in place
-    and each later one max-combined with it.
+    fill a zeroed array of their joined box, the first assigned and each
+    later one max-combined with it.
     """
     PixelFrame(width, height)
-    # each distinct (center, sigma), with the number of specs that use it
-    uses = Counter((spec.center, spec.sigma) for specs in channels for spec in specs)
-    # whole-numbered centres group by sigma, and any other key is alone
+    # each distinct (center, sigma) once: whole-numbered centres group by
+    # sigma, and any other key is alone
     groups = {}
-    for key in uses:
+    for key in dict.fromkeys((spec.center, spec.sigma) for specs in channels for spec in specs):
         (x, y), sigma = key
         groups.setdefault(sigma if _whole(x) and _whole(y) else key, []).append(key)
-    families = []
+    # pixel (r, c) of a key's Gaussian is element (r + oy, c + ox) of its
+    # family's unit block, for (family, oy, ox, box) = place[key], kept for
+    # each key with a nonzero pixel in its box (r0, r1, c0, c1)
+    place, factors = {}, []
     for members in groups.values():
         xs, ys = zip(*(center for center, _ in members))
         split = max(xs) - min(xs) >= width or max(ys) - min(ys) >= height
-        families += [[key] for key in members] if split else [members]
-    # pixel (r, c) of a key's Gaussian is element (r + oy, c + ox) of its
-    # family's unit block, for (f, oy, ox) = place[key]; boxes holds the box
-    # of each key with a nonzero pixel, and a family's block lives until its
-    # keys' last use
-    place, boxes, factors, left = {}, {}, [], [0] * len(families)
-    for f, members in enumerate(families):
-        xs, ys = zip(*(center for center, _ in members))
-        x1, y1 = max(xs), max(ys)
-        lx, ly = _gaussian_exponents((x1, y1), members[0][1], width + int(x1 - min(xs)),
-                                     height + int(y1 - min(ys)))
-        uy, ux = np.exp(ly, out=ly), np.exp(lx, out=lx)
-        a0, a1, b0, b1 = _box(uy > 0, ux > 0)
-        factors.append((uy[a0:a1], ux[b0:b1]))
-        for key in members:
-            (x, y), _ = key
-            dy, dx = int(y1 - y), int(x1 - x)
-            place[key] = (f, dy - a0, dx - b0)
-            r0, r1 = max(a0 - dy, 0), min(a1 - dy, height)
-            c0, c1 = max(b0 - dx, 0), min(b1 - dx, width)
-            if r1 > r0 and c1 > c0:
-                boxes[key] = (r0, r1, c0, c1)
-                left[f] += uses[key]
+        for family in [[key] for key in members] if split else [members]:
+            xs, ys = zip(*(center for center, _ in family))
+            x1, y1 = max(xs), max(ys)
+            lx, ly = _gaussian_exponents((x1, y1), family[0][1], width + int(x1 - min(xs)),
+                                         height + int(y1 - min(ys)))
+            uy, ux = np.exp(ly, out=ly), np.exp(lx, out=lx)
+            a0, a1, b0, b1 = _box(uy > 0, ux > 0)
+            for key in family:
+                (x, y), _ = key
+                dy, dx = int(y1 - y), int(x1 - x)
+                r0, r1 = max(a0 - dy, 0), min(a1 - dy, height)
+                c0, c1 = max(b0 - dx, 0), min(b1 - dx, width)
+                if r1 > r0 and c1 > c0:
+                    place[key] = (len(factors), dy - a0, dx - b0, (r0, r1, c0, c1))
+            factors.append((uy[a0:a1], ux[b0:b1]))
+    # each channel's specs with a nonzero pixel, as (place, amplitude); a
+    # family's unit block lives until the last of these uses
+    placed = [[(place[key], spec.amplitude) for spec in specs
+               if (key := (spec.center, spec.sigma)) in place] for specs in channels]
+    left = Counter(f for specs in placed for (f, _, _, _), _ in specs)
     units, stack = {}, []
-    for specs in channels:
-        placed = [((spec.center, spec.sigma), spec.amplitude) for spec in specs]
-        placed = [(key, amplitude) for key, amplitude in placed if key in boxes]
+    for specs in placed:
         # a map with no nonzero pixel gets the empty box
-        r0s, r1s, c0s, c1s = zip(*(boxes[key] for key, _ in placed)) if placed else ((0,),) * 4
+        r0s, r1s, c0s, c1s = zip(*(box for (_, _, _, box), _ in specs)) if specs else ((0,),) * 4
         row0, col0 = min(r0s), min(c0s)
-        joined = None if len(placed) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
-        for n, (key, amplitude) in enumerate(placed):
-            r0, r1, c0, c1 = boxes[key]
-            f, oy, ox = place[key]
+        joined = None if len(specs) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
+        for n, ((f, oy, ox, (r0, r1, c0, c1)), amplitude) in enumerate(specs):
             unit = units.get(f)
             if unit is None:
                 unit = units[f] = np.outer(*factors[f])
@@ -260,18 +255,17 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
             if not left[f]:
                 del units[f]
             block = unit[r0 + oy:r1 + oy, c0 + ox:c1 + ox]
+            block = block if amplitude == 1.0 else block * amplitude
             if joined is None:
-                joined = block if amplitude == 1.0 else block * amplitude
+                joined = block
                 continue
             part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
             # every value is a non-negative product, never -0 or NaN, so the
             # first block's max with the zeroed array is the block itself
             if n:
-                np.maximum(part, block if amplitude == 1.0 else block * amplitude, out=part)
-            elif amplitude == 1.0:
-                np.copyto(part, block)
+                np.maximum(part, block, out=part)
             else:
-                np.multiply(block, amplitude, out=part)
+                part[...] = block
         stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)),
                              _shape=(height, width)))
     return stack
@@ -283,10 +277,11 @@ def _whole(v) -> bool:
     return abs(v) < 2.0 ** 52 and float(v).is_integer()
 
 
-def render_label_stack(lms: LandmarkSet, sigma: float, width: int, height: int) -> list[Heatmap]:
-    """One unit-peak heatmap per landmark, channel order matching point order."""
+def render_label_stack(lms: LandmarkSet, sigma: float) -> list[Heatmap]:
+    """One unit-peak heatmap per landmark on the landmarks' frame, channel
+    order matching point order."""
     return _render([(GaussianSpec((float(x), float(y)), sigma),) for x, y in lms.points],
-                   width, height)
+                   lms.frame.width, lms.frame.height)
 
 
 def decode_argmax(hm: Heatmap) -> tuple[int, int]:

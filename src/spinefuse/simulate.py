@@ -145,15 +145,14 @@ def simulate_coords(rng: Rng, gt: LandmarkSet, model: CoordPredictorModel) -> La
     return LandmarkSet(pts, gt.frame)
 
 
-def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
-                      width: int, height: int) -> list[Heatmap]:
+def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel) -> list[Heatmap]:
     """One channel per landmark: jittered true peak, max-combined with an
     occasional spurious peak at a uniformly chosen chain neighbor.
 
-    Channels come in landmark order, and each takes its draws from the
-    stream in turn: two jitter normals and one confusion uniform; a
-    triggered confusion takes one neighbor-choice uniform and one amplitude
-    uniform.
+    Channels come in landmark order on the frame of ``gt``, and each takes
+    its draws from the stream in turn: two jitter normals and one
+    confusion uniform; a triggered confusion takes one neighbor-choice
+    uniform and one amplitude uniform.
     """
     n = len(gt)
     channels = []
@@ -174,7 +173,7 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel,
             specs.append(GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp))
         channels.append(specs)
     # every draw is taken before rendering, which draws nothing
-    return _render(channels, width, height)
+    return _render(channels, gt.frame.width, gt.frame.height)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def run_trial(rng: Rng, config: TrialConfig) -> ComparisonReport:
         stream = rng.spawn(i)
         gt = generate_phantom(stream, cfg)
         coords = simulate_coords(stream, gt, config.coords)
-        stack = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
+        stack = simulate_heatmaps(stream, gt, config.heatmaps)
         heat = np.array([decode_argmax(channel) for channel in stack], dtype=np.float64)
         gts.append(gt)
         coord_preds.append(coords)

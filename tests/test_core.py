@@ -11,11 +11,13 @@ from spinefuse.core import (
     Rng,
     ValidationError,
 )
-from spinefuse.fusion import FusionConfig
-from spinefuse.geometry import AugmentationRanges
+from spinefuse.evaluate import pck
+from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
+from spinefuse.geometry import AugmentationRanges, sample_valid_augmentation
 from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
 from spinefuse.preprocess import resize_bilinear, resize_landmarks
-from spinefuse.simulate import CoordPredictorModel, HeatmapPredictorModel, PhantomConfig
+from spinefuse.simulate import (CoordPredictorModel, HeatmapPredictorModel, PhantomConfig,
+                                simulate_coords, simulate_heatmaps)
 
 # an int that no float holds
 HUGE = 10 ** 400
@@ -110,6 +112,57 @@ class TestMalformedArguments:
     def test_an_int_beyond_the_float_range_is_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+
+# three landmarks on a 48 x 64 frame, and a map whose maximum lies below
+# the fusion floor
+GT = LandmarkSet(np.array([[20.0, 10.0], [24.0, 30.0], [22.0, 50.0]]), PixelFrame(48, 64))
+FAINT = np.zeros((12, 12))
+FAINT[3, 4] = 6.5e-12
+
+
+def _fused(decode):
+    return lambda eps: fuse_and_decode(Heatmap(FAINT), (8.5, 2.6),
+                                       FusionConfig(prior_sigma=5.9, floor_epsilon=eps,
+                                                    decode=decode))
+
+
+def _simulated(model):
+    return lambda value: [hm.values.tobytes()
+                          for hm in simulate_heatmaps(Rng(5), GT, model(value))]
+
+
+def _augmented(ranges):
+    return lambda value: sample_valid_augmentation(Rng(5), ranges(value), GT).matrix.tobytes()
+
+
+class TestNumpyScalarSettings:
+    # under numpy 2 arithmetic on a np.float32 stays in float32: a width
+    # that renders other bytes or overflows, a fusion floor whose log
+    # exceeds the true score, draws of other numbers; and pck took only
+    # int or float as one spacing
+    @pytest.mark.parametrize("run, value", [
+        (lambda s: render_gaussian(GaussianSpec((3.0, 3.0), s), 8, 8).values.tobytes(),
+         np.float32(1.2)),
+        (lambda s: render_gaussian(GaussianSpec((1e30, 1.0), s), 8, 8).values.tobytes(),
+         np.float32(1e20)),
+        (_fused(DecodeMethod.ARGMAX), np.float32(9.2e-12)),
+        (_fused(DecodeMethod.CENTROID), np.float32(9.2e-12)),
+        (lambda s: simulate_coords(Rng(5), GT, CoordPredictorModel(s)).points.tobytes(),
+         np.float32(3.3)),
+        (_simulated(lambda s: HeatmapPredictorModel(peak_jitter_sigma=s)), np.float32(0.7)),
+        (_simulated(lambda a: HeatmapPredictorModel(adjacent_confusion_prob=1.0,
+                                                    spurious_amplitude=(a, 1.1))),
+         np.float32(0.9)),
+        (_augmented(lambda t: AugmentationRanges(tx=(t, 3.0))), np.float32(-2.7)),
+        (_augmented(lambda a: AugmentationRanges(angle_deg=(a, 25.0))), np.float32(-24.3)),
+        (lambda s: pck([GT], [GT], 8.0, s), np.float32(0.5)),
+        (lambda s: pck([GT], [GT], 8.0, s), np.int64(1)),
+    ], ids=["sigma-bytes", "sigma-overflow", "floor-epsilon-argmax", "floor-epsilon-centroid",
+            "noise-sigma", "peak-jitter", "spurious-amplitude", "tx", "angle", "spacing-float32",
+            "spacing-int64"])
+    def test_a_numpy_scalar_setting_gives_the_result_of_its_float(self, run, value):
+        assert run(value) == run(float(value))
 
 
 class TestLandmarkSet:

@@ -583,7 +583,7 @@ class TestPeakBoundedWindow:
         stream = Rng(4).spawn(0)
         gt = generate_phantom(stream, config.phantom)
         coords = simulate_coords(stream, gt, config.coords)
-        stack = simulate_heatmaps(stream, gt, config.heatmaps, 512, 512)
+        stack = simulate_heatmaps(stream, gt, config.heatmaps)
         eps, held, shrunk = config.fusion.floor_epsilon, 0, 0
         for k, (hm, coord) in enumerate(zip(stack, coords.points)):
             (r0, r1, c0, c1), _ = fusion._fuse(hm, tuple(coord), config.fusion, 0.0)[1]

@@ -288,9 +288,8 @@ class TestWarpImage:
             lms = generate_phantom(Rng(7).spawn(i), config)
             img = equalize_histogram(phantom_image(lms, config))
             assert np.count_nonzero(img.pixels) < img.pixels.size // 10
-            center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
             for j in range(3):
-                t = sample_valid_augmentation(Rng(8).spawn(3 * i + j), ranges, lms, center)
+                t = sample_valid_augmentation(Rng(8).spawn(3 * i + j), ranges, lms)
                 got = warp_image(img, t)
                 assert got.pixels.tobytes() == whole_grid_warp(img, t).pixels.tobytes()
 
@@ -381,9 +380,7 @@ class TestImageLabelConsistency:
             px = int(stream.uniform(50, size - 50))
             py = int(stream.uniform(50, size - 50))
             lms = LandmarkSet(np.array([[float(px), float(py)]]), PixelFrame(size, size))
-            t = sample_valid_augmentation(
-                stream, ranges, lms, ((size - 1) / 2, (size - 1) / 2)
-            )
+            t = sample_valid_augmentation(stream, ranges, lms)
             pix = np.zeros((size, size), dtype=np.uint8)
             pix[py, px] = 255
             warped_img = warp_image(GrayImage(pix, 1.0), t)
@@ -400,4 +397,4 @@ class TestImageLabelConsistency:
         lms = LandmarkSet(np.array([[0.0, 0.0]]), PixelFrame(8, 8))
         ranges = AugmentationRanges(tx=(50, 60), ty=(0, 0), angle_deg=(0, 0), scale=(1, 1))
         with pytest.raises(ValidationError, match="tries"):
-            sample_valid_augmentation(Rng(1), ranges, lms, (4, 4))
+            sample_valid_augmentation(Rng(1), ranges, lms)

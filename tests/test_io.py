@@ -296,8 +296,8 @@ class TestHeatmapStacks:
         gt = LandmarkSet(np.array([[2.0, 100.0], [297.0, 60.0], [150.0, 1.0], [40.0, 198.0],
                                    [150.0, 100.0]]), PixelFrame(300, 200))
         model = HeatmapPredictorModel(adjacent_confusion_prob=1.0)
-        for k, stack in enumerate([render_label_stack(gt, 1.2, 300, 200),
-                                   simulate_heatmaps(Rng(3), gt, model, 300, 200)]):
+        for k, stack in enumerate([render_label_stack(gt, 1.2),
+                                   simulate_heatmaps(Rng(3), gt, model)]):
             assert all("values" not in vars(hm) for hm in stack)
             io.write_heatmap_stack(tmp_path / f"{k}.hmap", stack)
             io.write_heatmap_stack(tmp_path / f"{k}.dense.hmap",
@@ -326,7 +326,7 @@ class TestHeatmapStacks:
         # 11 x 512 x 512 float32 is 11.5 MiB of file; reading and writing hold
         # one 1 MiB channel grid, plus the label maps' small blocks
         pts = np.array([[40.0 * k + 30.0, 45.0 * k + 20.0] for k in range(11)])
-        stack = render_label_stack(LandmarkSet(pts, PixelFrame(512, 512)), 1.2, 512, 512)
+        stack = render_label_stack(LandmarkSet(pts, PixelFrame(512, 512)), 1.2)
         path = tmp_path / "s.hmap"
         peaks = []
         for call in (lambda: io.write_heatmap_stack(path, stack),

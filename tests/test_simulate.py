@@ -54,7 +54,7 @@ def channel_at_a_time_trial(rng, config):
         gt = generate_phantom(stream, cfg)
         coords = simulate_coords(stream, gt, config.coords)
         heat, fused = np.empty((cfg.landmarks, 2)), np.empty((cfg.landmarks, 2))
-        channels = simulate_heatmaps(stream, gt, config.heatmaps, cfg.width, cfg.height)
+        channels = simulate_heatmaps(stream, gt, config.heatmaps)
         for k, channel in enumerate(channels):
             heat[k] = decode_argmax(channel)
             x, y = coords.points[k]
@@ -180,7 +180,7 @@ class TestSimulateHeatmaps:
     def test_clean_channels_decode_to_gt(self):
         gt = generate_phantom(Rng(13), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=0.0)
-        stack = simulate_heatmaps(Rng(14), gt, model, SMALL.width, SMALL.height)
+        stack = simulate_heatmaps(Rng(14), gt, model)
         for hm, (x, y) in zip(stack, gt.points):
             assert decode_argmax(hm) == (int(x), int(y))
 
@@ -188,7 +188,7 @@ class TestSimulateHeatmaps:
         gt = generate_phantom(Rng(15), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=0.0, adjacent_confusion_prob=1.0,
                                       spurious_amplitude=(1.1, 1.1))
-        stack = simulate_heatmaps(Rng(16), gt, model, SMALL.width, SMALL.height)
+        stack = simulate_heatmaps(Rng(16), gt, model)
         n = len(gt)
         for k, hm in enumerate(stack):
             x, y = decode_argmax(hm)
@@ -224,7 +224,7 @@ class TestSimulateHeatmaps:
         gt = generate_phantom(Rng(18), SMALL)
         model = HeatmapPredictorModel(peak_jitter_sigma=jitter, adjacent_confusion_prob=0.6,
                                       spurious_amplitude=(0.8, 1.3))
-        got = simulate_heatmaps(Rng(19), gt, model, SMALL.width, SMALL.height)
+        got = simulate_heatmaps(Rng(19), gt, model)
         want = reference(Rng(19), gt, model, SMALL.width, SMALL.height)
         assert len(got) == len(want) == len(gt)
         for hm, ref in zip(got, want):
@@ -246,7 +246,7 @@ class TestSimulateHeatmaps:
         for i in range(10_000 // 11 + 1):
             stream = master.spawn(i)
             gt = generate_phantom(stream, SMALL)
-            stack = simulate_heatmaps(stream, gt, model, SMALL.width, SMALL.height)
+            stack = simulate_heatmaps(stream, gt, model)
             for hm, (x, y) in zip(stack, gt.points):
                 wrong += decode_argmax(hm) != (int(x), int(y))
                 total += 1
