@@ -94,8 +94,7 @@ def _read_counted(path: Path, frame: PixelFrame, landmark_count: int) -> Landmar
 def _read_pair(rec: io.ManifestRecord, landmark_count: int):
     """A record's image and its landmarks, which must number landmark_count."""
     img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
-    return img, _read_counted(rec.landmarks_path, PixelFrame(img.width, img.height),
-                              landmark_count)
+    return img, _read_counted(rec.landmarks_path, img.frame, landmark_count)
 
 
 def _out_dir(args) -> Path:
@@ -157,7 +156,7 @@ def cmd_phantom(args) -> int:
         io.write_pgm(img_path, phantom_image(lms, config))
         io.write_landmarks(lmk_path, lms)
         records.append(io.ManifestRecord(img_path, lmk_path, config.spacing_mm_per_px))
-    _write_manifest(out, records, config.landmarks, (config.width, config.height))
+    _write_manifest(out, records, config.landmarks, config.frame)
     print(f"wrote {args.count} phantoms to {out}")
     return EXIT_OK
 
@@ -187,7 +186,7 @@ def cmd_augment(args) -> int:
         tx=tuple(args.tx_range), ty=tuple(args.ty_range),
         angle_deg=tuple(args.angle_range), scale=tuple(args.scale_range),
     )
-    work_w, work_h = args.working_size or manifest.working_size
+    work = PixelFrame(*args.working_size) if args.working_size else manifest.working_size
     master = Rng(args.seed)
     out = _out_dir(args)
 
@@ -199,8 +198,8 @@ def cmd_augment(args) -> int:
         transform = sample_valid_augmentation(stream, ranges, lms)
         warped_img = warp_image(img, transform)
         warped_lms = warp_landmarks(lms, transform)
-        out_img = resize_bilinear(warped_img, work_w, work_h)
-        out_lms = resize_landmarks(warped_lms, work_w, work_h)
+        out_img = resize_bilinear(warped_img, work)
+        out_lms = resize_landmarks(warped_lms, work)
         stem = rec.image_path.stem
         img_path = out / f"{stem}_aug{j:03d}.pgm"
         lmk_path = out / f"{stem}_aug{j:03d}.txt"
@@ -210,7 +209,7 @@ def cmd_augment(args) -> int:
 
     tasks = [(i, j, rec) for i, rec in enumerate(manifest.records) for j in range(args.count)]
     ok, code = _batch(process, tasks, [t[2].image_path for t in tasks], args.jobs)
-    _write_manifest(out, ok, manifest.landmark_count, (work_w, work_h))
+    _write_manifest(out, ok, manifest.landmark_count, work)
     print(f"wrote {len(ok)} augmented pairs to {out}")
     return code
 
@@ -259,8 +258,7 @@ def cmd_fuse(args) -> int:
 
     def process(stack_path: Path, stack, out: Path):
         coords_path = coord_dir / f"{stack_path.stem}.txt"
-        frame = PixelFrame(stack[0].width, stack[0].height)
-        coords = io.read_landmarks(coords_path, frame)
+        coords = io.read_landmarks(coords_path, stack[0].frame)
         if len(coords) != len(stack):
             raise ValidationError(f"{len(stack)} heatmap channels but "
                                   f"{len(coords)} coordinates in {coords_path}")
@@ -280,9 +278,8 @@ def cmd_decode(args) -> int:
             pts = [decode_argmax(hm) for hm in stack]
         else:
             pts = [decode_centroid(hm, args.window or 3) for hm in stack]
-        frame = PixelFrame(stack[0].width, stack[0].height)
         io.write_landmarks(out / f"{stack_path.stem}.txt",
-                           LandmarkSet(np.array(pts, dtype=np.float64), frame))
+                           LandmarkSet(np.array(pts, dtype=np.float64), stack[0].frame))
 
     return _stack_stage(args, process, "decoded")
 
@@ -292,7 +289,7 @@ def cmd_eval(args) -> int:
     if not (manifest.records and manifest.landmark_count):
         raise ValidationError(f"{args.manifest}: no landmarks to evaluate")
     pred_dir = Path(args.pred_dir)
-    frame = PixelFrame(*manifest.working_size)
+    frame = manifest.working_size
     gts, preds, spacings = [], [], []
     for rec in manifest.records:
         gt = _read_counted(rec.landmarks_path, frame, manifest.landmark_count)

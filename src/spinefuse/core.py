@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Rational
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -62,13 +62,14 @@ def _non_negative_finite(name: str, value: float) -> float:
 class GrayImage:
     """8-bit single-channel raster with isotropic physical pixel spacing.
 
-    ``pixels`` is a read-only (height, width) uint8 array; ``spacing`` is
-    millimetres per pixel. Pixel (row i, col j) is sampled at the continuous
-    point (x=j, y=i): x grows rightward, y grows downward.
+    ``pixels`` is a read-only (height, width) uint8 array on the grid
+    ``frame``; ``spacing`` is millimetres per pixel. Pixel (row i, col j) is
+    sampled at the continuous point (x=j, y=i): x grows rightward, y grows downward.
     """
 
     pixels: np.ndarray
     spacing: float
+    frame: PixelFrame = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.pixels)
@@ -76,7 +77,7 @@ class GrayImage:
             raise ValidationError(
                 f"image pixels must be a non-empty 2-D array, got shape {arr.shape}"
             )
-        PixelFrame(arr.shape[1], arr.shape[0])
+        object.__setattr__(self, "frame", PixelFrame(arr.shape[1], arr.shape[0]))
         if arr.dtype != np.uint8:
             if not (np.issubdtype(arr.dtype, np.integer)
                     and arr.min() >= 0 and arr.max() <= 255):
@@ -84,14 +85,6 @@ class GrayImage:
             arr = arr.astype(np.uint8)
         _positive_finite("spacing", self.spacing)
         object.__setattr__(self, "pixels", _frozen(arr))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +94,20 @@ class GrayImage:
 @dataclass(frozen=True)
 class PixelFrame:
     """Coordinate frame of a width x height pixel grid. Building one is the
-    package's only check that a grid's sides are positive."""
+    package's only check that a grid's sides are integers of at least 1;
+    they are stored as Python ints."""
     width: int
     height: int
 
     def __post_init__(self):
+        if not all(isinstance(side, Integral) and not isinstance(side, bool)
+                   for side in (self.width, self.height)):
+            raise ValidationError(
+                f"grid sides must be integers, got {self.width!r}x{self.height!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"non-positive grid: {self.width}x{self.height}")
+        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "height", int(self.height))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from numbers import Real
 
@@ -67,14 +67,13 @@ class FusionConfig:
 
 
 def coord_to_prior(coord: tuple[float, float], prior_sigma: float,
-                   width: int, height: int) -> Heatmap:
-    """Render the Gaussian belief around a coordinate prediction.
+                   frame: PixelFrame) -> Heatmap:
+    """Render the Gaussian belief around a coordinate prediction on the frame's grid.
 
     Out-of-frame coordinates are allowed: the tail still covers the frame
     and the in-frame maximum sits at the nearest border point.
     """
-    return render_gaussian(GaussianSpec((float(coord[0]), float(coord[1])), prior_sigma),
-                           width, height)
+    return render_gaussian(GaussianSpec((float(coord[0]), float(coord[1])), prior_sigma), frame)
 
 
 # float32 rounds every value at or below 2^-150 to 0; the fused map is
@@ -115,7 +114,7 @@ def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConf
     # the flushed entries keep their negative logs, which the maximum zeroes
     np.exp(logsum, out=logsum, where=logsum >= _LOG_FLUSH)
     return Heatmap(np.maximum(logsum, 0.0, out=logsum), _support=box,
-                   _shape=predicted._shape)
+                   _frame=predicted.frame)
 
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
@@ -156,7 +155,8 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
         raise ValidationError("per-landmark prior sigmas are fused by fuse_batch alone")
     eps = cfg.floor_epsilon
     # the log prior's two separable terms; pixel (y, x) sums lx[x] + ly[y]
-    lx, ly = _gaussian_exponents(coord, cfg.prior_sigma, predicted.width, predicted.height)
+    frame = predicted.frame
+    lx, ly = _gaussian_exponents(coord, cfg.prior_sigma, frame.width, frame.height)
     if predicted._top <= 0:
         raise ValidationError("cannot fuse an all-zero predicted heatmap")
     # the pixel nearest the coordinate, where both prior terms peak; 0 off the support
@@ -173,7 +173,7 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
     # prior falls short of reach on the nearest pixel's row falls short on
     # every row
     log_top = math.log(max(predicted._top, eps))
-    py, px = divmod(predicted._argmax, predicted.width)
+    py, px = divmod(predicted._argmax, frame.width)
     best = max(best, float(lx[px] + ly[py]) + log_top)
     reach = best + offset - log_top - 1e-12 * (1.0 + abs(best) + abs(log_top) + abs(offset))
     r0, r1, c0, c1 = box = _box(ly + lx[nx] >= reach, lx + ly[ny] >= reach)
@@ -186,7 +186,7 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
     if cfg.decode is DecodeMethod.ARGMAX:
         return (float(ax), float(ay)), (box, window)
     return _centroid_at(
-        predicted._shape, ax, ay, 3,
+        frame, ax, ay, 3,
         lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak)
     ), (box, window)
 
@@ -209,13 +209,13 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
     cfgs = cfg._per_landmark(len(predicted_stack))
     if not predicted_stack:
         return LandmarkSet(np.empty((0, 2)), coords.frame)
-    shape = predicted_stack[0]._shape
+    frame = predicted_stack[0].frame
     out = np.empty((len(predicted_stack), 2))
     for k, (hm, coord, cfg) in enumerate(zip(predicted_stack, coords.points, cfgs)):
-        if hm._shape != shape:
+        if hm.frame != frame:
             raise ValidationError(
-                f"channel {k}: shape {hm._shape[::-1]} differs from "
-                f"channel 0 shape {shape[::-1]}"
+                f"channel {k}: shape {astuple(hm.frame)} differs from "
+                f"channel 0 shape {astuple(frame)}"
             )
         coord = (coord[0], coord[1])
         try:
@@ -226,4 +226,4 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
                 _dumps.append(fuse_product(hm, coord, cfg, _scored=scored))
         except ValidationError as exc:
             raise ValidationError(f"channel {k}: {exc}") from exc
-    return LandmarkSet(out, PixelFrame(shape[1], shape[0]))
+    return LandmarkSet(out, frame)

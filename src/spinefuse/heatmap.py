@@ -81,35 +81,34 @@ class Heatmap:
     to bound its window.
 
     ``values`` is a dense float64 grid built from the block the first time
-    it is asked for; a -0.0 there reads back as 0.0.
+    it is asked for; a -0.0 there reads back as 0.0. ``frame`` is the grid.
     """
 
+    frame: PixelFrame
     # the values inside the support
     _block: np.ndarray
     _support: tuple[int, int, int, int]
-    # (height, width)
-    _shape: tuple[int, int]
     _top: float
     # the row-major grid index of the first maximum, if any value is nonzero
     _argmax: int
 
-    def __init__(self, values: np.ndarray, *, _support=None, _shape=None):
-        # _support and _shape are private: passed by _render and fuse_product,
-        # which build only the box's float64 block of a (height, width) grid
-        self.__post_init__(values, _support, _shape)
+    def __init__(self, values: np.ndarray, *, _support=None, _frame=None):
+        # _support and _frame are private: passed by _render and fuse_product,
+        # which build only the box's float64 block of the frame's grid
+        self.__post_init__(values, _support, _frame)
 
-    def __post_init__(self, values, support, block_shape):
+    def __post_init__(self, values, support, frame):
         # the validating constructor, under the name bench/tracer.py patches
         arr = np.asarray(values)
         if arr.dtype.kind not in "biuf":
             raise ValidationError(f"heatmap values must be bool, integer or float, "
                                   f"got dtype {arr.dtype}")
-        shape = block_shape or arr.shape
-        if len(shape) != 2:
-            raise ValidationError(f"heatmap must be a non-empty 2-D array, got shape {shape}")
-        PixelFrame(shape[1], shape[0])
         block = arr
-        if not block_shape:
+        if frame is None:
+            if arr.ndim != 2:
+                raise ValidationError(f"heatmap must be a non-empty 2-D array, "
+                                      f"got shape {arr.shape}")
+            frame = PixelFrame(arr.shape[1], arr.shape[0])
             # a signalling NaN sets numpy's invalid flag when it is compared
             # or cast; it is refused below like any NaN
             with np.errstate(invalid="ignore"):
@@ -130,13 +129,13 @@ class Heatmap:
             # maximum is the grid's
             r0, _, c0, c1 = support
             iy, ix = divmod(at, c1 - c0)
-            first = (r0 + iy) * shape[1] + c0 + ix
+            first = (r0 + iy) * frame.width + c0 + ix
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("heatmap values must be finite")
         if lo < 0:
             raise ValidationError("heatmap values must be non-negative")
+        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_block", _frozen(block))
-        object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_top", float(hi))
         object.__setattr__(self, "_argmax", first)
@@ -144,18 +143,10 @@ class Heatmap:
     @cached_property
     def values(self) -> np.ndarray:
         """The dense grid, frozen float64; the same array on every access."""
-        return _frozen(self._window(slice(0, self.height), slice(0, self.width)))
+        return _frozen(self._window(slice(0, self.frame.height), slice(0, self.frame.width)))
 
     def __repr__(self) -> str:
         return f"Heatmap(values={self.values!r})"
-
-    @property
-    def width(self) -> int:
-        return self._shape[1]
-
-    @property
-    def height(self) -> int:
-        return self._shape[0]
 
     def _window(self, ys: slice, xs: slice) -> np.ndarray:
         """The values in rows ``ys`` and columns ``xs``, two in-grid slices
@@ -173,20 +164,20 @@ class Heatmap:
         return out
 
 
-def render_gaussian(spec: GaussianSpec, width: int, height: int) -> Heatmap:
-    """Evaluate the Gaussian at every integer pixel of a width x height grid.
+def render_gaussian(spec: GaussianSpec, frame: PixelFrame) -> Heatmap:
+    """Evaluate the Gaussian at every integer pixel of the frame's grid.
 
     No truncation radius is applied: every pixel holds the exact product of
     the two 1-D exponentials the 2-D one separates into (fusion in log space
     relies on the tails). Only the region where that product is exactly 0,
     beyond where an exponential underflows, is filled without computing it.
     """
-    return _render([(spec,)], width, height)[0]
+    return _render([(spec,)], frame)[0]
 
 
-def _render(channels, width: int, height: int) -> list[Heatmap]:
-    """One map per spec sequence of ``channels``: its Gaussians,
-    max-combined over the box spanning their nonzero blocks.
+def _render(channels, frame: PixelFrame) -> list[Heatmap]:
+    """One map per spec sequence of ``channels`` on the frame's grid: its
+    Gaussians, max-combined over the box spanning their nonzero blocks.
 
     Each Gaussian is computed only over its nonzero block: outside it the
     rendered Gaussian is 0, which max leaves as is. Each distinct (center,
@@ -207,7 +198,7 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
     fill a zeroed array of their joined box, the first assigned and each
     later one max-combined with it.
     """
-    PixelFrame(width, height)
+    width, height = frame.width, frame.height
     # each distinct (center, sigma) once: whole-numbered centres group by
     # sigma, and any other key is alone
     groups = {}
@@ -266,8 +257,7 @@ def _render(channels, width: int, height: int) -> list[Heatmap]:
                 np.maximum(part, block, out=part)
             else:
                 part[...] = block
-        stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)),
-                             _shape=(height, width)))
+        stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)), _frame=frame))
     return stack
 
 
@@ -281,7 +271,7 @@ def render_label_stack(lms: LandmarkSet, sigma: float) -> list[Heatmap]:
     """One unit-peak heatmap per landmark on the landmarks' frame, channel
     order matching point order."""
     return _render([(GaussianSpec((float(x), float(y)), sigma),) for x, y in lms.points],
-                   lms.frame.width, lms.frame.height)
+                   lms.frame)
 
 
 def decode_argmax(hm: Heatmap) -> tuple[int, int]:
@@ -289,7 +279,7 @@ def decode_argmax(hm: Heatmap) -> tuple[int, int]:
     # values are non-negative by type, so a zero maximum means an all-zero map
     if hm._top <= 0:
         raise ValidationError("cannot decode an all-zero heatmap")
-    iy, ix = divmod(hm._argmax, hm.width)
+    iy, ix = divmod(hm._argmax, hm.frame.width)
     return ix, iy
 
 
@@ -300,7 +290,7 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
     """
     _odd_window(window)
     ax, ay = decode_argmax(hm)
-    return _centroid_at(hm._shape, ax, ay, window, hm._window)
+    return _centroid_at(hm.frame, ax, ay, window, hm._window)
 
 
 def _odd_window(window: int) -> int:
@@ -311,14 +301,14 @@ def _odd_window(window: int) -> int:
     return window
 
 
-def _centroid_at(shape: tuple[int, int], ax: int, ay: int, window: int,
+def _centroid_at(frame: PixelFrame, ax: int, ay: int, window: int,
                  weights) -> tuple[float, float]:
-    """Centroid of the window x window patch at (ax, ay) of a grid of
-    ``shape``, clamped at the grid border; ``weights(rows, cols)`` gives the
+    """Centroid of the window x window patch at (ax, ay) of the frame's
+    grid, clamped at the grid border; ``weights(rows, cols)`` gives the
     patch for two slices."""
     half = window // 2
-    x0, x1 = max(0, ax - half), min(shape[1] - 1, ax + half)
-    y0, y1 = max(0, ay - half), min(shape[0] - 1, ay + half)
+    x0, x1 = max(0, ax - half), min(frame.width - 1, ax + half)
+    y0, y1 = max(0, ay - half), min(frame.height - 1, ay + half)
     patch = weights(slice(y0, y1 + 1), slice(x0, x1 + 1))
     total = patch.sum()
     # offsets relative to the argmax so mirror terms of a symmetric patch

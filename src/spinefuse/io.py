@@ -22,7 +22,7 @@ import functools
 import os
 import secrets
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,7 @@ def _fmt_float(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def write_pgm(path: str | Path, img: GrayImage) -> None:
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = f"P5\n{img.frame.width} {img.frame.height}\n255\n".encode("ascii")
     atomic_write(path, header + img.pixels.tobytes())
 
 
@@ -186,15 +186,15 @@ def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
     rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
-    h, w = stack[0]._shape
+    frame = stack[0].frame
     for k, hm in enumerate(stack):
-        if hm._shape != (h, w):
+        if hm.frame != frame:
             raise ValidationError(f"channel {k} shape differs from channel 0")
         if hm._top >= 2.0 ** 128 - 2.0 ** 103:
             raise ValidationError(f"channel {k} holds a value beyond the float32 range")
-    grid = np.zeros((h, w), dtype="<f4")
+    grid = np.zeros((frame.height, frame.width), dtype="<f4")
     with _atomic_file(path) as f:
-        f.write(_HMAP_MAGIC + struct.pack("<III", len(stack), h, w))
+        f.write(_HMAP_MAGIC + struct.pack("<III", len(stack), frame.height, frame.width))
         for hm in stack:
             r0, r1, c0, c1 = hm._support
             box = grid[r0:r1, c0:c1]
@@ -283,7 +283,7 @@ class Manifest:
 
     records: tuple[ManifestRecord, ...]
     landmark_count: int = 11
-    working_size: tuple[int, int] = (512, 512)
+    working_size: PixelFrame = PixelFrame(512, 512)
 
 
 def write_manifest(path: str | Path, manifest: Manifest) -> None:
@@ -291,7 +291,7 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
     lines = [
         "# spinefuse manifest v1",
         f"landmark_count = {manifest.landmark_count}",
-        f"working_size = {manifest.working_size[0]} {manifest.working_size[1]}",
+        f"working_size = {manifest.working_size.width} {manifest.working_size.height}",
         "[images]",
         "# image_path, landmarks_path, spacing_mm_per_px",
     ]
@@ -325,14 +325,13 @@ def read_manifest(path: str | Path) -> Manifest:
             if not p.is_file():
                 raise FileNotFoundError(f"{path}: referenced file missing: {p}")
         records.append(ManifestRecord(img, lmk, spacing))
-    size = kv["working_size"].split() if "working_size" in kv else Manifest.working_size
+    size = kv["working_size"].split() if "working_size" in kv else astuple(Manifest.working_size)
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
-    frame = PixelFrame(int(size[0]), int(size[1]))
     return Manifest(
         records=tuple(records),
         landmark_count=landmark_count,
-        working_size=(frame.width, frame.height),
+        working_size=PixelFrame(int(size[0]), int(size[1])),
     )
 
 

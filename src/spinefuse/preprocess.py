@@ -33,19 +33,20 @@ def equalize_histogram(img: GrayImage) -> GrayImage:
     return GrayImage(lut[img.pixels], img.spacing)
 
 
-def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
-    """Bilinear resample with half-pixel-center alignment and edge clamping.
+def resize_bilinear(img: GrayImage, frame: PixelFrame) -> GrayImage:
+    """Bilinear resample onto the frame's out_w x out_h grid, with
+    half-pixel-center alignment and edge clamping.
 
     Output pixel (x, y) samples the source at
     ((x + 0.5) * width / out_w - 0.5, (y + 0.5) * height / out_h - 0.5).
-    Spacing is rescaled by width / out_w. At the input's own size every
+    Spacing is rescaled by width / out_w. At the input's own frame every
     sample lands on its pixel, so the input is returned as it is.
     """
-    PixelFrame(out_w, out_h)
+    if frame == img.frame:
+        return img
     src = img.pixels
     h, w = src.shape
-    if (out_w, out_h) == (w, h):
-        return img
+    out_w, out_h = frame.width, frame.height
 
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
@@ -65,13 +66,12 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     return GrayImage(_round_u8(out), img.spacing * (w / out_w))
 
 
-def resize_landmarks(lms: LandmarkSet, to_w: int, to_h: int) -> LandmarkSet:
-    """Scale landmark coordinates from their pixel frame to a new grid size.
+def resize_landmarks(lms: LandmarkSet, frame: PixelFrame) -> LandmarkSet:
+    """Scale landmark coordinates from their pixel frame to a new one.
 
-    x is scaled by to_w / from_w and y by to_h / from_h, so each point keeps
-    its position as a fraction of the frame.
+    x is scaled by the ratio of the frames' widths and y by that of their
+    heights, so each point keeps its position as a fraction of the frame.
     """
-    frame = PixelFrame(to_w, to_h)
     lms.validate_bounds()
-    scale = np.array([to_w / lms.frame.width, to_h / lms.frame.height])
+    scale = np.array([frame.width / lms.frame.width, frame.height / lms.frame.height])
     return LandmarkSet(lms.points * scale, frame)

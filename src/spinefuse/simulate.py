@@ -82,7 +82,9 @@ class PhantomConfig:
             raise ValidationError(f"{self.landmarks} landmarks need as many distinct rows, "
                                   f"but the grid has {self.height}")
         _positive_finite("spacing_mm_per_px", self.spacing_mm_per_px)
-        _positive_finite("chain_spacing_px", self.chain_spacing_px)
+        # kept as a Python float, so a numpy scalar places the rows of its value
+        object.__setattr__(self, "chain_spacing_px",
+                           float(_positive_finite("chain_spacing_px", self.chain_spacing_px)))
         _non_negative_finite("wobble_px", self.wobble_px)
         if (self.landmarks - 1) * self.chain_spacing_px > self.height - 1:
             raise ValidationError(
@@ -95,6 +97,10 @@ class PhantomConfig:
         # stops at the first collision, which comes within height + 1 rows
         if any(self._row(i) >= self._row(i + 1) for i in range(self.landmarks - 1)):
             raise ValidationError("chain spacing too small: rows collide after rounding")
+
+    @property
+    def frame(self) -> PixelFrame:
+        return PixelFrame(self.width, self.height)
 
     def _row(self, i: int) -> int:
         """Row of landmark i, with the chain centred in the height."""
@@ -114,15 +120,15 @@ def generate_phantom(rng: Rng, config: PhantomConfig) -> LandmarkSet:
     for i in range(config.landmarks):
         pts[i, 0] = round(cx + rng.uniform(-config.wobble_px, config.wobble_px))
         pts[i, 1] = config._row(i)
-    return LandmarkSet(pts, PixelFrame(config.width, config.height))
+    return LandmarkSet(pts, config.frame)
 
 
 def phantom_image(lms: LandmarkSet, config: PhantomConfig) -> GrayImage:
     """Render a chain as a displayable raster: bright blobs on a dark bed."""
-    blobs = _render([[GaussianSpec((float(x), float(y)), 5.0) for x, y in lms.points]],
-                    config.width, config.height)[0]
+    frame = config.frame
+    blobs = _render([[GaussianSpec((float(x), float(y)), 5.0) for x, y in lms.points]], frame)[0]
     # outside the blobs' support every pixel is the bed, 15 + 220 * 0
-    pixels = np.full((config.height, config.width), _round_u8(np.float64(15.0)))
+    pixels = np.full((frame.height, frame.width), _round_u8(np.float64(15.0)))
     r0, r1, c0, c1 = blobs._support
     shade = 220.0 * blobs._block
     shade += 15.0
@@ -173,7 +179,7 @@ def simulate_heatmaps(rng: Rng, gt: LandmarkSet, model: HeatmapPredictorModel) -
             specs.append(GaussianSpec((float(nx), float(ny)), model.heatmap_sigma, amplitude=amp))
         channels.append(specs)
     # every draw is taken before rendering, which draws nothing
-    return _render(channels, gt.frame.width, gt.frame.height)
+    return _render(channels, gt.frame)
 
 
 @dataclass(frozen=True)

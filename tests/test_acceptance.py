@@ -81,7 +81,7 @@ def test_criterion_2_gaussian_rendering_oracle():
         sigma = float(rng.uniform(0.8, 10.0))
         x0 = float(rng.uniform(0, w - 1))
         y0 = float(rng.uniform(0, h - 1))
-        hm = render_gaussian(GaussianSpec((x0, y0), sigma), w, h)
+        hm = render_gaussian(GaussianSpec((x0, y0), sigma), PixelFrame(w, h))
         # probe point within 20 sigma of the center keeps the value in the
         # normal float range where relative error is meaningful; clipping
         # only ever moves the probe closer to the center
@@ -130,7 +130,7 @@ def test_criterion_3_product_closed_form():
         # exclude rounding ties
         if min(abs(mx - math.floor(mx) - 0.5), abs(my - math.floor(my) - 0.5)) < 1e-6:
             continue
-        ha = render_gaussian(GaussianSpec((ax, ay), sa), size, size)
+        ha = render_gaussian(GaussianSpec((ax, ay), sa), PixelFrame(size, size))
         cfg = FusionConfig(prior_sigma=sb, floor_epsilon=eps)
         got = decode_argmax(fuse_product(ha, (bx, by), cfg))
         assert got == (round(mx), round(my)), (
@@ -178,8 +178,8 @@ def test_criterion_4_adjacent_peak_disambiguation():
         # pixel wins
         assert np.minimum(d2t, d2a).max() < horizon2
         hm = Heatmap(np.maximum(
-            render_gaussian(GaussianSpec(t, sigma_h), size, size).values,
-            render_gaussian(GaussianSpec(a, sigma_h), size, size).values,
+            render_gaussian(GaussianSpec(t, sigma_h), PixelFrame(size, size)).values,
+            render_gaussian(GaussianSpec(a, sigma_h), PixelFrame(size, size)).values,
         ))
         for cy in range(size):
             for cx in range(size):
@@ -264,7 +264,7 @@ def test_criterion_7_preprocessing_fixtures():
     assert eq1.pixels.ravel().tolist() == [0, 0, 255, 255]
     eq2 = equalize_histogram(GrayImage(np.array([[10, 20], [20, 30]], np.uint8), 1.0))
     assert eq2.pixels.ravel().tolist() == [0, 170, 170, 255]
-    rz = resize_bilinear(GrayImage(np.array([[0, 100]], np.uint8), 1.0), 4, 1)
+    rz = resize_bilinear(GrayImage(np.array([[0, 100]], np.uint8), 1.0), PixelFrame(4, 1))
     assert rz.pixels.ravel().tolist() == [0, 25, 75, 100]
     report_line("criterion 7 (preprocessing fixtures)", started, 1.0,
                 "equalization and bilinear fixtures exact")

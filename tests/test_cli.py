@@ -32,7 +32,7 @@ class TestPhantom:
         manifest = io.read_manifest(make_corpus(tmp_path))
         assert len(manifest.records) == 2
         img = io.read_pgm(manifest.records[0].image_path)
-        assert (img.width, img.height) == (128, 128)
+        assert (img.frame.width, img.frame.height) == (128, 128)
         lms = io.read_landmarks(manifest.records[0].landmarks_path, GRID)
         assert len(lms) == 11
 
@@ -93,7 +93,7 @@ class TestEqualize:
         eq = io.read_manifest(out / "manifest.txt")
         assert len(eq.records) == 2
         img = io.read_pgm(eq.records[0].image_path)
-        assert (img.width, img.height) == (128, 128)
+        assert (img.frame.width, img.frame.height) == (128, 128)
 
     def test_missing_image_is_io_error(self, tmp_path):
         manifest_path = make_corpus(tmp_path)

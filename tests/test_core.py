@@ -17,7 +17,7 @@ from spinefuse.geometry import AugmentationRanges, sample_valid_augmentation
 from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
 from spinefuse.preprocess import resize_bilinear, resize_landmarks
 from spinefuse.simulate import (CoordPredictorModel, HeatmapPredictorModel, PhantomConfig,
-                                simulate_coords, simulate_heatmaps)
+                                generate_phantom, simulate_coords, simulate_heatmaps)
 
 # an int that no float holds
 HUGE = 10 ** 400
@@ -44,7 +44,7 @@ def _hmap_with_grid(tmp_path, width, height):
 class TestGrayImage:
     def test_minimal_well_formed(self):
         img = GrayImage(np.array([[0, 1], [2, 3]], np.uint8), 0.5)
-        assert img.width == 2 and img.height == 2
+        assert img.frame.width == 2 and img.frame.height == 2
         assert img.spacing == 0.5
 
     def test_zero_spacing(self):
@@ -69,9 +69,10 @@ class TestPixelFrame:
     @pytest.mark.parametrize("build", [
         lambda tmp: PixelFrame(0, 4),
         lambda tmp: _pgm_with_grid(tmp, 0, 4),
-        lambda tmp: render_gaussian(GaussianSpec((1.0, 1.0), 1.0), 0, 4),
-        lambda tmp: resize_bilinear(GrayImage(np.array([[0]], np.uint8), 1.0), 0, 4),
-        lambda tmp: resize_landmarks(LandmarkSet(np.zeros((1, 2)), PixelFrame(2, 2)), 0, 4),
+        lambda tmp: render_gaussian(GaussianSpec((1.0, 1.0), 1.0), PixelFrame(0, 4)),
+        lambda tmp: resize_bilinear(GrayImage(np.array([[0]], np.uint8), 1.0), PixelFrame(0, 4)),
+        lambda tmp: resize_landmarks(LandmarkSet(np.zeros((1, 2)), PixelFrame(2, 2)),
+                                     PixelFrame(0, 4)),
         lambda tmp: PhantomConfig(landmarks=2, width=0, height=4, chain_spacing_px=1.0),
         lambda tmp: _manifest_with_working_size(tmp, "0 4"),
         lambda tmp: GrayImage(np.zeros((4, 0), np.uint8), 1.0),
@@ -82,6 +83,23 @@ class TestPixelFrame:
     def test_every_grid_has_the_one_size_rule(self, tmp_path, build):
         with pytest.raises(ValidationError, match="non-positive grid: 0x4"):
             build(tmp_path)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PixelFrame(10.5, 10),
+        lambda: PixelFrame(4, np.float64(4.0)),
+        lambda: PixelFrame(True, True),
+        lambda: PixelFrame("3", 4),
+        lambda: PhantomConfig(width=512.0),
+    ], ids=["float", "numpy-float", "bool", "string", "phantom-float"])
+    def test_a_side_that_is_not_an_integer_is_refused(self, build):
+        with pytest.raises(ValidationError, match="grid sides must be integers"):
+            build()
+
+    @pytest.mark.parametrize("side", [np.int64(512), np.uint16(512)], ids=["int64", "uint16"])
+    def test_a_numpy_integer_side_is_stored_as_int(self, side):
+        frame = PixelFrame(side, side)
+        assert type(frame.width) is int and type(frame.height) is int
+        assert repr(frame) == repr(PixelFrame(512, 512)) and frame == PixelFrame(512, 512)
 
 
 class TestMalformedArguments:
@@ -142,9 +160,9 @@ class TestNumpyScalarSettings:
     # exceeds the true score, draws of other numbers; and pck took only
     # int or float as one spacing
     @pytest.mark.parametrize("run, value", [
-        (lambda s: render_gaussian(GaussianSpec((3.0, 3.0), s), 8, 8).values.tobytes(),
+        (lambda s: render_gaussian(GaussianSpec((3.0, 3.0), s), PixelFrame(8, 8)).values.tobytes(),
          np.float32(1.2)),
-        (lambda s: render_gaussian(GaussianSpec((1e30, 1.0), s), 8, 8).values.tobytes(),
+        (lambda s: render_gaussian(GaussianSpec((1e30, 1.0), s), PixelFrame(8, 8)).values.tobytes(),
          np.float32(1e20)),
         (_fused(DecodeMethod.ARGMAX), np.float32(9.2e-12)),
         (_fused(DecodeMethod.CENTROID), np.float32(9.2e-12)),
@@ -158,9 +176,13 @@ class TestNumpyScalarSettings:
         (_augmented(lambda a: AugmentationRanges(angle_deg=(a, 25.0))), np.float32(-24.3)),
         (lambda s: pck([GT], [GT], 8.0, s), np.float32(0.5)),
         (lambda s: pck([GT], [GT], 8.0, s), np.int64(1)),
+        # the rows of an 11-landmark chain on 512 x 512: landmark 8 moved
+        # from row 333 to 332 when the spacing stayed a float32
+        (lambda s: generate_phantom(Rng(1), PhantomConfig(chain_spacing_px=s)).points.tobytes(),
+         np.float32(25.666672)),
     ], ids=["sigma-bytes", "sigma-overflow", "floor-epsilon-argmax", "floor-epsilon-centroid",
             "noise-sigma", "peak-jitter", "spurious-amplitude", "tx", "angle", "spacing-float32",
-            "spacing-int64"])
+            "spacing-int64", "chain-spacing"])
     def test_a_numpy_scalar_setting_gives_the_result_of_its_float(self, run, value):
         assert run(value) == run(float(value))
 

@@ -30,8 +30,8 @@ def brute_force_fused_argmax(predicted: Heatmap, coord, sigma: float, eps: float
     """Scalar-loop oracle for the argmax of the Gaussian prior around
     ``coord`` times the predicted map clamped at eps, in the log domain."""
     best, bx, by = -math.inf, -1, -1
-    for y in range(predicted.height):
-        for x in range(predicted.width):
+    for y in range(predicted.frame.height):
+        for x in range(predicted.frame.width):
             v = (-((x - coord[0]) ** 2 + (y - coord[1]) ** 2) / (2.0 * sigma * sigma)
                  + math.log(max(predicted.values[y, x], eps)))
             if v > best:
@@ -40,30 +40,30 @@ def brute_force_fused_argmax(predicted: Heatmap, coord, sigma: float, eps: float
 
 
 def bimodal(t, a, sigma=1.2, size=64, amp_a=1.0):
-    peak_t = render_gaussian(GaussianSpec(t, sigma), size, size)
-    peak_a = render_gaussian(GaussianSpec(a, sigma, amplitude=amp_a), size, size)
+    peak_t = render_gaussian(GaussianSpec(t, sigma), PixelFrame(size, size))
+    peak_a = render_gaussian(GaussianSpec(a, sigma, amplitude=amp_a), PixelFrame(size, size))
     return Heatmap(np.maximum(peak_t.values, peak_a.values))
 
 
 class TestCoordToPrior:
     def test_max_at_coordinate(self):
-        prior = coord_to_prior((10, 10), 6.0, 64, 64)
+        prior = coord_to_prior((10, 10), 6.0, PixelFrame(64, 64))
         assert decode_argmax(prior) == (10, 10)
         assert prior.values[10, 10] == pytest.approx(1.0)
 
     def test_value_at_one_sigma(self):
-        prior = coord_to_prior((10, 10), 6.0, 64, 64)
+        prior = coord_to_prior((10, 10), 6.0, PixelFrame(64, 64))
         assert prior.values[10, 16] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_out_of_frame_coordinate(self):
-        prior = coord_to_prior((-5, -5), 6.0, 64, 64)
+        prior = coord_to_prior((-5, -5), 6.0, PixelFrame(64, 64))
         assert decode_argmax(prior) == (0, 0)
         assert prior.values[0, 0] < 1.0
 
 
 class TestFuseProduct:
     def test_uniform_map_is_identity(self):
-        prior = coord_to_prior((20, 30), 4.0, 64, 64)
+        prior = coord_to_prior((20, 30), 4.0, PixelFrame(64, 64))
         ones = Heatmap(np.ones((64, 64)))
         fused = fuse_product(ones, (20, 30), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (20, 30)
@@ -71,25 +71,25 @@ class TestFuseProduct:
         np.testing.assert_allclose(fused.values, prior.values, rtol=1e-12)
 
     def test_equal_sigmas_meet_at_midpoint(self):
-        a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
+        a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(64, 64))
         assert decode_argmax(fuse_product(a, (14, 10), FusionConfig(prior_sigma=2.0))) == (12, 10)
 
     def test_closed_form_mean(self):
         # precision-weighted mean: (sb^2*10 + sa^2*20) / (sa^2 + sb^2) = 12
-        a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
+        a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(64, 64))
         fused = fuse_product(a, (20, 10), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (12, 10)
         assert brute_force_fused_argmax(a, (20, 10), 4.0) == (12, 10)
 
     def test_output_peak_is_one(self):
-        a = render_gaussian(GaussianSpec((10, 10), 2.0), 32, 32)
+        a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(32, 32))
         assert fuse_product(a, (20, 20), FusionConfig(prior_sigma=3.0)).values.max() == 1.0
 
     def test_symmetric_in_arguments(self):
         # which Gaussian is the map and which the prior does not matter where
         # neither map is clamped, that is, where both exceed eps
-        a = render_gaussian(GaussianSpec((10, 12), 2.0), 32, 32)
-        b = render_gaussian(GaussianSpec((17, 20), 3.0), 32, 32)
+        a = render_gaussian(GaussianSpec((10, 12), 2.0), PixelFrame(32, 32))
+        b = render_gaussian(GaussianSpec((17, 20), 3.0), PixelFrame(32, 32))
         both = (a.values > 1e-12) & (b.values > 1e-12)
         ab = fuse_product(a, (17, 20), FusionConfig(prior_sigma=3.0)).values
         ba = fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0)).values
@@ -100,7 +100,7 @@ class TestFuseProduct:
         # a whole 512 x 512 float64 grid is 2 MiB; the fused box of a sigma
         # 1.2 map under a sigma 6 prior is about 190 x 190
         grid = 512 * 512 * 8
-        hm = render_gaussian(GaussianSpec((200.0, 300.0), 1.2), 512, 512)
+        hm = render_gaussian(GaussianSpec((200.0, 300.0), 1.2), PixelFrame(512, 512))
         cfg = FusionConfig(prior_sigma=6.0)
         tracemalloc.start()
         try:
@@ -126,8 +126,8 @@ class TestFuseProduct:
 
     def test_far_apart_narrow_peaks_do_not_underflow(self):
         # the raw product of these maps is all zeros in float64
-        a = render_gaussian(GaussianSpec((10, 10), 1.0), 128, 128)
-        b = render_gaussian(GaussianSpec((120, 120), 1.0), 128, 128)
+        a = render_gaussian(GaussianSpec((10, 10), 1.0), PixelFrame(128, 128))
+        b = render_gaussian(GaussianSpec((120, 120), 1.0), PixelFrame(128, 128))
         assert (a.values * b.values).max() == 0.0
         fused = fuse_product(a, (120, 120), FusionConfig(prior_sigma=1.0))
         assert fused.values.max() == 1.0
@@ -150,7 +150,7 @@ class TestFuseProduct:
 
 class TestFuseAndDecode:
     def test_unimodal_pull_stays_on_segment(self):
-        hm = render_gaussian(GaussianSpec((30, 30), 2.0), 64, 64)
+        hm = render_gaussian(GaussianSpec((30, 30), 2.0), PixelFrame(64, 64))
         cfg = FusionConfig(prior_sigma=4.0)
         x, y = fuse_and_decode(hm, (31, 30), cfg)
         assert 30 <= x <= 31 and y == 30
@@ -203,7 +203,7 @@ class TestFuseAndDecode:
             sp = float(rng.uniform(1.0, 4.0))
             sc = float(rng.uniform(3.0, 9.0))
             center = (int(rng.integers(20, 108)), int(rng.integers(20, 108)))
-            hm = render_gaussian(GaussianSpec(center, sp), 128, 128)
+            hm = render_gaussian(GaussianSpec(center, sp), PixelFrame(128, 128))
             reach = 0.8 * math.sqrt(2.0 * (sp * sp + sc * sc) * -math.log(1e-12))
             theta = float(rng.uniform(0, 2 * math.pi))
             r = float(rng.uniform(0, reach))
@@ -215,7 +215,7 @@ class TestFuseAndDecode:
             assert dist_to_segment(fused, decode_argmax(hm), coord) <= 1.0
 
     def test_centroid_decode(self):
-        hm = render_gaussian(GaussianSpec((30, 30), 2.0), 64, 64)
+        hm = render_gaussian(GaussianSpec((30, 30), 2.0), PixelFrame(64, 64))
         cfg = FusionConfig(prior_sigma=6.0, decode=DecodeMethod.CENTROID)
         x, y = fuse_and_decode(hm, (30, 30), cfg)
         assert (x, y) == (30.0, 30.0)
@@ -247,7 +247,7 @@ class TestFuseAndDecode:
     @pytest.mark.parametrize("coord", [(100.0, 450.0), (450.0, 100.0)])
     @pytest.mark.parametrize("decode", list(DecodeMethod))
     def test_beyond_the_floor_horizon_the_coordinate_wins(self, coord, decode):
-        hm = render_gaussian(GaussianSpec((400, 400), 1.2), 512, 512)
+        hm = render_gaussian(GaussianSpec((400, 400), 1.2), PixelFrame(512, 512))
         cfg = FusionConfig(prior_sigma=6.0, decode=decode)
         assert fuse_and_decode(hm, coord, cfg) == coord
 
@@ -265,21 +265,21 @@ class TestFuseBatch:
 
     def test_unimodal_channels_decode_to_coords(self):
         pts = np.array([[10.0, 10.0], [20.0, 30.0], [40.0, 50.0]])
-        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), 64, 64) for p in pts]
+        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), PixelFrame(64, 64)) for p in pts]
         coords = LandmarkSet(pts, PixelFrame(64, 64))
         out = fuse_batch(stack, coords, FusionConfig(prior_sigma=6.0))
         np.testing.assert_array_equal(out.points, pts)
 
     def test_length_mismatch(self):
-        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), 32, 32)]
+        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(32, 32))]
         coords = LandmarkSet(np.array([[5.0, 5.0], [6.0, 6.0]]), PixelFrame(32, 32))
         with pytest.raises(ValidationError, match="length mismatch"):
             fuse_batch(stack, coords, FusionConfig())
 
     def test_channel_shape_mismatch_names_channel(self):
         stack = [
-            render_gaussian(GaussianSpec((5, 5), 1.2), 32, 32),
-            render_gaussian(GaussianSpec((5, 5), 1.2), 16, 16),
+            render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(32, 32)),
+            render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(16, 16)),
         ]
         coords = LandmarkSet(np.array([[5.0, 5.0], [5.0, 5.0]]), PixelFrame(32, 32))
         with pytest.raises(ValidationError, match="channel 1"):
@@ -287,8 +287,8 @@ class TestFuseBatch:
 
     @pytest.mark.parametrize("size", [(24, 24), (40, 40)], ids=["columns", "rows"])
     def test_one_side_differing_is_a_shape_mismatch(self, size):
-        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 24),
-                 render_gaussian(GaussianSpec((5, 5), 1.2), *size)]
+        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(40, 24)),
+                 render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(*size))]
         coords = LandmarkSet(np.array([[5.0, 5.0], [5.0, 5.0]]), PixelFrame(40, 24))
         with pytest.raises(ValidationError, match=fr"^channel 1: shape \({size[0]}, {size[1]}\) "
                                                   r"differs from channel 0 shape \(40, 24\)$"):
@@ -296,7 +296,7 @@ class TestFuseBatch:
 
     def test_a_coordinate_too_far_from_the_grid_names_its_channel(self):
         pts = np.array([[10.0, 10.0], [1e160, 20.0]])
-        stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)] * 2
+        stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), PixelFrame(48, 48))] * 2
         coords = LandmarkSet(pts, PixelFrame(48, 48))
         with pytest.raises(ValidationError, match=r"^channel 1: coordinate \(1e\+160, 20\.0\) "
                                                   r"is too far from the grid$"):
@@ -304,7 +304,7 @@ class TestFuseBatch:
 
     def test_per_landmark_sigma_override(self):
         pts = np.array([[10.0, 10.0], [20.0, 20.0]])
-        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), 48, 48) for p in pts]
+        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), PixelFrame(48, 48)) for p in pts]
         coords = LandmarkSet(pts, PixelFrame(48, 48))
         out = fuse_batch(stack, coords, FusionConfig(prior_sigma=(3.0, 9.0)))
         np.testing.assert_array_equal(out.points, pts)
@@ -312,14 +312,14 @@ class TestFuseBatch:
     @pytest.mark.parametrize("fuse", [fuse_and_decode, fuse_product])
     def test_one_channel_refuses_per_landmark_sigmas(self, fuse):
         # only fuse_batch knows which landmark a map is
-        hm = render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)
+        hm = render_gaussian(GaussianSpec((10.0, 10.0), 1.2), PixelFrame(48, 48))
         with pytest.raises(ValidationError, match="^per-landmark prior sigmas are fused by "
                                                   "fuse_batch"):
             fuse(hm, (10.0, 10.0), FusionConfig(prior_sigma=(3.0, 9.0)))
 
     def test_too_few_per_landmark_sigmas_fail_before_any_channel(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
-        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), 48, 48) for p in pts]
+        stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), PixelFrame(48, 48)) for p in pts]
         coords = LandmarkSet(pts, PixelFrame(48, 48))
         fused = []
         monkeypatch.setattr(fusion, "fuse_and_decode", lambda *args, **kw: fused.append(args))
@@ -418,7 +418,8 @@ def log_prior(coord, sigma: float, width: int, height: int) -> np.ndarray:
 def dense_logsum(hm: Heatmap, coord, sigma: float, eps: float) -> np.ndarray:
     """The log prior plus the log of the map clamped at eps over the whole
     grid, summed in the decoder's operation order so ties break identically."""
-    return log_prior(coord, sigma, hm.width, hm.height) + np.log(np.maximum(hm.values, eps))
+    prior = log_prior(coord, sigma, hm.frame.width, hm.frame.height)
+    return prior + np.log(np.maximum(hm.values, eps))
 
 
 @st.composite
@@ -457,7 +458,7 @@ def fusion_inputs(draw, size=None):
             center = (draw(st.floats(0, w - 1)), draw(st.floats(0, h - 1)))
             spec = GaussianSpec(center, draw(st.floats(0.5, 4.0)),
                                 amplitude=draw(st.floats(0.5, 1.5)))
-            return render_gaussian(spec, w, h).values
+            return render_gaussian(spec, PixelFrame(w, h)).values
         values = np.maximum(spot(), spot())
     elif kind == "random":
         values = draw(arrays(np.float64, (h, w), elements=st.floats(0, 1)))
@@ -470,7 +471,7 @@ def fusion_inputs(draw, size=None):
         r = draw(st.floats(5.0, min(40.0, horizon), exclude_max=True))
         theta = draw(st.floats(0.0, 2.0 * math.pi))
         coord = (centre[0] + r * math.cos(theta), centre[1] + r * math.sin(theta))
-        values = render_gaussian(GaussianSpec(centre, peak_sigma), w, h).values
+        values = render_gaussian(GaussianSpec(centre, peak_sigma), PixelFrame(w, h)).values
     elif kind == "near_tie":
         base = draw(st.sampled_from([1.0, 3e-7, np.nextafter(EPS, 1.0)]))
         pool = np.array([base, np.nextafter(base, 2.0), np.nextafter(base, 0.0),
@@ -496,7 +497,7 @@ class TestSingleDecodePath:
         logsum = dense_logsum(hm, coord, sigma, argmax_cfg.floor_epsilon)
         idx = int(np.argmax(logsum))
         ax, ay = fuse_and_decode(hm, coord, argmax_cfg)
-        assert (ax, ay) == (idx % hm.width, idx // hm.width)
+        assert (ax, ay) == (idx % hm.frame.width, idx // hm.frame.width)
 
         cx, cy = fuse_and_decode(hm, coord, centroid_cfg)
         assert abs(cx - ax) <= 1 and abs(cy - ay) <= 1
@@ -548,7 +549,7 @@ class TestSingleDecodePath:
             expected = (10, 10) if case == "ring_inside_first" else far
             assert dense_logsum(hm, coord, sigma, eps)[far[1], far[0]] == 0.0
         idx = int(np.argmax(dense_logsum(hm, coord, sigma, eps)))
-        assert (idx % hm.width, idx // hm.width) == expected
+        assert (idx % hm.frame.width, idx // hm.frame.width) == expected
         cfg = FusionConfig(prior_sigma=sigma, floor_epsilon=eps)
         assert fuse_and_decode(hm, coord, cfg) == expected
 
@@ -609,11 +610,11 @@ def dense_point(hm: Heatmap, coord, sigma: float, decode: DecodeMethod):
     row-major first maximum, or the centroid of exp(logsum - peak) over the
     3x3 patch there, clamped at the border."""
     logsum = dense_logsum(hm, coord, sigma, EPS)
-    iy, ix = divmod(int(np.argmax(logsum)), hm.width)
+    iy, ix = divmod(int(np.argmax(logsum)), hm.frame.width)
     if decode is DecodeMethod.ARGMAX:
         return float(ix), float(iy)
-    x0, x1 = max(0, ix - 1), min(hm.width, ix + 2)
-    y0, y1 = max(0, iy - 1), min(hm.height, iy + 2)
+    x0, x1 = max(0, ix - 1), min(hm.frame.width, ix + 2)
+    y0, y1 = max(0, iy - 1), min(hm.frame.height, iy + 2)
     patch = np.exp(logsum[y0:y1, x0:x1] - logsum[iy, ix])
     dx = np.arange(x0 - ix, x1 - ix, dtype=np.float64)
     dy = np.arange(y0 - iy, y1 - iy, dtype=np.float64)
@@ -650,7 +651,7 @@ class TestFuseBatchIsChannelwise:
               np.array([[1.5, 0.0], [-300.0, 0.0]]), (1.0, 2.0)))
     def test_points_are_the_dense_oracles(self, stack):
         maps, coords, sigma = stack
-        frame = PixelFrame(maps[0].width, maps[0].height)
+        frame = maps[0].frame
         sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(maps)
         for decode in DecodeMethod:
             cfg = FusionConfig(prior_sigma=sigma, decode=decode)
@@ -665,7 +666,7 @@ class TestFuseBatchIsChannelwise:
         # config of channel k's width alone, points and dumped maps alike
         maps, coords, sigma = stack
         sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(maps)
-        coords = LandmarkSet(coords, PixelFrame(maps[0].width, maps[0].height))
+        coords = LandmarkSet(coords, maps[0].frame)
         ones = [FusionConfig(prior_sigma=s, decode=decode) for s in sigmas]
         dumps = []
         points = fuse_batch(maps, coords, FusionConfig(prior_sigma=sigmas, decode=decode),
@@ -682,7 +683,7 @@ class TestFuseBatchIsChannelwise:
     def test_equal_widths_are_the_one_width(self, stack, decode, dump):
         maps, coords, sigma = stack
         s = sigma[0] if isinstance(sigma, tuple) else sigma
-        coords = LandmarkSet(coords, PixelFrame(maps[0].width, maps[0].height))
+        coords = LandmarkSet(coords, maps[0].frame)
         outs = []
         for width in (s, (s,) * len(maps)):
             dumps = [] if dump else None
@@ -694,7 +695,8 @@ class TestFuseBatchIsChannelwise:
     def test_each_channel_is_one_fuse_and_decode_call(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.5, 30.0], [40.0, 50.25], [1e3, -4.0]])
         specs = [GaussianSpec((x + 1.5, y - 2.0), 1.2) for x, y in pts[:3]]
-        stack = [render_gaussian(spec, 64, 48) for spec in specs + [GaussianSpec((5.0, 5.0), 0.3)]]
+        stack = [render_gaussian(spec, PixelFrame(64, 48))
+                 for spec in specs + [GaussianSpec((5.0, 5.0), 0.3)]]
         coords = LandmarkSet(pts, PixelFrame(64, 48))
         cfg = FusionConfig(prior_sigma=(6.0, 3.0, 9.0, 6.0), decode=DecodeMethod.CENTROID)
         expected = fuse_batch(stack, coords, cfg).points
@@ -725,9 +727,9 @@ class TestDumpsShareTheLogSum:
         hm, coord, sigma = inputs
         if zero:
             # refused by the decoder, so by fuse_product too, with its message
-            hm = Heatmap(np.zeros((hm.height, hm.width)))
+            hm = Heatmap(np.zeros((hm.frame.height, hm.frame.width)))
         cfg = FusionConfig(prior_sigma=sigma, decode=decode)
-        coords = LandmarkSet(np.array([coord, coord]), PixelFrame(hm.width, hm.height))
+        coords = LandmarkSet(np.array([coord, coord]), hm.frame)
         points = self.outcome(lambda: fuse_batch([hm, hm], coords, cfg).points.tobytes())
         product = self.outcome(lambda: fuse_product(hm, coord, cfg))
         dumps = []
@@ -737,12 +739,13 @@ class TestDumpsShareTheLogSum:
             return
         assert fused.points.tobytes() == points and len(dumps) == 2
         for dump in dumps:
-            assert dump._support == product._support and dump._shape == product._shape
+            assert dump._support == product._support and dump.frame == product.frame
             assert dump._block.tobytes() == product._block.tobytes()
 
     def test_each_channel_builds_one_log_sum(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.0, 30.0], [40.0, 50.0]])
-        stack = [render_gaussian(GaussianSpec((x + 1.5, y - 2.0), 1.2), 64, 64) for x, y in pts]
+        stack = [render_gaussian(GaussianSpec((x + 1.5, y - 2.0), 1.2), PixelFrame(64, 64))
+                 for x, y in pts]
         coords = LandmarkSet(pts, PixelFrame(64, 64))
         cfg = FusionConfig(prior_sigma=6.0, decode=DecodeMethod.CENTROID)
         expected = fuse_batch(stack, coords, cfg).points
@@ -758,7 +761,7 @@ class TestDumpsShareTheLogSum:
     @pytest.mark.parametrize("case", ["length", "sigmas", "shape", "length_and_sigmas",
                                       "sigmas_and_shape", "far_then_zero", "zero_then_far"])
     def test_errors_and_their_order_are_fuse_batchs(self, case):
-        stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), 48, 48)] * 3
+        stack = [render_gaussian(GaussianSpec((10.0, 10.0), 1.2), PixelFrame(48, 48))] * 3
         pts = np.array([[10.0, 10.0]] * 3)
         cfg = FusionConfig(prior_sigma=6.0)
         if "length" in case:
@@ -766,7 +769,7 @@ class TestDumpsShareTheLogSum:
         if "sigmas" in case:
             cfg = FusionConfig(prior_sigma=(6.0, 6.0))
         if "shape" in case:
-            stack = stack[:2] + [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 48)]
+            stack = stack[:2] + [render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(40, 48))]
         if "then" in case:
             far, zero = (1, 2) if case == "far_then_zero" else (2, 1)
             pts[far] = (1e160, 20.0)

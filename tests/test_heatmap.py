@@ -110,17 +110,17 @@ class TestRenderGaussian:
             GaussianSpec(center, 1.2)
 
     def test_center_value_is_one(self):
-        hm = render_gaussian(GaussianSpec((5, 5), 1.2), 16, 16)
+        hm = render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(16, 16))
         assert hm.values[5, 5] == pytest.approx(1.0, abs=1e-15)
 
     def test_value_at_one_sigma(self):
-        hm = render_gaussian(GaussianSpec((5, 5), 1.2), 16, 16)
+        hm = render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(16, 16))
         # continuous point 5 + 1.2 is off-grid; evaluate analytically instead
         x = 5 + 1.2
         expected = math.exp(-((x - 5) ** 2) / (2 * 1.2 ** 2))
         assert expected == pytest.approx(0.6065306597126334)
         # nearest representable check: grid point at distance exactly sigma=2
-        hm2 = render_gaussian(GaussianSpec((5, 5), 2.0), 16, 16)
+        hm2 = render_gaussian(GaussianSpec((5, 5), 2.0), PixelFrame(16, 16))
         assert hm2.values[5, 7] == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_matches_scalar_evaluation(self):
@@ -129,18 +129,18 @@ class TestRenderGaussian:
             w, h = int(rng.integers(8, 64)), int(rng.integers(8, 64))
             x0, y0 = rng.uniform(0, w - 1), rng.uniform(0, h - 1)
             sigma = rng.uniform(0.8, 8.0)
-            hm = render_gaussian(GaussianSpec((x0, y0), sigma), w, h)
+            hm = render_gaussian(GaussianSpec((x0, y0), sigma), PixelFrame(w, h))
             x, y = int(rng.integers(0, w)), int(rng.integers(0, h))
             expected = math.exp(-(((x - x0) ** 2) + ((y - y0) ** 2)) / (2 * sigma * sigma))
             assert hm.values[y, x] == pytest.approx(expected, rel=1e-12)
 
     def test_symmetric_about_center(self):
-        hm = render_gaussian(GaussianSpec((16, 16), 2.5), 33, 33)
+        hm = render_gaussian(GaussianSpec((16, 16), 2.5), PixelFrame(33, 33))
         np.testing.assert_allclose(hm.values, hm.values[::-1, :], atol=1e-12)
         np.testing.assert_allclose(hm.values, hm.values[:, ::-1], atol=1e-12)
 
     def test_no_truncation(self):
-        hm = render_gaussian(GaussianSpec((0, 0), 3.0), 40, 40)
+        hm = render_gaussian(GaussianSpec((0, 0), 3.0), PixelFrame(40, 40))
         assert hm.values[39, 39] > 0
 
     def test_bad_spec(self):
@@ -165,7 +165,7 @@ class TestRenderGaussian:
         expected = np.zeros((8, 8))
         if hot:
             expected[hot] = 1.0
-        got = render_gaussian(GaussianSpec(center, sigma), 8, 8).values
+        got = render_gaussian(GaussianSpec(center, sigma), PixelFrame(8, 8)).values
         assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -178,7 +178,7 @@ class TestRenderGaussian:
     def test_equals_the_dense_outer_product(self, width, height, sigma, fx, fy, amplitude):
         # centres up to three grid widths outside the frame, so some maps are all zero
         spec = GaussianSpec((fx * width, fy * height), sigma, amplitude)
-        got = render_gaussian(spec, width, height).values
+        got = render_gaussian(spec, PixelFrame(width, height)).values
         assert got.tobytes() == dense_gaussian(spec, width, height).tobytes()
 
 
@@ -234,10 +234,10 @@ class TestBatchedRender:
     @given(spec_batches(), spec_batches())
     def test_a_batch_equals_each_channel_alone_and_the_dense_reference(self, batch, other):
         w, h, channels = batch
-        got = _render(channels, w, h)
+        got = _render(channels, PixelFrame(w, h))
         assert len(got) == len(channels)
         for hm, specs in zip(got, channels):
-            alone = _render([specs], w, h)[0]
+            alone = _render([specs], PixelFrame(w, h))[0]
             dense = np.max([dense_gaussian(spec, w, h) for spec in specs] or [np.zeros((h, w))],
                            axis=0)
             assert hm._support == alone._support
@@ -248,8 +248,8 @@ class TestBatchedRender:
         # by a later one
         before = [hm._block.tobytes() for hm in got]
         ow, oh, more = other
-        _render(more + channels, ow, oh)
-        _render(channels[::-1], w, h)
+        _render(more + channels, PixelFrame(ow, oh))
+        _render(channels[::-1], PixelFrame(w, h))
         assert [hm._block.tobytes() for hm in got] == before
 
     def test_whole_numbered_centres_of_one_sigma_share_one_block(self):
@@ -258,7 +258,7 @@ class TestBatchedRender:
         pts = np.array([[10.0, 3.0], [30.0, 20.0], [0.0, 39.0], [17.5, 9.0]])
         labels = render_label_stack(LandmarkSet(pts, PixelFrame(40, 40)), 1.2)
         a, b, c, fractional = labels
-        other = _render([(GaussianSpec((20.0, 20.0), 2.0),)], 40, 40)[0]
+        other = _render([(GaussianSpec((20.0, 20.0), 2.0),)], PixelFrame(40, 40))[0]
         assert np.shares_memory(a._block, b._block) and np.shares_memory(a._block, c._block)
         assert not np.shares_memory(a._block, fractional._block)
         assert not np.shares_memory(a._block, other._block)
@@ -269,20 +269,20 @@ class TestBatchedRender:
         # get a block each: slices of one block a grid side apart hold no
         # byte in common, but they lie within the bounds of that block
         specs = [GaussianSpec((2.0, 20.0), 1.2), GaussianSpec((43.0, 20.0), 1.2)]
-        near, far = _render([(spec,) for spec in specs], 40, 40)
+        near, far = _render([(spec,) for spec in specs], PixelFrame(40, 40))
         assert near._block.size and far._block.size
         assert not np.may_share_memory(near._block, far._block)
         # a fractional key used by two channels builds one block
         specs += [GaussianSpec((17.5, 9.25), 1.2)] * 2
-        first, second = _render([(specs[2],), (specs[3],)], 40, 40)
+        first, second = _render([(specs[2],), (specs[3],)], PixelFrame(40, 40))
         assert np.shares_memory(first._block, second._block)
         # sigma 0.05 is nonzero only within one pixel of its centre, so the
         # whole-numbered centre three columns past the frame renders the
         # empty box, though it lies within a grid side of the in-frame centre
         # and, as the last centre on both axes, sets their family's factors
         specs += [GaussianSpec((10.0, 10.0), 0.05), GaussianSpec((42.0, 12.0), 0.05)]
-        inside, outside = _render([(specs[4],), (specs[5],)], 40, 40)
-        alone = render_gaussian(specs[4], 40, 40)
+        inside, outside = _render([(specs[4],), (specs[5],)], PixelFrame(40, 40))
+        alone = render_gaussian(specs[4], PixelFrame(40, 40))
         assert inside._support == alone._support != (0, 0, 0, 0)
         assert inside._block.tobytes() == alone._block.tobytes()
         assert outside._support == (0, 0, 0, 0)
@@ -297,10 +297,10 @@ class TestBatchedRender:
                      GaussianSpec((50.0 * i + 21.0, 50.0 * i + 20.0), 3.0, amplitude=0.5))
                     for i in range(8)]
         # a first call, so one-time allocations are not counted
-        _render(channels, 400, 400)
+        _render(channels, PixelFrame(400, 400))
         tracemalloc.start()
         try:
-            maps = _render(channels, 400, 400)
+            maps = _render(channels, PixelFrame(400, 400))
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -337,17 +337,18 @@ class TestJoinedMaps:
         # block, alive from before the joined maps to after them
         singles = [(GaussianSpec(centre, sigma),) for centre, sigma in keys]
         n = len(singles)
-        maps = _render(singles + [specs, specs[::-1]] + singles, 64, 48)
-        dense = np.max([render_gaussian(spec, 64, 48).values for spec in specs], axis=0)
+        maps = _render(singles + [specs, specs[::-1]] + singles, PixelFrame(64, 48))
+        dense = np.max([render_gaussian(spec, PixelFrame(64, 48)).values for spec in specs], axis=0)
         for joined in maps[n:n + 2]:
             assert joined.values.tobytes() == dense.tobytes()
         for single, (spec,) in zip(maps[:n] + maps[n + 2:], singles * 2):
-            assert single._block.tobytes() == render_gaussian(spec, 64, 48)._block.tobytes()
+            alone = render_gaussian(spec, PixelFrame(64, 48))
+            assert single._block.tobytes() == alone._block.tobytes()
 
 
 class TestDecodeArgmax:
     def test_integer_center_recovered(self):
-        hm = render_gaussian(GaussianSpec((7, 3), 1.2), 16, 16)
+        hm = render_gaussian(GaussianSpec((7, 3), 1.2), PixelFrame(16, 16))
         assert decode_argmax(hm) == (7, 3)
 
     def test_tie_breaks_to_first_row_major(self):
@@ -357,8 +358,8 @@ class TestDecodeArgmax:
         assert decode_argmax(Heatmap(vals)) == (2, 2)
 
     def test_mixture_picks_higher_peak(self):
-        a = render_gaussian(GaussianSpec((10, 10), 2.0), 64, 64)
-        b = render_gaussian(GaussianSpec((40, 40), 2.0, amplitude=0.9), 64, 64)
+        a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(64, 64))
+        b = render_gaussian(GaussianSpec((40, 40), 2.0, amplitude=0.9), PixelFrame(64, 64))
         assert decode_argmax(Heatmap(np.maximum(a.values, b.values))) == (10, 10)
 
     def test_all_zero_rejected(self):
@@ -377,7 +378,7 @@ class TestDecodeArgmax:
     def test_integer_center_sweep(self):
         for x0 in range(2, 14, 3):
             for y0 in range(2, 14, 4):
-                hm = render_gaussian(GaussianSpec((x0, y0), 1.2), 16, 16)
+                hm = render_gaussian(GaussianSpec((x0, y0), 1.2), PixelFrame(16, 16))
                 assert decode_argmax(hm) == (x0, y0)
 
 
@@ -410,7 +411,7 @@ def maps_and_grids(draw):
             return [(hm, grid) for hm in read_heatmap_stack(path)]
     if kind == "rendered":
         w, h, channels = draw(spec_batches())
-        maps = _render(channels, w, h)
+        maps = _render(channels, PixelFrame(w, h))
     elif kind == "package":
         maps = draw(package_maps())
     else:
@@ -447,7 +448,7 @@ class TestRecordedMaximum:
 
 class TestDecodeCentroid:
     def test_symmetric_gaussian_equals_argmax(self):
-        hm = render_gaussian(GaussianSpec((8, 8), 2.0), 17, 17)
+        hm = render_gaussian(GaussianSpec((8, 8), 2.0), PixelFrame(17, 17))
         assert decode_centroid(hm) == (8.0, 8.0)
 
     def test_delta_map(self):
@@ -457,19 +458,19 @@ class TestDecodeCentroid:
 
     def test_subpixel_center_pull(self):
         # frozen from the brute-force window centroid of this exact rendering
-        hm = render_gaussian(GaussianSpec((7.4, 3.0), 2.0), 32, 32)
+        hm = render_gaussian(GaussianSpec((7.4, 3.0), 2.0), PixelFrame(32, 32))
         x, y = decode_centroid(hm, window=5)
         assert x == pytest.approx(7.1658492742187105, rel=1e-12)
         assert abs(x - 7.4) < 0.25
         assert y == pytest.approx(3.0, abs=1e-9)
 
     def test_even_window_rejected(self):
-        hm = render_gaussian(GaussianSpec((4, 4), 1.0), 9, 9)
+        hm = render_gaussian(GaussianSpec((4, 4), 1.0), PixelFrame(9, 9))
         with pytest.raises(ValidationError):
             decode_centroid(hm, window=4)
 
     def test_border_clamping(self):
-        hm = render_gaussian(GaussianSpec((0, 0), 1.5), 12, 12)
+        hm = render_gaussian(GaussianSpec((0, 0), 1.5), PixelFrame(12, 12))
         x, y = decode_centroid(hm, window=3)
         assert 0 <= x < 1 and 0 <= y < 1
 
@@ -487,11 +488,11 @@ class TestBlockStorage:
     ], ids=["left", "right", "top", "bottom", "two-at-a-corner"])
     def test_a_block_cut_by_an_edge(self, centres, cuts):
         specs = [GaussianSpec(c, 1.2, 1.0 - 0.25 * i) for i, c in enumerate(centres)]
-        hm = _render([specs], 300, 200)[0]
+        hm = _render([specs], PixelFrame(300, 200))[0]
         r0, r1, c0, c1 = hm._support
         assert (r0 == 0, r1 == 200, c0 == 0, c1 == 300) == cuts
         assert hm._block.shape == (r1 - r0, c1 - c0) and "values" not in vars(hm)
-        assert (hm.width, hm.height) == (300, 200)
+        assert hm.frame == PixelFrame(300, 200)
         want = np.max([dense_gaussian(spec, 300, 200) for spec in specs], axis=0)
 
         def clip(y0, y1, x0, x1):
@@ -530,7 +531,7 @@ def package_maps(draw):
     kind = draw(st.sampled_from(["gaussian", "label_stack", "simulated"]))
     if kind == "gaussian":
         return [render_gaussian(GaussianSpec(centre(), sigma, draw(st.floats(1e-3, 1e3))),
-                                w, h)]
+                                PixelFrame(w, h))]
     points = LandmarkSet(np.array([centre() for _ in range(draw(st.integers(2, 5)))]),
                          PixelFrame(w, h))
     if kind == "label_stack":
@@ -550,7 +551,7 @@ class TestSupport:
     def test_every_pixel_outside_the_box_is_zero(self, maps):
         for hm in maps:
             r0, r1, c0, c1 = hm._support
-            assert 0 <= r0 <= r1 <= hm.height and 0 <= c0 <= c1 <= hm.width
+            assert 0 <= r0 <= r1 <= hm.frame.height and 0 <= c0 <= c1 <= hm.frame.width
             outside = hm.values.copy()
             outside[r0:r1, c0:c1] = 0.0
             assert not outside.any()
@@ -633,16 +634,16 @@ class TestSupportDecodes:
             if hm._top == 0:
                 continue
             # the same grid with the whole grid as its box
-            whole = Heatmap(hm.values.copy(), _support=(0, hm.height, 0, hm.width),
-                            _shape=hm._shape)
+            whole = Heatmap(hm.values.copy(), _support=(0, hm.frame.height, 0, hm.frame.width),
+                            _frame=hm.frame)
             assert decode_argmax(hm) == decode_argmax(whole)
             assert decode_centroid(hm) == decode_centroid(whole)
-            x, y = fx * hm.width, fy * hm.height
+            x, y = fx * hm.frame.width, fy * hm.frame.height
             if beyond:
                 # past the prior's floor horizon of every column
                 horizon = sigma * math.sqrt(-2.0 * math.log(FusionConfig().floor_epsilon))
                 x = (min(x, 0.0) - horizon - 1.0 if fx < 0.5
-                     else max(x, hm.width - 1.0) + horizon + 1.0)
+                     else max(x, hm.frame.width - 1.0) + horizon + 1.0)
             for decode in DecodeMethod:
                 cfg = FusionConfig(prior_sigma=sigma, decode=decode)
                 assert fuse_and_decode(hm, (x, y), cfg) == fuse_and_decode(whole, (x, y), cfg)

@@ -195,7 +195,8 @@ class TestLandmarkFiles:
 
 class TestHeatmapStacks:
     def test_round_trip(self, tmp_path):
-        stack = [render_gaussian(GaussianSpec((i + 3, 7), 1.5), 16, 12) for i in range(4)]
+        stack = [render_gaussian(GaussianSpec((i + 3, 7), 1.5), PixelFrame(16, 12))
+                 for i in range(4)]
         path = tmp_path / "s.hmap"
         io.write_heatmap_stack(path, stack)
         back = io.read_heatmap_stack(path)
@@ -235,8 +236,8 @@ class TestHeatmapStacks:
         # subnormal, at any pixel of either channel: alone in channel 0, or
         # far from channel 1's peak near the top left corner
         path = tmp_path_factory.mktemp("bad") / "s.hmap"
-        io.write_heatmap_stack(path, [Heatmap(np.zeros((30, 40))),
-                                      render_gaussian(GaussianSpec((3.0, 2.0), 1.0), 40, 30)])
+        peak = render_gaussian(GaussianSpec((3.0, 2.0), 1.0), PixelFrame(40, 30))
+        io.write_heatmap_stack(path, [Heatmap(np.zeros((30, 40))), peak])
         data = bytearray(path.read_bytes())
         offset = 16 + 4 * ((channel * 30 + y) * 40 + x)
         data[offset:offset + 4] = struct.pack("<I", bits)
@@ -298,8 +299,9 @@ class TestHeatmapStacks:
         model = HeatmapPredictorModel(adjacent_confusion_prob=1.0)
         for k, stack in enumerate([render_label_stack(gt, 1.2),
                                    simulate_heatmaps(Rng(3), gt, model)]):
-            assert all("values" not in vars(hm) for hm in stack)
+            assert all("values" not in vars(hm) and hm.frame == gt.frame for hm in stack)
             io.write_heatmap_stack(tmp_path / f"{k}.hmap", stack)
+            assert all(hm.frame == gt.frame for hm in io.read_heatmap_stack(tmp_path / f"{k}.hmap"))
             io.write_heatmap_stack(tmp_path / f"{k}.dense.hmap",
                                    [Heatmap(hm.values.copy()) for hm in stack])
             assert ((tmp_path / f"{k}.hmap").read_bytes()
@@ -307,8 +309,8 @@ class TestHeatmapStacks:
 
     def test_block_beyond_float32_names_its_channel(self, tmp_path):
         path = tmp_path / "s.hmap"
-        stack = [render_gaussian(GaussianSpec((4.0, 3.0), 1.2), 9, 7),
-                 render_gaussian(GaussianSpec((4.0, 3.0), 1.2, amplitude=1e300), 9, 7)]
+        stack = [render_gaussian(GaussianSpec((4.0, 3.0), 1.2), PixelFrame(9, 7)),
+                 render_gaussian(GaussianSpec((4.0, 3.0), 1.2, amplitude=1e300), PixelFrame(9, 7))]
         assert "values" not in vars(stack[1])
         with pytest.raises(ValidationError, match="channel 1 .*float32"):
             io.write_heatmap_stack(path, stack)
@@ -316,8 +318,8 @@ class TestHeatmapStacks:
 
     @pytest.mark.parametrize("size", [(24, 24), (40, 40)], ids=["columns", "rows"])
     def test_one_side_differing_is_refused(self, tmp_path, size):
-        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), 40, 24),
-                 render_gaussian(GaussianSpec((5, 5), 1.2), *size)]
+        stack = [render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(40, 24)),
+                 render_gaussian(GaussianSpec((5, 5), 1.2), PixelFrame(*size))]
         with pytest.raises(ValidationError, match="channel 1 shape differs from channel 0"):
             io.write_heatmap_stack(tmp_path / "s.hmap", stack)
         assert list(tmp_path.iterdir()) == []
@@ -349,7 +351,7 @@ class TestHeatmapStacks:
         # channels before the bad one are already in the temp file
         values = np.zeros((512, 512))
         values[300, 200] = 1e39
-        stack = [render_gaussian(GaussianSpec((20.0 * k, 30.0), 1.2), 512, 512)
+        stack = [render_gaussian(GaussianSpec((20.0 * k, 30.0), 1.2), PixelFrame(512, 512))
                  for k in range(11)]
         stack[bad] = Heatmap(values)
         with pytest.raises(ValidationError, match=f"^channel {bad} holds a value beyond"):
@@ -359,7 +361,8 @@ class TestHeatmapStacks:
     @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
     def test_a_file_one_byte_off_names_both_sizes(self, tmp_path, delta):
         path = tmp_path / "s.hmap"
-        io.write_heatmap_stack(path, [render_gaussian(GaussianSpec((3.0, 4.0), 1.2), 9, 7)] * 2)
+        hm = render_gaussian(GaussianSpec((3.0, 4.0), 1.2), PixelFrame(9, 7))
+        io.write_heatmap_stack(path, [hm] * 2)
         data = path.read_bytes()
         path.write_bytes(data[:-1] if delta < 0 else data + b"\x00")
         size = len(data) + delta
@@ -372,7 +375,8 @@ class TestHeatmapStacks:
         # the size is taken once, before the channels are read; a file cut
         # after that must not leave the previous channel's values in the grid
         path = tmp_path / "s.hmap"
-        io.write_heatmap_stack(path, [render_gaussian(GaussianSpec((3.0, 4.0), 1.2), 9, 7)] * 3)
+        hm = render_gaussian(GaussianSpec((3.0, 4.0), 1.2), PixelFrame(9, 7))
+        io.write_heatmap_stack(path, [hm] * 3)
         full = path.stat()
         path.write_bytes(path.read_bytes()[:16 + 4 * 9 * 7 + 5])
         monkeypatch.setattr(io.os, "fstat", lambda fd: full)
@@ -404,12 +408,12 @@ class TestManifests:
 
     def test_round_trip(self, tmp_path):
         records = self._corpus(tmp_path)
-        manifest = io.Manifest(records, landmark_count=1, working_size=(64, 64))
+        manifest = io.Manifest(records, landmark_count=1, working_size=PixelFrame(64, 64))
         path = tmp_path / "manifest.txt"
         io.write_manifest(path, manifest)
         back = io.read_manifest(path)
         assert back.landmark_count == 1
-        assert back.working_size == (64, 64)
+        assert back.working_size == PixelFrame(64, 64)
         assert [r.image_path for r in back.records] == [r.image_path for r in records]
 
     def test_relative_paths_follow_manifest(self, tmp_path):
@@ -456,7 +460,7 @@ class TestManifests:
                         f"[images]\n{records[0].image_path.name}, "
                         f"{records[0].landmarks_path.name}, 0.5\n")
         back = io.read_manifest(path)
-        assert back.working_size == (4, 4) and len(back.records) == 1
+        assert back.working_size == PixelFrame(4, 4) and len(back.records) == 1
 
 
 def _sim_config(tmp_path, images, old="", new=""):

@@ -54,7 +54,7 @@ class TestEqualizeHistogram:
         rng = np.random.default_rng(0)
         img = GrayImage(rng.integers(0, 256, (17, 9), dtype=np.uint8), 0.7)
         out = equalize_histogram(img)
-        assert (out.width, out.height, out.spacing) == (9, 17, 0.7)
+        assert (out.frame.width, out.frame.height, out.spacing) == (9, 17, 0.7)
 
     def test_idempotent_on_two_bin_images(self):
         rng = np.random.default_rng(1)
@@ -81,7 +81,7 @@ class TestResizeBilinear:
         # the same size keeps pixels and spacing exactly, as resampling would
         rng = np.random.default_rng(3)
         img = GrayImage(rng.integers(0, 256, (12, 7), dtype=np.uint8), 0.3)
-        out = resize_bilinear(img, 7, 12)
+        out = resize_bilinear(img, PixelFrame(7, 12))
         np.testing.assert_array_equal(out.pixels, img.pixels)
         want = gathered_resize(img, 7, 12)
         assert out.pixels.tobytes() == want.pixels.tobytes()
@@ -89,32 +89,32 @@ class TestResizeBilinear:
 
     def test_single_pixel_extends_constant(self):
         img = GrayImage(np.array([[42]], np.uint8), 1.0)
-        out = resize_bilinear(img, 3, 3)
+        out = resize_bilinear(img, PixelFrame(3, 3))
         np.testing.assert_array_equal(out.pixels, np.full((3, 3), 42))
 
     def test_half_pixel_center_alignment(self):
         # sample coords for 2->4 upscale are -0.25, 0.25, 0.75, 1.25
         img = GrayImage(np.array([[0, 100]], np.uint8), 1.0)
-        out = resize_bilinear(img, 4, 1)
+        out = resize_bilinear(img, PixelFrame(4, 1))
         np.testing.assert_array_equal(out.pixels.ravel(), [0, 25, 75, 100])
 
     def test_output_within_input_range(self):
         rng = np.random.default_rng(4)
         img = GrayImage(rng.integers(30, 200, (20, 20), dtype=np.uint8), 1.0)
         for w, h in [(7, 7), (33, 15), (40, 40)]:
-            out = resize_bilinear(img, w, h)
+            out = resize_bilinear(img, PixelFrame(w, h))
             assert out.pixels.min() >= img.pixels.min()
             assert out.pixels.max() <= img.pixels.max()
 
     def test_spacing_rescaled(self):
         img = GrayImage(np.zeros((512, 512), dtype=np.uint8), 0.5)
-        out = resize_bilinear(img, 256, 256)
+        out = resize_bilinear(img, PixelFrame(256, 256))
         assert out.spacing == pytest.approx(1.0)
 
     def test_bad_size(self):
         img = GrayImage(np.array([[0, 0], [0, 0]], np.uint8), 1.0)
         with pytest.raises(ValidationError):
-            resize_bilinear(img, 0, 4)
+            resize_bilinear(img, PixelFrame(0, 4))
 
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 60), height=st.integers(1, 60), out_w=st.integers(1, 60),
@@ -123,7 +123,7 @@ class TestResizeBilinear:
         # up, down and same sizes on each axis independently
         pix = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
         img = GrayImage(pix, 0.5)
-        got = resize_bilinear(img, out_w, out_h)
+        got = resize_bilinear(img, PixelFrame(out_w, out_h))
         want = gathered_resize(img, out_w, out_h)
         assert got.pixels.tobytes() == want.pixels.tobytes()
         assert got.spacing == want.spacing
@@ -132,28 +132,28 @@ class TestResizeBilinear:
 class TestResizeLandmarks:
     def test_center_maps_to_center(self):
         lms = LandmarkSet(np.array([[256.0, 256.0]]), PixelFrame(512, 512))
-        out = resize_landmarks(lms, 299, 299)
+        out = resize_landmarks(lms, PixelFrame(299, 299))
         np.testing.assert_allclose(out.points, [[149.5, 149.5]])
 
     def test_origin_fixed(self):
         lms = LandmarkSet(np.array([[0.0, 0.0]]), PixelFrame(512, 512))
-        out = resize_landmarks(lms, 299, 299)
+        out = resize_landmarks(lms, PixelFrame(299, 299))
         np.testing.assert_array_equal(out.points, [[0.0, 0.0]])
 
     def test_halving(self):
         lms = LandmarkSet(np.array([[100.0, 400.0]]), PixelFrame(512, 512))
-        out = resize_landmarks(lms, 256, 256)
+        out = resize_landmarks(lms, PixelFrame(256, 256))
         np.testing.assert_allclose(out.points, [[50.0, 200.0]])
 
     def test_out_of_bounds_input_rejected(self):
         lms = LandmarkSet(np.array([[600.0, 10.0]]), PixelFrame(512, 512))
         with pytest.raises(ValidationError):
-            resize_landmarks(lms, 256, 256)
+            resize_landmarks(lms, PixelFrame(256, 256))
 
     def test_commutes_with_frame_conversion(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 511.9, (50, 2))
         lms = LandmarkSet(pts, PixelFrame(512, 512))
         # each point keeps its position as a fraction of the frame
-        out = resize_landmarks(lms, 299, 299)
+        out = resize_landmarks(lms, PixelFrame(299, 299))
         np.testing.assert_allclose(out.points / 299.0, pts / 512.0, atol=1e-9)

@@ -27,10 +27,10 @@ def corpus(tmp_path_factory):
     io.write_landmarks(root / "lms.txt",
                        LandmarkSet(np.array([[1.0, 2.5], [3.25, 4.0]]), FRAME))
     io.write_heatmap_stack(root / "s.hmap", [
-        render_gaussian(GaussianSpec((k + 1.0, 2.0), 1.0), 6, 5) for k in range(2)])
+        render_gaussian(GaussianSpec((k + 1.0, 2.0), 1.0), PixelFrame(6, 5)) for k in range(2)])
     io.write_manifest(root / "manifest.txt", io.Manifest(
         (io.ManifestRecord(root / "img.pgm", root / "lms.txt", 0.5),),
-        landmark_count=2, working_size=(6, 5)))
+        landmark_count=2, working_size=PixelFrame(6, 5)))
     (root / "sim.txt").write_text(SIM_CONFIG.format(images=2))
     return root
 

@@ -107,7 +107,7 @@ class TestGeneratePhantom:
     def test_phantom_image_renders_landmarks(self):
         lms = generate_phantom(Rng(6), SMALL)
         img = phantom_image(lms, SMALL)
-        assert (img.width, img.height) == (SMALL.width, SMALL.height)
+        assert (img.frame.width, img.frame.height) == (SMALL.width, SMALL.height)
         x, y = lms.points[0].astype(int)
         assert img.pixels[y, x] > 200
 
