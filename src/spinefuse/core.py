@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Integral, Rational
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
@@ -34,9 +34,38 @@ def _box(row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[int, int, int, int
             c0, col_mask.size - int(col_mask[::-1].argmax()))
 
 
+def _is_number(value) -> bool:
+    """The rule for a number setting: a Real that is not a bool. A numpy
+    timedelta registers as one but is a duration, so it is refused too. A
+    float, the common case, skips the ABC lookup."""
+    return type(value) is float or (isinstance(value, Real)
+                                    and not isinstance(value, (bool, np.timedelta64)))
+
+
+def _is_int(value) -> bool:
+    """The rule for an integer setting: an Integral, a numpy integer say,
+    that is a number as :func:`_is_number` decides."""
+    return isinstance(value, Integral) and _is_number(value)
+
+
+def _integer(name: str, value: int) -> int:
+    """The rule for a count: an integer as :func:`_is_int` decides, returned
+    as a Python int, or a ValidationError that names the setting."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _finite(value: float) -> bool:
-    """math.isfinite, but an int or fraction beyond the float range is not finite."""
-    return abs(value) <= sys.float_info.max if isinstance(value, Rational) else math.isfinite(value)
+    """A finite number as :func:`_is_number` decides: math.isfinite, but an
+    int or fraction beyond the float range is not finite."""
+    if type(value) is float:
+        return math.isfinite(value)
+    if not _is_number(value):
+        return False
+    if isinstance(value, Rational):
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return math.isfinite(value)
 
 
 def _positive_finite(name: str, value: float) -> float:
@@ -52,6 +81,34 @@ def _non_negative_finite(name: str, value: float) -> float:
     if not (_finite(value) and value >= 0):
         raise ValidationError(f"{name} must be non-negative and finite, got {value}")
     return value
+
+
+def _probability(name: str, value: float) -> float:
+    """The rule for a probability: a number in [0, 1]."""
+    if not (_finite(value) and 0 <= value <= 1):
+        raise ValidationError(f"{name} must be in [0, 1], got {value}")
+    return value
+
+
+def _pair(name: str, value) -> tuple:
+    """The two items of a pair setting, which a string is not, or a
+    ValidationError that names the setting."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            first, second = value
+            return first, second
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a pair, got {value!r}")
+
+
+def _range(name: str, value) -> tuple[float, float]:
+    """The rule for a (lo, hi) range: two finite numbers with lo <= hi,
+    compared and returned as Python floats."""
+    lo, hi = _pair(name, value)
+    if not (_finite(lo) and _finite(hi) and float(lo) <= float(hi)):
+        raise ValidationError(f"bad {name} range: ({lo}, {hi})")
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +157,7 @@ class PixelFrame:
     height: int
 
     def __post_init__(self):
-        if not all(isinstance(side, Integral) and not isinstance(side, bool)
-                   for side in (self.width, self.height)):
+        if not (_is_int(self.width) and _is_int(self.height)):
             raise ValidationError(
                 f"grid sides must be integers, got {self.width!r}x{self.height!r}")
         if self.width <= 0 or self.height <= 0:
@@ -179,9 +235,9 @@ class Rng:
     _state: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not (0 <= self.seed <= _MASK64):
+        if not (_is_int(self.seed) and 0 <= self.seed <= _MASK64):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        self._state = self.seed
+        self.seed = self._state = int(self.seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

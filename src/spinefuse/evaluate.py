@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -89,14 +89,14 @@ def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
         raise ValidationError("empty evaluation")
     _positive_finite("threshold", threshold_mm)
 
-    if isinstance(spacing, Real):
-        spacings = [_positive_finite("spacing", float(spacing))] * len(preds)
-    else:
-        spacings = [_positive_finite("spacing", float(s)) for s in spacing]
+    if isinstance(spacing, Iterable):
+        spacings = [float(_positive_finite("spacing", s)) for s in spacing]
         if len(spacings) != len(preds):
             raise ValidationError(
                 f"{len(spacings)} spacings for {len(preds)} images"
             )
+    else:
+        spacings = [float(_positive_finite("spacing", spacing))] * len(preds)
 
     n = len(gts[0])
     if n == 0:

@@ -10,11 +10,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, replace
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError, _box, _positive_finite
+from .core import LandmarkSet, PixelFrame, ValidationError, _box, _is_number, _positive_finite
 from .heatmap import (GaussianSpec, Heatmap, _centroid_at, _gaussian_exponents, _usable_sigma,
                       render_gaussian)
 
@@ -43,7 +42,7 @@ class FusionConfig:
         # a string is not a sequence of widths, nor a bool a width
         many = isinstance(sigma, Sequence) and not isinstance(sigma, (str, bytes))
         sigmas = tuple(sigma) if many else (sigma,)
-        if not all(isinstance(s, Real) and not isinstance(s, bool) for s in sigmas):
+        if not all(_is_number(s) for s in sigmas):
             raise ValidationError(f"prior_sigma must be a number or a sequence of numbers, "
                                   f"got {sigma!r}")
         if not sigmas:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GrayImage, LandmarkSet, Rng, ValidationError, _box, _finite, _frozen,
-                   _positive_finite)
+from .core import (GrayImage, LandmarkSet, Rng, ValidationError, _box, _frozen,
+                   _positive_finite, _range)
 from .preprocess import _round_u8
 
 
@@ -50,9 +50,7 @@ class AugmentationRanges:
 
     def __post_init__(self):
         for name in ("tx", "ty", "angle_deg", "scale"):
-            lo, hi = getattr(self, name)
-            if not (_finite(lo) and _finite(hi) and lo <= hi):
-                raise ValidationError(f"bad {name} range: ({lo}, {hi})")
+            object.__setattr__(self, name, _range(name, getattr(self, name)))
         if self.scale[0] <= 0:
             raise ValidationError(f"scale must stay positive, got {self.scale}")
 

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LandmarkSet, PixelFrame, ValidationError, _box, _finite, _frozen, _positive_finite
+from .core import (LandmarkSet, PixelFrame, ValidationError, _box, _finite, _frozen, _integer,
+                   _pair, _positive_finite)
 
 
 def _usable_sigma(name: str, sigma: float) -> float:
@@ -55,7 +56,7 @@ class GaussianSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        x0, y0 = self.center
+        x0, y0 = _pair("center", self.center)
         if not (_finite(x0) and _finite(y0)):
             raise ValidationError(f"non-finite center: {self.center}")
         object.__setattr__(self, "sigma", float(_usable_sigma("sigma", self.sigma)))
@@ -288,14 +289,15 @@ def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
 
     The patch is clamped at the grid border. ``window`` must be odd.
     """
-    _odd_window(window)
+    window = _odd_window(window)
     ax, ay = decode_argmax(hm)
     return _centroid_at(hm.frame, ax, ay, window, hm._window)
 
 
 def _odd_window(window: int) -> int:
     """The rule for a centroid window: a positive, odd number of pixels.
-    Returns window, or raises a ValidationError."""
+    Returns window as an int, or raises a ValidationError."""
+    window = _integer("window", window)
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be odd and positive, got {window}")
     return window

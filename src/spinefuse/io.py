@@ -24,10 +24,11 @@ import secrets
 import struct
 from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError, _positive_finite
+from .core import GrayImage, LandmarkSet, PixelFrame, ValidationError, _integer, _positive_finite
 from .evaluate import ComparisonReport, EvalReport
 from .heatmap import Heatmap
 
@@ -232,34 +233,64 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
 # ---------------------------------------------------------------------------
 #
 # A document is a sequence of lines. Blank lines and lines starting with '#'
-# are ignored. '[name]' opens a section; 'key = value' lines belong to the
-# current section ('' before any header); any other non-empty line in a
-# section is a table row of comma-separated cells.
+# are ignored. '[name]' opens a section, each name once; the lines before
+# any header belong to the section ''. Each line of the table section that a
+# reader names is a row of comma-separated cells; each line of any other
+# section is 'key = value', each key once in its section.
 
-def _parse_sections(text: str) -> dict[str, tuple[dict[str, str], list[list[str]]]]:
-    sections: dict[str, tuple[dict[str, str], list[list[str]]]] = {"": ({}, [])}
-    current = ""
+class _Section(NamedTuple):
+    line: int  # of its header; 0 for ''
+    keys: dict[str, tuple[str, int]]  # key -> (value, line)
+    rows: list[list[str]]
+
+
+def _parse_sections(text: str, table: str | None = None) -> dict[str, _Section]:
+    sections = {"": _Section(0, {}, [])}
+    name = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current in sections:
-                raise ValidationError(f"line {lineno}: duplicate section [{current}]")
-            sections[current] = ({}, [])
+            name = line[1:-1].strip()
+            if name in sections:
+                raise ValidationError(f"line {lineno}: duplicate section [{name}]")
+            sections[name] = _Section(lineno, {}, [])
+        elif name == table:
+            sections[name].rows.append([cell.strip() for cell in line.split(",")])
         elif "=" in line:
-            key, _, value = line.partition("=")
-            sections[current][0][key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in sections[name].keys:
+                raise ValidationError(f"line {lineno}: duplicate key {key!r}")
+            sections[name].keys[key] = (value, lineno)
         else:
-            sections[current][1].append([cell.strip() for cell in line.split(",")])
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {line!r}")
     return sections
 
 
-def _need(kv: dict[str, str], key: str) -> str:
-    if key not in kv:
+def _take(section: _Section, key: str, default):
+    """The value of key, taken out of the section so that what a reader
+    leaves is what it did not read, or default if the key is not there."""
+    return section.keys.pop(key, (default, 0))[0]
+
+
+def _need(section: _Section, key: str) -> str:
+    value = _take(section, key, None)
+    if value is None:
         raise ValidationError(f"missing key {key!r}")
-    return kv[key]
+    return value
+
+
+def _refuse_unread(sections: dict[str, _Section], names: tuple[str, ...]) -> None:
+    """Refuse the first line that opens a section other than '' and names,
+    or holds a key left in its section."""
+    unread = [(s.line, f"unknown section [{name}]") for name, s in sections.items()
+              if name and name not in names]
+    unread += [(line, f"unknown key {key!r}")
+               for s in sections.values() for key, (_, line) in s.keys.items()]
+    if unread:
+        line, what = min(unread)
+        raise ValidationError(f"line {line}: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +316,25 @@ class Manifest:
     landmark_count: int = 11
     working_size: PixelFrame = PixelFrame(512, 512)
 
+    def __post_init__(self):
+        object.__setattr__(self, "landmark_count",
+                           _integer("landmark_count", self.landmark_count))
+        if self.landmark_count < 0:
+            raise ValidationError("negative landmark_count")
+        if not isinstance(self.working_size, PixelFrame):
+            raise ValidationError(f"working_size must be a PixelFrame, got {self.working_size!r}")
+
+
+def _record_cell(path: Path, base: Path) -> str:
+    """path relative to base, as a manifest row holds it; a ValidationError
+    if that cell would not read back as itself: one that starts with '#',
+    holds a comma or a line break, or has leading or trailing whitespace."""
+    cell = os.path.relpath(path.resolve(), base)
+    if cell.startswith("#") or "," in cell or cell.splitlines() != [cell.strip()]:
+        raise ValidationError(f"record path {str(path)!r} cannot be written to a manifest: "
+                              "it would not read back")
+    return cell
+
 
 def write_manifest(path: str | Path, manifest: Manifest) -> None:
     path = Path(path)
@@ -297,8 +347,8 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
     ]
     base = path.parent.resolve()
     for rec in manifest.records:
-        img = os.path.relpath(rec.image_path.resolve(), base)
-        lmk = os.path.relpath(rec.landmarks_path.resolve(), base)
+        img = _record_cell(rec.image_path, base)
+        lmk = _record_cell(rec.landmarks_path, base)
         lines.append(f"{img}, {lmk}, {_fmt_float(rec.spacing_mm_per_px)}")
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
@@ -306,16 +356,14 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
 @_reader
 def read_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    sections = _parse_sections(path.read_text())
-    kv = sections[""][0]
-    landmark_count = int(kv.get("landmark_count", Manifest.landmark_count))
-    if landmark_count < 0:
-        raise ValidationError("negative landmark_count")
+    sections = _parse_sections(path.read_text(), table="images")
+    root = sections[""]
+    landmark_count = int(_take(root, "landmark_count", Manifest.landmark_count))
     if "images" not in sections:
         raise ValidationError("missing [images] section")
     base = path.parent
     records = []
-    for row in sections["images"][1]:
+    for row in sections["images"].rows:
         if len(row) != 3:
             raise ValidationError(f"image row needs image_path, landmarks_path, spacing, got {row}")
         spacing = _positive_finite("spacing", float(row[2]))
@@ -325,7 +373,8 @@ def read_manifest(path: str | Path) -> Manifest:
             if not p.is_file():
                 raise FileNotFoundError(f"{path}: referenced file missing: {p}")
         records.append(ManifestRecord(img, lmk, spacing))
-    size = kv["working_size"].split() if "working_size" in kv else astuple(Manifest.working_size)
+    size = _take(root, "working_size", None)
+    size = astuple(Manifest.working_size) if size is None else size.split()
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
     return Manifest(

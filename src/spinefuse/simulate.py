@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError, _finite,
-                   _non_negative_finite, _positive_finite)
+from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError, _finite, _integer,
+                   _non_negative_finite, _positive_finite, _probability, _range)
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .heatmap import GaussianSpec, Heatmap, _render, _usable_sigma, decode_argmax
-from .io import _need, _parse_sections, _reader
+from .io import _need, _parse_sections, _reader, _refuse_unread, _take
 from .preprocess import _round_u8
 
 
@@ -33,8 +33,7 @@ class CoordPredictorModel:
 
     def __post_init__(self):
         _non_negative_finite("noise_sigma", self.noise_sigma)
-        if not 0.0 <= self.outlier_rate <= 1.0:
-            raise ValidationError(f"outlier_rate must be in [0, 1], got {self.outlier_rate}")
+        _probability("outlier_rate", self.outlier_rate)
         _non_negative_finite("outlier_sigma", self.outlier_sigma)
 
 
@@ -50,13 +49,11 @@ class HeatmapPredictorModel:
     def __post_init__(self):
         _non_negative_finite("peak_jitter_sigma", self.peak_jitter_sigma)
         _usable_sigma("heatmap_sigma", self.heatmap_sigma)
-        if not 0.0 <= self.adjacent_confusion_prob <= 1.0:
-            raise ValidationError(
-                f"adjacent_confusion_prob must be in [0, 1], got {self.adjacent_confusion_prob}"
-            )
-        lo, hi = self.spurious_amplitude
-        if not (0 < lo <= hi and _finite(hi)):
+        _probability("adjacent_confusion_prob", self.adjacent_confusion_prob)
+        lo, hi = _range("spurious_amplitude", self.spurious_amplitude)
+        if not lo > 0:
             raise ValidationError(f"bad spurious_amplitude range: ({lo}, {hi})")
+        object.__setattr__(self, "spurious_amplitude", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,12 @@ class PhantomConfig:
     wobble_px: float = 6.0
 
     def __post_init__(self):
+        object.__setattr__(self, "landmarks", _integer("landmarks", self.landmarks))
         if self.landmarks < 2:
             raise ValidationError(f"need at least 2 landmarks, got {self.landmarks}")
-        PixelFrame(self.width, self.height)
+        frame = PixelFrame(self.width, self.height)
+        object.__setattr__(self, "width", frame.width)
+        object.__setattr__(self, "height", frame.height)
         # the chain geometry below is float arithmetic on these integers
         if max(self.width, self.height) > 2 ** 53:
             raise ValidationError(f"grid {self.width}x{self.height} has a side above 2**53, "
@@ -195,6 +195,7 @@ class TrialConfig:
 
     def __post_init__(self):
         _positive_finite("threshold", self.threshold_mm)
+        object.__setattr__(self, "images", _integer("images", self.images))
         if self.images < 1:
             raise ValidationError(f"need at least one image, got {self.images}")
         self.fusion._per_landmark(self.phantom.landmarks)
@@ -250,7 +251,7 @@ def noise_sigma_for_accuracy(accuracy: float, threshold_px: float) -> float:
     tail P(|e| > r) = exp(-r^2 / (2 sigma^2)); solving for sigma gives
     r / sqrt(-2 ln(1 - accuracy)).
     """
-    if not 0 < accuracy < 1:
+    if not (_finite(accuracy) and 0 < accuracy < 1):
         raise ValidationError(f"accuracy must be in (0, 1), got {accuracy}")
     _positive_finite("threshold_px", threshold_px)
     return threshold_px / math.sqrt(-2.0 * math.log(1.0 - accuracy))
@@ -263,7 +264,7 @@ def confusion_prob_for_accuracy(accuracy: float, amplitude_range: tuple[float, f
     miss rate is confusion_prob * P(amplitude > 1) under the uniform
     amplitude law. Requires the range to straddle 1.
     """
-    lo, hi = amplitude_range
+    lo, hi = _range("amplitude range", amplitude_range)
     if not lo < 1.0 < hi:
         raise ValidationError(f"amplitude range must straddle 1, got ({lo}, {hi})")
     p_win = (hi - 1.0) / (hi - lo)
@@ -323,24 +324,21 @@ def noiseless_config(images: int = 10) -> TrialConfig:
 @_reader
 def read_sim_config(path: str | Path) -> TrialConfig:
     sections = _parse_sections(Path(path).read_text())
-    for name in ("phantom", "coords_model", "heatmap_model", "fusion", "run"):
+    names = ("phantom", "coords_model", "heatmap_model", "fusion", "run")
+    for name in names:
         if name not in sections:
             raise ValidationError(f"missing [{name}] section")
-    ph = sections["phantom"][0]
+    ph, cm, hm, fu, run = (sections[name] for name in names)
     grid = _need(ph, "grid").split()
     if len(grid) != 2:
         raise ValidationError("grid needs two integers")
-    cm = sections["coords_model"][0]
-    hm = sections["heatmap_model"][0]
     amp = _need(hm, "spurious_amplitude").split()
     if len(amp) != 2:
         raise ValidationError("spurious_amplitude needs two values")
-    fu = sections["fusion"][0]
     sigma_parts = _need(fu, "prior_sigma_px").split()
     prior_sigma = (float(sigma_parts[0]) if len(sigma_parts) == 1
                    else tuple(float(s) for s in sigma_parts))
-    run = sections["run"][0]
-    return TrialConfig(
+    config = TrialConfig(
         phantom=PhantomConfig(
             landmarks=int(_need(ph, "landmarks")),
             width=int(grid[0]),
@@ -351,8 +349,8 @@ def read_sim_config(path: str | Path) -> TrialConfig:
         ),
         coords=CoordPredictorModel(
             noise_sigma=float(_need(cm, "noise_sigma_px")),
-            outlier_rate=float(cm.get("outlier_rate", CoordPredictorModel.outlier_rate)),
-            outlier_sigma=float(cm.get("outlier_sigma_px", CoordPredictorModel.outlier_sigma)),
+            outlier_rate=float(_take(cm, "outlier_rate", CoordPredictorModel.outlier_rate)),
+            outlier_sigma=float(_take(cm, "outlier_sigma_px", CoordPredictorModel.outlier_sigma)),
         ),
         heatmaps=HeatmapPredictorModel(
             peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px")),
@@ -362,9 +360,11 @@ def read_sim_config(path: str | Path) -> TrialConfig:
         ),
         fusion=FusionConfig(
             prior_sigma=prior_sigma,
-            floor_epsilon=float(fu.get("floor_epsilon", FusionConfig.floor_epsilon)),
-            decode=DecodeMethod(fu.get("decode", FusionConfig.decode)),
+            floor_epsilon=float(_take(fu, "floor_epsilon", FusionConfig.floor_epsilon)),
+            decode=DecodeMethod(_take(fu, "decode", FusionConfig.decode)),
         ),
         threshold_mm=float(_need(run, "threshold_mm")),
         images=int(_need(run, "images")),
     )
+    _refuse_unread(sections, names)
+    return config

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,21 @@ class TestEqualize:
         assert len(eq.records) == 2
         img = io.read_pgm(eq.records[0].image_path)
         assert (img.frame.width, img.frame.height) == (128, 128)
+
+    # a record whose path holds '=' is a row of [images], not a key
+    def test_a_record_path_holding_equals_is_processed(self, tmp_path, capsys):
+        manifest = io.read_manifest(make_corpus(tmp_path))
+        rec = manifest.records[1]
+        renamed = io.ManifestRecord(rec.image_path.rename(rec.image_path.with_name("ph=1.pgm")),
+                                    rec.landmarks_path.rename(
+                                        rec.landmarks_path.with_name("ph=1.txt")),
+                                    rec.spacing_mm_per_px)
+        src = tmp_path / "manifest.txt"
+        io.write_manifest(src, replace(manifest, records=(manifest.records[0], renamed)))
+        capsys.readouterr()
+        assert run("equalize", "--manifest", src, "--out-dir", tmp_path / "eq") == EXIT_OK
+        assert "equalized 2/2 images" in capsys.readouterr().out
+        assert len(io.read_manifest(tmp_path / "eq" / "manifest.txt").records) == 2
 
     def test_missing_image_is_io_error(self, tmp_path):
         manifest_path = make_corpus(tmp_path)
@@ -549,13 +565,21 @@ class TestMalformedInput:
                               b"adjacent_confusion_prob = 1.5"),
         lambda t: _bad_manifest(t, b"[images]", b"[images]\n[images]"),
         lambda t: _bad_manifest(t, b"landmark_count = 11", b"landmark_count = -1"),
+        lambda t: _bad_manifest(t, b"landmark_count = 11",
+                                b"landmark_count = 11\nlandmark_count = 11"),
+        # a sim config line that sets nothing read_sim_config reads
+        lambda t: _sim_config(t, b"floor_epsilon = ", b"floor_eps = "),
+        lambda t: _sim_config(t, b"decode = argmax", b"decode = argmax\nprior_sigma_px = 3.0"),
+        lambda t: _sim_config(t, b"[run]", b"[runn]\n[run]"),
+        lambda t: _sim_config(t, b"[run]", b"[run]\n1, 2, 3"),
     ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
             "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii",
             "sim-chain-spacing-nan", "sim-wobble-nan", "sim-spacing-nan", "sim-spacing-inf",
             "sim-chain-does-not-fit", "sim-landmarks-huge", "sim-height-huge",
             "sim-width-huge", "sim-grid-one-side", "sim-amplitude-one-value",
             "sim-amplitude-reversed", "sim-no-images", "sim-confusion-above-one",
-            "manifest-duplicate-section", "manifest-negative-count"])
+            "manifest-duplicate-section", "manifest-negative-count", "manifest-repeated-key",
+            "sim-misspelt-key", "sim-repeated-key", "sim-unknown-section", "sim-table-row"])
     def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()
@@ -673,6 +697,14 @@ class TestJobsFlag:
             assert data == parallel[path], path
 
 
+def _usage_rows(rows):
+    """A param (argv, error) for each row, with id argv<i> by its place. A
+    row is a bare argv, or (argv, error) where error is the whole last line
+    of stderr, for the messages the README quotes."""
+    return [pytest.param(*(row if isinstance(row, tuple) else (row, None)), id=f"argv{i}")
+            for i, row in enumerate(rows)]
+
+
 class TestFlags:
     REQUIRED = {
         "phantom": ["--out-dir", "o"],
@@ -696,7 +728,7 @@ class TestFlags:
         "--out": {"eval", "simulate"},
     }
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, error", _usage_rows([
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", "abc"],
         ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "centroid",
@@ -738,12 +770,18 @@ class TestFlags:
         ["augment", "--manifest", "m", "--out-dir", "o", "--working-size", "0", "0"],
         ["augment", "--manifest", "m", "--out-dir", "o", "--working-size", "64", "-1"],
         # seeds outside Rng's 64-bit unsigned range
-        ["phantom", "--out-dir", "o", "--seed", "-1"],
-        ["phantom", "--out-dir", "o", "--seed", "18446744073709551616"],
-        ["augment", "--manifest", "m", "--out-dir", "o", "--seed", "-1"],
-        ["augment", "--manifest", "m", "--out-dir", "o", "--seed", "18446744073709551616"],
-        ["simulate", "--seed", "-1"],
-        ["simulate", "--seed", "18446744073709551616"],
+        (["phantom", "--out-dir", "o", "--seed", "-1"],
+         "spinefuse phantom: error: argument --seed: seed must be a 64-bit unsigned integer, got -1"),
+        (["phantom", "--out-dir", "o", "--seed", "18446744073709551616"],
+         "spinefuse phantom: error: argument --seed: seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        (["augment", "--manifest", "m", "--out-dir", "o", "--seed", "-1"],
+         "spinefuse augment: error: argument --seed: seed must be a 64-bit unsigned integer, got -1"),
+        (["augment", "--manifest", "m", "--out-dir", "o", "--seed", "18446744073709551616"],
+         "spinefuse augment: error: argument --seed: seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        (["simulate", "--seed", "-1"],
+         "spinefuse simulate: error: argument --seed: seed must be a 64-bit unsigned integer, got -1"),
+        (["simulate", "--seed", "18446744073709551616"],
+         "spinefuse simulate: error: argument --seed: seed must be a 64-bit unsigned integer, got 18446744073709551616"),
         # no prior sigma at all
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", ","],
@@ -757,18 +795,25 @@ class TestFlags:
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", "6,7,"],
         # a flag the command would ignore
-        ["simulate", "--config", "f", "--preset", "noiseless"],
-        ["simulate", "--preset", "calibrated", "--config", "f"],
-        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "5"],
-        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "argmax",
-         "--window", "3"],
-    ])
-    def test_bad_flag_value_is_usage_error(self, argv, capsys):
+        (["simulate", "--config", "f", "--preset", "noiseless"],
+         "spinefuse simulate: error: argument --preset: not allowed with argument --config"),
+        (["simulate", "--preset", "calibrated", "--config", "f"],
+         "spinefuse simulate: error: argument --config: not allowed with argument --preset"),
+        (["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "5"],
+         "spinefuse: error: argument --window: only --method centroid reads it"),
+        (["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "argmax",
+          "--window", "3"],
+         "spinefuse: error: argument --window: only --method centroid reads it"),
+    ]))
+    def test_bad_flag_value_is_usage_error(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         flag = next(a for a in reversed(argv) if a.startswith("--"))
-        assert f"argument {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        if error is not None:
+            assert err.splitlines()[-1] == error
 
     def test_an_integer_beyond_the_float_range_is_named(self, capsys):
         with pytest.raises(SystemExit) as exc:

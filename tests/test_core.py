@@ -1,7 +1,12 @@
+import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import from_dtype
 
 from spinefuse import io
 from spinefuse.core import (
@@ -14,10 +19,11 @@ from spinefuse.core import (
 from spinefuse.evaluate import pck
 from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
 from spinefuse.geometry import AugmentationRanges, sample_valid_augmentation
-from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
+from spinefuse.heatmap import GaussianSpec, Heatmap, decode_centroid, render_gaussian
 from spinefuse.preprocess import resize_bilinear, resize_landmarks
 from spinefuse.simulate import (CoordPredictorModel, HeatmapPredictorModel, PhantomConfig,
-                                generate_phantom, simulate_coords, simulate_heatmaps)
+                                generate_phantom, noiseless_config, simulate_coords,
+                                simulate_heatmaps)
 
 # an int that no float holds
 HUGE = 10 ** 400
@@ -102,11 +108,36 @@ class TestPixelFrame:
         assert repr(frame) == repr(PixelFrame(512, 512)) and frame == PixelFrame(512, 512)
 
 
+PX = np.zeros((4, 4), np.uint8)
+TRIAL = noiseless_config(images=1)
+
+
 class TestMalformedArguments:
+    # each setting of a wrong type is refused by the rule of its kind, not
+    # by a TypeError or ValueError from the code that first uses it
     @pytest.mark.parametrize("build, message", [
         (lambda: GrayImage(np.zeros(4, np.uint8), 1.0), r"non-empty 2-D array, got shape \(4,\)"),
         (lambda: LandmarkSet(np.zeros((1, 2)), (4, 4)), r"unknown frame: \(4, 4\)"),
-    ], ids=["image-1d", "landmarks-frame"])
+        (lambda: PhantomConfig(landmarks=11.0), r"^landmarks must be an integer, got 11\.0$"),
+        (lambda: io.Manifest((), 1, (64, 64)),
+         r"^working_size must be a PixelFrame, got \(64, 64\)$"),
+        (lambda: replace(TRIAL, images=2.5), r"^images must be an integer, got 2\.5$"),
+        (lambda: replace(TRIAL, images=True), r"^images must be an integer, got True$"),
+        (lambda: HeatmapPredictorModel(spurious_amplitude=(1.0,)),
+         r"^spurious_amplitude must be a pair, got \(1\.0,\)$"),
+        (lambda: AugmentationRanges(tx=(1.0,)), r"^tx must be a pair, got \(1\.0,\)$"),
+        (lambda: AugmentationRanges(tx="ab"), r"^tx must be a pair, got 'ab'$"),
+        (lambda: CoordPredictorModel(1.0, outlier_rate="0.5"), r"^outlier_rate must be in \[0, 1\]"),
+        (lambda: GrayImage(PX, "1"), "^spacing must be positive and finite"),
+        (lambda: FusionConfig(floor_epsilon="1e-12"), "^floor_epsilon must be positive and finite"),
+        (lambda: decode_centroid(Heatmap(np.ones((5, 5))), 3.0),
+         r"^window must be an integer, got 3\.0$"),
+        (lambda: Rng(True), "^seed must be a 64-bit unsigned integer, got True$"),
+        (lambda: GaussianSpec(None, 1.0), "^center must be a pair, got None$"),
+    ], ids=["image-1d", "landmarks-frame", "phantom-float-landmarks", "manifest-tuple-size",
+            "trial-float-images", "trial-bool-images", "spurious-amplitude-one-value",
+            "tx-one-value", "tx-string", "outlier-rate-string", "image-spacing-string",
+            "floor-epsilon-string", "centroid-float-window", "rng-bool-seed", "center-none"])
     def test_refusal_names_its_rule(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
@@ -238,8 +269,98 @@ class TestRng:
         r = Rng(9)
         assert r.spawn(0).next_u64() != r.spawn(1).next_u64()
 
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int8(5)], ids=["uint64", "int8"])
+    def test_a_numpy_integer_seed_is_stored_as_int(self, seed):
+        assert Rng(seed) == Rng(5) and repr(Rng(seed)) == "Rng(seed=5)"
+
     def test_bad_seed(self):
         with pytest.raises(ValidationError):
             Rng(-1)
         with pytest.raises(ValidationError):
             Rng(1 << 64)
+
+
+# Every checked setting of a public constructor, as (build, kind): a COUNT
+# is an integer stored as an int; a NUMBER is any real number but a bool; a
+# PAIR is a whole (lo, hi) or (x, y) field, or a PixelFrame, which no drawn
+# value is
+COUNT, NUMBER, PAIR = "count", "number", "pair"
+
+
+def _range_settings(model, name, lo, hi):
+    """The rows of one (lo, hi) field: the whole pair, then each end."""
+    key = name.replace("_", "-")
+    return {key: (lambda v: model(**{name: v}), PAIR),
+            f"{key}-lo": (lambda v: model(**{name: (v, hi)}), NUMBER),
+            f"{key}-hi": (lambda v: model(**{name: (lo, v)}), NUMBER)}
+
+
+SETTINGS = {
+    "image-spacing": (lambda v: GrayImage(PX, v), NUMBER),
+    "frame-width": (lambda v: PixelFrame(v, 4), COUNT),
+    "frame-height": (lambda v: PixelFrame(4, v), COUNT),
+    "rng-seed": (Rng, COUNT),
+    "gaussian-center": (lambda v: GaussianSpec(v, 1.0), PAIR),
+    "gaussian-x": (lambda v: GaussianSpec((v, 1.0), 1.0), NUMBER),
+    "gaussian-y": (lambda v: GaussianSpec((1.0, v), 1.0), NUMBER),
+    "gaussian-sigma": (lambda v: GaussianSpec((1.0, 1.0), v), NUMBER),
+    "gaussian-amplitude": (lambda v: GaussianSpec((1.0, 1.0), 1.0, v), NUMBER),
+    "prior-sigma": (lambda v: FusionConfig(prior_sigma=v), NUMBER),
+    "prior-sigmas": (lambda v: FusionConfig(prior_sigma=(6.0, v)), NUMBER),
+    "floor-epsilon": (lambda v: FusionConfig(floor_epsilon=v), NUMBER),
+    "noise-sigma": (CoordPredictorModel, NUMBER),
+    "outlier-rate": (lambda v: CoordPredictorModel(1.0, outlier_rate=v), NUMBER),
+    "outlier-sigma": (lambda v: CoordPredictorModel(1.0, outlier_sigma=v), NUMBER),
+    "peak-jitter-sigma": (lambda v: HeatmapPredictorModel(peak_jitter_sigma=v), NUMBER),
+    "heatmap-sigma": (lambda v: HeatmapPredictorModel(heatmap_sigma=v), NUMBER),
+    "confusion-prob": (lambda v: HeatmapPredictorModel(adjacent_confusion_prob=v), NUMBER),
+    "phantom-landmarks": (lambda v: PhantomConfig(landmarks=v), COUNT),
+    "phantom-width": (lambda v: PhantomConfig(width=v), COUNT),
+    "phantom-height": (lambda v: PhantomConfig(height=v), COUNT),
+    "phantom-spacing": (lambda v: PhantomConfig(spacing_mm_per_px=v), NUMBER),
+    "chain-spacing": (lambda v: PhantomConfig(chain_spacing_px=v), NUMBER),
+    "wobble": (lambda v: PhantomConfig(wobble_px=v), NUMBER),
+    "trial-threshold": (lambda v: replace(TRIAL, threshold_mm=v), NUMBER),
+    "trial-images": (lambda v: replace(TRIAL, images=v), COUNT),
+    "manifest-landmark-count": (lambda v: io.Manifest((), v), COUNT),
+    "manifest-working-size": (lambda v: io.Manifest((), 1, v), PAIR),
+    **_range_settings(HeatmapPredictorModel, "spurious_amplitude", 1e-6, 1e6),
+    **_range_settings(AugmentationRanges, "tx", -1e6, 1e6),
+    **_range_settings(AugmentationRanges, "ty", -1e6, 1e6),
+    **_range_settings(AugmentationRanges, "angle_deg", -1e6, 1e6),
+    **_range_settings(AugmentationRanges, "scale", 1e-6, 1e6),
+}
+
+_DTYPES = ["bool", "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
+           "float16", "float32", "float64", "longdouble", "complex64", "complex128",
+           "datetime64[s]", "timedelta64[s]", "U3", "S3"]
+SETTING_VALUES = st.one_of(
+    st.booleans(),
+    st.sampled_from(_DTYPES).flatmap(lambda dtype: from_dtype(np.dtype(dtype))),
+    st.integers(-3, 600), st.integers(), st.floats(), st.text(max_size=3), st.none(),
+    st.tuples() | st.tuples(st.floats()),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400]),
+)
+# types that no count, number or pair setting takes, whatever the value
+NOT_A_NUMBER = (bool, np.bool_, str, bytes, type(None), complex, np.complexfloating,
+                np.datetime64, np.timedelta64)
+
+
+class TestSettingTypes:
+    @pytest.mark.parametrize("build, kind", list(SETTINGS.values()), ids=list(SETTINGS))
+    @settings(max_examples=25, deadline=None)
+    @given(value=SETTING_VALUES)
+    def test_a_setting_is_refused_or_builds_what_its_python_value_builds(self, build, kind,
+                                                                         value):
+        try:
+            built = build(value)
+        except ValidationError:
+            return
+        assert kind != PAIR
+        assert not isinstance(value, NOT_A_NUMBER)
+        if kind == COUNT:
+            assert not isinstance(value, (float, np.floating))
+        native = build(value.item() if isinstance(value, np.generic) else value)
+        assert built == native
+        if kind == COUNT:
+            assert repr(built) == repr(native)

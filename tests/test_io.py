@@ -444,6 +444,8 @@ class TestManifests:
         ("working_size = 64 wide", "0.5"),
         ("working_size = 64", "0.5"),
         ("", "half"),
+        ("landmark_count = 1\nlandmark_count = 1", "0.5"),
+        ("a.pgm, a.txt, 0.5", "0.5"),
     ])
     def test_malformed_value_names_manifest(self, tmp_path, header, cell):
         records = self._corpus(tmp_path, n=1)
@@ -452,6 +454,26 @@ class TestManifests:
                         f"{records[0].landmarks_path.name}, {cell}\n")
         with pytest.raises(ValidationError, match="manifest.txt"):
             io.read_manifest(path)
+
+    # a row of [images] is never read as 'key = value' or as a comment
+    def test_record_paths_holding_equals_or_hash_read_back(self, tmp_path):
+        records = []
+        for rec, stem in zip(self._corpus(tmp_path), ["ph=1", "a#b"]):
+            records.append(io.ManifestRecord(rec.image_path.rename(tmp_path / f"{stem}.pgm"),
+                                             rec.landmarks_path.rename(tmp_path / f"{stem}.txt"),
+                                             0.5))
+        path = tmp_path / "manifest.txt"
+        io.write_manifest(path, io.Manifest(tuple(records), landmark_count=1))
+        assert io.read_manifest(path).records == tuple(records)
+
+    @pytest.mark.parametrize("name", ["#1.pgm", "a,b.pgm", "a\nb.pgm", "a\rb.pgm", " a.pgm",
+                                      "a.pgm "])
+    def test_a_record_path_that_would_not_read_back_is_refused(self, tmp_path, name):
+        record = io.ManifestRecord(tmp_path / name, tmp_path / "a.txt", 0.5)
+        path = tmp_path / "manifest.txt"
+        with pytest.raises(ValidationError, match=re.escape(repr(str(tmp_path / name)))):
+            io.write_manifest(path, io.Manifest((record,), landmark_count=1))
+        assert not path.exists()
 
     def test_legacy_coord_size_line_is_ignored(self, tmp_path):
         records = self._corpus(tmp_path, n=1)
@@ -497,6 +519,23 @@ class TestSimConfig:
         path = _sim_config(tmp_path, 1, "prior_sigma_px = 6.0\n", "prior_sigma_px = 5.0 6.0\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 2 prior sigmas "
                                                   f"for 11 landmarks$"):
+            read_sim_config(path)
+
+    # a sim config is read whole: a line that sets nothing the reader reads
+    # is refused by its number, so no setting silently keeps its default
+    @pytest.mark.parametrize("old, new, message", [
+        ("floor_epsilon = ", "floor_eps = ", "line 19: unknown key 'floor_eps'"),
+        ("decode = argmax\n", "decode = argmax\nprior_sigma_px = 3.0\n",
+         "line 21: duplicate key 'prior_sigma_px'"),
+        ("threshold_mm = 8.0\n", "threshold_mm = 8.0\n[runn]\nimages = 3\n",
+         "line 24: unknown section [runn]"),
+        ("[run]\n", "[run]\n1, 2, 3\n", "line 22: expected 'key = value', got '1, 2, 3'"),
+        ("# spinefuse sim config v1\n", "# spinefuse sim config v1\nseed = 3\n",
+         "line 2: unknown key 'seed'"),
+    ], ids=["misspelt-key", "repeated-key", "unknown-section", "table-row", "key-before-sections"])
+    def test_a_line_that_is_not_read_is_refused_by_its_number(self, tmp_path, old, new, message):
+        path = _sim_config(tmp_path, 2, old, new)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_sim_config(path)
 
     def test_missing_section(self, tmp_path):

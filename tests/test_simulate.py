@@ -365,7 +365,7 @@ class TestCalibration:
         with pytest.raises(ValidationError, match="^10 prior sigmas for 11 landmarks$"):
             dataclasses.replace(config, fusion=FusionConfig(prior_sigma=(6.0,) * 10))
 
-    @pytest.mark.parametrize("accuracy", [0.0, 1.0])
+    @pytest.mark.parametrize("accuracy", [0.0, 1.0, "0.5", None])
     def test_accuracy_outside_the_open_unit_interval_is_refused(self, accuracy):
         with pytest.raises(ValidationError,
                            match=rf"^accuracy must be in \(0, 1\), got {accuracy}$"):
@@ -384,6 +384,8 @@ class TestCalibration:
             confusion_prob_for_accuracy(0.65, (1.05, 1.1))
         with pytest.raises(ValidationError):
             confusion_prob_for_accuracy(0.2, (0.9, 1.1))
+        with pytest.raises(ValidationError, match=r"^amplitude range must be a pair"):
+            confusion_prob_for_accuracy(0.65, (0.9,))
 
     def test_calibrated_config_defaults(self):
         config = calibrated_config()
