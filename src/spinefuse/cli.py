@@ -8,6 +8,7 @@ same inputs and seed reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -314,27 +315,37 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """Each subcommand's function and help line, by name. Built on each call,
+    so it holds the module's cmd_* as they are then: one replaced after the
+    parser was built (a tracer's wrapper, say) is the one that runs."""
+    return {
+        "phantom": (cmd_phantom, "generate a synthetic corpus"),
+        "equalize": (cmd_equalize, "histogram-equalize a corpus"),
+        "augment": (cmd_augment, "emit augmented image/landmark pairs at the working size"),
+        "gen-heatmaps": (cmd_gen_heatmaps, "render label heatmap stacks"),
+        "fuse": (cmd_fuse, "fuse heatmap stacks with coordinate predictions"),
+        "decode": (cmd_decode, "decode heatmap stacks to landmarks"),
+        "eval": (cmd_eval, "score predictions against a manifest"),
+        "simulate": (cmd_simulate, "compare coords-only, heatmap-argmax, and fused decoding"),
+    }
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name, built on
+    the first call and shared by every later one: parsing keeps no state in
+    them, and they hold no command function."""
     parser = argparse.ArgumentParser(
         prog="spinefuse",
         description="Landmark localization by fusing heatmaps with coordinate priors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, func, text in [
-        ("phantom", cmd_phantom, "generate a synthetic corpus"),
-        ("equalize", cmd_equalize, "histogram-equalize a corpus"),
-        ("augment", cmd_augment, "emit augmented image/landmark pairs at the working size"),
-        ("gen-heatmaps", cmd_gen_heatmaps, "render label heatmap stacks"),
-        ("fuse", cmd_fuse, "fuse heatmap stacks with coordinate predictions"),
-        ("decode", cmd_decode, "decode heatmap stacks to landmarks"),
-        ("eval", cmd_eval, "score predictions against a manifest"),
-        ("simulate", cmd_simulate, "compare coords-only, heatmap-argmax, and fused decoding"),
-    ]:
+    for name, (_, text) in _commands().items():
         # no abbreviations: a flag the subcommand does not take is refused,
         # not read as one it does (--out as --out-dir)
         commands[name] = sub.add_parser(name, help=text, allow_abbrev=False)
-        commands[name].set_defaults(func=func)
 
     # each subcommand takes only the path flags and shared flags it reads,
     # and refuses any other (exit 2); its path flags lead its usage line
@@ -408,16 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         for name in readers.split():
             commands[name].add_argument(flag, **kwargs)
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The spinefuse parser: built on the first call, the same object after."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "decode" and args.window is not None and args.method != "centroid":
-        parser.error("argument --window: only --method centroid reads it")
+        # refused by the decode parser, as its other flag errors are
+        _parsers()[1]["decode"].error("argument --window: only --method centroid reads it")
+    func, _ = _commands()[args.command]
     try:
-        return args.func(args)
+        return func(args)
     except Exception as exc:  # the exit code names the class of failure
         return _report(exc)
 

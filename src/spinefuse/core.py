@@ -56,6 +56,13 @@ def _integer(name: str, value: int) -> int:
     return int(value)
 
 
+def _shown(value):
+    """A refused value as its message shows it: a number by str, so an int
+    or a numpy scalar reads as its digits, and anything else by repr, so the
+    string '0.5' does not read as the number 0.5."""
+    return value if _is_number(value) else repr(value)
+
+
 def _finite(value: float) -> bool:
     """A finite number as :func:`_is_number` decides: math.isfinite, but an
     int or fraction beyond the float range is not finite."""
@@ -72,21 +79,21 @@ def _positive_finite(name: str, value: float) -> float:
     """The rule for a setting that must be a positive, finite number: returns
     the value, or raises a ValidationError that names the setting."""
     if not (_finite(value) and value > 0):
-        raise ValidationError(f"{name} must be positive and finite, got {value}")
+        raise ValidationError(f"{name} must be positive and finite, got {_shown(value)}")
     return value
 
 
 def _non_negative_finite(name: str, value: float) -> float:
     """The rule for a setting that may be 0 but must be finite and not negative."""
     if not (_finite(value) and value >= 0):
-        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
+        raise ValidationError(f"{name} must be non-negative and finite, got {_shown(value)}")
     return value
 
 
 def _probability(name: str, value: float) -> float:
     """The rule for a probability: a number in [0, 1]."""
     if not (_finite(value) and 0 <= value <= 1):
-        raise ValidationError(f"{name} must be in [0, 1], got {value}")
+        raise ValidationError(f"{name} must be in [0, 1], got {_shown(value)}")
     return value
 
 
@@ -107,7 +114,7 @@ def _range(name: str, value) -> tuple[float, float]:
     compared and returned as Python floats."""
     lo, hi = _pair(name, value)
     if not (_finite(lo) and _finite(hi) and float(lo) <= float(hi)):
-        raise ValidationError(f"bad {name} range: ({lo}, {hi})")
+        raise ValidationError(f"bad {name} range: ({_shown(lo)}, {_shown(hi)})")
     return float(lo), float(hi)
 
 

@@ -114,7 +114,10 @@ class Heatmap:
             # or cast; it is refused below like any NaN
             with np.errstate(invalid="ignore"):
                 nonzero = arr != 0
-                r0, r1, c0, c1 = support = _box(nonzero.any(axis=1), nonzero.any(axis=0))
+                rows = nonzero.any(axis=1)
+                r0, r1, _, _ = _box(rows, rows)
+                # the columns are scanned only over the rows holding a nonzero value
+                r0, r1, c0, c1 = support = _box(rows, nonzero[r0:r1].any(axis=0))
                 # the cast to float64; adding +0.0 also turns -0.0 into 0.0
                 block = np.add(arr[r0:r1, c0:c1], 0.0, dtype=np.float64)
         # NaN and +-inf all reach min or the first maximum (argmax stops at

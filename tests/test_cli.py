@@ -800,10 +800,10 @@ class TestFlags:
         (["simulate", "--preset", "calibrated", "--config", "f"],
          "spinefuse simulate: error: argument --config: not allowed with argument --preset"),
         (["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "5"],
-         "spinefuse: error: argument --window: only --method centroid reads it"),
+         "spinefuse decode: error: argument --window: only --method centroid reads it"),
         (["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "argmax",
           "--window", "3"],
-         "spinefuse: error: argument --window: only --method centroid reads it"),
+         "spinefuse decode: error: argument --window: only --method centroid reads it"),
     ]))
     def test_bad_flag_value_is_usage_error(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -828,6 +828,15 @@ class TestFlags:
         err = capsys.readouterr().err
         assert "argument --window: window must be odd and positive, got 4" in err
 
+    def test_a_window_without_centroid_writes_nothing(self, tmp_path, capsys):
+        hm_dir = tmp_path / "hm"
+        hm_dir.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "o", "--window", 3)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: spinefuse decode ")
+        assert list(tmp_path.iterdir()) == [hm_dir]
+
     @pytest.mark.parametrize("flag", sorted(TAKEN_BY))
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_subcommand_rejects_flags_it_ignores(self, command, flag, capsys):
@@ -839,3 +848,36 @@ class TestFlags:
                 main(argv)
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _tree(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestInProcessRuns:
+    # main may be called many times in one process: the parser is built
+    # once, and each run looks its command up by name
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_command_replaced_after_a_run_is_the_one_that_runs(self, tmp_path, monkeypatch):
+        assert run("phantom", "--out-dir", tmp_path / "a", "--count", 1) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_phantom", lambda args: seen.append(args.count) or 42)
+        assert run("phantom", "--out-dir", tmp_path / "b", "--count", 3) == 42
+        assert seen == [3] and not (tmp_path / "b").exists()
+
+    def test_runs_share_no_state(self, tmp_path):
+        manifest_path = make_corpus(tmp_path, count=1)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        fuse = ("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus")
+        assert run(*fuse, "--out-dir", tmp_path / "dumped", "--dump-heatmaps") == EXIT_OK
+        assert run(*fuse, "--out-dir", tmp_path / "plain") == EXIT_OK
+        assert len(list((tmp_path / "dumped").glob("*.fused.hmap"))) == 1
+        assert [p.name for p in (tmp_path / "plain").iterdir()] == ["phantom_000.txt"]
+        for out in ("a", "b"):
+            assert run("phantom", "--out-dir", tmp_path / out, "--count", 2,
+                       "--seed", 7) == EXIT_OK
+        assert _tree(tmp_path / "a") == _tree(tmp_path / "b") != {}

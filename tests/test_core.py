@@ -127,7 +127,18 @@ class TestMalformedArguments:
          r"^spurious_amplitude must be a pair, got \(1\.0,\)$"),
         (lambda: AugmentationRanges(tx=(1.0,)), r"^tx must be a pair, got \(1\.0,\)$"),
         (lambda: AugmentationRanges(tx="ab"), r"^tx must be a pair, got 'ab'$"),
-        (lambda: CoordPredictorModel(1.0, outlier_rate="0.5"), r"^outlier_rate must be in \[0, 1\]"),
+        # a value that is not a number is shown by repr, a number as str shows it
+        (lambda: CoordPredictorModel(1.0, outlier_rate="0.5"),
+         r"^outlier_rate must be in \[0, 1\], got '0\.5'$"),
+        (lambda: CoordPredictorModel(1.0, outlier_rate=None),
+         r"^outlier_rate must be in \[0, 1\], got None$"),
+        (lambda: CoordPredictorModel(1.0, outlier_rate=np.float64(1.5)),
+         r"^outlier_rate must be in \[0, 1\], got 1\.5$"),
+        (lambda: GrayImage(PX, np.int64(-2)), "^spacing must be positive and finite, got -2$"),
+        (lambda: CoordPredictorModel(noise_sigma="1"),
+         "^noise_sigma must be non-negative and finite, got '1'$"),
+        (lambda: AugmentationRanges(tx=("0", 1)), r"^bad tx range: \('0', 1\)$"),
+        (lambda: AugmentationRanges(tx=(np.float32(2), 1)), r"^bad tx range: \(2\.0, 1\)$"),
         (lambda: GrayImage(PX, "1"), "^spacing must be positive and finite"),
         (lambda: FusionConfig(floor_epsilon="1e-12"), "^floor_epsilon must be positive and finite"),
         (lambda: decode_centroid(Heatmap(np.ones((5, 5))), 3.0),
@@ -136,7 +147,9 @@ class TestMalformedArguments:
         (lambda: GaussianSpec(None, 1.0), "^center must be a pair, got None$"),
     ], ids=["image-1d", "landmarks-frame", "phantom-float-landmarks", "manifest-tuple-size",
             "trial-float-images", "trial-bool-images", "spurious-amplitude-one-value",
-            "tx-one-value", "tx-string", "outlier-rate-string", "image-spacing-string",
+            "tx-one-value", "tx-string", "outlier-rate-string", "outlier-rate-none",
+            "outlier-rate-numpy", "image-spacing-numpy", "noise-sigma-string", "tx-string-end",
+            "tx-numpy-ends", "image-spacing-string",
             "floor-epsilon-string", "centroid-float-window", "rng-bool-seed", "center-none"])
     def test_refusal_names_its_rule(self, build, message):
         with pytest.raises(ValidationError, match=message):

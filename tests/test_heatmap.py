@@ -575,9 +575,13 @@ class TestSupport:
             assert hm.values.shape == (5, 7) and not hm.values.any()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([np.float64, np.float32]),
-           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
-                              st.floats(0.0, 2.0 ** 100, exclude_min=True, width=32)),
+    # a grid may be much wider than tall, and a -0.0 spot is a zero, which
+    # does not widen the box
+    @given(st.integers(1, 12), st.integers(1, 12) | st.integers(100, 300),
+           st.sampled_from([np.float64, np.float32]),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 299),
+                              st.floats(0.0, 2.0 ** 100, exclude_min=True, width=32)
+                              | st.just(-0.0)),
                     max_size=4))
     def test_a_given_grid_gets_its_tight_nonzero_box(self, h, w, dtype, spots):
         grid = np.zeros((h, w), dtype=dtype)
@@ -585,7 +589,7 @@ class TestSupport:
             grid[y % h, x % w] = value
         hm = Heatmap(grid)
         rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
-        tight = (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if spots else (0, 0, 0, 0)
+        tight = (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if rows.size else (0, 0, 0, 0)
         assert hm._support == tight
         assert hm._top == grid.max()
         # no given grid is kept: values is rebuilt from the block
