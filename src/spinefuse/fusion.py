@@ -56,13 +56,13 @@ class FusionConfig:
 
     def _per_landmark(self, landmarks: int) -> list[FusionConfig]:
         """One config of one width for each of ``landmarks`` landmarks; raises
-        a ValidationError if there are fewer per-landmark widths."""
+        a ValidationError if there are per-landmark widths of another count."""
         if not isinstance(self.prior_sigma, tuple):
             return [self] * landmarks
-        if len(self.prior_sigma) < landmarks:
+        if len(self.prior_sigma) != landmarks:
             raise ValidationError(f"{len(self.prior_sigma)} prior sigmas for "
                                   f"{landmarks} landmarks")
-        return [replace(self, prior_sigma=s) for s in self.prior_sigma[:landmarks]]
+        return [replace(self, prior_sigma=s) for s in self.prior_sigma]
 
 
 def coord_to_prior(coord: tuple[float, float], prior_sigma: float,

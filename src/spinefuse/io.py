@@ -129,7 +129,7 @@ def read_pgm(path: str | Path, spacing: float = 1.0) -> GrayImage:
         raise ValidationError(f"unsupported maxval {maxval}, need 255")
     PixelFrame(width, height)
     pos += 1  # single whitespace byte after maxval
-    raster = data[pos:pos + width * height]
+    raster = data[pos:]
     if len(raster) != width * height:
         raise ValidationError(f"raster holds {len(raster)} bytes, expected {width * height}")
     return GrayImage(np.frombuffer(raster, np.uint8).reshape(height, width), spacing)
@@ -355,6 +355,7 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
 
 @_reader
 def read_manifest(path: str | Path) -> Manifest:
+    """Parse a manifest; a file it names is opened only by the stage that reads it."""
     path = Path(path)
     sections = _parse_sections(path.read_text(), table="images")
     root = sections[""]
@@ -366,17 +367,14 @@ def read_manifest(path: str | Path) -> Manifest:
     for row in sections["images"].rows:
         if len(row) != 3:
             raise ValidationError(f"image row needs image_path, landmarks_path, spacing, got {row}")
-        spacing = _positive_finite("spacing", float(row[2]))
-        img = (base / row[0]).resolve()
-        lmk = (base / row[1]).resolve()
-        for p in (img, lmk):
-            if not p.is_file():
-                raise FileNotFoundError(f"{path}: referenced file missing: {p}")
-        records.append(ManifestRecord(img, lmk, spacing))
+        records.append(ManifestRecord((base / row[0]).resolve(), (base / row[1]).resolve(),
+                                      _positive_finite("spacing", float(row[2]))))
     size = _take(root, "working_size", None)
     size = astuple(Manifest.working_size) if size is None else size.split()
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
+    _take(root, "coord_size", None)  # the first versions' grid: read by nothing, still accepted
+    _refuse_unread(sections, ("images",))
     return Manifest(
         records=tuple(records),
         landmark_count=landmark_count,

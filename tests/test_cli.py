@@ -118,6 +118,32 @@ class TestEqualize:
         assert run("equalize", "--manifest", manifest_path,
                    "--out-dir", tmp_path / "eq") == EXIT_IO
 
+    # an I/O error that names no file is named by its item's image; the other
+    # item is still written, and the failed write leaves no temp file
+    def test_an_io_error_naming_no_file_starts_with_its_item(self, tmp_path, capsys,
+                                                             monkeypatch):
+        manifest_path = make_corpus(tmp_path)
+        first, second = io.read_manifest(manifest_path).records
+        out = tmp_path / "eq"
+        write = io.atomic_write
+
+        def full_disk(path, data):
+            if path != out / first.image_path.name:
+                return write(path, data)
+            with io._atomic_file(path) as f:
+                f.write(data[:4])
+                raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(io, "atomic_write", full_disk)
+        capsys.readouterr()
+        assert run("equalize", "--manifest", manifest_path, "--out-dir", out) == EXIT_IO
+        assert capsys.readouterr().err == (f"error: {first.image_path}: "
+                                           f"[Errno {errno.ENOSPC}] No space left on device\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.txt", second.image_path.name, second.landmarks_path.name]
+        assert [r.image_path.name for r in io.read_manifest(out / "manifest.txt").records] == [
+            second.image_path.name]
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestAugment:
     def test_no_copies_is_ok(self, tmp_path):
@@ -253,15 +279,17 @@ class TestFuse:
         err = capsys.readouterr().err
         assert "a.hmap" in err and "b.txt" in err
 
-    def test_too_few_prior_sigmas_fail_each_stack_once(self, tmp_path, capsys):
+    @pytest.mark.parametrize("widths", [2, 12])
+    def test_another_count_of_prior_sigmas_fails_each_stack_once(self, tmp_path, capsys,
+                                                                  widths):
         manifest_path = make_corpus(tmp_path)
         hm_dir, out = tmp_path / "hm", tmp_path / "fused"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
         capsys.readouterr()
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", tmp_path / "corpus",
-                   "--out-dir", out, "--prior-sigma", "6,6") == EXIT_VALIDATION
+                   "--out-dir", out, "--prior-sigma", ",".join(["6"] * widths)) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {stack}: 2 prior sigmas for 11 landmarks"
+            f"error: {stack}: {widths} prior sigmas for 11 landmarks"
             for stack in sorted(hm_dir.glob("*.hmap"))]
         assert not list(out.iterdir())
 
@@ -337,6 +365,17 @@ class TestEval:
         summary = ["total = 22", "hits = 22", "accuracy = 1.000000"]
         assert out.read_text().splitlines()[2:5] == summary
         assert "accuracy = 1.000000" in capsys.readouterr().out
+
+    # eval reads no image, so a corpus without them scores as it did with them
+    def test_a_corpus_without_its_images_gives_the_same_report(self, tmp_path, capsys):
+        manifest_path = make_corpus(tmp_path)
+        argv = ["eval", "--manifest", manifest_path, "--pred-dir", manifest_path.parent]
+        assert run(*argv, "--out", tmp_path / "with.txt") == EXIT_OK
+        for rec in io.read_manifest(manifest_path).records:
+            rec.image_path.unlink()
+        assert run(*argv, "--out", tmp_path / "without.txt") == EXIT_OK
+        assert (tmp_path / "without.txt").read_bytes() == (tmp_path / "with.txt").read_bytes()
+        assert capsys.readouterr().err == ""
 
     def test_missing_prediction_is_io_error(self, tmp_path):
         manifest_path = make_corpus(tmp_path)
@@ -528,6 +567,22 @@ def _report_into_missing_directory(tmp_path):
              "--out", out], out, errno.ENOENT)
 
 
+def _missing_image(tmp_path):
+    manifest_path = make_corpus(tmp_path)
+    image = io.read_manifest(manifest_path).records[0].image_path
+    image.unlink()
+    return (["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq"], image,
+            errno.ENOENT)
+
+
+def _missing_ground_truth(tmp_path):
+    manifest_path = make_corpus(tmp_path)
+    truth = io.read_manifest(manifest_path).records[1].landmarks_path
+    truth.unlink()
+    return (["eval", "--manifest", manifest_path, "--pred-dir", manifest_path.parent], truth,
+            errno.ENOENT)
+
+
 def _missing_manifest(tmp_path):
     manifest_path = tmp_path / "nope.txt"
     return (["eval", "--manifest", manifest_path, "--pred-dir", tmp_path],
@@ -572,6 +627,10 @@ class TestMalformedInput:
         lambda t: _sim_config(t, b"decode = argmax", b"decode = argmax\nprior_sigma_px = 3.0"),
         lambda t: _sim_config(t, b"[run]", b"[runn]\n[run]"),
         lambda t: _sim_config(t, b"[run]", b"[run]\n1, 2, 3"),
+        # a manifest line that sets nothing read_manifest reads
+        lambda t: _bad_manifest(t, b"landmark_count", b"landmark_cout"),
+        lambda t: _bad_manifest(t, b"[images]", b"[extra]\n[images]"),
+        lambda t: _sim_config(t, b"prior_sigma_px = 6.0", b"prior_sigma_px =" + b" 6.0" * 12),
     ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
             "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii",
             "sim-chain-spacing-nan", "sim-wobble-nan", "sim-spacing-nan", "sim-spacing-inf",
@@ -579,7 +638,8 @@ class TestMalformedInput:
             "sim-width-huge", "sim-grid-one-side", "sim-amplitude-one-value",
             "sim-amplitude-reversed", "sim-no-images", "sim-confusion-above-one",
             "manifest-duplicate-section", "manifest-negative-count", "manifest-repeated-key",
-            "sim-misspelt-key", "sim-repeated-key", "sim-unknown-section", "sim-table-row"])
+            "sim-misspelt-key", "sim-repeated-key", "sim-unknown-section", "sim-table-row",
+            "manifest-misspelt-key", "manifest-unknown-section", "sim-too-many-prior-sigmas"])
     def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()
@@ -608,11 +668,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", [_missing_coords, _directory_stack, _missing_prediction,
                                       _report_onto_directory, _missing_manifest,
                                       _simulate_into_missing_directory,
-                                      _report_into_missing_directory],
+                                      _report_into_missing_directory, _missing_image,
+                                      _missing_ground_truth],
                              ids=["fuse-coords", "decode-directory", "eval-prediction",
                                   "eval-out-directory", "eval-manifest",
                                   "simulate-out-missing-directory",
-                                  "eval-out-missing-directory"])
+                                  "eval-out-missing-directory", "equalize-image",
+                                  "eval-ground-truth"])
     def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, case):
         argv, bad, code = case(tmp_path)
         capsys.readouterr()

@@ -317,14 +317,18 @@ class TestFuseBatch:
                                                   "fuse_batch"):
             fuse(hm, (10.0, 10.0), FusionConfig(prior_sigma=(3.0, 9.0)))
 
-    def test_too_few_per_landmark_sigmas_fail_before_any_channel(self, monkeypatch):
-        pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
+    # a width that no landmark reads is refused, as a missing one is
+    @pytest.mark.parametrize("landmarks, widths", [(3, 2), (11, 12), (0, 2)])
+    def test_another_count_of_per_landmark_sigmas_fails_before_any_channel(
+            self, monkeypatch, landmarks, widths):
+        pts = np.array([[10.0, 4.0 * k] for k in range(landmarks)]).reshape(-1, 2)
         stack = [render_gaussian(GaussianSpec(tuple(p), 1.2), PixelFrame(48, 48)) for p in pts]
         coords = LandmarkSet(pts, PixelFrame(48, 48))
         fused = []
         monkeypatch.setattr(fusion, "fuse_and_decode", lambda *args, **kw: fused.append(args))
-        with pytest.raises(ValidationError, match=r"^2 prior sigmas for 3 landmarks$"):
-            fuse_batch(stack, coords, FusionConfig(prior_sigma=(3.0, 9.0)))
+        with pytest.raises(ValidationError,
+                           match=f"^{widths} prior sigmas for {landmarks} landmarks$"):
+            fuse_batch(stack, coords, FusionConfig(prior_sigma=(6.0,) * widths))
         assert fused == []
 
 

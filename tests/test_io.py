@@ -158,11 +158,20 @@ class TestPgm:
             io.read_pgm(path)
         assert str(err.value) == f"{path}: unsupported maxval 100, need 255"
 
-    def test_truncated_raster(self, tmp_path):
+    # the raster is every byte after the header's last whitespace byte, and
+    # must be the size the header says, as an HMAP file must: so a CRLF
+    # header, which leaves its LF in the raster, is refused, not read shifted
+    @pytest.mark.parametrize("data, held, expected", [
+        (b"P5\n4 4\n255\n\x00\x00", 2, 16),
+        (b"P5\n3 1\n255\n" + bytes(range(1, 7)), 6, 3),
+        (b"P5\r\n3 2\r\n255\r\n" + bytes(range(1, 7)), 7, 6),
+    ], ids=["truncated", "longer", "crlf-header"])
+    def test_a_raster_of_another_length_is_refused(self, tmp_path, data, held, expected):
         path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(ValidationError, match="raster"):
+        path.write_bytes(data)
+        with pytest.raises(ValidationError) as err:
             io.read_pgm(path)
+        assert str(err.value) == f"{path}: raster holds {held} bytes, expected {expected}"
 
 
 class TestLandmarkFiles:
@@ -425,10 +434,30 @@ class TestManifests:
         back = io.read_manifest(path)
         assert back.records[0].image_path.is_file()
 
-    def test_missing_file_names_path(self, tmp_path):
+    # the reader opens no file it names: the stage that opens one reports it
+    def test_records_keep_their_paths_when_no_file_exists(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        path.write_text("[images]\nnope.pgm, nope.txt, 0.5\n")
-        with pytest.raises(FileNotFoundError, match="nope"):
+        path.write_text("[images]\nnope.pgm, nope.txt, 0.5\nsub/a.pgm, ../b.txt, 1.0\n")
+        assert io.read_manifest(path).records == (
+            io.ManifestRecord(tmp_path.resolve() / "nope.pgm", tmp_path.resolve() / "nope.txt",
+                              0.5),
+            io.ManifestRecord(tmp_path.resolve() / "sub" / "a.pgm",
+                              tmp_path.resolve().parent / "b.txt", 1.0))
+
+    # a manifest is read whole, as a sim config is: a line that sets nothing
+    # the reader reads is refused by its number
+    @pytest.mark.parametrize("old, new, message", [
+        ("landmark_count = ", "landmark_cout = ", "line 2: unknown key 'landmark_cout'"),
+        ("[images]", "[extra]\nkey = 1\n[images]", "line 4: unknown section [extra]"),
+    ], ids=["misspelt-key", "unknown-section"])
+    def test_a_line_that_is_not_read_is_refused_by_its_number(self, tmp_path, old, new,
+                                                              message):
+        path = tmp_path / "manifest.txt"
+        io.write_manifest(path, io.Manifest(self._corpus(tmp_path, n=1), landmark_count=1))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             io.read_manifest(path)
 
     def test_bad_spacing(self, tmp_path):
@@ -515,10 +544,12 @@ class TestSimConfig:
                            f"prior_sigma_px = {' '.join(map(repr, sigmas))}\n")
         assert read_sim_config(path).fusion.prior_sigma == sigmas
 
-    def test_too_few_per_landmark_sigmas_fail_with_the_path(self, tmp_path):
-        path = _sim_config(tmp_path, 1, "prior_sigma_px = 6.0\n", "prior_sigma_px = 5.0 6.0\n")
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 2 prior sigmas "
-                                                  f"for 11 landmarks$"):
+    @pytest.mark.parametrize("widths", [2, 12])
+    def test_another_count_of_per_landmark_sigmas_fails_with_the_path(self, tmp_path, widths):
+        path = _sim_config(tmp_path, 1, "prior_sigma_px = 6.0\n",
+                           f"prior_sigma_px = {' '.join(['6.0'] * widths)}\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {widths} prior "
+                                                  f"sigmas for 11 landmarks$"):
             read_sim_config(path)
 
     # a sim config is read whole: a line that sets nothing the reader reads
