@@ -168,6 +168,8 @@ def cmd_equalize(args) -> int:
 
     def process(rec: io.ManifestRecord):
         img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
+        # the landmarks are checked, then copied byte for byte
+        _read_counted(rec.landmarks_path, img.frame, manifest.landmark_count)
         img_path = out / rec.image_path.name
         lmk_path = out / rec.landmarks_path.name
         io.write_pgm(img_path, equalize_histogram(img))

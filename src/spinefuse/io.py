@@ -13,11 +13,13 @@ Every format is fixed bit-exactly so outputs are reproducible byte for byte:
 All writers go through :func:`_atomic_file` (temp file + rename) so partial
 runs never leave corrupt artifacts. HMAP stacks are read and written one
 channel at a time, through one reused float32 grid, so no whole stack file
-is held in memory.
+is held in memory; all-zero rows are written as holes and holes are not
+read.
 """
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import os
 import secrets
@@ -180,11 +182,13 @@ _HMAP_MAGIC = b"HMAP"
 
 def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
     """Write the header, then each channel through one reused zeroed float32
-    grid: its support box is cast in, the grid is written, and the box is
-    zeroed again. Every channel is checked before anything is written: its
-    shape, and its maximum, which must not reach 2**128 - 2**103, the least
-    double that float32 rounds to inf, which :func:`read_heatmap_stack`
-    rejects."""
+    grid: its support box is cast in, the rows of the box are written at
+    their place in the file, and the box is zeroed again. The file is then
+    extended to its full length, so rows that no box touches are left as
+    holes, which read as zeros: the bytes are those of the dense grids. Every
+    channel is checked before anything is written: its shape, and its
+    maximum, which must not reach 2**128 - 2**103, the least double that
+    float32 rounds to inf, which :func:`read_heatmap_stack` rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
     frame = stack[0].frame
@@ -194,21 +198,51 @@ def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
         if hm._top >= 2.0 ** 128 - 2.0 ** 103:
             raise ValidationError(f"channel {k} holds a value beyond the float32 range")
     grid = np.zeros((frame.height, frame.width), dtype="<f4")
+    row_bytes = 4 * frame.width
     with _atomic_file(path) as f:
         f.write(_HMAP_MAGIC + struct.pack("<III", len(stack), frame.height, frame.width))
-        for hm in stack:
+        for k, hm in enumerate(stack):
             r0, r1, c0, c1 = hm._support
             box = grid[r0:r1, c0:c1]
             box[...] = hm._block
-            f.write(grid)
+            f.seek(16 + k * grid.nbytes + r0 * row_bytes)
+            f.write(grid[r0:r1])
             box[...] = 0
+        f.truncate(16 + len(stack) * grid.nbytes)
+
+
+def _data_extents(fd: int, start: int, end: int) -> list[tuple[int, int]]:
+    """The byte ranges within [start, end) that the file's filesystem reports
+    as data, found with SEEK_DATA and SEEK_HOLE; the bytes between them are
+    holes, which read as zeros. Where the platform or the filesystem cannot
+    say, the whole range counts as data."""
+    if not hasattr(os, "SEEK_DATA"):
+        return [(start, end)]
+    extents, pos = [], start
+    try:
+        while pos < end:
+            try:
+                lo = os.lseek(fd, pos, os.SEEK_DATA)
+            except OSError as exc:
+                if exc.errno != errno.ENXIO:
+                    raise
+                break  # no data at or after pos
+            pos = min(os.lseek(fd, lo, os.SEEK_HOLE), end)
+            if lo < pos:
+                extents.append((lo, pos))
+    except OSError:
+        return [(start, end)]
+    return extents
 
 
 @_reader
 def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     """Check the header and the file size, then read each channel into one
-    reused float32 grid; ``Heatmap`` casts and keeps only its nonzero block."""
-    with open(path, "rb") as f:
+    reused zeroed float32 grid; ``Heatmap`` casts and keeps only its nonzero
+    block. Only the file's data extents are read, and the bytes read are
+    zeroed again after each channel, so a hole costs nothing. The reader
+    trusts the filesystem's map of holes, as ``cp`` and ``tar --sparse`` do."""
+    with open(path, "rb", buffering=0) as f:
         header = f.read(16)
         if len(header) < 16 or header[:4] != _HMAP_MAGIC:
             raise ValidationError("not an HMAP v1 file")
@@ -219,12 +253,26 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
         expected = 16 + channels * h * w * 4
         if size != expected:
             raise ValidationError(f"{size} bytes, expected {expected} for {channels}x{h}x{w}")
-        grid = np.empty((h, w), dtype="<f4")
+        PixelFrame(w, h)
+        # the file may have been cut since its size was taken
+        end = min(os.lseek(f.fileno(), 0, os.SEEK_END), expected)
+        extents = _data_extents(f.fileno(), 16, end)
+        grid = np.zeros((h, w), dtype="<f4")
+        raw = grid.reshape(-1).view(np.uint8)
         stack = []
         for k in range(channels):
-            if f.readinto(grid) != grid.nbytes:
+            start = 16 + k * grid.nbytes
+            if start + grid.nbytes > end:
                 raise ValidationError(f"file ended inside channel {k}")
+            spans = [(max(lo, start) - start, min(hi, start + grid.nbytes) - start)
+                     for lo, hi in extents if lo < start + grid.nbytes and hi > start]
+            for lo, hi in spans:
+                f.seek(start + lo)
+                if f.readinto(raw[lo:hi]) != hi - lo:
+                    raise ValidationError(f"file ended inside channel {k}")
             stack.append(Heatmap(grid))
+            for lo, hi in spans:
+                raw[lo:hi] = 0
     return stack
 
 

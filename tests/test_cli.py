@@ -111,6 +111,25 @@ class TestEqualize:
         assert "equalized 2/2 images" in capsys.readouterr().out
         assert len(io.read_manifest(tmp_path / "eq" / "manifest.txt").records) == 2
 
+    # a malformed landmark file fails its item, named by that file, before
+    # the item's image is written; the other item's files are copied as is
+    @pytest.mark.parametrize("text, message", [
+        ("#count=2\n0,1.0,2.0\n1,x,4\n", "line 3: '1,x,4'"),
+        ("#count=2\n0,1.0,2.0\n1,3.0,4.0\n", "2 landmarks, manifest says 11"),
+    ], ids=["bad-line", "other-count"])
+    def test_a_malformed_landmark_file_fails_its_item(self, tmp_path, capsys, text, message):
+        manifest_path = make_corpus(tmp_path)
+        first, second = io.read_manifest(manifest_path).records
+        first.landmarks_path.write_text(text)
+        out = tmp_path / "eq"
+        capsys.readouterr()
+        assert run("equalize", "--manifest", manifest_path, "--out-dir", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {first.landmarks_path}: {message}\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.txt", second.image_path.name, second.landmarks_path.name]
+        assert ((out / second.landmarks_path.name).read_bytes()
+                == second.landmarks_path.read_bytes())
+
     def test_missing_image_is_io_error(self, tmp_path):
         manifest_path = make_corpus(tmp_path)
         manifest = io.read_manifest(manifest_path)
@@ -510,6 +529,13 @@ def _short_ground_truth(command):
     return case
 
 
+def _bad_landmark_line(tmp_path):
+    manifest_path = make_corpus(tmp_path, count=1)
+    lms = io.read_manifest(manifest_path).records[0].landmarks_path
+    lms.write_text("#count=2\n0,1.0,2.0\n1,x,4\n")
+    return ["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq"], lms
+
+
 def _bad_coordinate_line(tmp_path):
     manifest_path = make_corpus(tmp_path, count=1)
     hm_dir = tmp_path / "hm"
@@ -631,6 +657,9 @@ class TestMalformedInput:
         lambda t: _bad_manifest(t, b"landmark_count", b"landmark_cout"),
         lambda t: _bad_manifest(t, b"[images]", b"[extra]\n[images]"),
         lambda t: _sim_config(t, b"prior_sigma_px = 6.0", b"prior_sigma_px =" + b" 6.0" * 12),
+        # equalize reads each landmark file before it copies it
+        _bad_landmark_line,
+        _short_ground_truth("equalize"),
     ], ids=["sim-int", "sim-images", "sim-not-utf8", "eval-non-ascii",
             "manifest-not-utf8", "manifest-nul-path", "fuse-coords-non-ascii",
             "sim-chain-spacing-nan", "sim-wobble-nan", "sim-spacing-nan", "sim-spacing-inf",
@@ -639,7 +668,8 @@ class TestMalformedInput:
             "sim-amplitude-reversed", "sim-no-images", "sim-confusion-above-one",
             "manifest-duplicate-section", "manifest-negative-count", "manifest-repeated-key",
             "sim-misspelt-key", "sim-repeated-key", "sim-unknown-section", "sim-table-row",
-            "manifest-misspelt-key", "manifest-unknown-section", "sim-too-many-prior-sigmas"])
+            "manifest-misspelt-key", "manifest-unknown-section", "sim-too-many-prior-sigmas",
+            "equalize-landmark-line", "equalize-landmark-count"])
     def test_exits_validation_naming_the_file(self, tmp_path, capsys, case):
         argv, bad = case(tmp_path)
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import ast
+import errno
 import os
 import re
 import stat
@@ -16,10 +17,13 @@ from hypothesis.extra.numpy import arrays
 
 from spinefuse import io
 from spinefuse.core import GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError
+from spinefuse.fusion import FusionConfig, fuse_batch
 from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian, render_label_stack
 from spinefuse.simulate import (
     HeatmapPredictorModel,
+    PhantomConfig,
     calibrated_config,
+    generate_phantom,
     noiseless_config,
     read_sim_config,
     simulate_heatmaps,
@@ -402,6 +406,172 @@ class TestHeatmapStacks:
             assert np.all(hm.values == k + 0.5)
             for other in back[k + 1:]:
                 assert not np.shares_memory(hm.values, other.values)
+
+
+def _dense_bytes(stack) -> bytes:
+    """The HMAP v1 bytes of stack, every zero included."""
+    frame = stack[0].frame
+    grids = np.zeros((len(stack), frame.height, frame.width), dtype="<f4")
+    for grid, hm in zip(grids, stack):
+        grid[...] = hm.values
+    return b"HMAP" + struct.pack("<III", *grids.shape) + grids.tobytes()
+
+
+def _read_without_seek_data(path, how="einval"):
+    """read_heatmap_stack where lseek refuses SEEK_DATA with EINVAL, or where
+    the platform has no SEEK_DATA at all."""
+    lseek = os.lseek
+
+    def refusing(fd, pos, whence):
+        if whence == os.SEEK_DATA:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        return lseek(fd, pos, whence)
+    with pytest.MonkeyPatch.context() as mp:
+        if how == "einval":
+            mp.setattr(io.os, "lseek", refusing)
+        else:
+            mp.delattr(io.os, "SEEK_DATA")
+        return io.read_heatmap_stack(path)
+
+
+def _assert_same_channels(stack, other):
+    assert len(stack) == len(other)
+    for a, b in zip(stack, other):
+        assert a.frame == b.frame
+        assert np.array_equal(a.values, b.values)
+        assert (a._support, a._top, a._argmax) == (b._support, b._top, b._argmax)
+
+
+def _makes_holes(root: Path) -> bool:
+    """Whether the filesystem under root stores a file that was only
+    extended, never written, in less space than its length."""
+    probe = root / "probe"
+    with open(probe, "wb") as f:
+        f.truncate(1 << 20)
+    made = probe.stat().st_blocks * 512 < (1 << 20)
+    probe.unlink()
+    return made
+
+
+def _dumped(hm: Heatmap, coord, sigma: float) -> Heatmap:
+    """The fused map fuse --dump-heatmaps writes for one channel."""
+    dumps = []
+    fuse_batch([hm], LandmarkSet(np.array([coord]), hm.frame), FusionConfig(prior_sigma=sigma),
+               _dumps=dumps)
+    return dumps[0]
+
+
+@st.composite
+def hmap_stacks(draw):
+    """Stacks of hand-built, all-zero, rendered and fused-dump channels, on
+    grids of one row or more, with rows shorter and longer than 4 KiB."""
+    frame = PixelFrame(draw(st.sampled_from([1, 7, 1023, 1024, 1025, 1500])),
+                       draw(st.integers(1, 6)))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zeros", "box", "rendered", "fused"]))
+        if kind == "zeros":
+            stack.append(Heatmap(np.zeros((frame.height, frame.width))))
+        elif kind == "box":
+            r0 = draw(st.integers(0, frame.height - 1))
+            r1 = draw(st.integers(r0 + 1, frame.height))
+            c0 = draw(st.integers(0, frame.width - 1))
+            c1 = draw(st.integers(c0 + 1, frame.width))
+            values = np.zeros((frame.height, frame.width))
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            values[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) * draw(st.sampled_from(
+                [1.0, 1e-40, 1e30]))
+            stack.append(Heatmap(values))
+        else:
+            center = (draw(st.floats(0, frame.width - 1)), draw(st.floats(0, frame.height - 1)))
+            hm = render_gaussian(GaussianSpec(center, draw(st.floats(0.5, 3.0))), frame)
+            stack.append(hm if kind == "rendered" else
+                         _dumped(hm, center, draw(st.floats(1.0, 8.0))))
+    return stack
+
+
+class TestHeatmapStackHoles:
+    """A stack is written with its all-zero rows as holes and read by its
+    data extents; its bytes and the channels read back are those of the
+    dense file."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hmap_stacks())
+    def test_a_stack_is_its_dense_bytes_and_reads_back_alike(self, tmp_path_factory, stack):
+        root = tmp_path_factory.mktemp("holes")
+        path, dense = root / "s.hmap", root / "dense.hmap"
+        io.write_heatmap_stack(path, stack)
+        data = path.read_bytes()
+        assert data == _dense_bytes(stack)
+        dense.write_bytes(data)
+        back = io.read_heatmap_stack(path)
+        _assert_same_channels(back, io.read_heatmap_stack(dense))
+        _assert_same_channels(back, _read_without_seek_data(path))
+        for rec, orig in zip(back, stack):
+            assert np.array_equal(rec.values, orig.values.astype("<f4"))
+
+    @pytest.mark.parametrize("width", [1, 1023, 1025])
+    @pytest.mark.parametrize("height", [1, 3])
+    def test_boxes_at_both_ends_of_the_file(self, tmp_path, width, height):
+        # channel 0's box starts at its row 0, the first byte after the
+        # header, and the last channel's ends at its last row, the file's end
+        first, last = np.zeros((height, width)), np.zeros((height, width))
+        first[0, 0], last[-1, -1] = 0.5, 2.0
+        stack = [Heatmap(first), Heatmap(np.zeros((height, width))), Heatmap(last)]
+        path = tmp_path / "s.hmap"
+        io.write_heatmap_stack(path, stack)
+        assert path.read_bytes() == _dense_bytes(stack)
+        _assert_same_channels(io.read_heatmap_stack(path), stack)
+
+    @pytest.fixture
+    def label_and_dump_stacks(self, tmp_path):
+        """A default phantom's 11-channel 512x512 label stack and its fused
+        dumps, written by the package and copied dense."""
+        lms = generate_phantom(Rng(7), PhantomConfig())
+        labels = render_label_stack(lms, 1.2)
+        dumps = [_dumped(hm, (x + 3.0, y - 2.0), 6.0) for hm, (x, y) in zip(labels, lms.points)]
+        paths = []
+        for name, stack in (("labels", labels), ("dumps", dumps)):
+            path = tmp_path / f"{name}.hmap"
+            io.write_heatmap_stack(path, stack)
+            (tmp_path / f"{name}.dense.hmap").write_bytes(path.read_bytes())
+            paths.append((path, tmp_path / f"{name}.dense.hmap"))
+        return paths
+
+    def test_a_file_with_holes_reads_as_its_dense_copy(self, label_and_dump_stacks):
+        for path, dense in label_and_dump_stacks:
+            _assert_same_channels(io.read_heatmap_stack(path), io.read_heatmap_stack(dense))
+
+    @pytest.mark.parametrize("how", ["einval", "no-seek-data"])
+    def test_without_seek_data_every_byte_is_read_alike(self, label_and_dump_stacks, how):
+        for path, dense in label_and_dump_stacks:
+            expected = io.read_heatmap_stack(path)
+            _assert_same_channels(_read_without_seek_data(path, how), expected)
+            _assert_same_channels(_read_without_seek_data(dense, how), expected)
+
+    def test_a_file_cut_inside_a_trailing_hole_is_refused(self, tmp_path, monkeypatch):
+        # channels 1 and 2 are all zeros: a hole, which would read as zeros
+        # if the reader did not check where the file ends
+        frame = PixelFrame(512, 512)
+        stack = [render_gaussian(GaussianSpec((30.0, 40.0), 1.2), frame),
+                 Heatmap(np.zeros((512, 512))), Heatmap(np.zeros((512, 512)))]
+        path = tmp_path / "s.hmap"
+        io.write_heatmap_stack(path, stack)
+        full = path.stat()
+        os.truncate(path, 16 + 4 * 512 * 512 + 8192)
+        monkeypatch.setattr(io.os, "fstat", lambda fd: full)
+        with pytest.raises(ValidationError, match="^.*s.hmap: file ended inside channel 1$"):
+            io.read_heatmap_stack(path)
+
+    def test_a_label_stack_takes_under_a_quarter_of_its_length(self, tmp_path):
+        if not _makes_holes(tmp_path):
+            pytest.skip("the filesystem under the test's temp directory makes no holes")
+        path = tmp_path / "s.hmap"
+        io.write_heatmap_stack(path, render_label_stack(generate_phantom(Rng(7), PhantomConfig()),
+                                                        1.2))
+        info = path.stat()
+        assert info.st_size == 16 + 11 * 4 * 512 * 512
+        assert info.st_blocks * 512 < info.st_size / 4
 
 
 class TestManifests:
