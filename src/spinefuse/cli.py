@@ -83,21 +83,6 @@ def _batch(process, items, paths, jobs: int):
     return [result for result, exc in results if exc is None], (codes or [EXIT_OK])[0]
 
 
-@io._reader
-def _read_counted(path: Path, frame: PixelFrame, landmark_count: int) -> LandmarkSet:
-    """The landmarks in path, which must number the manifest's landmark_count."""
-    lms = io.read_landmarks(path, frame)
-    if len(lms) != landmark_count:
-        raise ValidationError(f"{len(lms)} landmarks, manifest says {landmark_count}")
-    return lms
-
-
-def _read_pair(rec: io.ManifestRecord, landmark_count: int):
-    """A record's image and its landmarks, which must number landmark_count."""
-    img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
-    return img, _read_counted(rec.landmarks_path, img.frame, landmark_count)
-
-
 def _out_dir(args) -> Path:
     """--out-dir, made if missing."""
     out = Path(args.out_dir)
@@ -169,7 +154,7 @@ def cmd_equalize(args) -> int:
     def process(rec: io.ManifestRecord):
         img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
         # the landmarks are checked, then copied byte for byte
-        _read_counted(rec.landmarks_path, img.frame, manifest.landmark_count)
+        io.read_landmarks(rec.landmarks_path, img.frame, manifest.landmark_count)
         img_path = out / rec.image_path.name
         lmk_path = out / rec.landmarks_path.name
         io.write_pgm(img_path, equalize_histogram(img))
@@ -196,7 +181,8 @@ def cmd_augment(args) -> int:
     def process(task):
         i, j, rec = task
         stream = master.spawn(i * args.count + j)
-        img, lms = _read_pair(rec, manifest.landmark_count)
+        img = io.read_pgm(rec.image_path, rec.spacing_mm_per_px)
+        lms = io.read_landmarks(rec.landmarks_path, img.frame, manifest.landmark_count)
         lms.validate_bounds()
         transform = sample_valid_augmentation(stream, ranges, lms)
         warped_img = warp_image(img, transform)
@@ -222,7 +208,9 @@ def cmd_gen_heatmaps(args) -> int:
     out = _out_dir(args)
 
     def process(rec: io.ManifestRecord):
-        _, lms = _read_pair(rec, manifest.landmark_count)
+        # the labels are drawn on the image's grid, which working_size need not be
+        frame = io.read_pgm(rec.image_path).frame
+        lms = io.read_landmarks(rec.landmarks_path, frame, manifest.landmark_count)
         stack = render_label_stack(lms, args.sigma)
         path = out / f"{rec.image_path.stem}.hmap"
         io.write_heatmap_stack(path, stack)
@@ -261,10 +249,7 @@ def cmd_fuse(args) -> int:
 
     def process(stack_path: Path, stack, out: Path):
         coords_path = coord_dir / f"{stack_path.stem}.txt"
-        coords = io.read_landmarks(coords_path, stack[0].frame)
-        if len(coords) != len(stack):
-            raise ValidationError(f"{len(stack)} heatmap channels but "
-                                  f"{len(coords)} coordinates in {coords_path}")
+        coords = io.read_landmarks(coords_path, stack[0].frame, len(stack))
         # with dumps, one log-sum per channel gives both its point and its map
         dumps = [] if args.dump_heatmaps else None
         fused = fuse_batch(stack, coords, cfg, _dumps=dumps)
@@ -295,10 +280,9 @@ def cmd_eval(args) -> int:
     frame = manifest.working_size
     gts, preds, spacings = [], [], []
     for rec in manifest.records:
-        gt = _read_counted(rec.landmarks_path, frame, manifest.landmark_count)
-        pred = _read_counted(pred_dir / rec.landmarks_path.name, frame, manifest.landmark_count)
-        gts.append(gt)
-        preds.append(pred)
+        gts.append(io.read_landmarks(rec.landmarks_path, frame, manifest.landmark_count))
+        preds.append(io.read_landmarks(pred_dir / rec.landmarks_path.name, frame,
+                                       manifest.landmark_count))
         spacings.append(rec.spacing_mm_per_px)
     return _emit(args, io.format_report(pck(preds, gts, args.threshold_mm, spacings)))
 

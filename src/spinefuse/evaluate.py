@@ -72,6 +72,15 @@ class ComparisonReport:
         return out
 
 
+def _mean(errors: np.ndarray) -> float:
+    """Their mean, taken over their maximum where only their sum overflows."""
+    mean, top = float(errors.mean()), float(errors.max())
+    if math.isinf(mean) and math.isfinite(top):
+        mean = top * float((errors / top).mean())
+    return mean
+
+
+@np.errstate(over="ignore")  # an error or a sum beyond the float range is inf, not a warning
 def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
         spacing: float | list[float]) -> EvalReport:
     """Percentage of predictions strictly within ``threshold_mm`` of truth.
@@ -117,7 +126,7 @@ def pck(preds: list[LandmarkSet], gts: list[LandmarkSet], threshold_mm: float,
             index=k,
             total=len(preds),
             hits=int(hit[:, k].sum()),
-            mean_error_mm=float(errors[:, k].mean()),
+            mean_error_mm=_mean(errors[:, k]),
             max_error_mm=float(errors[:, k].max()),
         )
         for k in range(n)

@@ -90,30 +90,25 @@ def _logsum(lx: np.ndarray, ly: np.ndarray, values: np.ndarray,
     return out
 
 
-def fuse_product(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
-                 *, _scored=None) -> Heatmap:
-    """The fused map: exp(L - max L) with L the sum :func:`fuse_and_decode`
-    reads, and every value below 2^-151 set to 0.
+def fuse_product(predicted: Heatmap, coord: tuple[float, float],
+                 cfg: FusionConfig) -> tuple[tuple[float, float], Heatmap]:
+    """``(point, map)`` from one log-sum L: the point :func:`fuse_and_decode`
+    returns, and the fused map exp(L - max L), each value below 2^-151 set to 0.
 
-    That is the product of the prior and the map clamped at eps, exactly 1
-    at the argmax :func:`fuse_and_decode` returns, and 1 also at an earlier
-    pixel whose L is within exp's resolution at 1 of the peak. L is built
-    only over the box of pixels that can score at least ``best + log 2^-151``,
-    the window rule of :func:`fuse_and_decode` one offset lower: every
-    pixel outside it scores below ``max L + log 2^-151`` and is 0. Every
-    input :func:`fuse_and_decode` refuses is refused with its message.
+    The map is the product of the prior and the map clamped at eps. It is 1
+    at the argmax pixel of L, and also at an earlier pixel whose L is within
+    exp's resolution at 1 of the peak. L is built only over the box of
+    pixels able to score ``best + log 2^-151``, the window rule of
+    :func:`fuse_and_decode` one offset lower; every pixel outside it scores
+    below ``max L + log 2^-151`` and is 0. Every input
+    :func:`fuse_and_decode` refuses is refused with its message.
     """
-    # _scored is private: the (box, logsum) of _fuse at _LOG_FLUSH for these
-    # arguments, passed by fuse_batch, which decoded the channel from it; the
-    # logsum is overwritten
-    if _scored is None:
-        _scored = _fuse(predicted, coord, cfg, _LOG_FLUSH)[1]
-    box, logsum = _scored
+    point, box, logsum = _fuse(predicted, coord, cfg, _LOG_FLUSH)
     logsum -= logsum.max()
     # the flushed entries keep their negative logs, which the maximum zeroes
     np.exp(logsum, out=logsum, where=logsum >= _LOG_FLUSH)
-    return Heatmap(np.maximum(logsum, 0.0, out=logsum), _support=box,
-                   _frame=predicted.frame)
+    return point, Heatmap(np.maximum(logsum, 0.0, out=logsum), _support=box,
+                          _frame=predicted.frame)
 
 
 def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
@@ -134,7 +129,7 @@ def fuse_and_decode(predicted: Heatmap, coord: tuple[float, float],
 
 def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
           offset: float):
-    """``(point, (box, logsum))``: the point :func:`fuse_and_decode`
+    """``(point, box, logsum)``: the point :func:`fuse_and_decode`
     returns, decoded from the log-sum over the box of every pixel able to
     score ``best + offset`` or more, with ``best`` the larger score of the
     pixel nearest the coordinate and of the map's first maximum, and
@@ -183,11 +178,11 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
     iy, ix = divmod(i, window.shape[1])
     ax, ay = c0 + ix, r0 + iy
     if cfg.decode is DecodeMethod.ARGMAX:
-        return (float(ax), float(ay)), (box, window)
+        return (float(ax), float(ay)), box, window
     return _centroid_at(
         frame, ax, ay, 3,
         lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak)
-    ), (box, window)
+    ), box, window
 
 
 def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
@@ -198,8 +193,7 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
     landmark k's prior width; output order matches input order.
     """
     # _dumps is private: a list that, when given, receives each channel's
-    # fuse_product map. A dumped channel builds its log-sum once, over the
-    # box of fuse_product, and decodes its point from that same sum
+    # fuse_product map, fused with its point from one log-sum
     if len(predicted_stack) != len(coords):
         raise ValidationError(
             f"length mismatch: {len(predicted_stack)} heatmap channels "
@@ -221,8 +215,8 @@ def fuse_batch(predicted_stack: list[Heatmap], coords: LandmarkSet,
             if _dumps is None:
                 out[k] = fuse_and_decode(hm, coord, cfg)
             else:
-                out[k], scored = _fuse(hm, coord, cfg, _LOG_FLUSH)
-                _dumps.append(fuse_product(hm, coord, cfg, _scored=scored))
+                out[k], dump = fuse_product(hm, coord, cfg)
+                _dumps.append(dump)
         except ValidationError as exc:
             raise ValidationError(f"channel {k}: {exc}") from exc
     return LandmarkSet(out, frame)

@@ -24,7 +24,13 @@ class AffineTransform2D:
             raise ValidationError(f"affine matrix must be 2x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValidationError("affine matrix must be finite")
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) < 1e-12:
+        # in Python floats an overflow is inf, not a warning; then the scaled matrix decides
+        a, b, c, d = m[:, :2].ravel().tolist()
+        det = a * d - b * c
+        if not math.isfinite(det):
+            k = max(abs(a), abs(b), abs(c), abs(d))
+            det = ((a / k) * (d / k) - (b / k) * (c / k)) * k * k
+        if abs(det) < 1e-12:
             raise ValidationError("singular transform")
         object.__setattr__(self, "matrix", _frozen(m))
 

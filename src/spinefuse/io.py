@@ -148,17 +148,18 @@ def write_landmarks(path: str | Path, lms: LandmarkSet) -> None:
 
 
 @_reader
-def read_landmarks(path: str | Path, frame: PixelFrame) -> LandmarkSet:
-    """Parse a landmark file; ``frame`` is the pixel grid the points refer to."""
+def read_landmarks(path: str | Path, frame: PixelFrame, count: int) -> LandmarkSet:
+    """Parse a landmark file of ``count`` points on the pixel grid ``frame``;
+    the count is checked once the file has parsed, so a bad line wins."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#count="):
         raise ValidationError("missing #count= header")
-    count = int(lines[0][len("#count="):])
+    n = int(lines[0][len("#count="):])
     rows = lines[1:]
-    if len(rows) != count:
-        raise ValidationError(f"header says {count} landmarks, file has {len(rows)}")
-    pts = np.empty((count, 2))
+    if len(rows) != n:
+        raise ValidationError(f"header says {n} landmarks, file has {len(rows)}")
+    pts = np.empty((n, 2))
     for i, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 3:
@@ -170,7 +171,10 @@ def read_landmarks(path: str | Path, frame: PixelFrame) -> LandmarkSet:
         if idx != i:
             raise ValidationError(f"line {i + 2}: index {idx}, expected {i}")
         pts[i] = (x, y)
-    return LandmarkSet(pts, frame)
+    lms = LandmarkSet(pts, frame)
+    if n != count:
+        raise ValidationError(f"{n} landmarks, expected {count}")
+    return lms
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_criterion_3_product_closed_form():
             continue
         ha = render_gaussian(GaussianSpec((ax, ay), sa), PixelFrame(size, size))
         cfg = FusionConfig(prior_sigma=sb, floor_epsilon=eps)
-        got = decode_argmax(fuse_product(ha, (bx, by), cfg))
+        got = decode_argmax(fuse_product(ha, (bx, by), cfg)[1])
         assert got == (round(mx), round(my)), (
             f"pair ({ax},{ay},s={sa:.3f}) x ({bx},{by},s={sb:.3f}): "
             f"got {got}, closed form ({mx:.3f},{my:.3f})"

@@ -34,7 +34,7 @@ class TestPhantom:
         assert len(manifest.records) == 2
         img = io.read_pgm(manifest.records[0].image_path)
         assert (img.frame.width, img.frame.height) == (128, 128)
-        lms = io.read_landmarks(manifest.records[0].landmarks_path, GRID)
+        lms = io.read_landmarks(manifest.records[0].landmarks_path, GRID, 11)
         assert len(lms) == 11
 
     @pytest.mark.parametrize("flag, rule", [("--chain-spacing", "positive and finite"),
@@ -115,7 +115,7 @@ class TestEqualize:
     # the item's image is written; the other item's files are copied as is
     @pytest.mark.parametrize("text, message", [
         ("#count=2\n0,1.0,2.0\n1,x,4\n", "line 3: '1,x,4'"),
-        ("#count=2\n0,1.0,2.0\n1,3.0,4.0\n", "2 landmarks, manifest says 11"),
+        ("#count=2\n0,1.0,2.0\n1,3.0,4.0\n", "2 landmarks, expected 11"),
     ], ids=["bad-line", "other-count"])
     def test_a_malformed_landmark_file_fails_its_item(self, tmp_path, capsys, text, message):
         manifest_path = make_corpus(tmp_path)
@@ -215,6 +215,23 @@ class TestAugment:
         assert hashlib.sha256(b"".join(p.read_bytes() for p in pgms)).hexdigest() == (
             "1ceb11b096685f4863b601dc1b42e3efe624d7747652faa372352cdacd258d6f")
 
+    # an overflowing determinant warns nothing, which CI's warning filter
+    # would turn into exit 5: the sampler gives up, or the matrix is refused
+    @pytest.mark.parametrize("scale, message", [
+        (1e100, "no augmentation kept all landmarks in frame after 100 tries"),
+        (1e200, "no augmentation kept all landmarks in frame after 100 tries"),
+        (1e307, "affine matrix must be finite"),
+    ])
+    def test_a_huge_scale_fails_each_item_without_a_warning(self, tmp_path, capsys, scale,
+                                                            message):
+        manifest = make_corpus(tmp_path, count=1)
+        image = io.read_manifest(manifest).records[0].image_path
+        capsys.readouterr()
+        assert run("augment", "--manifest", manifest, "--out-dir", tmp_path / "aug",
+                   "--scale-range", scale, scale) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {image}: {message}\n" and "Warning" not in err
+
     def test_outputs_keep_landmarks_in_frame(self, tmp_path):
         manifest = make_corpus(tmp_path)
         out = tmp_path / "aug"
@@ -223,7 +240,7 @@ class TestAugment:
                    "--ty-range", -4, 4, "--tx-range", -8, 8,
                    "--angle-range", -10, 10, "--scale-range", 0.9, 1.1) == EXIT_OK
         for rec in io.read_manifest(out / "manifest.txt").records:
-            lms = io.read_landmarks(rec.landmarks_path, PixelFrame(128, 128))
+            lms = io.read_landmarks(rec.landmarks_path, PixelFrame(128, 128), 11)
             lms.validate_bounds()
 
 
@@ -236,10 +253,35 @@ class TestGenHeatmaps:
         from spinefuse.heatmap import decode_argmax
         for rec in io.read_manifest(manifest_path).records:
             stack = io.read_heatmap_stack(out / f"{rec.image_path.stem}.hmap")
-            lms = io.read_landmarks(rec.landmarks_path, GRID)
+            lms = io.read_landmarks(rec.landmarks_path, GRID, 11)
             assert len(stack) == len(lms)
             for hm, (x, y) in zip(stack, lms.points):
                 assert decode_argmax(hm) == (round(x), round(y))
+
+
+    def test_labels_take_the_image_grid_not_the_working_size(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run("phantom", "--out-dir", corpus, "--count", 2, "--seed", 7,
+                   "--grid", 128, 96, "--chain-spacing", 8, "--wobble", 2) == EXIT_OK
+        manifest_path = corpus / "manifest.txt"
+        manifest = io.read_manifest(manifest_path)
+        io.write_manifest(manifest_path, replace(manifest, working_size=PixelFrame(512, 512)))
+        out = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", out) == EXIT_OK
+        for rec in manifest.records:
+            stack = io.read_heatmap_stack(out / f"{rec.image_path.stem}.hmap")
+            assert {hm.frame for hm in stack} == {PixelFrame(128, 96)}
+
+    def test_a_missing_image_fails_only_its_item(self, tmp_path, capsys):
+        manifest_path = make_corpus(tmp_path)
+        first, second = io.read_manifest(manifest_path).records
+        first.image_path.unlink()
+        out = tmp_path / "hm"
+        capsys.readouterr()
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", out) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {first.image_path}: [Errno 2] No such file or directory\n")
+        assert [p.name for p in out.iterdir()] == [f"{second.image_path.stem}.hmap"]
 
 
 class TestFuse:
@@ -251,8 +293,8 @@ class TestFuse:
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
                    "--out-dir", out, "--prior-sigma", "6.0") == EXIT_OK
         for rec in io.read_manifest(manifest_path).records:
-            fused = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID)
-            gt = io.read_landmarks(rec.landmarks_path, GRID)
+            fused = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID, 11)
+            gt = io.read_landmarks(rec.landmarks_path, GRID, 11)
             np.testing.assert_allclose(fused.points, np.round(gt.points), atol=0)
 
     def test_channel_count_mismatch_names_both(self, tmp_path, capsys):
@@ -267,9 +309,10 @@ class TestFuse:
         capsys.readouterr()
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
                    "--out-dir", tmp_path / "f") == EXIT_VALIDATION
+        # the line starts with the coordinate file, which holds the wrong count
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {stack}: 11 heatmap channels but 10 coordinates in "
-            f"{coords_dir / stack.stem}.txt" for stack in sorted(hm_dir.glob("*.hmap"))]
+            f"error: {coords_dir / stack.stem}.txt: 10 landmarks, expected 11"
+            for stack in sorted(hm_dir.glob("*.hmap"))]
 
     def test_no_fusion_flags_build_the_default_config(self, tmp_path, monkeypatch):
         manifest_path = make_corpus(tmp_path, count=1)
@@ -296,7 +339,7 @@ class TestFuse:
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
                    "--out-dir", tmp_path / "f") == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "a.hmap" in err and "b.txt" in err
+        assert "a.txt" in err and "b.txt" in err
 
     @pytest.mark.parametrize("widths", [2, 12])
     def test_another_count_of_prior_sigmas_fails_each_stack_once(self, tmp_path, capsys,
@@ -364,8 +407,8 @@ class TestDecode:
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
         assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", out) == EXIT_OK
         rec = io.read_manifest(manifest_path).records[0]
-        decoded = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID)
-        gt = io.read_landmarks(rec.landmarks_path, GRID)
+        decoded = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID, 11)
+        gt = io.read_landmarks(rec.landmarks_path, GRID, 11)
         np.testing.assert_allclose(decoded.points, np.round(gt.points))
 
 
@@ -430,14 +473,33 @@ class TestEval:
         for rec in records:
             pred_dir.joinpath(rec.landmarks_path.name).write_bytes(rec.landmarks_path.read_bytes())
         gt_path = records[1].landmarks_path
-        lms = io.read_landmarks(gt_path, GRID)
+        lms = io.read_landmarks(gt_path, GRID, 11)
         # a short ground truth with its copy as the prediction pairs up, so
         # only the manifest's count can tell
         cut = [pred_dir / gt_path.name] + ([gt_path] if short == "ground truth" else [])
         for path in cut:
             io.write_landmarks(path, LandmarkSet(lms.points[:10], GRID))
         assert run("eval", "--manifest", manifest_path, "--pred-dir", pred_dir) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {cut[-1]}: 10 landmarks, manifest says 11\n"
+        assert capsys.readouterr().err == f"error: {cut[-1]}: 10 landmarks, expected 11\n"
+
+
+    # under CI's error::RuntimeWarning filter an overflow warning exits 5
+    @pytest.mark.parametrize("spacing", [0.5, 10.0])
+    def test_predictions_beyond_the_float_range_warn_nothing(self, tmp_path, capsys, spacing):
+        manifest_path = make_corpus(tmp_path, count=3)
+        manifest = io.read_manifest(manifest_path)
+        io.write_manifest(manifest_path, replace(manifest, records=tuple(
+            replace(rec, spacing_mm_per_px=spacing) for rec in manifest.records)))
+        pred_dir = tmp_path / "far"
+        pred_dir.mkdir()
+        far = np.array([[(-1.0) ** k * 1e308, 1e308] for k in range(11)])
+        for rec in manifest.records:
+            io.write_landmarks(pred_dir / rec.landmarks_path.name, LandmarkSet(far, GRID))
+        capsys.readouterr()
+        assert run("eval", "--manifest", manifest_path, "--pred-dir", pred_dir) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert (", inf, inf" in out) == (spacing == 10.0)
 
 
 class TestSimulate:
@@ -524,7 +586,7 @@ def _short_ground_truth(command):
     def case(tmp_path):
         manifest_path = make_corpus(tmp_path, count=1)
         gt = io.read_manifest(manifest_path).records[0].landmarks_path
-        io.write_landmarks(gt, LandmarkSet(io.read_landmarks(gt, GRID).points[:3], GRID))
+        io.write_landmarks(gt, LandmarkSet(io.read_landmarks(gt, GRID, 11).points[:3], GRID))
         return [command, "--manifest", manifest_path, "--out-dir", tmp_path / "out"], gt
     return case
 
@@ -613,6 +675,36 @@ def _missing_manifest(tmp_path):
     manifest_path = tmp_path / "nope.txt"
     return (["eval", "--manifest", manifest_path, "--pred-dir", tmp_path],
             manifest_path, errno.ENOENT)
+
+
+class TestLandmarkCount:
+    """Every reader of a landmark file holds it to the count its caller
+    expects, and a file of another count fails with its path and both."""
+
+    @pytest.mark.parametrize("reader", ["equalize", "augment", "gen-heatmaps", "eval-truth",
+                                        "eval-prediction", "fuse-coordinates"])
+    def test_a_wrong_count_exits_validation_naming_the_file(self, tmp_path, capsys, reader):
+        manifest_path = make_corpus(tmp_path, count=1)
+        truth = io.read_manifest(manifest_path).records[0].landmarks_path
+        hm_dir, preds = tmp_path / "hm", tmp_path / "preds"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        preds.mkdir()
+        (preds / truth.name).write_bytes(truth.read_bytes())
+        out = ["--out-dir", tmp_path / "out"]
+        argv, bad = {
+            "equalize": (["equalize", "--manifest", manifest_path, *out], truth),
+            "augment": (["augment", "--manifest", manifest_path, *out], truth),
+            "gen-heatmaps": (["gen-heatmaps", "--manifest", manifest_path, *out], truth),
+            "eval-truth": (["eval", "--manifest", manifest_path, "--pred-dir", preds], truth),
+            "eval-prediction": (["eval", "--manifest", manifest_path, "--pred-dir", preds],
+                                preds / truth.name),
+            "fuse-coordinates": (["fuse", "--heatmaps-dir", hm_dir, "--coords-dir", preds, *out],
+                                 preds / truth.name),
+        }[reader]
+        io.write_landmarks(bad, LandmarkSet(io.read_landmarks(bad, GRID, 11).points[:3], GRID))
+        capsys.readouterr()
+        assert run(*argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {bad}: 3 landmarks, expected 11\n"
 
 
 class TestMalformedInput:

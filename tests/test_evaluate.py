@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,28 @@ class TestPck:
         preds, gts = make_sets(2, 3, offsets)
         report = pck(preds, gts, 8.0, [1.0, 0.5])
         assert report.hits == 5
+
+    # under the suite's error::RuntimeWarning filter, an overflow warning
+    # would raise: an error beyond the float range reads inf, and a mean
+    # whose sum alone is beyond it is never above the largest error
+    @pytest.mark.parametrize("spacing", [0.5, 10.0])
+    def test_errors_beyond_the_float_range_warn_nothing(self, spacing):
+        frame = PixelFrame(128, 128)
+        gts = [LandmarkSet(np.array([[10.0, 20.0], [30.0, 40.0]]), frame)] * 3
+        preds = [LandmarkSet(np.array([[1e308, 1e308], [-1e308, 1e308]]), frame)] * 3
+        report = pck(preds, gts, 8.0, spacing)
+        assert report.hits == 0
+        for row in report.per_landmark:
+            assert row.mean_error_mm == row.max_error_mm
+            assert math.isinf(row.max_error_mm) == (spacing == 10.0)
+
+    def test_a_mean_whose_sum_overflows_stays_within_the_errors(self):
+        frame = PixelFrame(128, 128)
+        gts = [LandmarkSet(np.array([[0.0, 0.0]]), frame)] * 3
+        preds = [LandmarkSet(np.array([[x, 0.0]]), frame) for x in (1.5e308, 1e308, 2.0)]
+        row = pck(preds, gts, 8.0, 1.0).per_landmark[0]
+        assert row.max_error_mm == 1.5e308
+        assert row.mean_error_mm == pytest.approx(1.5e308 / 3 + 1e308 / 3, rel=1e-15)
 
 
 class TestReports:

@@ -65,25 +65,26 @@ class TestFuseProduct:
     def test_uniform_map_is_identity(self):
         prior = coord_to_prior((20, 30), 4.0, PixelFrame(64, 64))
         ones = Heatmap(np.ones((64, 64)))
-        fused = fuse_product(ones, (20, 30), FusionConfig(prior_sigma=4.0))
+        _, fused = fuse_product(ones, (20, 30), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (20, 30)
         # only the map is clamped, so the identity holds on the deep tail too
         np.testing.assert_allclose(fused.values, prior.values, rtol=1e-12)
 
     def test_equal_sigmas_meet_at_midpoint(self):
         a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(64, 64))
-        assert decode_argmax(fuse_product(a, (14, 10), FusionConfig(prior_sigma=2.0))) == (12, 10)
+        _, fused = fuse_product(a, (14, 10), FusionConfig(prior_sigma=2.0))
+        assert decode_argmax(fused) == (12, 10)
 
     def test_closed_form_mean(self):
         # precision-weighted mean: (sb^2*10 + sa^2*20) / (sa^2 + sb^2) = 12
         a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(64, 64))
-        fused = fuse_product(a, (20, 10), FusionConfig(prior_sigma=4.0))
+        _, fused = fuse_product(a, (20, 10), FusionConfig(prior_sigma=4.0))
         assert decode_argmax(fused) == (12, 10)
         assert brute_force_fused_argmax(a, (20, 10), 4.0) == (12, 10)
 
     def test_output_peak_is_one(self):
         a = render_gaussian(GaussianSpec((10, 10), 2.0), PixelFrame(32, 32))
-        assert fuse_product(a, (20, 20), FusionConfig(prior_sigma=3.0)).values.max() == 1.0
+        assert fuse_product(a, (20, 20), FusionConfig(prior_sigma=3.0))[1].values.max() == 1.0
 
     def test_symmetric_in_arguments(self):
         # which Gaussian is the map and which the prior does not matter where
@@ -91,8 +92,8 @@ class TestFuseProduct:
         a = render_gaussian(GaussianSpec((10, 12), 2.0), PixelFrame(32, 32))
         b = render_gaussian(GaussianSpec((17, 20), 3.0), PixelFrame(32, 32))
         both = (a.values > 1e-12) & (b.values > 1e-12)
-        ab = fuse_product(a, (17, 20), FusionConfig(prior_sigma=3.0)).values
-        ba = fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0)).values
+        ab = fuse_product(a, (17, 20), FusionConfig(prior_sigma=3.0))[1].values
+        ba = fuse_product(b, (10, 12), FusionConfig(prior_sigma=2.0))[1].values
         assert ab[both].max() == ba[both].max() == 1.0
         np.testing.assert_allclose(ab[both], ba[both], atol=1e-12)
 
@@ -104,7 +105,7 @@ class TestFuseProduct:
         cfg = FusionConfig(prior_sigma=6.0)
         tracemalloc.start()
         try:
-            fused = fuse_product(hm, (205.0, 296.0), cfg)
+            _, fused = fuse_product(hm, (205.0, 296.0), cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -120,7 +121,7 @@ class TestFuseProduct:
         hm, coord = Heatmap(values), (float(np.nextafter(100.5, 200.0)), 0.0)
         cfg = FusionConfig(prior_sigma=60.0)
         assert fuse_and_decode(hm, coord, cfg) == (101.0, 0.0)
-        fused = fuse_product(hm, coord, cfg)
+        _, fused = fuse_product(hm, coord, cfg)
         assert decode_argmax(fused) == (100, 0)
         assert fused.values[0, 100] == fused.values[0, 101] == 1.0
 
@@ -129,7 +130,7 @@ class TestFuseProduct:
         a = render_gaussian(GaussianSpec((10, 10), 1.0), PixelFrame(128, 128))
         b = render_gaussian(GaussianSpec((120, 120), 1.0), PixelFrame(128, 128))
         assert (a.values * b.values).max() == 0.0
-        fused = fuse_product(a, (120, 120), FusionConfig(prior_sigma=1.0))
+        _, fused = fuse_product(a, (120, 120), FusionConfig(prior_sigma=1.0))
         assert fused.values.max() == 1.0
 
 
@@ -177,7 +178,7 @@ class TestFuseAndDecode:
             )
             coord = (rng.uniform(4, 60), rng.uniform(4, 60))
             fast = fuse_and_decode(hm, coord, cfg)
-            fused = fuse_product(hm, coord, cfg)
+            _, fused = fuse_product(hm, coord, cfg)
             assert fast == tuple(float(c) for c in decode_argmax(fused))
 
     def test_scale_invariance(self):
@@ -509,7 +510,7 @@ class TestSingleDecodePath:
         # the fused map flushes every value below 2^-151 to 0, which a
         # float32 dump cannot tell from a flush at the smallest normal
         fused = np.where(shifted >= LOG_FLUSH, np.exp(shifted), 0.0)
-        product = fuse_product(hm, coord, argmax_cfg)
+        _, product = fuse_product(hm, coord, argmax_cfg)
         assert product.values.tobytes() == fused.tobytes()
         normal = np.where(shifted >= LOG_TINY, np.exp(shifted), 0.0)
         assert (product.values.astype(np.float32).tobytes()
@@ -591,7 +592,7 @@ class TestPeakBoundedWindow:
         stack = simulate_heatmaps(stream, gt, config.heatmaps)
         eps, held, shrunk = config.fusion.floor_epsilon, 0, 0
         for k, (hm, coord) in enumerate(zip(stack, coords.points)):
-            (r0, r1, c0, c1), _ = fusion._fuse(hm, tuple(coord), config.fusion, 0.0)[1]
+            _, (r0, r1, c0, c1), _ = fusion._fuse(hm, tuple(coord), config.fusion, 0.0)
             prior = log_prior(coord, config.fusion.prior_sigma, 512, 512)
             scores = dense_logsum(hm, coord, config.fusion.prior_sigma, eps)
             ny, nx = np.unravel_index(np.argmax(prior), prior.shape)
@@ -678,7 +679,7 @@ class TestFuseBatchIsChannelwise:
         for k, (hm, coord, one) in enumerate(zip(maps, coords.points, ones)):
             coord = (coord[0], coord[1])
             assert tuple(points[k]) == fuse_and_decode(hm, coord, one)
-            product = fuse_product(hm, coord, one)
+            _, product = fuse_product(hm, coord, one)
             assert dumps[k]._support == product._support
             assert dumps[k]._block.tobytes() == product._block.tobytes()
 
@@ -735,7 +736,7 @@ class TestDumpsShareTheLogSum:
         cfg = FusionConfig(prior_sigma=sigma, decode=decode)
         coords = LandmarkSet(np.array([coord, coord]), hm.frame)
         points = self.outcome(lambda: fuse_batch([hm, hm], coords, cfg).points.tobytes())
-        product = self.outcome(lambda: fuse_product(hm, coord, cfg))
+        product = self.outcome(lambda: fuse_product(hm, coord, cfg)[1])
         dumps = []
         fused = self.outcome(lambda: fuse_batch([hm, hm], coords, cfg, _dumps=dumps))
         if isinstance(fused, str):
@@ -745,6 +746,18 @@ class TestDumpsShareTheLogSum:
         for dump in dumps:
             assert dump._support == product._support and dump.frame == product.frame
             assert dump._block.tobytes() == product._block.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(fusion_inputs(), st.sampled_from(list(DecodeMethod)), st.booleans())
+    def test_the_point_is_fuse_and_decodes(self, inputs, decode, zero):
+        # fuse_product's point is fuse_and_decode's, and each refuses what
+        # the other does, with its message
+        hm, coord, sigma = inputs
+        if zero:
+            hm = Heatmap(np.zeros((hm.frame.height, hm.frame.width)))
+        cfg = FusionConfig(prior_sigma=sigma, decode=decode)
+        point = self.outcome(lambda: fuse_product(hm, coord, cfg)[0])
+        assert point == self.outcome(lambda: fuse_and_decode(hm, coord, cfg))
 
     def test_each_channel_builds_one_log_sum(self, monkeypatch):
         pts = np.array([[10.0, 10.0], [20.0, 30.0], [40.0, 50.0]])

@@ -177,6 +177,22 @@ class TestAffineTransform:
         with pytest.raises(ValidationError, match=message):
             AffineTransform2D(matrix)
 
+    # a determinant beyond the float range warns nothing, which the suite's
+    # filter would raise; products of opposite signs are not singular, and
+    # of one sign the matrix over its largest entry decides
+    @pytest.mark.parametrize("matrix, singular", [
+        ([[1e200, -1e199, 0.0], [1e199, 1e200, 0.0]], False),
+        ([[1e200, 1e200, 0.0], [1e200, 2e200, 0.0]], False),
+        ([[1e200, 1e200, 0.0], [1e200, 1e200, 0.0]], True),
+    ], ids=["opposite-signs", "one-sign", "one-sign-singular"])
+    def test_a_determinant_beyond_the_float_range(self, matrix, singular):
+        if singular:
+            with pytest.raises(ValidationError, match="^singular transform$"):
+                AffineTransform2D(np.array(matrix))
+        else:
+            AffineTransform2D(np.array(matrix))
+        assert build_transform(0.0, 0.0, 10.0, 1e200, (64.0, 64.0)).matrix[0, 0] > 1e199
+
     def test_invert_round_trip(self):
         rng = np.random.default_rng(6)
         for _ in range(50):

@@ -184,7 +184,7 @@ class TestLandmarkFiles:
         lms = LandmarkSet(pts, PixelFrame(512, 512))
         path = tmp_path / "lms.txt"
         io.write_landmarks(path, lms)
-        back = io.read_landmarks(path, PixelFrame(512, 512))
+        back = io.read_landmarks(path, PixelFrame(512, 512), 2)
         np.testing.assert_array_equal(back.points, pts)
 
     def test_header_format(self, tmp_path):
@@ -197,13 +197,26 @@ class TestLandmarkFiles:
         path = tmp_path / "lms.txt"
         path.write_text("#count=2\n0,1.0,2.0\n")
         with pytest.raises(ValidationError, match="header says 2"):
-            io.read_landmarks(path, PixelFrame(8, 8))
+            io.read_landmarks(path, PixelFrame(8, 8), 2)
+
+    def test_a_wrong_count_names_the_file_and_both_counts(self, tmp_path):
+        path = tmp_path / "lms.txt"
+        io.write_landmarks(path, LandmarkSet(np.array([[1.0, 2.0], [3.0, 4.0]]), PixelFrame(8, 8)))
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: 2 landmarks, expected 3$"):
+            io.read_landmarks(path, PixelFrame(8, 8), 3)
+
+    def test_a_bad_line_wins_over_a_wrong_count(self, tmp_path):
+        path = tmp_path / "lms.txt"
+        path.write_text("#count=2\n0,1.0,2.0\n1,x,4\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 3: '1,x,4'$"):
+            io.read_landmarks(path, PixelFrame(8, 8), 3)
 
     def test_index_order_enforced(self, tmp_path):
         path = tmp_path / "lms.txt"
         path.write_text("#count=2\n0,1.0,2.0\n5,3.0,4.0\n")
         with pytest.raises(ValidationError, match="index 5"):
-            io.read_landmarks(path, PixelFrame(8, 8))
+            io.read_landmarks(path, PixelFrame(8, 8), 2)
 
 
 class TestHeatmapStacks:

@@ -46,7 +46,7 @@ def corpus(tmp_path_factory):
 
 READERS = {
     "img.pgm": io.read_pgm,
-    "lms.txt": lambda path: io.read_landmarks(path, FRAME),
+    "lms.txt": lambda path: io.read_landmarks(path, FRAME, 2),
     "s.hmap": io.read_heatmap_stack,
     "manifest.txt": io.read_manifest,
     "sim.txt": read_sim_config,
