@@ -74,12 +74,13 @@ class Heatmap:
     gets the box of its Gaussians' nonzero blocks, and a fused product the
     box of its fusion window; any other map (``Heatmap(values)``, an HMAP
     channel) gets the tight box of the given array's nonzero values, or the
-    empty box if it has none. The given array is never kept. Values must be
-    bool, integer or float; NaN, inf and negative values are nonzero, so
-    they lie inside the box, where validation refuses them. Validation,
-    decoding, fusion and HMAP writes read only the block; argmax decoding
-    reads the recorded first maximum, and fusion uses it and the maximum
-    to bound its window.
+    empty box if it has none, found by one scan: of every row of ``values``,
+    or of an HMAP channel's rows that were read, the rest being holes. The
+    given array is never kept. Values must be bool, integer or float; NaN,
+    inf and negative values are nonzero, so they lie inside the box, where
+    validation refuses them. Validation, decoding, fusion and HMAP writes
+    read only the block; argmax decoding reads the recorded first maximum,
+    and fusion uses it and the maximum to bound its window.
 
     ``values`` is a dense float64 grid built from the block the first time
     it is asked for; a -0.0 there reads back as 0.0. ``frame`` is the grid.
@@ -93,12 +94,13 @@ class Heatmap:
     # the row-major grid index of the first maximum, if any value is nonzero
     _argmax: int
 
-    def __init__(self, values: np.ndarray, *, _support=None, _frame=None):
+    def __init__(self, values: np.ndarray, *, _support=None, _frame=None, _rows=None):
         # _support and _frame are private: passed by _render and fuse_product,
-        # which build only the box's float64 block of the frame's grid
-        self.__post_init__(values, _support, _frame)
+        # which build only the box's float64 block of the frame's grid; _rows,
+        # by read_heatmap_stack, holds the rows (y0, y1) it read, the rest 0
+        self.__post_init__(values, _support, _frame, _rows)
 
-    def __post_init__(self, values, support, frame):
+    def __post_init__(self, values, support, frame, rows):
         # the validating constructor, under the name bench/tracer.py patches
         arr = np.asarray(values)
         if arr.dtype.kind not in "biuf":
@@ -110,14 +112,17 @@ class Heatmap:
                 raise ValidationError(f"heatmap must be a non-empty 2-D array, "
                                       f"got shape {arr.shape}")
             frame = PixelFrame(arr.shape[1], arr.shape[0])
+            y0, y1 = rows or (0, frame.height)
             # a signalling NaN sets numpy's invalid flag when it is compared
             # or cast; it is refused below like any NaN
             with np.errstate(invalid="ignore"):
-                nonzero = arr != 0
-                rows = nonzero.any(axis=1)
-                r0, r1, _, _ = _box(rows, rows)
-                # the columns are scanned only over the rows holding a nonzero value
-                r0, r1, c0, c1 = support = _box(rows, nonzero[r0:r1].any(axis=0))
+                nonzero = arr[y0:y1] != 0
+                held = np.zeros(frame.height, dtype=bool)
+                held[y0:y1] = nonzero.any(axis=1)
+                r0, r1, _, _ = _box(held, held)
+                # the columns are scanned only over the rows holding a nonzero
+                # value; the empty box's r0 - y0 = r1 - y0 slices no row
+                r0, r1, c0, c1 = support = _box(held, nonzero[r0 - y0:r1 - y0].any(axis=0))
                 # the cast to float64; adding +0.0 also turns -0.0 into 0.0
                 block = np.add(arr[r0:r1, c0:c1], 0.0, dtype=np.float64)
         # NaN and +-inf all reach min or the first maximum (argmax stops at

@@ -13,8 +13,9 @@ Every format is fixed bit-exactly so outputs are reproducible byte for byte:
 All writers go through :func:`_atomic_file` (temp file + rename) so partial
 runs never leave corrupt artifacts. HMAP stacks are read and written one
 channel at a time, through one reused float32 grid, so no whole stack file
-is held in memory; all-zero rows are written as holes and holes are not
-read.
+is held in memory. The rows that float32 leaves all zero are written as
+holes, holes are not read, and a channel that is read is scanned only over
+the rows that were read.
 """
 from __future__ import annotations
 
@@ -186,13 +187,14 @@ _HMAP_MAGIC = b"HMAP"
 
 def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
     """Write the header, then each channel through one reused zeroed float32
-    grid: its support box is cast in, the rows of the box are written at
-    their place in the file, and the box is zeroed again. The file is then
-    extended to its full length, so rows that no box touches are left as
-    holes, which read as zeros: the bytes are those of the dense grids. Every
-    channel is checked before anything is written: its shape, and its
-    maximum, which must not reach 2**128 - 2**103, the least double that
-    float32 rounds to inf, which :func:`read_heatmap_stack` rejects."""
+    grid: its support box is cast in, the box's rows from the first to the
+    last that the cast leaves a nonzero byte in are written at their place
+    in the file, and the box is zeroed again. The file is then extended to
+    its full length, so every other row is left as a hole, which reads as
+    zeros: the bytes are those of the dense grids. Every channel is checked
+    before anything is written: its shape, and its maximum, which must not
+    reach 2**128 - 2**103, the least double that float32 rounds to inf,
+    which :func:`read_heatmap_stack` rejects."""
     if not stack:
         raise ValidationError("refusing to write an empty heatmap stack")
     frame = stack[0].frame
@@ -209,8 +211,11 @@ def write_heatmap_stack(path: str | Path, stack: list[Heatmap]) -> None:
             r0, r1, c0, c1 = hm._support
             box = grid[r0:r1, c0:c1]
             box[...] = hm._block
-            f.seek(16 + k * grid.nbytes + r0 * row_bytes)
-            f.write(grid[r0:r1])
+            # the rows from the first to the last that float32 leaves a bit set in
+            held = np.flatnonzero(box.view("<u4").any(axis=1))
+            if held.size:
+                f.seek(16 + k * grid.nbytes + (r0 + held[0]) * row_bytes)
+                f.write(grid[r0 + held[0]:r0 + held[-1] + 1])
             box[...] = 0
         f.truncate(16 + len(stack) * grid.nbytes)
 
@@ -242,8 +247,9 @@ def _data_extents(fd: int, start: int, end: int) -> list[tuple[int, int]]:
 @_reader
 def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     """Check the header and the file size, then read each channel into one
-    reused zeroed float32 grid; ``Heatmap`` casts and keeps only its nonzero
-    block. Only the file's data extents are read, and the bytes read are
+    reused zeroed float32 grid; ``Heatmap`` scans only the rows that were
+    read for its nonzero block, which it casts and keeps. Only the file's
+    data extents are read, in one pass over them, and the bytes read are
     zeroed again after each channel, so a hole costs nothing. The reader
     trusts the filesystem's map of holes, as ``cp`` and ``tar --sparse`` do."""
     with open(path, "rb", buffering=0) as f:
@@ -262,19 +268,27 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
         end = min(os.lseek(f.fileno(), 0, os.SEEK_END), expected)
         extents = _data_extents(f.fileno(), 16, end)
         grid = np.zeros((h, w), dtype="<f4")
-        raw = grid.reshape(-1).view(np.uint8)
-        stack = []
+        raw, row_bytes = grid.reshape(-1).view(np.uint8), 4 * w
+        stack, i = [], 0
         for k in range(channels):
-            start = 16 + k * grid.nbytes
-            if start + grid.nbytes > end:
+            start, stop = 16 + k * grid.nbytes, 16 + (k + 1) * grid.nbytes
+            if stop > end:
                 raise ValidationError(f"file ended inside channel {k}")
-            spans = [(max(lo, start) - start, min(hi, start + grid.nbytes) - start)
-                     for lo, hi in extents if lo < start + grid.nbytes and hi > start]
+            # sorted, disjoint extents; one that runs past the channel is left for the next
+            spans = []
+            while i < len(extents) and extents[i][0] < stop:
+                lo, hi = extents[i]
+                spans.append((max(lo, start) - start, min(hi, stop) - start))
+                if hi > stop:
+                    break
+                i += 1
             for lo, hi in spans:
                 f.seek(start + lo)
                 if f.readinto(raw[lo:hi]) != hi - lo:
                     raise ValidationError(f"file ended inside channel {k}")
-            stack.append(Heatmap(grid))
+            # the rows the spans cover: every other row is 0
+            rows = (spans[0][0] // row_bytes, -(-spans[-1][1] // row_bytes)) if spans else (0, 0)
+            stack.append(Heatmap(grid, _rows=rows))
             for lo, hi in spans:
                 raw[lo:hi] = 0
     return stack
