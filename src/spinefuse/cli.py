@@ -22,7 +22,7 @@ from .core import (LandmarkSet, PixelFrame, Rng, ValidationError, _non_negative_
 from .evaluate import pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .geometry import AugmentationRanges, sample_valid_augmentation, warp_image, warp_landmarks
-from .heatmap import _odd_window, _usable_sigma, decode_argmax, decode_centroid, render_label_stack
+from .heatmap import _usable_sigma, decode_argmax, decode_centroid, render_label_stack
 from .preprocess import equalize_histogram, resize_bilinear, resize_landmarks
 from .simulate import (
     PhantomConfig,
@@ -262,10 +262,8 @@ def cmd_fuse(args) -> int:
 
 def cmd_decode(args) -> int:
     def process(stack_path: Path, stack, out: Path):
-        if args.method == "argmax":
-            pts = [decode_argmax(hm) for hm in stack]
-        else:
-            pts = [decode_centroid(hm, args.window or 3) for hm in stack]
+        decode = decode_argmax if args.method == "argmax" else decode_centroid
+        pts = [decode(hm) for hm in stack]
         io.write_landmarks(out / f"{stack_path.stem}.txt",
                            LandmarkSet(np.array(pts, dtype=np.float64), stack[0].frame))
 
@@ -318,10 +316,10 @@ def _commands() -> dict:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser, by name, built on
-    the first call and shared by every later one: parsing keeps no state in
-    them, and they hold no command function."""
+def _parser() -> argparse.ArgumentParser:
+    """The top-level parser, built on the first call and shared by every
+    later one: parsing keeps no state in it, and it holds no command
+    function."""
     parser = argparse.ArgumentParser(
         prog="spinefuse",
         description="Landmark localization by fusing heatmaps with coordinate priors.",
@@ -378,10 +376,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--dump-heatmaps", action="store_true",
                    help="also write fused stacks as .fused.hmap")
 
-    p = commands["decode"]
-    p.add_argument("--method", choices=[m.value for m in DecodeMethod], default="argmax")
-    p.add_argument("--window", type=_flag(lambda raw: _odd_window(int(raw))),
-                   help="odd centroid patch size (default 3); only with --method centroid")
+    commands["decode"].add_argument("--method", choices=[m.value for m in DecodeMethod],
+                                    default="argmax")
 
     p = commands["eval"]
     p.add_argument("--pred-dir", required=True)
@@ -405,19 +401,16 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     ]:
         for name in readers.split():
             commands[name].add_argument(flag, **kwargs)
-    return parser, commands
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The spinefuse parser: built on the first call, the same object after."""
-    return _parsers()[0]
+    return _parser()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "decode" and args.window is not None and args.method != "centroid":
-        # refused by the decode parser, as its other flag errors are
-        _parsers()[1]["decode"].error("argument --window: only --method centroid reads it")
     func, _ = _commands()[args.command]
     try:
         return func(args)

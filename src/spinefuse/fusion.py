@@ -180,7 +180,7 @@ def _fuse(predicted: Heatmap, coord: tuple[float, float], cfg: FusionConfig,
     if cfg.decode is DecodeMethod.ARGMAX:
         return (float(ax), float(ay)), box, window
     return _centroid_at(
-        frame, ax, ay, 3,
+        frame, ax, ay,
         lambda ys, xs: np.exp(_logsum(lx[xs], ly[ys], predicted._window(ys, xs), eps) - peak)
     ), box, window
 

@@ -8,8 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (LandmarkSet, PixelFrame, ValidationError, _box, _finite, _frozen, _integer,
-                   _pair, _positive_finite)
+from .core import (LandmarkSet, PixelFrame, ValidationError, _box, _finite, _frozen, _pair,
+                   _positive_finite)
 
 
 def _usable_sigma(name: str, sigma: float) -> float:
@@ -292,33 +292,20 @@ def decode_argmax(hm: Heatmap) -> tuple[int, int]:
     return ix, iy
 
 
-def decode_centroid(hm: Heatmap, window: int = 3) -> tuple[float, float]:
-    """Intensity-weighted centroid of the window x window patch at the argmax.
-
-    The patch is clamped at the grid border. ``window`` must be odd.
-    """
-    window = _odd_window(window)
+def decode_centroid(hm: Heatmap) -> tuple[float, float]:
+    """Intensity-weighted centroid of the 3x3 patch at the argmax, clamped at
+    the grid border: the rule of :func:`_centroid_at`."""
     ax, ay = decode_argmax(hm)
-    return _centroid_at(hm.frame, ax, ay, window, hm._window)
+    return _centroid_at(hm.frame, ax, ay, hm._window)
 
 
-def _odd_window(window: int) -> int:
-    """The rule for a centroid window: a positive, odd number of pixels.
-    Returns window as an int, or raises a ValidationError."""
-    window = _integer("window", window)
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"window must be odd and positive, got {window}")
-    return window
-
-
-def _centroid_at(frame: PixelFrame, ax: int, ay: int, window: int,
-                 weights) -> tuple[float, float]:
-    """Centroid of the window x window patch at (ax, ay) of the frame's
-    grid, clamped at the grid border; ``weights(rows, cols)`` gives the
-    patch for two slices."""
-    half = window // 2
-    x0, x1 = max(0, ax - half), min(frame.width - 1, ax + half)
-    y0, y1 = max(0, ay - half), min(frame.height - 1, ay + half)
+def _centroid_at(frame: PixelFrame, ax: int, ay: int, weights) -> tuple[float, float]:
+    """Centroid of the 3x3 patch at (ax, ay) of the frame's grid, clamped at
+    the grid border; ``weights(rows, cols)`` gives the patch for two slices.
+    The one centroid rule: ``decode_centroid`` and centroid fusion both
+    call it."""
+    x0, x1 = max(0, ax - 1), min(frame.width - 1, ax + 1)
+    y0, y1 = max(0, ay - 1), min(frame.height - 1, ay + 1)
     patch = weights(slice(y0, y1 + 1), slice(x0, x1 + 1))
     total = patch.sum()
     # offsets relative to the argmax so mirror terms of a symmetric patch

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +411,38 @@ class TestDecode:
         decoded = io.read_landmarks(out / f"{rec.image_path.stem}.txt", GRID, 11)
         gt = io.read_landmarks(rec.landmarks_path, GRID, 11)
         np.testing.assert_allclose(decoded.points, np.round(gt.points))
+
+    # one centroid rule: decode --method centroid of fuse's dump X.fused.hmap
+    # gives fuse --decode centroid's points, within the bench's 1e-3 px. The
+    # coordinates are the true landmarks, or a second augmentation's, which
+    # share the stems and move the fused points off the label peaks
+    @pytest.mark.parametrize("coord_seed", [7, 8], ids=["true-landmarks", "second-augment"])
+    def test_a_fused_dump_decodes_to_the_fused_points(self, tmp_path, coord_seed):
+        manifest = make_corpus(tmp_path, count=2)
+        augment = ["augment", "--manifest", manifest, "--count", 2, "--working-size", 128, 128,
+                   "--ty-range", -4, 4, "--tx-range", -8, 8, "--angle-range", -10, 10]
+        for seed in {7, coord_seed}:
+            assert run(*augment, "--out-dir", tmp_path / f"aug{seed}", "--seed", seed) == EXIT_OK
+        fused, decoded = tmp_path / "fused", tmp_path / "decoded"
+        for step in [
+            ["gen-heatmaps", "--manifest", tmp_path / "aug7" / "manifest.txt",
+             "--out-dir", tmp_path / "hmaps"],
+            ["fuse", "--heatmaps-dir", tmp_path / "hmaps", "--coords-dir",
+             tmp_path / f"aug{coord_seed}", "--out-dir", fused, "--decode", "centroid",
+             "--dump-heatmaps"],
+            ["decode", "--heatmaps-dir", fused, "--out-dir", decoded, "--method", "centroid"],
+        ]:
+            assert run(*step) == EXIT_OK
+        points = sorted(fused.glob("*.txt"))
+        assert len(points) == 4
+        moved = 0
+        for path in points:
+            want = io.read_landmarks(path, GRID, 11).points
+            got = io.read_landmarks(decoded / f"{path.stem}.fused.txt", GRID, 11).points
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-3, err_msg=path.name)
+            truth = io.read_landmarks(tmp_path / "aug7" / path.name, GRID, 11).points
+            moved += int(np.sum(np.hypot(*(want - truth).T) > 0.5))
+        assert (moved > 0) == (coord_seed != 7), moved
 
 
 class TestEval:
@@ -915,10 +948,6 @@ class TestFlags:
     @pytest.mark.parametrize("argv, error", _usage_rows([
         ["fuse", "--heatmaps-dir", "h", "--coords-dir", "c", "--out-dir", "o",
          "--prior-sigma", "abc"],
-        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "centroid",
-         "--window", "2"],
-        ["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "centroid",
-         "--window", "0"],
         ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "nan"],
         ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "inf"],
         ["eval", "--manifest", "m", "--pred-dir", "p", "--threshold-mm", "-1"],
@@ -983,11 +1012,6 @@ class TestFlags:
          "spinefuse simulate: error: argument --preset: not allowed with argument --config"),
         (["simulate", "--preset", "calibrated", "--config", "f"],
          "spinefuse simulate: error: argument --config: not allowed with argument --preset"),
-        (["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "5"],
-         "spinefuse decode: error: argument --window: only --method centroid reads it"),
-        (["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--method", "argmax",
-          "--window", "3"],
-         "spinefuse decode: error: argument --window: only --method centroid reads it"),
     ]))
     def test_bad_flag_value_is_usage_error(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1006,20 +1030,15 @@ class TestFlags:
         message = "argument --count: count must be non-negative and finite, got 1" + "0" * 400
         assert message in capsys.readouterr().err
 
-    def test_window_message_is_the_library_rule(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["decode", "--heatmaps-dir", "h", "--out-dir", "o", "--window", "4"])
-        err = capsys.readouterr().err
-        assert "argument --window: window must be odd and positive, got 4" in err
-
-    def test_a_window_without_centroid_writes_nothing(self, tmp_path, capsys):
-        hm_dir = tmp_path / "hm"
-        hm_dir.mkdir()
+    # the centroid patch is 3x3, a constant of both decoders, so decode
+    # reads no window, with either method
+    @pytest.mark.parametrize("method", ["centroid", "argmax"])
+    def test_a_centroid_window_is_an_unrecognized_argument(self, method, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "o", "--window", 3)
+            main(["decode", *self.REQUIRED["decode"], "--method", method, "--window", "3"])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: spinefuse decode ")
-        assert list(tmp_path.iterdir()) == [hm_dir]
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "spinefuse: error: unrecognized arguments: --window 3"
 
     @pytest.mark.parametrize("flag", sorted(TAKEN_BY))
     @pytest.mark.parametrize("command", sorted(REQUIRED))
@@ -1065,3 +1084,32 @@ class TestInProcessRuns:
             assert run("phantom", "--out-dir", tmp_path / out, "--count", 2,
                        "--seed", 7) == EXIT_OK
         assert _tree(tmp_path / "a") == _tree(tmp_path / "b") != {}
+
+
+def _readme_pipeline():
+    """The lines of the README's fenced block under ``## CLI pipeline``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## CLI pipeline\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+class TestReadmePipeline:
+    # the README's command block runs as written, in a fresh directory, with
+    # each --count shrunk to 1; the calibrated simulate line is only parsed,
+    # since criterion 5 runs that preset
+    def test_every_line_runs(self, tmp_path, monkeypatch, capsys):
+        lines = _readme_pipeline()
+        assert lines and all(line.startswith("spinefuse ") for line in lines)
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for line in lines:
+            argv = line.split()[1:]
+            if "--count" in argv:
+                argv[argv.index("--count") + 1] = "1"
+            if argv[0] == "simulate":
+                assert build_parser().parse_args(argv).preset == "calibrated"
+                continue
+            capsys.readouterr()
+            assert main(argv) == EXIT_OK, line
+            if argv[0] == "eval":
+                reports.append(capsys.readouterr().out)
+        assert len(reports) == 1 and "accuracy = 1.000000\n" in reports[0]

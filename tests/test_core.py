@@ -19,7 +19,7 @@ from spinefuse.core import (
 from spinefuse.evaluate import pck
 from spinefuse.fusion import DecodeMethod, FusionConfig, fuse_and_decode
 from spinefuse.geometry import AugmentationRanges, sample_valid_augmentation
-from spinefuse.heatmap import GaussianSpec, Heatmap, decode_centroid, render_gaussian
+from spinefuse.heatmap import GaussianSpec, Heatmap, render_gaussian
 from spinefuse.preprocess import resize_bilinear, resize_landmarks
 from spinefuse.simulate import (CoordPredictorModel, HeatmapPredictorModel, PhantomConfig,
                                 generate_phantom, noiseless_config, simulate_coords,
@@ -141,8 +141,6 @@ class TestMalformedArguments:
         (lambda: AugmentationRanges(tx=(np.float32(2), 1)), r"^bad tx range: \(2\.0, 1\)$"),
         (lambda: GrayImage(PX, "1"), "^spacing must be positive and finite"),
         (lambda: FusionConfig(floor_epsilon="1e-12"), "^floor_epsilon must be positive and finite"),
-        (lambda: decode_centroid(Heatmap(np.ones((5, 5))), 3.0),
-         r"^window must be an integer, got 3\.0$"),
         (lambda: Rng(True), "^seed must be a 64-bit unsigned integer, got True$"),
         (lambda: GaussianSpec(None, 1.0), "^center must be a pair, got None$"),
     ], ids=["image-1d", "landmarks-frame", "phantom-float-landmarks", "manifest-tuple-size",
@@ -150,7 +148,7 @@ class TestMalformedArguments:
             "tx-one-value", "tx-string", "outlier-rate-string", "outlier-rate-none",
             "outlier-rate-numpy", "image-spacing-numpy", "noise-sigma-string", "tx-string-end",
             "tx-numpy-ends", "image-spacing-string",
-            "floor-epsilon-string", "centroid-float-window", "rng-bool-seed", "center-none"])
+            "floor-epsilon-string", "rng-bool-seed", "center-none"])
     def test_refusal_names_its_rule(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()

@@ -457,22 +457,36 @@ class TestDecodeCentroid:
         assert decode_centroid(Heatmap(vals)) == (2.0, 5.0)
 
     def test_subpixel_center_pull(self):
-        # frozen from the brute-force window centroid of this exact rendering
+        # frozen from a brute-force sum of x * value over the 3x3 patch of
+        # hm.values at the argmax (7, 3), divided by the patch's sum
         hm = render_gaussian(GaussianSpec((7.4, 3.0), 2.0), PixelFrame(32, 32))
-        x, y = decode_centroid(hm, window=5)
-        assert x == pytest.approx(7.1658492742187105, rel=1e-12)
-        assert abs(x - 7.4) < 0.25
+        x, y = decode_centroid(hm)
+        assert x == pytest.approx(7.063736400528734, rel=1e-12)
+        assert 7.0 < x < 7.4
         assert y == pytest.approx(3.0, abs=1e-9)
-
-    def test_even_window_rejected(self):
-        hm = render_gaussian(GaussianSpec((4, 4), 1.0), PixelFrame(9, 9))
-        with pytest.raises(ValidationError):
-            decode_centroid(hm, window=4)
 
     def test_border_clamping(self):
         hm = render_gaussian(GaussianSpec((0, 0), 1.5), PixelFrame(12, 12))
-        x, y = decode_centroid(hm, window=3)
+        x, y = decode_centroid(hm)
         assert 0 <= x < 1 and 0 <= y < 1
+
+    # the patch is the 3x3 at the first maximum, cut at the grid's border, on
+    # a 12 x 9 grid where a swapped row and column would show
+    @pytest.mark.parametrize("centre", [(5.3, 4.6), (0.2, 0.1), (10.7, 7.8), (0.3, 4.4),
+                                        (6.6, 8.0)],
+                             ids=["interior", "top-left", "bottom-right", "left-edge",
+                                  "bottom-edge"])
+    def test_the_patch_is_the_clamped_3x3_at_the_argmax(self, centre):
+        hm = render_gaussian(GaussianSpec(centre, 1.5), PixelFrame(12, 9))
+        values = hm.values
+        ay, ax = np.unravel_index(np.argmax(values), values.shape)
+        assert (ax, ay) == tuple(round(c) for c in centre)
+        cells = [(x, y) for y in range(ay - 1, ay + 2) for x in range(ax - 1, ax + 2)
+                 if 0 <= x < 12 and 0 <= y < 9]
+        total = sum(float(values[y, x]) for x, y in cells)
+        want = (sum(x * float(values[y, x]) for x, y in cells) / total,
+                sum(y * float(values[y, x]) for x, y in cells) / total)
+        assert decode_centroid(hm) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestBlockStorage:
