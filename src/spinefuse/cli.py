@@ -263,7 +263,12 @@ def cmd_fuse(args) -> int:
 def cmd_decode(args) -> int:
     def process(stack_path: Path, stack, out: Path):
         decode = decode_argmax if args.method == "argmax" else decode_centroid
-        pts = [decode(hm) for hm in stack]
+        pts = []
+        for k, hm in enumerate(stack):
+            try:
+                pts.append(decode(hm))
+            except ValidationError as exc:
+                raise ValidationError(f"channel {k}: {exc}") from exc
         io.write_landmarks(out / f"{stack_path.stem}.txt",
                            LandmarkSet(np.array(pts, dtype=np.float64), stack[0].frame))
 
@@ -316,8 +321,8 @@ def _commands() -> dict:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The top-level parser, built on the first call and shared by every
+def build_parser() -> argparse.ArgumentParser:
+    """The spinefuse parser, built on the first call and shared by every
     later one: parsing keeps no state in it, and it holds no command
     function."""
     parser = argparse.ArgumentParser(
@@ -402,11 +407,6 @@ def _parser() -> argparse.ArgumentParser:
         for name in readers.split():
             commands[name].add_argument(flag, **kwargs)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The spinefuse parser: built on the first call, the same object after."""
-    return _parser()
 
 
 def main(argv=None) -> int:

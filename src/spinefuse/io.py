@@ -15,7 +15,7 @@ runs never leave corrupt artifacts. HMAP stacks are read and written one
 channel at a time, through one reused float32 grid, so no whole stack file
 is held in memory. The rows that float32 leaves all zero are written as
 holes, holes are not read, and a channel that is read is scanned only over
-the rows that were read.
+the rows from its first data extent to its last.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import functools
 import os
 import secrets
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,15 +71,12 @@ def _reader(read):
     """Re-raise any ValueError of ``read(path, ...)`` (a bad number, undecodable
     text, a NUL byte in a path, a domain ValidationError) as a ValidationError
     whose message starts with the path, which it records as ``filename``, the
-    attribute an OSError names its file by. I/O errors pass through, and so
-    does a nested reader's error, which records its own file."""
+    attribute an OSError names its file by. I/O errors pass through."""
     @functools.wraps(read)
     def checked(path, *args, **kwargs):
         try:
             return read(path, *args, **kwargs)
         except ValueError as exc:
-            if getattr(exc, "filename", None) is not None:
-                raise
             err = ValidationError(f"{path}: {exc}")
             err.filename = path
             raise err from exc
@@ -236,9 +233,10 @@ def _data_extents(fd: int, start: int, end: int) -> list[tuple[int, int]]:
                 if exc.errno != errno.ENXIO:
                     raise
                 break  # no data at or after pos
+            if lo >= end:
+                break
             pos = min(os.lseek(fd, lo, os.SEEK_HOLE), end)
-            if lo < pos:
-                extents.append((lo, pos))
+            extents.append((lo, pos))
     except OSError:
         return [(start, end)]
     return extents
@@ -248,10 +246,11 @@ def _data_extents(fd: int, start: int, end: int) -> list[tuple[int, int]]:
 def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
     """Check the header and the file size, then read each channel into one
     reused zeroed float32 grid; ``Heatmap`` scans only the rows that were
-    read for its nonzero block, which it casts and keeps. Only the file's
-    data extents are read, in one pass over them, and the bytes read are
-    zeroed again after each channel, so a hole costs nothing. The reader
-    trusts the filesystem's map of holes, as ``cp`` and ``tar --sparse`` do."""
+    read for its nonzero block, which it casts and keeps. Only each
+    channel's own data extents are read, and the range from its first to
+    its last is zeroed again after the channel, so a hole costs nothing. The
+    reader trusts the filesystem's map of holes, as ``cp`` and ``tar
+    --sparse`` do."""
     with open(path, "rb", buffering=0) as f:
         header = f.read(16)
         if len(header) < 16 or header[:4] != _HMAP_MAGIC:
@@ -266,31 +265,25 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
         PixelFrame(w, h)
         # the file may have been cut since its size was taken
         end = min(os.lseek(f.fileno(), 0, os.SEEK_END), expected)
-        extents = _data_extents(f.fileno(), 16, end)
         grid = np.zeros((h, w), dtype="<f4")
         raw, row_bytes = grid.reshape(-1).view(np.uint8), 4 * w
-        stack, i = [], 0
+        stack = []
         for k in range(channels):
             start, stop = 16 + k * grid.nbytes, 16 + (k + 1) * grid.nbytes
             if stop > end:
                 raise ValidationError(f"file ended inside channel {k}")
-            # sorted, disjoint extents; one that runs past the channel is left for the next
-            spans = []
-            while i < len(extents) and extents[i][0] < stop:
-                lo, hi = extents[i]
-                spans.append((max(lo, start) - start, min(hi, stop) - start))
-                if hi > stop:
-                    break
-                i += 1
-            for lo, hi in spans:
-                f.seek(start + lo)
-                if f.readinto(raw[lo:hi]) != hi - lo:
+            extents = _data_extents(f.fileno(), start, stop)
+            for a, b in extents:
+                f.seek(a)
+                if f.readinto(raw[a - start:b - start]) != b - a:
                     raise ValidationError(f"file ended inside channel {k}")
-            # the rows the spans cover: every other row is 0
-            rows = (spans[0][0] // row_bytes, -(-spans[-1][1] // row_bytes)) if spans else (0, 0)
-            stack.append(Heatmap(grid, _rows=rows))
-            for lo, hi in spans:
-                raw[lo:hi] = 0
+            # the rows from the first extent to the last: every other row is 0
+            lo, hi = (extents[0][0] - start, extents[-1][1] - start) if extents else (0, 0)
+            try:
+                stack.append(Heatmap(grid, _rows=(lo // row_bytes, -(-hi // row_bytes))))
+            except ValidationError as exc:
+                raise ValidationError(f"channel {k}: {exc}") from exc
+            raw[lo:hi] = 0
     return stack
 
 
@@ -421,11 +414,13 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
 
 @_reader
 def read_manifest(path: str | Path) -> Manifest:
-    """Parse a manifest; a file it names is opened only by the stage that reads it."""
+    """Parse a manifest; a file it names is opened only by the stage that reads it.
+    ``landmark_count`` and ``working_size`` are required, and a line that
+    sets anything else is refused first, by its number."""
     path = Path(path)
     sections = _parse_sections(path.read_text(), table="images")
     root = sections[""]
-    landmark_count = int(_take(root, "landmark_count", Manifest.landmark_count))
+    count, size = _take(root, "landmark_count", None), _take(root, "working_size", None)
     if "images" not in sections:
         raise ValidationError("missing [images] section")
     base = path.parent
@@ -435,15 +430,16 @@ def read_manifest(path: str | Path) -> Manifest:
             raise ValidationError(f"image row needs image_path, landmarks_path, spacing, got {row}")
         records.append(ManifestRecord((base / row[0]).resolve(), (base / row[1]).resolve(),
                                       _positive_finite("spacing", float(row[2]))))
-    size = _take(root, "working_size", None)
-    size = astuple(Manifest.working_size) if size is None else size.split()
+    _refuse_unread(sections, ("images",))
+    for key, value in (("landmark_count", count), ("working_size", size)):
+        if value is None:
+            raise ValidationError(f"missing key {key!r}")
+    size = size.split()
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
-    _take(root, "coord_size", None)  # the first versions' grid: read by nothing, still accepted
-    _refuse_unread(sections, ("images",))
     return Manifest(
         records=tuple(records),
-        landmark_count=landmark_count,
+        landmark_count=int(count),
         working_size=PixelFrame(int(size[0]), int(size[1])),
     )
 

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from spinefuse.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, buil
 from spinefuse.core import LandmarkSet, PixelFrame
 from spinefuse.fusion import FusionConfig
 from spinefuse.geometry import AugmentationRanges
+from spinefuse.heatmap import Heatmap
 from spinefuse.simulate import PhantomConfig, calibrated_config, noiseless_config
 from sim_config import SIM_CONFIG
 
@@ -188,6 +190,17 @@ class TestAugment:
         assert run("augment", "--manifest", tmp_path / "corpus" / "manifest.txt",
                    "--out-dir", tmp_path / "aug") == EXIT_OK
         assert ranges == [AugmentationRanges()]
+
+    # a manifest states its grid: augment does not resample to a default one
+    def test_a_manifest_without_its_working_size_is_refused(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path)
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if not line.startswith("working_size")))
+        out = tmp_path / "aug"
+        capsys.readouterr()
+        assert run("augment", "--manifest", manifest, "--out-dir", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {manifest}: missing key 'working_size'\n"
+        assert not out.exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
         manifest = make_corpus(tmp_path)
@@ -443,6 +456,22 @@ class TestDecode:
             truth = io.read_landmarks(tmp_path / "aug7" / path.name, GRID, 11).points
             moved += int(np.sum(np.hypot(*(want - truth).T) > 0.5))
         assert (moved > 0) == (coord_seed != 7), moved
+
+    # as fuse does, decode names the channel it cannot decode
+    @pytest.mark.parametrize("method", ["argmax", "centroid"])
+    def test_an_all_zero_channel_is_named(self, tmp_path, capsys, method):
+        hm_dir, out = tmp_path / "hm", tmp_path / "dec"
+        hm_dir.mkdir()
+        stack = hm_dir / "s.hmap"
+        peak = np.zeros((8, 8))
+        peak[2, 3] = 1.0
+        io.write_heatmap_stack(stack, [Heatmap(peak), Heatmap(np.zeros((8, 8))), Heatmap(peak)])
+        capsys.readouterr()
+        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", out,
+                   "--method", method) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stack}: channel 1: cannot decode an all-zero heatmap"]
+        assert not list(out.iterdir())
 
 
 class TestEval:
@@ -914,12 +943,24 @@ class TestJobsFlag:
             assert data == parallel[path], path
 
 
+_PATH_FLAGS = {"--manifest", "--heatmaps-dir", "--coords-dir", "--out-dir", "--pred-dir"}
+
+
 def _usage_rows(rows):
-    """A param (argv, error) for each row, with id argv<i> by its place. A
-    row is a bare argv, or (argv, error) where error is the whole last line
-    of stderr, for the messages the README quotes."""
-    return [pytest.param(*(row if isinstance(row, tuple) else (row, None)), id=f"argv{i}")
-            for i, row in enumerate(rows)]
+    """A param (argv, error) for each row, with an id made from its argv
+    alone: the argv less its path flags and their values, shell-quoted and
+    cut to 60 characters, so adding or deleting a row renames no other row.
+    A row is a bare argv, or (argv, error) where error is the whole last
+    line of stderr, for the messages the README quotes."""
+    params = []
+    for row in rows:
+        argv, error = row if isinstance(row, tuple) else (row, None)
+        kept = [a for i, a in enumerate(argv)
+                if a not in _PATH_FLAGS and (i == 0 or argv[i - 1] not in _PATH_FLAGS)]
+        params.append(pytest.param(argv, error, id=shlex.join(kept)[:60]))
+    ids = [param.id for param in params]
+    assert len(set(ids)) == len(ids), "two rows share an id"
+    return params
 
 
 class TestFlags:

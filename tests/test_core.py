@@ -31,7 +31,7 @@ HUGE = 10 ** 400
 
 def _manifest_with_working_size(tmp_path, size):
     path = tmp_path / "manifest.txt"
-    path.write_text(f"working_size = {size}\n[images]\n")
+    path.write_text(f"landmark_count = 1\nworking_size = {size}\n[images]\n")
     return io.read_manifest(path)
 
 

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from io import FileIO
 from pathlib import Path
 
 import numpy as np
@@ -268,9 +269,10 @@ class TestHeatmapStacks:
         offset = 16 + 4 * ((channel * 30 + y) * 40 + x)
         data[offset:offset + 4] = struct.pack("<I", bits)
         path.write_bytes(bytes(data))
-        with pytest.raises(ValidationError, match="finite|non-negative") as exc:
+        # the line names the channel
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: channel {channel}: "
+                                                  "heatmap values must be (finite|non-negative)$"):
             io.read_heatmap_stack(path)
-        assert str(path) in str(exc.value)
 
     def test_negative_zero_reads_back_as_zero(self, tmp_path):
         # one -0.0 outside the nonzero box and one inside it
@@ -650,6 +652,48 @@ class TestHeatmapStackHoles:
         with pytest.raises(ValidationError, match="^.*s.hmap: file ended inside channel 1$"):
             io.read_heatmap_stack(path)
 
+    def test_each_data_extent_is_read_in_one_call(self, tmp_path, monkeypatch):
+        # every nonzero row written alone, the rest left as holes: channel 0
+        # holds the header's block and a peak far below it, channel 1 two
+        # peaks 190 rows apart, and channel 2 nothing
+        if not _makes_holes(tmp_path):
+            pytest.skip("the filesystem under the test's temp directory makes no holes")
+        frame = PixelFrame(256, 256)
+        peak = [render_gaussian(GaussianSpec(c, 1.2), frame).values
+                for c in ((100.0, 120.0), (30.0, 40.0), (200.0, 230.0))]
+        stack = [Heatmap(peak[0]), Heatmap(peak[1] + peak[2]), Heatmap(np.zeros((256, 256)))]
+        data, row = _dense_bytes(stack), 4 * frame.width
+        path, dense = tmp_path / "s.hmap", tmp_path / "dense.hmap"
+        dense.write_bytes(data)
+        with open(path, "wb") as f:
+            f.write(data[:16])
+            for at in range(16, len(data), row):
+                if any(data[at:at + row]):
+                    f.seek(at)
+                    f.write(data[at:at + row])
+            f.truncate(len(data))
+        channel = 4 * 256 * 256
+        with open(path, "rb") as f:
+            extents = [io._data_extents(f.fileno(), 16 + k * channel, 16 + (k + 1) * channel)
+                       for k in range(3)]
+        if len(extents[1]) < 2:
+            pytest.skip("the filesystem merged channel 1's two peaks into one data extent")
+        reads = []
+
+        class CountingFile(FileIO):
+            def readinto(self, buffer):
+                reads.append(len(buffer))
+                return super().readinto(buffer)
+        monkeypatch.setattr(io, "open", lambda file, mode, buffering: CountingFile(file, mode),
+                            raising=False)
+        back = io.read_heatmap_stack(path)
+        monkeypatch.undo()
+        # one call per data extent of each channel: no hole is read, and
+        # channel 2, all holes, is not read at all
+        assert reads == [hi - lo for ext in extents for lo, hi in ext]
+        _assert_same_channels(back, io.read_heatmap_stack(dense))
+        _assert_same_channels(back, [Heatmap(hm.values.astype("<f4")) for hm in stack])
+
     def test_a_label_stack_takes_under_a_tenth_of_its_length(self, tmp_path):
         if not _makes_holes(tmp_path):
             pytest.skip("the filesystem under the test's temp directory makes no holes")
@@ -694,7 +738,8 @@ class TestManifests:
     # the reader opens no file it names: the stage that opens one reports it
     def test_records_keep_their_paths_when_no_file_exists(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        path.write_text("[images]\nnope.pgm, nope.txt, 0.5\nsub/a.pgm, ../b.txt, 1.0\n")
+        path.write_text("landmark_count = 1\nworking_size = 4 4\n"
+                        "[images]\nnope.pgm, nope.txt, 0.5\nsub/a.pgm, ../b.txt, 1.0\n")
         assert io.read_manifest(path).records == (
             io.ManifestRecord(tmp_path.resolve() / "nope.pgm", tmp_path.resolve() / "nope.txt",
                               0.5),
@@ -706,7 +751,10 @@ class TestManifests:
     @pytest.mark.parametrize("old, new, message", [
         ("landmark_count = ", "landmark_cout = ", "line 2: unknown key 'landmark_cout'"),
         ("[images]", "[extra]\nkey = 1\n[images]", "line 4: unknown section [extra]"),
-    ], ids=["misspelt-key", "unknown-section"])
+        # the first versions' grid, which nothing read
+        ("working_size = ", "coord_size = 299 299\nworking_size = ",
+         "line 3: unknown key 'coord_size'"),
+    ], ids=["misspelt-key", "unknown-section", "coord-size"])
     def test_a_line_that_is_not_read_is_refused_by_its_number(self, tmp_path, old, new,
                                                               message):
         path = tmp_path / "manifest.txt"
@@ -725,20 +773,25 @@ class TestManifests:
         with pytest.raises(ValidationError, match="spacing"):
             io.read_manifest(path)
 
-    @pytest.mark.parametrize("header, cell", [
-        ("landmark_count = abc", "0.5"),
-        ("working_size = 64 wide", "0.5"),
-        ("working_size = 64", "0.5"),
-        ("", "half"),
-        ("landmark_count = 1\nlandmark_count = 1", "0.5"),
-        ("a.pgm, a.txt, 0.5", "0.5"),
+    # each header states both required keys, so each row reaches its own fault
+    @pytest.mark.parametrize("header, cell, message", [
+        ("landmark_count = abc\nworking_size = 4 4", "0.5",
+         "invalid literal for int() with base 10: 'abc'"),
+        ("landmark_count = 1\nworking_size = 64 wide", "0.5",
+         "invalid literal for int() with base 10: 'wide'"),
+        ("landmark_count = 1\nworking_size = 64", "0.5", "working_size needs two integers"),
+        ("landmark_count = 1\nworking_size = 4 4", "half",
+         "could not convert string to float: 'half'"),
+        ("landmark_count = 1\nlandmark_count = 1\nworking_size = 4 4", "0.5",
+         "line 2: duplicate key 'landmark_count'"),
+        ("a.pgm, a.txt, 0.5", "0.5", "line 1: expected 'key = value', got 'a.pgm, a.txt, 0.5'"),
     ])
-    def test_malformed_value_names_manifest(self, tmp_path, header, cell):
+    def test_malformed_value_names_manifest(self, tmp_path, header, cell, message):
         records = self._corpus(tmp_path, n=1)
         path = tmp_path / "manifest.txt"
         path.write_text(f"{header}\n[images]\n{records[0].image_path.name}, "
                         f"{records[0].landmarks_path.name}, {cell}\n")
-        with pytest.raises(ValidationError, match="manifest.txt"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             io.read_manifest(path)
 
     # a row of [images] is never read as 'key = value' or as a comment
@@ -761,14 +814,22 @@ class TestManifests:
             io.write_manifest(path, io.Manifest((record,), landmark_count=1))
         assert not path.exists()
 
-    def test_legacy_coord_size_line_is_ignored(self, tmp_path):
-        records = self._corpus(tmp_path, n=1)
+    # every writer states the grid and the count, so a manifest without
+    # either is refused, not read on a default grid or count; a line that
+    # sets anything else is refused first, by its number
+    @pytest.mark.parametrize("key", ["landmark_count", "working_size"])
+    def test_a_manifest_without_its_grid_or_count_is_refused(self, tmp_path, key):
         path = tmp_path / "manifest.txt"
-        path.write_text("landmark_count = 1\nworking_size = 4 4\ncoord_size = 299 299\n"
-                        f"[images]\n{records[0].image_path.name}, "
-                        f"{records[0].landmarks_path.name}, 0.5\n")
-        back = io.read_manifest(path)
-        assert back.working_size == PixelFrame(4, 4) and len(back.records) == 1
+        io.write_manifest(path, io.Manifest(self._corpus(tmp_path, n=1), landmark_count=1))
+        text = "".join(line for line in path.read_text().splitlines(keepends=True)
+                       if not line.startswith(key))
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: missing key {key!r}')}$"):
+            io.read_manifest(path)
+        path.write_text(text.replace("[images]", "working_sise = 4 4\n[images]"))
+        with pytest.raises(ValidationError, match="^.*manifest.txt: line 3: unknown key "
+                                                  "'working_sise'$"):
+            io.read_manifest(path)
 
 
 def _sim_config(tmp_path, images, old="", new=""):

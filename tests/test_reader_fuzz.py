@@ -158,7 +158,8 @@ def test_a_bad_value_after_a_hole_is_refused(corpus, bits, message, channel, row
     path = corpus / "bad-holes.hmap"
     _write_with_holes(path, bytes(data))
     with pytest.raises(ValidationError,
-                       match=f"^{re.escape(str(path))}: heatmap values must be {message}$"):
+                       match=f"^{re.escape(str(path))}: channel {channel}: "
+                             f"heatmap values must be {message}$"):
         io.read_heatmap_stack(path)
 
 
