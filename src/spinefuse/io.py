@@ -8,7 +8,7 @@ Every format is fixed bit-exactly so outputs are reproducible byte for byte:
   (channels, height, width), then channels*height*width little-endian
   float32, row-major within a channel, channel-major overall
 * manifests, reports, and the simulation configs of :mod:`spinefuse.simulate`:
-  line-oriented key/value and table sections (grammar below)
+  UTF-8 text of line-oriented key/value and table sections (grammar below)
 
 All writers go through :func:`_atomic_file` (temp file + rename) so partial
 runs never leave corrupt artifacts. HMAP stacks are read and written one
@@ -27,7 +27,6 @@ import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -293,18 +292,19 @@ def read_heatmap_stack(path: str | Path) -> list[Heatmap]:
 #
 # A document is a sequence of lines. Blank lines and lines starting with '#'
 # are ignored. '[name]' opens a section, each name once; the lines before
-# any header belong to the section ''. Each line of the table section that a
-# reader names is a row of comma-separated cells; each line of any other
-# section is 'key = value', each key once in its section.
+# any header belong to the section ''. Each line of a table section is a row
+# of comma-separated cells; each line of any other section is 'key = value',
+# each key once in its section. A reader states the sections and keys it
+# accepts, and a document is refused in one order: first every line the
+# reader does not accept, by its number and in file order; then the first
+# missing section or required key; then, by the reader, the values.
 
-class _Section(NamedTuple):
-    line: int  # of its header; 0 for ''
-    keys: dict[str, tuple[str, int]]  # key -> (value, line)
-    rows: list[list[str]]
-
-
-def _parse_sections(text: str, table: str | None = None) -> dict[str, _Section]:
-    sections = {"": _Section(0, {}, [])}
+def _parse_sections(text: str, keys: dict[str, tuple[str, ...] | None],
+                    optional: tuple[str, ...] = ()) -> dict:
+    """Each section that ``keys`` names, as a dict of its values, or for a
+    table section (``None``) as a list of rows, refused in the order above;
+    a key in ``optional`` may be missing."""
+    sections = {"": {}}
     name = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -314,42 +314,28 @@ def _parse_sections(text: str, table: str | None = None) -> dict[str, _Section]:
             name = line[1:-1].strip()
             if name in sections:
                 raise ValidationError(f"line {lineno}: duplicate section [{name}]")
-            sections[name] = _Section(lineno, {}, [])
-        elif name == table:
-            sections[name].rows.append([cell.strip() for cell in line.split(",")])
+            if name not in keys:
+                raise ValidationError(f"line {lineno}: unknown section [{name}]")
+            sections[name] = {} if keys[name] is not None else []
+        elif keys.get(name, ()) is None:
+            sections[name].append([cell.strip() for cell in line.split(",")])
         elif "=" in line:
             key, _, value = (part.strip() for part in line.partition("="))
-            if key in sections[name].keys:
+            if key not in keys.get(name, ()):
+                raise ValidationError(f"line {lineno}: unknown key {key!r}")
+            if key in sections[name]:
                 raise ValidationError(f"line {lineno}: duplicate key {key!r}")
-            sections[name].keys[key] = (value, lineno)
+            sections[name][key] = value
         else:
             raise ValidationError(f"line {lineno}: expected 'key = value', got {line!r}")
+    for name in keys:
+        if name not in sections:
+            raise ValidationError(f"missing [{name}] section")
+    for name, names in keys.items():
+        for key in names or ():
+            if key not in sections[name] and key not in optional:
+                raise ValidationError(f"missing key {key!r}")
     return sections
-
-
-def _take(section: _Section, key: str, default):
-    """The value of key, taken out of the section so that what a reader
-    leaves is what it did not read, or default if the key is not there."""
-    return section.keys.pop(key, (default, 0))[0]
-
-
-def _need(section: _Section, key: str) -> str:
-    value = _take(section, key, None)
-    if value is None:
-        raise ValidationError(f"missing key {key!r}")
-    return value
-
-
-def _refuse_unread(sections: dict[str, _Section], names: tuple[str, ...]) -> None:
-    """Refuse the first line that opens a section other than '' and names,
-    or holds a key left in its section."""
-    unread = [(s.line, f"unknown section [{name}]") for name, s in sections.items()
-              if name and name not in names]
-    unread += [(line, f"unknown key {key!r}")
-               for s in sections.values() for key, (_, line) in s.keys.items()]
-    if unread:
-        line, what = min(unread)
-        raise ValidationError(f"line {line}: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +351,15 @@ class ManifestRecord:
 
 @dataclass(frozen=True)
 class Manifest:
-    """A dataset: per-image records plus global defaults.
+    """A dataset: per-image records, their landmark count and the working grid.
 
     Record paths are stored resolved; in the file they are relative to the
     manifest's own directory, so corpus directories are relocatable.
     """
 
     records: tuple[ManifestRecord, ...]
-    landmark_count: int = 11
-    working_size: PixelFrame = PixelFrame(512, 512)
+    landmark_count: int
+    working_size: PixelFrame
 
     def __post_init__(self):
         object.__setattr__(self, "landmark_count",
@@ -414,32 +400,26 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
 
 @_reader
 def read_manifest(path: str | Path) -> Manifest:
-    """Parse a manifest; a file it names is opened only by the stage that reads it.
-    ``landmark_count`` and ``working_size`` are required, and a line that
-    sets anything else is refused first, by its number."""
+    """Parse a manifest, UTF-8 text; a file it names is opened only by the
+    stage that reads it. ``landmark_count``, ``working_size`` and
+    ``[images]`` are required, and a line that sets anything else is
+    refused first, by its number."""
     path = Path(path)
-    sections = _parse_sections(path.read_text(), table="images")
-    root = sections[""]
-    count, size = _take(root, "landmark_count", None), _take(root, "working_size", None)
-    if "images" not in sections:
-        raise ValidationError("missing [images] section")
+    sections = _parse_sections(path.read_text(encoding="utf-8"),
+                               {"": ("landmark_count", "working_size"), "images": None})
     base = path.parent
     records = []
-    for row in sections["images"].rows:
+    for row in sections["images"]:
         if len(row) != 3:
             raise ValidationError(f"image row needs image_path, landmarks_path, spacing, got {row}")
         records.append(ManifestRecord((base / row[0]).resolve(), (base / row[1]).resolve(),
                                       _positive_finite("spacing", float(row[2]))))
-    _refuse_unread(sections, ("images",))
-    for key, value in (("landmark_count", count), ("working_size", size)):
-        if value is None:
-            raise ValidationError(f"missing key {key!r}")
-    size = size.split()
+    size = sections[""]["working_size"].split()
     if len(size) != 2:
         raise ValidationError("working_size needs two integers")
     return Manifest(
         records=tuple(records),
-        landmark_count=int(count),
+        landmark_count=int(sections[""]["landmark_count"]),
         working_size=PixelFrame(int(size[0]), int(size[1])),
     )
 

@@ -19,7 +19,7 @@ from .core import (GrayImage, LandmarkSet, PixelFrame, Rng, ValidationError, _fi
 from .evaluate import ComparisonReport, pck
 from .fusion import DecodeMethod, FusionConfig, fuse_batch
 from .heatmap import GaussianSpec, Heatmap, _render, _usable_sigma, decode_argmax
-from .io import _need, _parse_sections, _reader, _refuse_unread, _take
+from .io import _parse_sections, _reader
 from .preprocess import _round_u8
 
 
@@ -321,50 +321,56 @@ def noiseless_config(images: int = 10) -> TrialConfig:
 # simulation configs
 # ---------------------------------------------------------------------------
 
+_SIM_KEYS = {
+    "phantom": ("landmarks", "grid", "spacing_mm_per_px", "chain_spacing_px", "wobble_px"),
+    "coords_model": ("noise_sigma_px", "outlier_rate", "outlier_sigma_px"),
+    "heatmap_model": ("peak_jitter_sigma_px", "heatmap_sigma_px", "adjacent_confusion_prob",
+                      "spurious_amplitude"),
+    "fusion": ("prior_sigma_px", "floor_epsilon", "decode"),
+    "run": ("images", "threshold_mm"),
+}
+
+
 @_reader
 def read_sim_config(path: str | Path) -> TrialConfig:
-    sections = _parse_sections(Path(path).read_text())
-    names = ("phantom", "coords_model", "heatmap_model", "fusion", "run")
-    for name in names:
-        if name not in sections:
-            raise ValidationError(f"missing [{name}] section")
-    ph, cm, hm, fu, run = (sections[name] for name in names)
-    grid = _need(ph, "grid").split()
+    sections = _parse_sections(Path(path).read_text(encoding="utf-8"), _SIM_KEYS,
+                               optional=("outlier_rate", "outlier_sigma_px", "floor_epsilon",
+                                         "decode"))
+    ph, cm, hm, fu, run = (sections[name] for name in _SIM_KEYS)
+    grid = ph["grid"].split()
     if len(grid) != 2:
         raise ValidationError("grid needs two integers")
-    amp = _need(hm, "spurious_amplitude").split()
+    amp = hm["spurious_amplitude"].split()
     if len(amp) != 2:
         raise ValidationError("spurious_amplitude needs two values")
-    sigma_parts = _need(fu, "prior_sigma_px").split()
+    sigma_parts = fu["prior_sigma_px"].split()
     prior_sigma = (float(sigma_parts[0]) if len(sigma_parts) == 1
                    else tuple(float(s) for s in sigma_parts))
-    config = TrialConfig(
+    return TrialConfig(
         phantom=PhantomConfig(
-            landmarks=int(_need(ph, "landmarks")),
+            landmarks=int(ph["landmarks"]),
             width=int(grid[0]),
             height=int(grid[1]),
-            spacing_mm_per_px=float(_need(ph, "spacing_mm_per_px")),
-            chain_spacing_px=float(_need(ph, "chain_spacing_px")),
-            wobble_px=float(_need(ph, "wobble_px")),
+            spacing_mm_per_px=float(ph["spacing_mm_per_px"]),
+            chain_spacing_px=float(ph["chain_spacing_px"]),
+            wobble_px=float(ph["wobble_px"]),
         ),
         coords=CoordPredictorModel(
-            noise_sigma=float(_need(cm, "noise_sigma_px")),
-            outlier_rate=float(_take(cm, "outlier_rate", CoordPredictorModel.outlier_rate)),
-            outlier_sigma=float(_take(cm, "outlier_sigma_px", CoordPredictorModel.outlier_sigma)),
+            noise_sigma=float(cm["noise_sigma_px"]),
+            outlier_rate=float(cm.get("outlier_rate", CoordPredictorModel.outlier_rate)),
+            outlier_sigma=float(cm.get("outlier_sigma_px", CoordPredictorModel.outlier_sigma)),
         ),
         heatmaps=HeatmapPredictorModel(
-            peak_jitter_sigma=float(_need(hm, "peak_jitter_sigma_px")),
-            heatmap_sigma=float(_need(hm, "heatmap_sigma_px")),
-            adjacent_confusion_prob=float(_need(hm, "adjacent_confusion_prob")),
+            peak_jitter_sigma=float(hm["peak_jitter_sigma_px"]),
+            heatmap_sigma=float(hm["heatmap_sigma_px"]),
+            adjacent_confusion_prob=float(hm["adjacent_confusion_prob"]),
             spurious_amplitude=(float(amp[0]), float(amp[1])),
         ),
         fusion=FusionConfig(
             prior_sigma=prior_sigma,
-            floor_epsilon=float(_take(fu, "floor_epsilon", FusionConfig.floor_epsilon)),
-            decode=DecodeMethod(_take(fu, "decode", FusionConfig.decode)),
+            floor_epsilon=float(fu.get("floor_epsilon", FusionConfig.floor_epsilon)),
+            decode=DecodeMethod(fu.get("decode", FusionConfig.decode)),
         ),
-        threshold_mm=float(_need(run, "threshold_mm")),
-        images=int(_need(run, "images")),
+        threshold_mm=float(run["threshold_mm"]),
+        images=int(run["images"]),
     )
-    _refuse_unread(sections, names)
-    return config

@@ -49,7 +49,8 @@ def write_eval_fixture(root, n_images, n_landmarks, miss_count, spacing=0.5):
         io.write_landmarks(pred_dir / f"case_{i:03d}.txt", LandmarkSet(pred, frame))
         records.append(io.ManifestRecord(img_path, gt_dir / f"case_{i:03d}.txt", spacing))
     manifest = gt_dir / "manifest.txt"
-    io.write_manifest(manifest, io.Manifest(tuple(records), landmark_count=n_landmarks))
+    io.write_manifest(manifest, io.Manifest(tuple(records), landmark_count=n_landmarks,
+                                            working_size=frame))
     return manifest, pred_dir
 
 

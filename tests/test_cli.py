@@ -87,7 +87,8 @@ class TestPhantom:
 class TestEqualize:
     def test_empty_manifest_succeeds(self, tmp_path):
         src = tmp_path / "manifest.txt"
-        io.write_manifest(src, io.Manifest(records=()))
+        io.write_manifest(src, io.Manifest(records=(), landmark_count=11,
+                                           working_size=PixelFrame(512, 512)))
         assert run("equalize", "--manifest", src, "--out-dir", tmp_path / "eq") == EXIT_OK
 
     def test_processes_images(self, tmp_path):
@@ -509,7 +510,8 @@ class TestEval:
 
     def test_empty_manifest_is_validation_error(self, tmp_path, capsys):
         src = tmp_path / "manifest.txt"
-        io.write_manifest(src, io.Manifest(records=()))
+        io.write_manifest(src, io.Manifest(records=(), landmark_count=11,
+                                           working_size=PixelFrame(512, 512)))
         pred_dir = tmp_path / "preds"
         pred_dir.mkdir()
         assert run("eval", "--manifest", src, "--pred-dir", pred_dir) == EXIT_VALIDATION

@@ -333,7 +333,7 @@ SETTINGS = {
     "wobble": (lambda v: PhantomConfig(wobble_px=v), NUMBER),
     "trial-threshold": (lambda v: replace(TRIAL, threshold_mm=v), NUMBER),
     "trial-images": (lambda v: replace(TRIAL, images=v), COUNT),
-    "manifest-landmark-count": (lambda v: io.Manifest((), v), COUNT),
+    "manifest-landmark-count": (lambda v: io.Manifest((), v, PixelFrame(4, 4)), COUNT),
     "manifest-working-size": (lambda v: io.Manifest((), 1, v), PAIR),
     **_range_settings(HeatmapPredictorModel, "spurious_amplitude", 1e-6, 1e6),
     **_range_settings(AugmentationRanges, "tx", -1e6, 1e6),

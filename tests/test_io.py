@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -731,7 +732,8 @@ class TestManifests:
         sub = tmp_path / "nested"
         sub.mkdir()
         path = sub / "manifest.txt"
-        io.write_manifest(path, io.Manifest(records, landmark_count=1))
+        io.write_manifest(path, io.Manifest(records, landmark_count=1,
+                                            working_size=PixelFrame(4, 4)))
         back = io.read_manifest(path)
         assert back.records[0].image_path.is_file()
 
@@ -758,19 +760,34 @@ class TestManifests:
     def test_a_line_that_is_not_read_is_refused_by_its_number(self, tmp_path, old, new,
                                                               message):
         path = tmp_path / "manifest.txt"
-        io.write_manifest(path, io.Manifest(self._corpus(tmp_path, n=1), landmark_count=1))
+        io.write_manifest(path, io.Manifest(self._corpus(tmp_path, n=1), landmark_count=1,
+                                            working_size=PixelFrame(4, 4)))
         text = path.read_text()
         assert old in text
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             io.read_manifest(path)
 
+    # the header states both required keys, so the row reaches its spacing
     def test_bad_spacing(self, tmp_path):
         records = self._corpus(tmp_path, n=1)
         path = tmp_path / "manifest.txt"
         rel = records[0].image_path.name
-        path.write_text(f"[images]\n{rel}, {records[0].landmarks_path.name}, -1\n")
-        with pytest.raises(ValidationError, match="spacing"):
+        path.write_text(f"landmark_count = 1\nworking_size = 4 4\n"
+                        f"[images]\n{rel}, {records[0].landmarks_path.name}, -1\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: spacing must be "
+                                                  f"positive and finite, got -1.0$"):
+            io.read_manifest(path)
+
+    # a line the reader does not accept is refused before any value is read,
+    # so of two faults the earlier line wins
+    def test_an_unknown_key_is_refused_before_a_bad_value(self, tmp_path):
+        records = self._corpus(tmp_path, n=1)
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"landmark_cout = 1\nworking_size = 4 4\n[images]\n"
+                        f"{records[0].image_path.name}, {records[0].landmarks_path.name}, half\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 1: unknown key "
+                                                  f"'landmark_cout'$"):
             io.read_manifest(path)
 
     # each header states both required keys, so each row reaches its own fault
@@ -802,7 +819,8 @@ class TestManifests:
                                              rec.landmarks_path.rename(tmp_path / f"{stem}.txt"),
                                              0.5))
         path = tmp_path / "manifest.txt"
-        io.write_manifest(path, io.Manifest(tuple(records), landmark_count=1))
+        io.write_manifest(path, io.Manifest(tuple(records), landmark_count=1,
+                                            working_size=PixelFrame(4, 4)))
         assert io.read_manifest(path).records == tuple(records)
 
     @pytest.mark.parametrize("name", ["#1.pgm", "a,b.pgm", "a\nb.pgm", "a\rb.pgm", " a.pgm",
@@ -811,7 +829,8 @@ class TestManifests:
         record = io.ManifestRecord(tmp_path / name, tmp_path / "a.txt", 0.5)
         path = tmp_path / "manifest.txt"
         with pytest.raises(ValidationError, match=re.escape(repr(str(tmp_path / name)))):
-            io.write_manifest(path, io.Manifest((record,), landmark_count=1))
+            io.write_manifest(path, io.Manifest((record,), landmark_count=1,
+                                                working_size=PixelFrame(4, 4)))
         assert not path.exists()
 
     # every writer states the grid and the count, so a manifest without
@@ -820,7 +839,8 @@ class TestManifests:
     @pytest.mark.parametrize("key", ["landmark_count", "working_size"])
     def test_a_manifest_without_its_grid_or_count_is_refused(self, tmp_path, key):
         path = tmp_path / "manifest.txt"
-        io.write_manifest(path, io.Manifest(self._corpus(tmp_path, n=1), landmark_count=1))
+        io.write_manifest(path, io.Manifest(self._corpus(tmp_path, n=1), landmark_count=1,
+                                            working_size=PixelFrame(4, 4)))
         text = "".join(line for line in path.read_text().splitlines(keepends=True)
                        if not line.startswith(key))
         path.write_text(text)
@@ -881,7 +901,11 @@ class TestSimConfig:
         ("[run]\n", "[run]\n1, 2, 3\n", "line 22: expected 'key = value', got '1, 2, 3'"),
         ("# spinefuse sim config v1\n", "# spinefuse sim config v1\nseed = 3\n",
          "line 2: unknown key 'seed'"),
-    ], ids=["misspelt-key", "repeated-key", "unknown-section", "table-row", "key-before-sections"])
+        # a misspelt required key or section is named by its line, not reported as missing
+        ("noise_sigma_px = ", "noise_sigma_pxx = ", "line 9: unknown key 'noise_sigma_pxx'"),
+        ("[phantom]", "[phantomm]", "line 2: unknown section [phantomm]"),
+    ], ids=["misspelt-key", "repeated-key", "unknown-section", "table-row", "key-before-sections",
+            "misspelt-required-key", "misspelt-section"])
     def test_a_line_that_is_not_read_is_refused_by_its_number(self, tmp_path, old, new, message):
         path = _sim_config(tmp_path, 2, old, new)
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
@@ -890,8 +914,34 @@ class TestSimConfig:
     def test_missing_section(self, tmp_path):
         path = tmp_path / "sim.txt"
         path.write_text("[phantom]\nlandmarks = 11\n")
-        with pytest.raises(ValidationError, match="missing"):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: missing \\[coords_model\\] section$"):
             read_sim_config(path)
+
+
+# both formats are UTF-8 text, whatever the locale's encoding: under the C
+# locale with neither coercion nor UTF-8 mode, a comment holding 'σ' reads
+# as the file without it does
+@pytest.mark.parametrize("reader", ["read_sim_config", "read_manifest"])
+def test_a_file_is_read_as_utf8_whatever_the_locale(tmp_path, reader):
+    if reader == "read_manifest":
+        path, module = tmp_path / "manifest.txt", "spinefuse.io"
+        io.write_manifest(path, io.Manifest(
+            (io.ManifestRecord(tmp_path / "a.pgm", tmp_path / "a.txt", 0.5),), 1, PixelFrame(4, 4)))
+        plain = io.read_manifest(path)
+    else:
+        path, module = _sim_config(tmp_path, 2), "spinefuse.simulate"
+        plain = read_sim_config(path)
+    path.write_text(f"# prior width \u03c3 in px\n{path.read_text()}", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(io.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    code = (f"import sys\nfrom {module} import {reader}\n"
+            f"print(repr({reader}(sys.argv[1])))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                         text=True, encoding="utf-8")
+    assert out.stderr == ""
+    assert out.stdout == f"{plain!r}\n"
 
 
 class TestAtomicWrite:
