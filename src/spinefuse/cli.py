@@ -3,15 +3,20 @@ fusion, decoding, evaluation, and the simulator.
 
 Exit codes: 0 success, 2 usage, 3 I/O error, 4 validation error, 5 internal
 error. All randomness flows from ``--seed``; re-running any command with the
-same inputs and seed reproduces its outputs byte for byte.
+same inputs and seed reproduces its outputs byte for byte. ``--jobs N`` runs a
+batch's items on N processes, this one and N - 1 forked workers (serially
+where ``os.fork`` is missing), with the same outputs for any N; a worker that
+dies fails each of its items as an internal error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import pickle
+import signal
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +46,75 @@ EXIT_INTERNAL = 5
 
 
 def _run_jobs(fn, items, jobs: int):
-    """Apply fn to each item, optionally in threads; results keep input order
-    and per-item exceptions are captured instead of aborting the batch."""
+    """Apply fn to each item; results keep input order as (result, exception)
+    pairs, and per-item exceptions are captured instead of aborting the batch.
+
+    With w = min(jobs, len(items)) > 1 and os.fork, items run on w processes:
+    w - 1 workers are forked before any item runs, worker k takes items k,
+    k + w, ... and sends its pairs back through a pipe as one pickle, and this
+    process runs items 0, w, 2w, .... A worker that exits without sending
+    (a crash, a signal) fails each of its items with a RuntimeError naming
+    how it ended. No worker outlives the call: one still running when this
+    process raises is killed, and every worker is reaped."""
     def guarded(item):
         try:
             return fn(item), None
         except Exception as exc:  # collected per file
             return None, exc
 
-    if jobs <= 1 or len(items) <= 1:
+    w = min(jobs, len(items))
+    if w <= 1 or not hasattr(os, "fork"):
         return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(guarded, items))
+    workers = []  # (pid, read end of its pipe), each until reaped
+    try:
+        for k in range(1, w):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: it leaves here, whatever happens
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump([(result, None if exc is None else _portable(exc))
+                                     for result, exc in map(guarded, items[k::w])], pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            workers.append((pid, open(read_end, "rb")))
+        results = [None] * len(items)
+        results[::w] = [guarded(item) for item in items[::w]]
+        for k, (pid, pipe) in enumerate(list(workers), 1):
+            data = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.remove((pid, pipe))
+            if code == 0:
+                results[k::w] = pickle.loads(data)
+            else:
+                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+                lost = RuntimeError(f"worker process {how} before it sent its items")
+                results[k::w] = [(None, lost)] * len(results[k::w])
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc as a worker sends it. A traceback does not pickle, so the formatted
+    one goes along as text, which _report prints; an exception that does not
+    survive pickling goes as a RuntimeError naming its type and message."""
+    text = "".join(traceback.format_exception(exc))
+    try:
+        exc._traceback_text = text
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        exc._traceback_text = text
+    return exc
 
 
 def _report(exc: Exception, path: Path | None = None) -> int:
@@ -66,7 +128,9 @@ def _report(exc: Exception, path: Path | None = None) -> int:
     elif isinstance(exc, ValidationError):
         code, msg = EXIT_VALIDATION, str(exc)  # a reader's message starts with name
     else:
-        traceback.print_exception(exc)
+        # a worker's exception brings its traceback as text (_portable)
+        sys.stderr.write(getattr(exc, "_traceback_text", None)
+                         or "".join(traceback.format_exception(exc)))
         code, msg = EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
     if path is not None and name is None:
         msg = f"{path}: {msg}"
@@ -401,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--seed", "phantom augment simulate",
          dict(default=0, help="master random seed", type=_flag(lambda raw: Rng(int(raw)).seed))),
         ("--jobs", "equalize augment gen-heatmaps fuse decode",
-         dict(default=1, help="parallel workers for file batches",
+         dict(default=1, help="processes for file batches",
               type=_flag(lambda raw: _positive_finite("jobs", int(raw))))),
     ]:
         for name in readers.split():

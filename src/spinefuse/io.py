@@ -400,12 +400,12 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
 
 @_reader
 def read_manifest(path: str | Path) -> Manifest:
-    """Parse a manifest, UTF-8 text; a file it names is opened only by the
-    stage that reads it. ``landmark_count``, ``working_size`` and
-    ``[images]`` are required, and a line that sets anything else is
-    refused first, by its number."""
+    """Parse a manifest, UTF-8 text after an optional byte-order mark; a
+    file it names is opened only by the stage that reads it.
+    ``landmark_count``, ``working_size`` and ``[images]`` are required, and
+    a line that sets anything else is refused first, by its number."""
     path = Path(path)
-    sections = _parse_sections(path.read_text(encoding="utf-8"),
+    sections = _parse_sections(path.read_text(encoding="utf-8-sig"),
                                {"": ("landmark_count", "working_size"), "images": None})
     base = path.parent
     records = []

@@ -333,7 +333,7 @@ _SIM_KEYS = {
 
 @_reader
 def read_sim_config(path: str | Path) -> TrialConfig:
-    sections = _parse_sections(Path(path).read_text(encoding="utf-8"), _SIM_KEYS,
+    sections = _parse_sections(Path(path).read_text(encoding="utf-8-sig"), _SIM_KEYS,
                                optional=("outlier_rate", "outlier_sigma_px", "floor_epsilon",
                                          "decode"))
     ph, cm, hm, fu, run = (sections[name] for name in _SIM_KEYS)

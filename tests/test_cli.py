@@ -2,6 +2,7 @@ import errno
 import hashlib
 import os
 import shlex
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,15 @@ GRID = PixelFrame(128, 128)
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def reaped():
+    """After the test, this process has no child left: every --jobs worker
+    was reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_corpus(tmp_path, count=2, seed=7):
@@ -340,9 +350,11 @@ class TestFuse:
                    "--out-dir", tmp_path / "f") == EXIT_OK
         assert configs == [FusionConfig()]
 
-    def test_batch_exits_with_first_failure_class(self, tmp_path, capsys):
-        # stack a fails validation, stack b then fails on I/O; a comes first
-        manifest_path = make_corpus(tmp_path)
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_batch_exits_with_first_failure_class(self, tmp_path, capsys, reaped, jobs):
+        # stack a fails validation, stack b then fails on I/O; a comes first,
+        # and the third stack fuses; at --jobs 2 and 3 b is a worker's item
+        manifest_path = make_corpus(tmp_path, count=3)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
         stacks = sorted(hm_dir.glob("*.hmap"))
@@ -351,10 +363,15 @@ class TestFuse:
         coords_dir = tmp_path / "coords"
         coords_dir.mkdir()
         io.write_landmarks(coords_dir / "a.txt", LandmarkSet(np.array([[5.0, 5.0]]), GRID))
+        (coords_dir / "phantom_002.txt").write_bytes(
+            (manifest_path.parent / "phantom_002.txt").read_bytes())
+        capsys.readouterr()
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
-                   "--out-dir", tmp_path / "f") == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "a.txt" in err and "b.txt" in err
+                   "--out-dir", tmp_path / "f", "--jobs", jobs) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {coords_dir / 'a.txt'}: 1 landmarks, expected 11",
+            f"error: {coords_dir / 'b.txt'}: [Errno 2] No such file or directory"]
+        assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["phantom_002.txt"]
 
     @pytest.mark.parametrize("widths", [2, 12])
     def test_another_count_of_prior_sigmas_fails_each_stack_once(self, tmp_path, capsys,
@@ -719,12 +736,13 @@ def _report_into_missing_directory(tmp_path):
              "--out", out], out, errno.ENOENT)
 
 
-def _missing_image(tmp_path):
-    manifest_path = make_corpus(tmp_path)
-    image = io.read_manifest(manifest_path).records[0].image_path
+def _missing_image(tmp_path, jobs=1):
+    # item 1 of 3: a worker's at --jobs 2 and 3
+    manifest_path = make_corpus(tmp_path, count=3)
+    image = io.read_manifest(manifest_path).records[1].image_path
     image.unlink()
-    return (["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq"], image,
-            errno.ENOENT)
+    return (["equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq",
+             "--jobs", jobs], image, errno.ENOENT)
 
 
 def _missing_ground_truth(tmp_path):
@@ -855,30 +873,106 @@ class TestMalformedInput:
                                       _report_onto_directory, _missing_manifest,
                                       _simulate_into_missing_directory,
                                       _report_into_missing_directory, _missing_image,
-                                      _missing_ground_truth],
+                                      _missing_ground_truth,
+                                      lambda t: _missing_image(t, jobs=2),
+                                      lambda t: _missing_image(t, jobs=3)],
                              ids=["fuse-coords", "decode-directory", "eval-prediction",
                                   "eval-out-directory", "eval-manifest",
                                   "simulate-out-missing-directory",
                                   "eval-out-missing-directory", "equalize-image",
-                                  "eval-ground-truth"])
-    def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, case):
+                                  "eval-ground-truth", "equalize-image-jobs2",
+                                  "equalize-image-jobs3"])
+    def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, reaped, case):
         argv, bad, code = case(tmp_path)
         capsys.readouterr()
         assert run(*argv) == EXIT_IO
         assert capsys.readouterr().err == f"error: {bad}: [Errno {code}] {os.strerror(code)}\n"
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch):
-        manifest_path = make_corpus(tmp_path, count=1)
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch,
+                                                         reaped, jobs):
+        manifest_path = make_corpus(tmp_path, count=3)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
 
-        def broken(hm):
+        def broken_decoder(hm):
             raise IndexError("broken decoder")
-        monkeypatch.setattr(cli, "decode_argmax", broken)
-        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d") == EXIT_INTERNAL
+        monkeypatch.setattr(cli, "decode_argmax", broken_decoder)
+        capsys.readouterr()
+        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d",
+                   "--jobs", jobs) == EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert "IndexError" in next(ln for ln in err.splitlines() if ln.startswith("error:"))
+        # each item's traceback, from the worker that ran it, then its line
+        assert err.count("Traceback") == 3
+        assert err.count("in broken_decoder") == 3
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: {stack}: IndexError: broken decoder" for stack in sorted(hm_dir.iterdir())]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_worker_that_dies_fails_each_of_its_items(self, tmp_path, capsys, monkeypatch,
+                                                        reaped, jobs):
+        manifest_path = make_corpus(tmp_path, count=4)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        parent, decode_argmax = os.getpid(), cli.decode_argmax
+
+        def dies_in_a_worker(hm):
+            if os.getpid() != parent:
+                os._exit(9)
+            return decode_argmax(hm)
+        monkeypatch.setattr(cli, "decode_argmax", dies_in_a_worker)
+        capsys.readouterr()
+        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d",
+                   "--jobs", jobs) == EXIT_INTERNAL
+        # this process runs items 0, jobs, ...; the workers hold the rest
+        stacks = sorted(hm_dir.iterdir())
+        mine = stacks[::jobs]
+        lost = "RuntimeError: worker process exited with status 9 before it sent its items"
+        assert [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")] == [
+            f"error: {stack}: {lost}" for stack in stacks if stack not in mine]
+        assert sorted((tmp_path / "d").iterdir()) == [
+            tmp_path / "d" / f"{stack.stem}.txt" for stack in mine]
+
+    def test_an_exception_that_does_not_pickle_names_its_type(self, tmp_path, capsys,
+                                                               monkeypatch, reaped):
+        manifest_path = make_corpus(tmp_path, count=2)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+
+        class TwoPartError(Exception):
+            def __init__(self, head, tail):
+                super().__init__(f"{head} {tail}")
+
+        def broken(hm):
+            raise TwoPartError("broken", "decoder")
+        monkeypatch.setattr(cli, "decode_argmax", broken)
+        capsys.readouterr()
+        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d",
+                   "--jobs", 2) == EXIT_INTERNAL
+        # the class, local to this test, does not unpickle: the worker's item
+        # arrives as a RuntimeError that names it
+        first, second = sorted(hm_dir.iterdir())
+        assert [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")] == [
+            f"error: {first}: TwoPartError: broken decoder",
+            f"error: {second}: RuntimeError: TwoPartError: broken decoder"]
+
+    def test_an_interrupt_kills_the_workers(self, tmp_path, monkeypatch, reaped):
+        manifest_path = make_corpus(tmp_path, count=2)
+        hm_dir = tmp_path / "hm"
+        assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
+        parent = os.getpid()
+
+        def interrupted(hm):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(20)  # the worker outlasts the bound below unless killed
+            os._exit(0)
+        monkeypatch.setattr(cli, "decode_argmax", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d", "--jobs", 2)
+        assert time.perf_counter() - start < 10
 
     def test_internal_error_in_a_command_prints_an_error_line(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -905,7 +999,7 @@ class TestMalformedInput:
 
 
 class TestJobsFlag:
-    def test_parallel_equalize_matches_serial(self, tmp_path):
+    def test_parallel_equalize_matches_serial(self, tmp_path, reaped):
         manifest = make_corpus(tmp_path, count=4)
         assert run("equalize", "--manifest", manifest, "--out-dir", tmp_path / "s") == EXIT_OK
         assert run("equalize", "--manifest", manifest, "--out-dir", tmp_path / "p",
@@ -915,11 +1009,12 @@ class TestJobsFlag:
                 continue
             assert f.read_bytes() == (tmp_path / "p" / f.name).read_bytes()
 
-    def test_the_whole_chain_writes_the_same_bytes_at_any_jobs(self, tmp_path):
+    def test_the_whole_chain_writes_the_same_bytes_at_any_jobs(self, tmp_path, reaped):
         # phantom, then every --jobs stage; manifests hold relative paths, so
-        # two trees built under different roots compare file for file
+        # trees built under different roots compare file for file. At --jobs 3
+        # the 4 items split unevenly, and equalize's 2 are fewer than the jobs
         trees = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             root = tmp_path / f"jobs{jobs}"
             manifest = make_corpus(root, count=2)
             for step in [
@@ -938,11 +1033,12 @@ class TestJobsFlag:
                 assert run(*step, "--jobs", jobs) == EXIT_OK
             trees.append({p.relative_to(root): p.read_bytes()
                           for p in sorted(root.rglob("*")) if p.is_file()})
-        serial, parallel = trees
-        assert sorted(serial) == sorted(parallel)
+        serial = trees[0]
         assert len([p for p in serial if p.name.endswith(".fused.hmap")]) == 4
-        for path, data in serial.items():
-            assert data == parallel[path], path
+        for parallel in trees[1:]:
+            assert sorted(serial) == sorted(parallel)
+            for path, data in serial.items():
+                assert data == parallel[path], path
 
 
 _PATH_FLAGS = {"--manifest", "--heatmaps-dir", "--coords-dir", "--out-dir", "--pred-dir"}

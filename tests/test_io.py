@@ -944,6 +944,21 @@ def test_a_file_is_read_as_utf8_whatever_the_locale(tmp_path, reader):
     assert out.stdout == f"{plain!r}\n"
 
 
+# a file that starts with a UTF-8 byte-order mark, as some editors save
+# one, reads as the file without it
+@pytest.mark.parametrize("reader", ["read_sim_config", "read_manifest"])
+def test_a_byte_order_mark_is_skipped(tmp_path, reader):
+    if reader == "read_manifest":
+        path, read = tmp_path / "manifest.txt", io.read_manifest
+        io.write_manifest(path, io.Manifest(
+            (io.ManifestRecord(tmp_path / "a.pgm", tmp_path / "a.txt", 0.5),), 1, PixelFrame(4, 4)))
+    else:
+        path, read = _sim_config(tmp_path, 2), read_sim_config
+    marked = tmp_path / f"bom-{path.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read(marked) == read(path)
+
+
 class TestAtomicWrite:
     def test_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.bin"
