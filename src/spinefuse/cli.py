@@ -4,9 +4,10 @@ fusion, decoding, evaluation, and the simulator.
 Exit codes: 0 success, 2 usage, 3 I/O error, 4 validation error, 5 internal
 error. All randomness flows from ``--seed``; re-running any command with the
 same inputs and seed reproduces its outputs byte for byte. ``--jobs N`` runs a
-batch's items on N processes, this one and N - 1 forked workers (serially
-where ``os.fork`` is missing), with the same outputs for any N; a worker that
-dies fails each of its items as an internal error.
+batch's items on at most N processes, this one and forked workers, and never
+on more than the items or the CPUs this process may use; a share whose worker
+cannot be started runs in this process, and the outputs are byte-identical
+for any N. A worker that dies fails each of its items as an internal error.
 """
 from __future__ import annotations
 
@@ -45,35 +46,54 @@ EXIT_VALIDATION = 4
 EXIT_INTERNAL = 5
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count, and 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_jobs(fn, items, jobs: int):
     """Apply fn to each item; results keep input order as (result, exception)
     pairs, and per-item exceptions are captured instead of aborting the batch.
 
-    With w = min(jobs, len(items)) > 1 and os.fork, items run on w processes:
-    w - 1 workers are forked before any item runs, worker k takes items k,
-    k + w, ... and sends its pairs back through a pipe as one pickle, and this
-    process runs items 0, w, 2w, .... A worker that exits without sending
-    (a crash, a signal) fails each of its items with a RuntimeError naming
-    how it ended. No worker outlives the call: one still running when this
-    process raises is killed, and every worker is reaped."""
+    Items split into w = min(jobs, len(items), _usable_cpus()) shares, item i
+    to share i % w. Shares 1 .. w - 1 each get a worker, forked before any item
+    runs, which sends its share's pairs back through a pipe as one pickle. If
+    a pipe or a fork fails, forking stops, and this process runs share 0 and
+    every share that got no worker, so the outputs are those of any other w.
+    A worker that exits without sending (a crash, a signal) fails each of its
+    items with a RuntimeError naming how it ended. No worker outlives the call:
+    one still running when this process raises is killed, and every worker is
+    reaped."""
     def guarded(item):
         try:
             return fn(item), None
         except Exception as exc:  # collected per file
             return None, exc
 
-    w = min(jobs, len(items))
-    if w <= 1 or not hasattr(os, "fork"):
-        return [guarded(item) for item in items]
-    workers = []  # (pid, read end of its pipe), each until reaped
+    w = min(jobs, len(items), _usable_cpus())
+    results = [None] * len(items)
+    workers = {}  # share -> (pid, read end of its pipe), each until reaped
     try:
         for k in range(1, w):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
+            ends = ()
+            try:
+                ends = read_end, write_end = os.pipe()
+                pid = os.fork()
+            except OSError:  # out of descriptors or processes: run the rest here
+                for fd in ends:
+                    os.close(fd)
+                break
             if pid == 0:  # the worker: it leaves here, whatever happens
                 status = 1
                 try:
                     os.close(read_end)
+                    for _, pipe in workers.values():  # the earlier workers' ends
+                        pipe.close()
                     with open(write_end, "wb") as pipe:
                         pickle.dump([(result, None if exc is None else _portable(exc))
                                      for result, exc in map(guarded, items[k::w])], pipe)
@@ -81,14 +101,15 @@ def _run_jobs(fn, items, jobs: int):
                 finally:
                     os._exit(status)
             os.close(write_end)
-            workers.append((pid, open(read_end, "rb")))
-        results = [None] * len(items)
-        results[::w] = [guarded(item) for item in items[::w]]
-        for k, (pid, pipe) in enumerate(list(workers), 1):
+            workers[k] = pid, open(read_end, "rb")
+        for k in range(w):
+            if k not in workers:
+                results[k::w] = [guarded(item) for item in items[k::w]]
+        for k, (pid, pipe) in list(workers.items()):
             data = pipe.read()
             pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.remove((pid, pipe))
+            del workers[k]
             if code == 0:
                 results[k::w] = pickle.loads(data)
             else:
@@ -97,7 +118,7 @@ def _run_jobs(fn, items, jobs: int):
                 results[k::w] = [(None, lost)] * len(results[k::w])
         return results
     finally:
-        for pid, pipe in workers:
+        for pid, pipe in workers.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

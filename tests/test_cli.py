@@ -2,6 +2,8 @@ import errno
 import hashlib
 import os
 import shlex
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +34,13 @@ def reaped():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpu_per_job(monkeypatch):
+    """--jobs N splits a batch N ways, or one way per item, whatever this
+    machine's CPU count: a worker's item runs in a worker on any runner."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
 
 
 def make_corpus(tmp_path, count=2, seed=7):
@@ -351,7 +360,8 @@ class TestFuse:
         assert configs == [FusionConfig()]
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_batch_exits_with_first_failure_class(self, tmp_path, capsys, reaped, jobs):
+    def test_batch_exits_with_first_failure_class(self, tmp_path, capsys, reaped, cpu_per_job,
+                                                  jobs):
         # stack a fails validation, stack b then fails on I/O; a comes first,
         # and the third stack fuses; at --jobs 2 and 3 b is a worker's item
         manifest_path = make_corpus(tmp_path, count=3)
@@ -882,7 +892,8 @@ class TestMalformedInput:
                                   "eval-out-missing-directory", "equalize-image",
                                   "eval-ground-truth", "equalize-image-jobs2",
                                   "equalize-image-jobs3"])
-    def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, reaped, case):
+    def test_io_error_line_starts_with_its_file(self, tmp_path, capsys, reaped, cpu_per_job,
+                                                case):
         argv, bad, code = case(tmp_path)
         capsys.readouterr()
         assert run(*argv) == EXIT_IO
@@ -891,7 +902,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch,
-                                                         reaped, jobs):
+                                                         reaped, cpu_per_job, jobs):
         manifest_path = make_corpus(tmp_path, count=3)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
@@ -911,7 +922,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_a_worker_that_dies_fails_each_of_its_items(self, tmp_path, capsys, monkeypatch,
-                                                        reaped, jobs):
+                                                        reaped, cpu_per_job, jobs):
         manifest_path = make_corpus(tmp_path, count=4)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
@@ -935,7 +946,7 @@ class TestMalformedInput:
             tmp_path / "d" / f"{stack.stem}.txt" for stack in mine]
 
     def test_an_exception_that_does_not_pickle_names_its_type(self, tmp_path, capsys,
-                                                               monkeypatch, reaped):
+                                                               monkeypatch, reaped, cpu_per_job):
         manifest_path = make_corpus(tmp_path, count=2)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
@@ -957,7 +968,7 @@ class TestMalformedInput:
             f"error: {first}: TwoPartError: broken decoder",
             f"error: {second}: RuntimeError: TwoPartError: broken decoder"]
 
-    def test_an_interrupt_kills_the_workers(self, tmp_path, monkeypatch, reaped):
+    def test_an_interrupt_kills_the_workers(self, tmp_path, monkeypatch, reaped, cpu_per_job):
         manifest_path = make_corpus(tmp_path, count=2)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
@@ -999,7 +1010,7 @@ class TestMalformedInput:
 
 
 class TestJobsFlag:
-    def test_parallel_equalize_matches_serial(self, tmp_path, reaped):
+    def test_parallel_equalize_matches_serial(self, tmp_path, reaped, cpu_per_job):
         manifest = make_corpus(tmp_path, count=4)
         assert run("equalize", "--manifest", manifest, "--out-dir", tmp_path / "s") == EXIT_OK
         assert run("equalize", "--manifest", manifest, "--out-dir", tmp_path / "p",
@@ -1009,7 +1020,8 @@ class TestJobsFlag:
                 continue
             assert f.read_bytes() == (tmp_path / "p" / f.name).read_bytes()
 
-    def test_the_whole_chain_writes_the_same_bytes_at_any_jobs(self, tmp_path, reaped):
+    def test_the_whole_chain_writes_the_same_bytes_at_any_jobs(self, tmp_path, reaped,
+                                                                cpu_per_job):
         # phantom, then every --jobs stage; manifests hold relative paths, so
         # trees built under different roots compare file for file. At --jobs 3
         # the 4 items split unevenly, and equalize's 2 are fewer than the jobs
@@ -1039,6 +1051,72 @@ class TestJobsFlag:
             assert sorted(serial) == sorted(parallel)
             for path, data in serial.items():
                 assert data == parallel[path], path
+
+    def test_workers_are_capped_at_the_usable_cpus(self, tmp_path, monkeypatch, reaped):
+        manifest = make_corpus(tmp_path, count=12)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        assert run("gen-heatmaps", "--manifest", manifest, "--out-dir", tmp_path / "hm",
+                   "--jobs", 12) == EXIT_OK
+        assert len(forks) == 1
+        assert len(list((tmp_path / "hm").glob("*.hmap"))) == 12
+
+    def test_a_share_whose_fork_fails_runs_in_this_process(self, tmp_path, capsys, monkeypatch,
+                                                           reaped):
+        # three shares of 4 items; the second fork raises, so share 2, which
+        # holds the item whose image is missing, runs here: the --jobs 1
+        # files, error lines and exit code
+        manifest = make_corpus(tmp_path, count=4)
+        io.read_manifest(manifest).records[2].image_path.unlink()
+        gen = ("gen-heatmaps", "--manifest", manifest, "--out-dir")
+        capsys.readouterr()
+        serial = run(*gen, tmp_path / "serial"), capsys.readouterr().err
+        fork, forks = os.fork, []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert (run(*gen, tmp_path / "parallel", "--jobs", 3), capsys.readouterr().err) == serial
+        assert serial[0] == EXIT_IO and len(forks) == 2
+        assert _tree(tmp_path / "parallel") == _tree(tmp_path / "serial") != {}
+
+    def test_a_descriptor_limit_leaves_the_batch_whole(self, tmp_path, reaped):
+        # a child process limits its own descriptors to 14 and runs 12 items
+        # at --jobs 12 with 4 usable CPUs, whatever this machine has: the cap
+        # forks 3 workers, whose pipes leave this process's items enough
+        # descriptors; at 12 usable CPUs, 11 pipes would not
+        manifest = make_corpus(tmp_path, count=12)
+        assert run("gen-heatmaps", "--manifest", manifest,
+                   "--out-dir", tmp_path / "serial") == EXIT_OK
+        code = ("import resource, sys\n"
+                "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+                "resource.setrlimit(resource.RLIMIT_NOFILE, (14, hard))\n"
+                "from spinefuse import cli\n"
+                "cli._usable_cpus = lambda: 4\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, "gen-heatmaps", "--manifest", manifest,
+                              "--out-dir", tmp_path / "limited", "--jobs", "12"],
+                             env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (EXIT_OK, "")
+        assert _tree(tmp_path / "limited") == _tree(tmp_path / "serial")
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_usable_cpus_are_the_affinity_set_and_one_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert cli._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._usable_cpus() == 6
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert cli._usable_cpus() == 1
 
 
 _PATH_FLAGS = {"--manifest", "--heatmaps-dir", "--coords-dir", "--out-dir", "--pred-dir"}
