@@ -12,6 +12,7 @@ for any N. A worker that dies fails each of its items as an internal error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import pickle
@@ -142,8 +143,12 @@ def _report(exc: Exception, path: Path | None = None) -> int:
     """Print exc as one ``error:`` line and return its exit class. An internal
     error prints its traceback first and names its type. The line starts with
     the file the error names (a rename's target, else its ``filename``), once;
-    if it names none, with path, a batch item's file."""
+    if it names none, with path, a batch item's file. Running out of
+    descriptors (EMFILE, ENFILE) is this process's limit, not the named
+    file's, so that line names only path."""
     name = getattr(exc, "filename2", None) or getattr(exc, "filename", None)
+    if isinstance(exc, OSError) and exc.errno in (errno.EMFILE, errno.ENFILE):
+        name, exc = None, OSError(exc.errno, exc.strerror)
     if isinstance(exc, OSError):
         code, msg = EXIT_IO, f"{name}: [Errno {exc.errno}] {exc.strerror}" if name else str(exc)
     elif isinstance(exc, ValidationError):

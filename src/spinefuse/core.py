@@ -1,7 +1,8 @@
 """Shared domain types, validation, and deterministic randomness.
 
 All types are immutable after construction: numpy buffers are frozen with
-``writeable = False`` so instances can be shared freely across threads.
+``writeable = False``, since maps share blocks (the renderer's unit blocks
+are shared) and no holder may write what another reads.
 """
 from __future__ import annotations
 

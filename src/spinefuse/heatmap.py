@@ -186,56 +186,48 @@ def render_gaussian(spec: GaussianSpec, frame: PixelFrame) -> Heatmap:
 
 def _render(channels, frame: PixelFrame) -> list[Heatmap]:
     """One map per spec sequence of ``channels`` on the frame's grid: its
-    Gaussians, max-combined over the box spanning their nonzero blocks.
+    Gaussians, each computed only over its nonzero block, outside which it
+    is 0.
 
-    Each Gaussian is computed only over its nonzero block: outside it the
-    rendered Gaussian is 0, which max leaves as is. Each distinct (center,
-    sigma) of the batch belongs to one family, and every family's 1-D
-    factors are the exp of one _gaussian_exponents call. When every pixel
-    index x gives an exact x - c (a whole-numbered centre below 2**52),
-    each factor depends only on the offset from the centre and on sigma, so
-    the whole-numbered centres of one sigma that lie within a grid side of
-    each other, along each axis, form one family: the factors of their last
-    centre on a grid that reaches every one's pixels. Any other key is a
-    family of its own. A factor is exp of an exponent that falls as the
-    distance from the centre grows, so its nonzero entries form one run,
-    and a key's box is its family's nonzero extent, shifted by the key's
-    offset and clipped to the grid. A family's unit-peak block spans that extent; it is built
-    once, on its first use, and every key's block is a slice of it until
-    the family's last use. An amplitude scales a new array, so a shared
-    block is never written. A map of one block keeps that block; several
-    fill a zeroed array of their joined box, the first assigned and each
-    later one max-combined with it.
+    Sharing: the whole-numbered centres of one sigma that lie inside the
+    grid form one family, since x - c is exact for every pixel index x and
+    their blocks are slices of one unit block, the outer product of the
+    factors of their last centre on a grid that reaches every one's pixels.
+    Every other (center, sigma) is a family of its own. A family's unit
+    block is built on its first use and dropped after its last, and an
+    amplitude other than 1 scales a new array, so it is never written.
+
+    Combining: a map of one block keeps that block; a joined map
+    max-combines every block into the zeroed array of its joined box.
     """
     width, height = frame.width, frame.height
-    # each distinct (center, sigma) once: whole-numbered centres group by
-    # sigma, and any other key is alone
-    groups = {}
+    families = {}
     for key in dict.fromkeys((spec.center, spec.sigma) for specs in channels for spec in specs):
         (x, y), sigma = key
-        groups.setdefault(sigma if _whole(x) and _whole(y) else key, []).append(key)
+        shared = (0 <= x < width and 0 <= y < height
+                  and float(x).is_integer() and float(y).is_integer())
+        families.setdefault(sigma if shared else key, []).append(key)
     # pixel (r, c) of a key's Gaussian is element (r + oy, c + ox) of its
     # family's unit block, for (family, oy, ox, box) = place[key], kept for
-    # each key with a nonzero pixel in its box (r0, r1, c0, c1)
+    # each key with a nonzero pixel in its box (r0, r1, c0, c1); a factor's
+    # exponent falls with the distance from its centre, so its nonzero
+    # entries form one run
     place, factors = {}, []
-    for members in groups.values():
-        xs, ys = zip(*(center for center, _ in members))
-        split = max(xs) - min(xs) >= width or max(ys) - min(ys) >= height
-        for family in [[key] for key in members] if split else [members]:
-            xs, ys = zip(*(center for center, _ in family))
-            x1, y1 = max(xs), max(ys)
-            lx, ly = _gaussian_exponents((x1, y1), family[0][1], width + int(x1 - min(xs)),
-                                         height + int(y1 - min(ys)))
-            uy, ux = np.exp(ly, out=ly), np.exp(lx, out=lx)
-            a0, a1, b0, b1 = _box(uy > 0, ux > 0)
-            for key in family:
-                (x, y), _ = key
-                dy, dx = int(y1 - y), int(x1 - x)
-                r0, r1 = max(a0 - dy, 0), min(a1 - dy, height)
-                c0, c1 = max(b0 - dx, 0), min(b1 - dx, width)
-                if r1 > r0 and c1 > c0:
-                    place[key] = (len(factors), dy - a0, dx - b0, (r0, r1, c0, c1))
-            factors.append((uy[a0:a1], ux[b0:b1]))
+    for family in families.values():
+        xs, ys = zip(*(center for center, _ in family))
+        x1, y1 = max(xs), max(ys)
+        lx, ly = _gaussian_exponents((x1, y1), family[0][1], width + int(x1 - min(xs)),
+                                     height + int(y1 - min(ys)))
+        uy, ux = np.exp(ly, out=ly), np.exp(lx, out=lx)
+        a0, a1, b0, b1 = _box(uy > 0, ux > 0)
+        for key in family:
+            (x, y), _ = key
+            dy, dx = int(y1 - y), int(x1 - x)
+            r0, r1 = max(a0 - dy, 0), min(a1 - dy, height)
+            c0, c1 = max(b0 - dx, 0), min(b1 - dx, width)
+            if r1 > r0 and c1 > c0:
+                place[key] = (len(factors), dy - a0, dx - b0, (r0, r1, c0, c1))
+        factors.append((uy[a0:a1], ux[b0:b1]))
     # each channel's specs with a nonzero pixel, as (place, amplitude); a
     # family's unit block lives until the last of these uses
     placed = [[(place[key], spec.amplitude) for spec in specs
@@ -247,7 +239,7 @@ def _render(channels, frame: PixelFrame) -> list[Heatmap]:
         r0s, r1s, c0s, c1s = zip(*(box for (_, _, _, box), _ in specs)) if specs else ((0,),) * 4
         row0, col0 = min(r0s), min(c0s)
         joined = None if len(specs) == 1 else np.zeros((max(r1s) - row0, max(c1s) - col0))
-        for n, ((f, oy, ox, (r0, r1, c0, c1)), amplitude) in enumerate(specs):
+        for (f, oy, ox, (r0, r1, c0, c1)), amplitude in specs:
             unit = units.get(f)
             if unit is None:
                 unit = units[f] = np.outer(*factors[f])
@@ -258,22 +250,13 @@ def _render(channels, frame: PixelFrame) -> list[Heatmap]:
             block = block if amplitude == 1.0 else block * amplitude
             if joined is None:
                 joined = block
-                continue
-            part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
-            # every value is a non-negative product, never -0 or NaN, so the
-            # first block's max with the zeroed array is the block itself
-            if n:
-                np.maximum(part, block, out=part)
             else:
-                part[...] = block
+                # a block is a non-negative product, never -0 or NaN, so its
+                # max with the zeroed array is the block itself, bit for bit
+                part = joined[r0 - row0:r1 - row0, c0 - col0:c1 - col0]
+                np.maximum(part, block, out=part)
         stack.append(Heatmap(joined, _support=(row0, max(r1s), col0, max(c1s)), _frame=frame))
     return stack
-
-
-def _whole(v) -> bool:
-    """True for a whole number below 2**52 in magnitude: x - v is then
-    exact for every pixel index x."""
-    return abs(v) < 2.0 ** 52 and float(v).is_integer()
 
 
 def render_label_stack(lms: LandmarkSet, sigma: float) -> list[Heatmap]:

@@ -900,6 +900,33 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {bad}: [Errno {code}] {os.strerror(code)}\n"
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_descriptor_error_names_the_item_not_the_file_it_opened(self, tmp_path, capsys,
+                                                                     monkeypatch, reaped,
+                                                                     cpu_per_job, jobs):
+        # a lazily imported codec's open fails inside item 1, a worker's at
+        # --jobs 2; the limit is this process's, so the line names the item
+        manifest_path = make_corpus(tmp_path, count=3)
+        images = [rec.image_path for rec in io.read_manifest(manifest_path).records]
+        codec = str(Path(os.__file__).parent / "encodings" / "ascii.py")
+        read_pgm = io.read_pgm
+
+        def out_of_descriptors(path, *args):
+            if path == images[1]:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE), codec)
+            return read_pgm(path, *args)
+        monkeypatch.setattr(io, "read_pgm", out_of_descriptors)
+        capsys.readouterr()
+        assert run("equalize", "--manifest", manifest_path, "--out-dir", tmp_path / "eq",
+                   "--jobs", jobs) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"error: {images[1]}: [Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}\n"
+        assert codec not in err
+        written = io.read_manifest(tmp_path / "eq" / "manifest.txt").records
+        assert [rec.image_path.name for rec in written] == [images[0].name, images[2].name]
+        assert all(rec.image_path.exists() and rec.landmarks_path.exists() for rec in written)
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_internal_error_in_batch_item_exits_internal(self, tmp_path, capsys, monkeypatch,
                                                          reaped, cpu_per_job, jobs):

@@ -253,8 +253,8 @@ class TestBatchedRender:
         assert [hm._block.tobytes() for hm in got] == before
 
     def test_whole_numbered_centres_of_one_sigma_share_one_block(self):
-        # within a grid side of each other, so every block is a slice of
-        # one unit block; a fractional centre, or another sigma, gets its own
+        # inside the grid, so every block is a slice of one unit block; a
+        # fractional centre, or another sigma, gets its own
         pts = np.array([[10.0, 3.0], [30.0, 20.0], [0.0, 39.0], [17.5, 9.0]])
         labels = render_label_stack(LandmarkSet(pts, PixelFrame(40, 40)), 1.2)
         a, b, c, fractional = labels
@@ -265,21 +265,26 @@ class TestBatchedRender:
         for hm, (x, y) in zip(labels, pts):
             assert hm.values.tobytes() == dense_gaussian(GaussianSpec((x, y), 1.2),
                                                          40, 40).tobytes()
-        # two whole-numbered centres of one sigma more than a grid side apart
-        # get a block each: slices of one block a grid side apart hold no
-        # byte in common, but they lie within the bounds of that block
+        # a whole-numbered centre outside the grid is a family of its own,
+        # so its block shares no memory with an in-grid centre's, however
+        # near the two are
         specs = [GaussianSpec((2.0, 20.0), 1.2), GaussianSpec((43.0, 20.0), 1.2)]
         near, far = _render([(spec,) for spec in specs], PixelFrame(40, 40))
         assert near._block.size and far._block.size
         assert not np.may_share_memory(near._block, far._block)
+        past = GaussianSpec((41.0, 20.0), 1.2)
+        beside, off = _render([(GaussianSpec((10.0, 3.0), 1.2),), (past,)], PixelFrame(40, 40))
+        assert off._block.size
+        assert not np.may_share_memory(beside._block, off._block)
+        assert off.values.tobytes() == dense_gaussian(past, 40, 40).tobytes()
         # a fractional key used by two channels builds one block
         specs += [GaussianSpec((17.5, 9.25), 1.2)] * 2
         first, second = _render([(specs[2],), (specs[3],)], PixelFrame(40, 40))
         assert np.shares_memory(first._block, second._block)
         # sigma 0.05 is nonzero only within one pixel of its centre, so the
-        # whole-numbered centre three columns past the frame renders the
-        # empty box, though it lies within a grid side of the in-frame centre
-        # and, as the last centre on both axes, sets their family's factors
+        # whole-numbered centre three columns past the frame, a family of its
+        # own, renders the empty box, and the in-frame centre of that sigma
+        # renders as it does alone
         specs += [GaussianSpec((10.0, 10.0), 0.05), GaussianSpec((42.0, 12.0), 0.05)]
         inside, outside = _render([(specs[4],), (specs[5],)], PixelFrame(40, 40))
         alone = render_gaussian(specs[4], PixelFrame(40, 40))
@@ -312,8 +317,8 @@ class TestBatchedRender:
 
 
 class TestJoinedMaps:
-    """A map of several Gaussians: the first block is written into the
-    zeroed array of their joined box, and each later one max-combined."""
+    """A map of several Gaussians max-combines every block into the zeroed
+    array of their joined box."""
 
     # sigma 0.25 is nonzero within 9 px of its centre; a box clipped by the
     # grid's corner lies inside the box of a centre three pixels in, and a
