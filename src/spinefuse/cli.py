@@ -6,8 +6,9 @@ error. All randomness flows from ``--seed``; re-running any command with the
 same inputs and seed reproduces its outputs byte for byte. ``--jobs N`` runs a
 batch's items on at most N processes, this one and forked workers, and never
 on more than the items or the CPUs this process may use; a share whose worker
-cannot be started runs in this process, and the outputs are byte-identical
-for any N. A worker that dies fails each of its items as an internal error.
+cannot be started runs in this process. The outputs, stderr and the exit code
+are the same for any N: each item's failure is reported by the process that
+ran it. A worker that dies fails each of its items as an internal error.
 """
 from __future__ import annotations
 
@@ -58,24 +59,19 @@ def _usable_cpus() -> int:
 
 
 def _run_jobs(fn, items, jobs: int):
-    """Apply fn to each item; results keep input order as (result, exception)
-    pairs, and per-item exceptions are captured instead of aborting the batch.
+    """fn applied to each item, the results in input order. fn reports its
+    own failures, so an item's result is the same whatever process ran it;
+    an exception fn raises ends this call, or the worker that ran the item.
 
     Items split into w = min(jobs, len(items), _usable_cpus()) shares, item i
     to share i % w. Shares 1 .. w - 1 each get a worker, forked before any item
-    runs, which sends its share's pairs back through a pipe as one pickle. If
+    runs, which sends its share's results back through a pipe as one pickle. If
     a pipe or a fork fails, forking stops, and this process runs share 0 and
     every share that got no worker, so the outputs are those of any other w.
-    A worker that exits without sending (a crash, a signal) fails each of its
-    items with a RuntimeError naming how it ended. No worker outlives the call:
-    one still running when this process raises is killed, and every worker is
-    reaped."""
-    def guarded(item):
-        try:
-            return fn(item), None
-        except Exception as exc:  # collected per file
-            return None, exc
-
+    A worker that exits without sending (a crash, a signal) leaves in place of
+    each of its items' results a RuntimeError naming how it ended. No worker
+    outlives the call: one still running when this process raises is killed,
+    and every worker is reaped."""
     w = min(jobs, len(items), _usable_cpus())
     results = [None] * len(items)
     workers = {}  # share -> (pid, read end of its pipe), each until reaped
@@ -96,8 +92,7 @@ def _run_jobs(fn, items, jobs: int):
                     for _, pipe in workers.values():  # the earlier workers' ends
                         pipe.close()
                     with open(write_end, "wb") as pipe:
-                        pickle.dump([(result, None if exc is None else _portable(exc))
-                                     for result, exc in map(guarded, items[k::w])], pipe)
+                        pickle.dump([fn(item) for item in items[k::w]], pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -105,7 +100,7 @@ def _run_jobs(fn, items, jobs: int):
             workers[k] = pid, open(read_end, "rb")
         for k in range(w):
             if k not in workers:
-                results[k::w] = [guarded(item) for item in items[k::w]]
+                results[k::w] = [fn(item) for item in items[k::w]]
         for k, (pid, pipe) in list(workers.items()):
             data = pipe.read()
             pipe.close()
@@ -116,7 +111,7 @@ def _run_jobs(fn, items, jobs: int):
             else:
                 how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
                 lost = RuntimeError(f"worker process {how} before it sent its items")
-                results[k::w] = [(None, lost)] * len(results[k::w])
+                results[k::w] = [lost] * len(results[k::w])
         return results
     finally:
         for pid, pipe in workers.values():
@@ -125,52 +120,47 @@ def _run_jobs(fn, items, jobs: int):
             os.waitpid(pid, 0)
 
 
-def _portable(exc: Exception) -> Exception:
-    """exc as a worker sends it. A traceback does not pickle, so the formatted
-    one goes along as text, which _report prints; an exception that does not
-    survive pickling goes as a RuntimeError naming its type and message."""
-    text = "".join(traceback.format_exception(exc))
-    try:
-        exc._traceback_text = text
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        exc._traceback_text = text
-    return exc
-
-
-def _report(exc: Exception, path: Path | None = None) -> int:
-    """Print exc as one ``error:`` line and return its exit class. An internal
-    error prints its traceback first and names its type. The line starts with
-    the file the error names (a rename's target, else its ``filename``), once;
-    if it names none, with path, a batch item's file. Running out of
-    descriptors (EMFILE, ENFILE) is this process's limit, not the named
-    file's, so that line names only path."""
+def _report(exc: Exception, path: Path | None = None) -> tuple[int, str]:
+    """exc's exit class and its stderr text, one ``error:`` line, formatted
+    in the process that caught exc, so a batch item's text is the same at any
+    --jobs. An internal error's text starts with its traceback, and its line
+    names its type. The line starts with the file the error names (a rename's
+    target, else its ``filename``), once; if it names none, with path, a
+    batch item's file. Running out of descriptors (EMFILE, ENFILE) is this
+    process's limit, not the named file's, so that line names only path."""
     name = getattr(exc, "filename2", None) or getattr(exc, "filename", None)
     if isinstance(exc, OSError) and exc.errno in (errno.EMFILE, errno.ENFILE):
         name, exc = None, OSError(exc.errno, exc.strerror)
+    trace = ""
     if isinstance(exc, OSError):
         code, msg = EXIT_IO, f"{name}: [Errno {exc.errno}] {exc.strerror}" if name else str(exc)
     elif isinstance(exc, ValidationError):
         code, msg = EXIT_VALIDATION, str(exc)  # a reader's message starts with name
     else:
-        # a worker's exception brings its traceback as text (_portable)
-        sys.stderr.write(getattr(exc, "_traceback_text", None)
-                         or "".join(traceback.format_exception(exc)))
+        trace = "".join(traceback.format_exception(exc))
         code, msg = EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
     if path is not None and name is None:
         msg = f"{path}: {msg}"
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+    return code, f"{trace}error: {msg}\n"
 
 
 def _batch(process, items, paths, jobs: int):
-    """Run process over items through _run_jobs and report each failure with
-    its path. Returns the successful results, in input order, and the exit
-    class of the first failure (EXIT_OK if none failed)."""
-    results = _run_jobs(process, items, jobs)
-    codes = [_report(exc, path) for (_, exc), path in zip(results, paths) if exc is not None]
-    return [result for result, exc in results if exc is None], (codes or [EXIT_OK])[0]
+    """Run process over items through _run_jobs. Each failure is reported
+    with its path by _report in the process that ran its item, so stderr is
+    the same at any --jobs; a dead worker's items are reported here. Writes
+    the reports in input order, and returns the successful results, in input
+    order, and the exit class of the first failure (EXIT_OK if none failed)."""
+    def run(item):
+        try:
+            return process(item[0]), EXIT_OK, ""
+        except Exception as exc:  # collected per file
+            return None, *_report(exc, item[1])
+
+    outcomes = [(None, *_report(out, path)) if isinstance(out, RuntimeError) else out
+                for out, path in zip(_run_jobs(run, list(zip(items, paths)), jobs), paths)]
+    sys.stderr.write("".join(text for _, _, text in outcomes))
+    codes = [code for _, code, _ in outcomes if code != EXIT_OK]
+    return [result for result, code, _ in outcomes if code == EXIT_OK], (codes or [EXIT_OK])[0]
 
 
 def _out_dir(args) -> Path:
@@ -505,7 +495,9 @@ def main(argv=None) -> int:
     try:
         return func(args)
     except Exception as exc:  # the exit code names the class of failure
-        return _report(exc)
+        code, text = _report(exc)
+        sys.stderr.write(text)
+        return code
 
 
 if __name__ == "__main__":

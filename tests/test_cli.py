@@ -43,6 +43,20 @@ def cpu_per_job(monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
 
 
+class TwoPartError(Exception):
+    """Pickles, but does not unpickle: its one arg is the joined message."""
+
+    def __init__(self, head, tail):
+        super().__init__(f"{head} {tail}")
+
+
+class OneArgError(Exception):
+    """Unpickles with another message: "bad 3" comes back as "bad bad 3"."""
+
+    def __init__(self, n):
+        super().__init__(f"bad {n}")
+
+
 def make_corpus(tmp_path, count=2, seed=7):
     out = tmp_path / "corpus"
     assert run("phantom", "--out-dir", out, "--count", count, "--seed", seed,
@@ -378,10 +392,14 @@ class TestFuse:
         capsys.readouterr()
         assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
                    "--out-dir", tmp_path / "f", "--jobs", jobs) == EXIT_VALIDATION
-        assert capsys.readouterr().err.splitlines() == [
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
             f"error: {coords_dir / 'a.txt'}: 1 landmarks, expected 11",
             f"error: {coords_dir / 'b.txt'}: [Errno 2] No such file or directory"]
         assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["phantom_002.txt"]
+        assert run("fuse", "--heatmaps-dir", hm_dir, "--coords-dir", coords_dir,
+                   "--out-dir", tmp_path / "f1", "--jobs", 1) == EXIT_VALIDATION
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("widths", [2, 12])
     def test_another_count_of_prior_sigmas_fails_each_stack_once(self, tmp_path, capsys,
@@ -946,6 +964,9 @@ class TestMalformedInput:
         assert err.count("in broken_decoder") == 3
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
             f"error: {stack}: IndexError: broken decoder" for stack in sorted(hm_dir.iterdir())]
+        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d1",
+                   "--jobs", 1) == EXIT_INTERNAL
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_a_worker_that_dies_fails_each_of_its_items(self, tmp_path, capsys, monkeypatch,
@@ -972,28 +993,32 @@ class TestMalformedInput:
         assert sorted((tmp_path / "d").iterdir()) == [
             tmp_path / "d" / f"{stack.stem}.txt" for stack in mine]
 
-    def test_an_exception_that_does_not_pickle_names_its_type(self, tmp_path, capsys,
-                                                               monkeypatch, reaped, cpu_per_job):
+    @pytest.mark.parametrize("error, line", [
+        (lambda: TwoPartError("broken", "decoder"), "TwoPartError: broken decoder"),
+        (lambda: OneArgError(3), "OneArgError: bad 3"),
+    ], ids=["does-not-unpickle", "unpickles-with-another-message"])
+    def test_an_exception_reads_at_jobs_2_as_at_jobs_1(self, tmp_path, capsys, monkeypatch,
+                                                       reaped, cpu_per_job, error, line):
+        # the worker's item fails with an exception that does not survive a
+        # pickle round trip; the worker reports it, so nothing crosses the pipe
+        # but its text: the same traceback and line as at --jobs 1
         manifest_path = make_corpus(tmp_path, count=2)
         hm_dir = tmp_path / "hm"
         assert run("gen-heatmaps", "--manifest", manifest_path, "--out-dir", hm_dir) == EXIT_OK
 
-        class TwoPartError(Exception):
-            def __init__(self, head, tail):
-                super().__init__(f"{head} {tail}")
-
         def broken(hm):
-            raise TwoPartError("broken", "decoder")
+            raise error()
         monkeypatch.setattr(cli, "decode_argmax", broken)
         capsys.readouterr()
-        assert run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / "d",
-                   "--jobs", 2) == EXIT_INTERNAL
-        # the class, local to this test, does not unpickle: the worker's item
-        # arrives as a RuntimeError that names it
-        first, second = sorted(hm_dir.iterdir())
-        assert [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")] == [
-            f"error: {first}: TwoPartError: broken decoder",
-            f"error: {second}: RuntimeError: TwoPartError: broken decoder"]
+        serial, parallel = [
+            (run("decode", "--heatmaps-dir", hm_dir, "--out-dir", tmp_path / f"d{jobs}",
+                 "--jobs", jobs), capsys.readouterr().err) for jobs in (1, 2)]
+        assert parallel == serial
+        code, err = serial
+        assert code == EXIT_INTERNAL
+        assert err.count(f"{line}\n") == 4  # each item's traceback, then its line
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: {stack}: {line}" for stack in sorted(hm_dir.iterdir())]
 
     def test_an_interrupt_kills_the_workers(self, tmp_path, monkeypatch, reaped, cpu_per_job):
         manifest_path = make_corpus(tmp_path, count=2)
